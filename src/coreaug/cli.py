@@ -15,10 +15,8 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -74,10 +72,6 @@ def _hidden_sizes(text: str) -> tuple[int, ...]:
 
 def _seed_list(text: str) -> list[int]:
     return [int(v) for v in text.split(",") if v.strip()]
-
-
-def _max_threads() -> int:
-    return max(1, int(os.environ.get("COREAUG_THREADS", "1")))
 
 
 def _selection_config(args) -> SelectionConfig:
@@ -155,25 +149,26 @@ def cmd_train(args) -> int:
     if args.test_data:
         test_path = Path(args.test_data)
         test = load_dataset_csv(test_path)
+        if test.num_classes > data.num_classes:
+            raise DataFormatError(
+                f"{test_path}: test label {test.num_classes - 1} outside the training "
+                f"classes 0..{data.num_classes - 1}")
+        test = Dataset(test.features, test.labels, data.num_classes)
         inputs.append(test_path)
     else:
         data, test = split_dataset(data, args.holdout, seed=args.split_seed)
 
-    def run_one(seed: int):
-        t0 = time.perf_counter()
-        record = train(_train_config(args, seed), data, test)
-        return seed, record, (time.perf_counter() - t0) * 1000.0
-
     timings = {}
     outputs = []
     records = {}
-    with ThreadPoolExecutor(max_workers=_max_threads()) as pool:
-        for seed, record, ms in pool.map(run_one, args.seeds):
-            name = f"run_seed{seed}.csv"
-            record.to_csv(out_dir / name)
-            outputs.append(name)
-            records[seed] = record
-            timings[f"train_seed{seed}_ms"] = ms
+    for seed in args.seeds:
+        t0 = time.perf_counter()
+        record = train(_train_config(args, seed), data, test)
+        timings[f"train_seed{seed}_ms"] = (time.perf_counter() - t0) * 1000.0
+        name = f"run_seed{seed}.csv"
+        record.to_csv(out_dir / name)
+        outputs.append(name)
+        records[seed] = record
     final = {
         seed: {
             "test_acc": records[seed].rows[-1].test_acc,

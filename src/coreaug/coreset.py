@@ -8,13 +8,15 @@ maximizing the reduction of the summed squares, which is what the engines
 track internally; the squared form has nonincreasing marginal gains, so lazy
 evaluation certifies exactly the same picks as the naive scan.
 
-All engines share one scalar gain expression (a single-column 1-D reduction),
-so naive, lazy, and fully-sampled stochastic runs agree bit for bit.
+All engines score candidates through one batched row reduction over the
+transposed squared distances, in blocks of ``_SCORE_BLOCK`` rows, and pick the
+best with the same smallest-index tie rule; naive, lazy, and fully-sampled
+stochastic runs therefore agree bit for bit. The engines differ only in which
+candidates they score.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
 
@@ -56,6 +58,9 @@ __all__ = [
 
 ENGINES = ("naive", "lazy", "stochastic")
 STOP_MODES = ("xi_threshold", "fixed_size")
+
+# Candidate rows scored per reduction; bounds the temporary at block x n_c.
+_SCORE_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -99,7 +104,7 @@ class SelectionConfig:
 @dataclass
 class SelectionResult:
     """Selected local indices in pick order, the coverage-norm value after each
-    pick, and the number of marginal-gain evaluations spent."""
+    pick, and the number of candidate rows scored (marginal-gain evaluations)."""
 
     indices: list[int]
     trace: list[float]
@@ -166,11 +171,12 @@ def facility_location_objective(D, S, cap: float | None = None) -> float:
 
 
 class _GreedyState:
-    """Shared bookkeeping so every engine evaluates gains with identical
-    floating-point expressions (1-D reductions over a single column)."""
+    """Shared bookkeeping so every engine scores candidates with the same
+    floating-point expression: one contiguous row of squared distances per
+    candidate, reduced against the current coverage."""
 
     def __init__(self, D: np.ndarray, config: SelectionConfig):
-        self.D2 = D * D
+        self.D2T = np.square(D.T, order="C")
         self.n_c = D.shape[0]
         self.c1 = _resolve_c1(config, D)
         self.k = _resolve_k(config, self.n_c)
@@ -182,28 +188,28 @@ class _GreedyState:
         self.trace: list[float] = []
         self.evaluations = 0
 
-    def gain(self, s: int) -> tuple[float, float]:
-        """(marginal gain, resulting summed squared coverage) for candidate s."""
-        nq = float(np.minimum(self.dmin2, self.D2[:, s]).sum())
-        self.evaluations += 1
+    def score(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(marginal gains, resulting summed squared coverage) for candidate ids."""
+        nq = np.empty(ids.size)
+        for start in range(0, ids.size, _SCORE_BLOCK):
+            rows = self.D2T[ids[start:start + _SCORE_BLOCK]]
+            np.minimum(rows, self.dmin2, out=rows)
+            nq[start:start + rows.shape[0]] = rows.sum(axis=1)
+        self.evaluations += ids.size
         return self.q - nq, nq
 
-    def best_of(self, candidates) -> tuple[int, float, float]:
-        """Largest-gain candidate over an ascending index iterable; ties keep
-        the smallest index (the first strict improvement wins)."""
-        best_gain = -math.inf
-        best_idx = -1
-        best_nq = math.inf
-        for s in candidates:
-            g, nq = self.gain(int(s))
-            if g > best_gain:
-                best_gain, best_idx, best_nq = g, int(s), nq
-        return best_idx, best_gain, best_nq
+    def select_best(self, ids: np.ndarray) -> np.ndarray:
+        """Score ascending candidate ids and select the largest gain; argmax
+        keeps the first, i.e. smallest, index on ties. Returns the gains."""
+        gains, nq = self.score(ids)
+        i = int(np.argmax(gains))
+        self.select(int(ids[i]), float(nq[i]))
+        return gains
 
     def select(self, s: int, nq: float) -> None:
         self.S.append(s)
         self.remaining[s] = False
-        np.minimum(self.dmin2, self.D2[:, s], out=self.dmin2)
+        np.minimum(self.dmin2, self.D2T[s], out=self.dmin2)
         self.q = nq
         self.trace.append(math.sqrt(max(nq, 0.0)))
 
@@ -219,7 +225,7 @@ class _GreedyState:
 
 
 def greedy_select(D, config: SelectionConfig) -> SelectionResult:
-    """Naive greedy: every step scans all remaining candidates.
+    """Naive greedy: every step scores all remaining candidates.
 
     Picks the candidate with the largest coverage-norm reduction, ties broken
     by smallest index. Stops at |S| = k (fixed_size), at norm <= xi
@@ -228,63 +234,41 @@ def greedy_select(D, config: SelectionConfig) -> SelectionResult:
     """
     state = _GreedyState(as_matrix(D, "D"), config)
     while True:
-        s, _, nq = state.best_of(np.flatnonzero(state.remaining))
-        state.select(s, nq)
+        state.select_best(np.flatnonzero(state.remaining))
         if state.done():
             return state.result()
 
 
 def lazy_greedy_select(D, config: SelectionConfig) -> SelectionResult:
-    """Lazy greedy: a stale-gain priority queue, re-evaluating top candidates
-    until the current best gain is certified against everything left.
+    """Lazy greedy: stale gains decide which candidates are rescored.
 
-    Stale gains upper-bound current ones in exact arithmetic (squared-coverage
-    gains are nonincreasing as the selection grows), but floating-point sums
-    can understate a stale key by an ulp; the certification therefore keeps
-    popping while the next stale key sits within a rounding margin of the best
-    current gain, and resolves that near-tie set with the naive comparator.
-    The output (set, order, trace) is identical to the naive scan.
+    Each step rescores the candidate with the largest stale gain, then
+    rescores every remaining candidate whose stale gain, plus a rounding
+    margin, reaches that fresh gain, and selects the best of them. Stale gains
+    start at +inf, so the first step scores everything. They upper-bound
+    current ones in exact arithmetic (squared-coverage gains are
+    nonincreasing as the selection grows), but floating-point sums can
+    understate a stale gain by an ulp; the margin keeps such near-ties in the
+    rescored set. Every candidate left out therefore has a smaller gain than
+    the pick, and the output (set, order, trace) is identical to the naive
+    scan.
     """
     state = _GreedyState(as_matrix(D, "D"), config)
     margin = 1e-9 * state.q
-    heap = []
-    for s in range(state.n_c):
-        g, nq = state.gain(s)
-        heap.append((-g, s, nq))
-    heapq.heapify(heap)
-    first_step = True
+    stale = np.full(state.n_c, np.inf)
     while True:
-        best_gain = -math.inf
-        best_idx = -1
-        best_nq = math.inf
-        examined: list[tuple[float, int, float]] = []
-        while heap:
-            neg_key, s, nq = heap[0]
-            if not state.remaining[s]:
-                heapq.heappop(heap)
-                continue
-            if -neg_key + margin < best_gain:
-                break
-            heapq.heappop(heap)
-            if first_step:
-                g = -neg_key
-            else:
-                g, nq = state.gain(s)
-            examined.append((g, s, nq))
-            better = g > best_gain or (g == best_gain and s < best_idx)
-            if better:
-                best_gain, best_idx, best_nq = g, s, nq
-        for g, s, nq in examined:
-            if s != best_idx:
-                heapq.heappush(heap, (-g, s, nq))
-        state.select(best_idx, best_nq)
-        first_step = False
+        top = np.argmax(stale, keepdims=True)
+        fresh = state.score(top)[0]
+        stale[top] = fresh
+        ids = np.flatnonzero(stale + margin >= fresh)
+        stale[ids] = state.select_best(ids)
+        stale[state.S[-1]] = -np.inf
         if state.done():
             return state.result()
 
 
 def stochastic_greedy_select(D, config: SelectionConfig) -> SelectionResult:
-    """Stochastic greedy: each step evaluates a uniform random candidate sample
+    """Stochastic greedy: each step scores a uniform random candidate sample
     of size ``stochastic_sample`` (capped at what remains) and takes its best.
     Deterministic given the config seed; a sample covering everything that
     remains reduces to the naive scan.
@@ -303,9 +287,7 @@ def stochastic_greedy_select(D, config: SelectionConfig) -> SelectionResult:
     while True:
         cand = np.flatnonzero(state.remaining)
         take = min(sample_size, cand.size)
-        sample = np.sort(rng.choice(cand, size=take, replace=False))
-        s, _, nq = state.best_of(sample)
-        state.select(s, nq)
+        state.select_best(np.sort(rng.choice(cand, size=take, replace=False)))
         if state.done():
             return state.result()
 

@@ -22,9 +22,6 @@ __all__ = [
     "principal_angles",
 ]
 
-_POWER_MAX_ITER = 1000
-_POWER_TOL = 1e-14
-
 
 class NumericalError(RuntimeError):
     """An iterative numerical routine failed to converge."""
@@ -81,34 +78,8 @@ def svd(A) -> SvdResult:
 
 
 def spectral_norm(A) -> float:
-    """Largest singular value, via power iteration on the smaller Gram matrix.
-
-    The start vector is all-ones plus a tiny fixed-seed jitter (so it cannot
-    sit exactly orthogonal to the dominant eigenspace), normalized. The
-    Rayleigh quotient never exceeds the true top eigenvalue, so the returned
-    value respects ``spectral_norm(A) <= frobenius_norm(A)`` structurally.
-    """
-    m = as_matrix(A, "A")
-    if m.shape[0] < m.shape[1]:
-        m = m.T
-    gram = m.T @ m
-    n = gram.shape[0]
-    rng = np.random.default_rng(0)
-    v = np.ones(n) + 1e-6 * rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(_POWER_MAX_ITER):
-        w = gram @ v
-        norm_w = float(np.linalg.norm(w))
-        if norm_w == 0.0:
-            return 0.0
-        lam_new = float(v @ w)
-        v = w / norm_w
-        if abs(lam_new - lam) <= _POWER_TOL * max(abs(lam_new), 1e-300):
-            lam = lam_new
-            break
-        lam = lam_new
-    return math.sqrt(max(lam, 0.0))
+    """Largest singular value, from LAPACK's singular values of ``A``."""
+    return float(np.linalg.norm(as_matrix(A, "A"), 2))
 
 
 def frobenius_norm(A) -> float:

@@ -6,7 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coreaug.coreset import (
+    _SCORE_BLOCK,
+    STOP_MODES,
     SelectionConfig,
+    _GreedyState,
     alignment_error,
     compute_weights,
     coreset_ntk_bound_check,
@@ -33,6 +36,19 @@ def proxy_set(points, labels=None, C=None):
     labels = np.zeros(points.shape[0], dtype=int) if labels is None else labels
     C = int(labels.max()) + 1 if C is None else C
     return GradientProxySet(points, labels, "residual", C)
+
+
+def integer_grid_points(seed, n):
+    """Points on a small integer grid: many duplicates and exactly tied gains."""
+    return np.random.default_rng(seed).integers(0, 4, size=(n, 2)).astype(float)
+
+
+# Inputs for the engine-equivalence tests: one spans several scoring blocks,
+# one is full of exact ties.
+ENGINE_INPUTS = {
+    "random_600": lambda: random_points(16, 600, p=4),
+    "integer_grid_300": lambda: integer_grid_points(17, 300),
+}
 
 
 def brute_g(D, S, c1):
@@ -180,6 +196,20 @@ class TestLazyGreedy:
         assert lazy.indices == naive.indices
         assert lazy.trace == naive.trace
 
+    @pytest.mark.parametrize("name", ENGINE_INPUTS)
+    @pytest.mark.parametrize("stop", STOP_MODES)
+    def test_identical_across_blocks_and_ties(self, name, stop):
+        D = pairwise_distances(ENGINE_INPUTS[name]())
+        assert D.shape[0] > _SCORE_BLOCK
+        if stop == "fixed_size":
+            cfg = SelectionConfig(stop=stop, k_per_class=D.shape[0] // 10)
+        else:
+            cfg = SelectionConfig(stop=stop, xi=0.5)
+        naive = greedy_select(D, cfg)
+        lazy = lazy_greedy_select(D, cfg)
+        assert lazy.indices == naive.indices
+        assert lazy.trace == naive.trace
+
     def test_single_element_class(self):
         D = np.zeros((1, 1))
         res = lazy_greedy_select(D, SelectionConfig(stop="fixed_size", k_per_class=1))
@@ -193,6 +223,33 @@ class TestLazyGreedy:
         assert lazy.evaluations <= naive.evaluations
 
 
+class TestBatchedScoring:
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 127, 128, 129, 600, 1000])
+    def test_row_reduction_matches_column_reduction(self, n):
+        """The batched row sums equal the 1-D single-column sums bit for bit; a
+        numpy change of summation order would break engine equivalence."""
+        rng = np.random.default_rng(n)
+        D = pairwise_distances(rng.standard_normal((n, 5)))
+        D2 = D * D
+        dmin2 = D2[:, rng.integers(0, n, size=3)].min(axis=1)
+        batched = np.minimum(dmin2, np.square(D.T, order="C")).sum(axis=1)
+        single = [float(np.minimum(dmin2, D2[:, s]).sum()) for s in range(n)]
+        assert batched.tolist() == single
+
+    def test_state_scores_match_column_reduction(self):
+        D = pairwise_distances(random_points(21, 600, p=4))
+        state = _GreedyState(D, SelectionConfig(stop="fixed_size", k_per_class=10))
+        for _ in range(3):
+            state.select_best(np.flatnonzero(state.remaining))
+        ids = np.flatnonzero(state.remaining)
+        gains, nq = state.score(ids)
+        D2 = D * D
+        single = [float(np.minimum(state.dmin2, D2[:, s]).sum()) for s in ids]
+        assert nq.tolist() == single
+        assert gains.tolist() == [state.q - v for v in single]
+        assert state.evaluations == 600 + 599 + 598 + ids.size
+
+
 class TestStochasticGreedy:
     def test_full_sampling_degenerates_to_naive(self):
         D = pairwise_distances(random_points(12, 25))
@@ -200,6 +257,18 @@ class TestStochasticGreedy:
                                 engine="stochastic", stochastic_sample=25, seed=3)
         cfg_n = SelectionConfig(stop="fixed_size", k_per_class=6)
         assert stochastic_greedy_select(D, cfg_s).indices == greedy_select(D, cfg_n).indices
+
+    @pytest.mark.parametrize("name", ENGINE_INPUTS)
+    def test_full_sampling_matches_naive_across_blocks_and_ties(self, name):
+        D = pairwise_distances(ENGINE_INPUTS[name]())
+        n = D.shape[0]
+        cfg_s = SelectionConfig(stop="fixed_size", k_per_class=n // 10,
+                                engine="stochastic", stochastic_sample=n, seed=3)
+        cfg_n = SelectionConfig(stop="fixed_size", k_per_class=n // 10)
+        stochastic = stochastic_greedy_select(D, cfg_s)
+        naive = greedy_select(D, cfg_n)
+        assert stochastic.indices == naive.indices
+        assert stochastic.trace == naive.trace
 
     def test_seed_determinism(self):
         D = pairwise_distances(random_points(13, 40))

@@ -148,6 +148,30 @@ class TestCli:
         assert aggregate["mean_test_acc"] == pytest.approx(np.mean(accs))
         assert aggregate["std_test_acc"] == pytest.approx(np.std(accs))
 
+    def test_test_data_with_fewer_classes_scores_on_training_classes(
+            self, dataset_csv, tmp_path):
+        test_csv = tmp_path / "test2.csv"
+        save_dataset_csv(gen_dataset("gaussian_blobs", 40, 4, 2, seed=12, noise=0.07),
+                         test_csv)
+        out = tmp_path / "train"
+        code = main(["train", "--data", str(dataset_csv), "--test-data", str(test_csv),
+                     "--epochs", "2", "--fraction", "0.2", "--hidden", "6",
+                     "--out", str(out)])
+        assert code == 0
+        last = (out / "run_seed0.csv").read_text().splitlines()[-1].split(",")
+        assert 0.0 <= float(last[3]) <= 1.0
+        assert np.isfinite(float(last[2]))
+
+    def test_test_label_outside_training_classes_is_data_error(self, tmp_path, capsys):
+        train_csv = tmp_path / "train2.csv"
+        save_dataset_csv(gen_dataset("gaussian_blobs", 40, 4, 2, seed=13), train_csv)
+        test_csv = tmp_path / "test3.csv"
+        save_dataset_csv(gen_dataset("gaussian_blobs", 30, 4, 3, seed=14), test_csv)
+        code = main(["train", "--data", str(train_csv), "--test-data", str(test_csv),
+                     "--epochs", "1", "--hidden", "6", "--out", str(tmp_path / "t")])
+        assert code == 3
+        assert str(test_csv) in capsys.readouterr().err
+
     def test_spectrum_untrained_flag_writes_both(self, dataset_csv, tmp_path):
         out = tmp_path / "spec"
         code = main(["spectrum", "--data", str(dataset_csv), "--epsilon0",
