@@ -1,9 +1,10 @@
-"""Randomized audit batteries for the spectrum and selection bounds.
+"""Randomized audit batteries and experiment protocols.
 
 Each audit generates its own seeded instances, runs the corresponding check,
-and returns a JSON-ready summary. The CLI ``bounds`` command and the
-acceptance tests both consume these, so the checked quantities are measured in
-exactly one place.
+and returns a JSON-ready summary. Each protocol runs one of the paper's
+experiments on its pinned desk-scale instance and returns the raw numbers.
+The CLI ``bounds`` and ``experiment`` commands and the acceptance tests all
+consume these, so the checked quantities are measured in exactly one place.
 """
 
 from __future__ import annotations
@@ -15,20 +16,30 @@ from .coreset import (
     SelectionConfig,
     compute_weights,
     coreset_ntk_bound_check,
+    max_loss_subset,
     pairwise_distances,
+    random_subset,
     select_all_classes,
 )
-from .data import gen_dataset
+from .data import gen_dataset, split_dataset
 from .linalg import spectral_norm
-from .model import MLP, Dataset, gradient_proxy, jacobian, one_hot
+from .model import MLP, Dataset, forward, gradient_proxy, jacobian, one_hot
 from .spectrum import (
     eigengap,
     expected_shift_model_check,
     linear_transform_bound_check,
     singular_vector_bound_check,
+    spectrum_report,
     weyl_check,
 )
-from .trainer import sgd_warmup
+from .trainer import (
+    LrSchedule,
+    TrainConfig,
+    inject_label_noise,
+    noisy_selection_audit,
+    sgd_warmup,
+    train,
+)
 
 __all__ = [
     "audit_weyl_random",
@@ -38,7 +49,14 @@ __all__ = [
     "audit_ntk_bound",
     "audit_linear_bounds",
     "run_bounds_suite",
+    "budget_spectra",
+    "PROTOCOL_SEEDS",
+    "subset_benchmark",
+    "spectrum_protocol",
+    "noise_robustness",
 ]
+
+PROTOCOL_SEEDS = tuple(range(5))
 
 
 def audit_weyl_random(trials: int = 1000, seed: int = 0,
@@ -203,3 +221,80 @@ def run_bounds_suite(seed: int = 0, weyl_trials: int = 1000,
         "ntk_bound": audit_ntk_bound(ntk_instances, seed),
         "linear_bounds": audit_linear_bounds(linear_instances, seed),
     }
+
+
+def budget_spectra(net: MLP, features, epsilons, kind: str = "uniform_ball",
+                   seed: int = 0):
+    """Yield ``(epsilon0, SpectrumReport)`` per budget: round 0 of a one-copy
+    transform at that budget, paired with the clean derivative spectrum."""
+    jac = jacobian(net, features)
+    for eps in epsilons:
+        spec = TransformSpec(kind=kind, epsilon0=eps, r=1, seed=seed)
+        x_aug = perturb(spec, features, round_index=0).features
+        yield eps, spectrum_report(jac, jacobian(net, x_aug))
+
+
+def spectrum_protocol(seeds=PROTOCOL_SEEDS) -> list:
+    """Per seed, a 16-20-3 tanh net warmed up on 300 blobs and paired with one
+    augmented round at 8/255 and at 16/255. Returns ``(seed, epsilon0,
+    SpectrumReport)`` triples in that order."""
+    triples = []
+    for seed in seeds:
+        net, data = _protocol_net_and_data(seed, n_per_class=100, hidden=20)
+        triples += [(seed, eps, report) for eps, report in budget_spectra(
+            net, data.features, (8.0 / 255.0, 16.0 / 255.0), seed=seed)]
+    return triples
+
+
+def subset_benchmark(seeds=PROTOCOL_SEEDS) -> dict:
+    """Train on 10% per-class subsets of a 600-row split of noisy blobs under
+    three arms (coreset + augmentation, random subset + augmentation, coreset
+    without augmentation). Returns, per arm, the final test accuracy of each
+    seed."""
+    full = gen_dataset("gaussian_blobs", 900, 8, 3, seed=100, noise=0.25,
+                       margin=0.35)
+    tr, te = split_dataset(full, 1.0 / 3.0, seed=0)
+    arms = {"coreset+aug": ("ours", 16.0 / 255.0),
+            "random+aug": ("random", 16.0 / 255.0),
+            "coreset-noaug": ("ours", 0.0)}
+    accs = {}
+    for name, (baseline, eps) in arms.items():
+        accs[name] = []
+        for seed in seeds:
+            cfg = TrainConfig(
+                regime="coreset_only",
+                selection=SelectionConfig(stop="fixed_size", fraction=0.1),
+                transform=TransformSpec(kind="uniform_ball", epsilon0=eps, r=1,
+                                        seed=seed),
+                refresh_r=1, epochs=90, lr=LrSchedule(0.001, (60,), 0.1),
+                batch_size=16, seed=seed, baseline=baseline,
+                hidden_sizes=(32,), activation="relu",
+            )
+            accs[name].append(train(cfg, tr, te).rows[-1].test_acc)
+    return accs
+
+
+def noise_robustness(seeds=PROTOCOL_SEEDS) -> dict:
+    """Flip 30% of 600 blob labels, warm a tanh net up on the noisy data, and
+    select 10% per class by coreset, by largest loss and at random. Returns,
+    per selector, the flipped fraction of each seed's selection."""
+    data = gen_dataset("gaussian_blobs", 600, 8, 3, seed=50, noise=0.10)
+    fractions = {"coreset": [], "max_loss": [], "random": []}
+    for seed in seeds:
+        noisy, mask = inject_label_noise(data, 0.30, seed=seed)
+        net = MLP.init([8, 16, 3], activation="tanh", seed=seed)
+        sgd_warmup(net, noisy, epochs=15, lr=0.002, batch_size=32, seed=seed)
+        losses = 0.5 * np.sum((forward(net, noisy.features)
+                               - noisy.one_hot_labels()) ** 2, axis=1)
+        picks = {
+            "coreset": select_all_classes(
+                gradient_proxy(net, noisy, "last_layer"),
+                SelectionConfig(stop="fixed_size", fraction=0.1)).indices,
+            "max_loss": max_loss_subset(losses, None, noisy.labels,
+                                        fraction=0.1).indices,
+            "random": random_subset(noisy.n, None, noisy.labels, seed=seed,
+                                    fraction=0.1).indices,
+        }
+        for name, indices in picks.items():
+            fractions[name].append(noisy_selection_audit(indices, mask))
+    return fractions

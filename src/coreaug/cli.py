@@ -1,9 +1,10 @@
 """Command-line harness.
 
-Subcommands: gen-data, select, train, spectrum, bounds, report. Every run
-writes its artifacts plus a ``manifest.json`` under ``--out``; re-running with
-the manifest's seeds reproduces every numeric artifact byte for byte (wall
-clock timings live only in the manifest and the selection_ms column).
+Subcommands: gen-data, select, train, spectrum, bounds, experiment, report.
+Every run writes its artifacts plus a ``manifest.json`` under ``--out``;
+re-running with the manifest's seeds reproduces every numeric artifact byte for
+byte (wall clock timings live only in the manifest and the selection_ms
+column).
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 numerical failure.
 A JSON config file (``--config``) may supply any flag's value; explicit flags
@@ -22,13 +23,19 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .audits import run_bounds_suite
-from .augment import TRANSFORM_KINDS, TransformSpec, perturb
+from .audits import (
+    PROTOCOL_SEEDS,
+    budget_spectra,
+    noise_robustness,
+    run_bounds_suite,
+    spectrum_protocol,
+    subset_benchmark,
+)
+from .augment import TRANSFORM_KINDS, TransformSpec
 from .coreset import SelectionConfig, select_all_classes
 from .data import DataFormatError, gen_dataset, load_dataset_csv, save_dataset_csv, split_dataset
 from .linalg import NumericalError
-from .model import MLP, Dataset, gradient_proxy, jacobian
-from .spectrum import spectrum_report
+from .model import MLP, Dataset, gradient_proxy
 from .trainer import CSV_HEADER, LrSchedule, TrainConfig, sgd_warmup, train
 
 SCHEMA_VERSION = 1
@@ -42,7 +49,7 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _write_json(path: Path, payload: dict) -> None:
+def _write_json(path: Path, payload: dict | list) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
                     encoding="utf-8")
 
@@ -149,6 +156,9 @@ def cmd_train(args) -> int:
     if args.test_data:
         test_path = Path(args.test_data)
         test = load_dataset_csv(test_path)
+        if test.dim != data.dim:
+            raise DataFormatError(
+                f"{test_path}: {test.dim} features, the training data has {data.dim}")
         if test.num_classes > data.num_classes:
             raise DataFormatError(
                 f"{test_path}: test label {test.num_classes - 1} outside the training "
@@ -223,14 +233,11 @@ def cmd_spectrum(args) -> int:
     timings["train_ms"] = (time.perf_counter() - t0) * 1000.0
     variants.append(("trained", net))
     for tag, model in variants:
-        jac = jacobian(model, data.features)
-        for eps in args.epsilon0:
-            spec = TransformSpec(kind=args.transform_kind, epsilon0=eps, r=1,
-                                 seed=args.seed)
-            t1 = time.perf_counter()
-            x_aug = perturb(spec, data.features, round_index=0).features
-            report = spectrum_report(jac, jacobian(model, x_aug))
+        t1 = time.perf_counter()
+        for eps, report in budget_spectra(model, data.features, args.epsilon0,
+                                          args.transform_kind, args.seed):
             timings[f"spectrum_{tag}_eps{eps:.6f}_ms"] = (time.perf_counter() - t1) * 1000.0
+            t1 = time.perf_counter()
             stem = f"spectrum_{tag}_eps{eps:.6f}"
             _write_json(out_dir / f"{stem}.json", report.to_json_dict())
             report.write_bins_csv(out_dir / f"{stem}_bins.csv")
@@ -275,6 +282,36 @@ def cmd_bounds(args) -> int:
           and suite["linear_bounds"]["combined_failures"] == 0)
     print(f"bounds suite {'PASS' if ok else 'FAIL'} -> {out_dir / 'bounds.json'}")
     return 0 if ok else 4
+
+
+def cmd_experiment(args) -> int:
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    outputs = [f"{args.name}.json"]
+    t0 = time.perf_counter()
+    if args.name == "spectrum":
+        payload = []
+        for seed, eps, report in spectrum_protocol():
+            stem = f"spectrum_seed{seed}_eps{eps:.6f}"
+            report.write_bins_csv(out_dir / f"{stem}_bins.csv")
+            outputs.append(f"{stem}_bins.csv")
+            bottom, top = report.decile_relative_shifts()
+            payload.append({
+                "seed": seed, "epsilon0": eps, "e_norm2": report.e_norm2,
+                "e_norm_frobenius": report.e_norm_frobenius,
+                "weyl_passed": report.weyl.passed,
+                "bottom_decile_relative_shift": bottom,
+                "top_decile_relative_shift": top,
+                "shape_reproduced": report.shape_reproduced,
+            })
+    else:
+        payload = {"subset": subset_benchmark, "noise": noise_robustness}[args.name]()
+    elapsed = (time.perf_counter() - t0) * 1000.0
+    _write_json(out_dir / outputs[0], payload)
+    _manifest(out_dir, "experiment", {"name": args.name}, list(PROTOCOL_SEEDS),
+              [], outputs, {"experiment_ms": elapsed})
+    print(f"{args.name} experiment -> {out_dir / outputs[0]}")
+    return 0
 
 
 def cmd_report(args) -> int:
@@ -407,6 +444,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--augmentation-rounds", dest="augmentation_rounds", type=int, default=20)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_bounds)
+
+    p = sub.add_parser("experiment", help="run one of the paper's experiment protocols")
+    p.add_argument("name", choices=("subset", "spectrum", "noise"))
+    p.add_argument("--out", required=True)
+    p.set_defaults(fn=cmd_experiment)
 
     p = sub.add_parser("report", help="aggregate run CSVs into a summary JSON")
     p.add_argument("--runs", required=True)

@@ -106,6 +106,22 @@ class SpectrumReport:
     bins: list[SpectrumBin]
     weyl: WeylVerdict
 
+    def decile_relative_shifts(self) -> tuple[float, float]:
+        """Mean relative shift (sigma_aug - sigma_clean) / sigma_clean over the
+        bottom and the top decile of the rank-paired singular values."""
+        s_clean = np.sort(self.sigma_clean)
+        rel = (np.sort(self.sigma_aug) - s_clean) / np.maximum(s_clean, 1e-12)
+        decile = max(1, s_clean.size // 10)
+        return float(rel[:decile].mean()), float(rel[-decile:].mean())
+
+    @property
+    def shape_reproduced(self) -> bool:
+        """The paper's spectrum shape: the small singular values grow more,
+        relative to their size, than the large ones, and the top bin's
+        singular vectors rotate less than the bottom bin's."""
+        bottom, top = self.decile_relative_shifts()
+        return bottom > top and self.bins[-1].mean_angle_rad < self.bins[0].mean_angle_rad
+
     def to_json_dict(self) -> dict:
         return {
             "sigma_clean": [float(s) for s in self.sigma_clean],
@@ -337,8 +353,7 @@ def expected_shift_empirical(net: MLP, data: Dataset, spec: TransformSpec,
         x_aug = perturb(one_copy, data.features, round_index=seed * 100003 + d).features
         j_aug = jacobian(net, x_aug)
         s_aug = np.linalg.svd(j_aug, compute_uv=False)
-        e_norms[d] = float(np.linalg.svd(j_aug - jac, compute_uv=False)[0]) \
-            if spec.epsilon0 > 0.0 else 0.0
+        e_norms[d] = spectral_norm(j_aug - jac) if spec.epsilon0 > 0.0 else 0.0
         lam_samples[d] = s_aug**2
         downs += (s_aug < sig).astype(np.float64)
     p_hat = downs / draws if spec.epsilon0 > 0.0 else np.zeros(k)

@@ -240,6 +240,21 @@ def _pool_metrics(net: MLP, pool: _Pool) -> tuple[float, float]:
     return train_loss, float(np.linalg.norm(grad))
 
 
+def _setup(config: TrainConfig, data: Dataset):
+    """(noisy data, flip mask, initial net, fixed random base rows or None):
+    the seeded set-up that ``train`` and ``initial_pool`` share."""
+    data, noisy_mask = inject_label_noise(data, config.label_noise_frac,
+                                          seed=[config.seed, 11])
+    net = MLP.init([data.dim, *config.hidden_sizes, data.num_classes],
+                   activation=config.activation, seed=[config.seed, 5])
+    base_indices = None
+    if config.regime == "random_plus_coreset_aug":
+        base_indices = random_subset(data.n, None, data.labels,
+                                     seed=[config.seed, 13],
+                                     fraction=config.random_fraction).indices
+    return data, noisy_mask, net, base_indices
+
+
 def train(config: TrainConfig, data: Dataset, test_data: Dataset) -> TrainRecord:
     """Run the configured regime and return per-epoch metrics.
 
@@ -248,19 +263,8 @@ def train(config: TrainConfig, data: Dataset, test_data: Dataset) -> TrainRecord
     gradient norm at the end of the epoch, and ``initial_grad_norm`` is the
     same quantity at initialization.
     """
-    if config.label_noise_frac > 0.0:
-        data, noisy_mask = inject_label_noise(
-            data, config.label_noise_frac, seed=[config.seed, 11])
-    else:
-        noisy_mask = np.zeros(data.n, dtype=bool)
-    net = MLP.init([data.dim, *config.hidden_sizes, data.num_classes],
-                   activation=config.activation, seed=[config.seed, 5])
+    data, noisy_mask, net, base_indices = _setup(config, data)
     batch_rng = np.random.default_rng([config.seed, 7])
-    base_indices = None
-    if config.regime == "random_plus_coreset_aug":
-        base = random_subset(data.n, None, data.labels,
-                             seed=[config.seed, 13], fraction=config.random_fraction)
-        base_indices = base.indices
     pool: _Pool | None = None
     rows: list[EpochRow] = []
     events: list[tuple[int, np.ndarray]] = []
@@ -303,16 +307,7 @@ def initial_pool(config: TrainConfig, data: Dataset):
     """Reconstruct the epoch-0 training pool exactly as ``train`` builds it:
     same net init, same selection streams. Returns (net, X, Y, weights,
     selected indices, gamma-style original-row weights)."""
-    if config.label_noise_frac > 0.0:
-        data, _ = inject_label_noise(data, config.label_noise_frac,
-                                     seed=[config.seed, 11])
-    net = MLP.init([data.dim, *config.hidden_sizes, data.num_classes],
-                   activation=config.activation, seed=[config.seed, 5])
-    base_indices = None
-    if config.regime == "random_plus_coreset_aug":
-        base_indices = random_subset(data.n, None, data.labels,
-                                     seed=[config.seed, 13],
-                                     fraction=config.random_fraction).indices
+    data, _, net, base_indices = _setup(config, data)
     indices, orig_w, aug_w = _select_subset(config, net, data, 0)
     pool = _build_pool(config, data, indices, orig_w, aug_w, 0, base_indices)
     return net, pool.X, pool.Y, pool.w, np.asarray(indices), orig_w

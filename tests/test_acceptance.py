@@ -19,8 +19,11 @@ from coreaug.audits import (
     audit_vector_bound,
     audit_weyl_augmentation,
     audit_weyl_random,
+    noise_robustness,
+    spectrum_protocol,
+    subset_benchmark,
 )
-from coreaug.augment import TransformSpec, perturb
+from coreaug.augment import TransformSpec
 from coreaug.cli import main as cli_main
 from coreaug.coreset import (
     SelectionConfig,
@@ -30,36 +33,29 @@ from coreaug.coreset import (
     g_frobenius,
     greedy_select,
     lazy_greedy_select,
-    max_loss_subset,
     pairwise_distances,
     select_all_classes,
     stochastic_greedy_select,
 )
-from coreaug.data import gen_dataset, save_dataset_csv, split_dataset
+from coreaug.data import gen_dataset, save_dataset_csv
 from coreaug.model import (
     Dataset,
     GradientProxySet,
     MLP,
     estimate_lipschitz,
-    forward,
-    gradient_proxy,
     jacobian,
     per_example_gradients,
 )
 from coreaug.spectrum import (
     linear_transform_sgd_envelope,
     residual_dynamics_check,
-    spectrum_report,
 )
 from coreaug.trainer import (
     LrSchedule,
     TrainConfig,
     initial_pool,
-    inject_label_noise,
     measure_pl_constants,
-    noisy_selection_audit,
     pl_convergence_envelope,
-    sgd_warmup,
     train,
 )
 
@@ -151,23 +147,9 @@ def test_criterion_04_spectrum_shape_reproduction():
     epsilons = (8.0 / 255.0, 16.0 / 255.0)
     shape_hits = {eps: 0 for eps in epsilons}
     e_frob = {eps: [] for eps in epsilons}
-    for seed in range(5):
-        data = gen_dataset("gaussian_blobs", 300, 16, 3, seed=seed, noise=0.08)
-        net = MLP.init([16, 20, 3], activation="tanh", seed=seed)
-        sgd_warmup(net, data, epochs=15, lr=0.002, batch_size=32, seed=seed)
-        jac = jacobian(net, data.features)
-        for eps in epsilons:
-            spec = TransformSpec(kind="uniform_ball", epsilon0=eps, r=1, seed=seed)
-            x_aug = perturb(spec, data.features, round_index=0).features
-            rep = spectrum_report(jac, jacobian(net, x_aug))
-            s_clean = np.sort(rep.sigma_clean)
-            s_aug = np.sort(rep.sigma_aug)
-            rel = (s_aug - s_clean) / np.maximum(s_clean, 1e-12)
-            decile = max(1, s_clean.size // 10)
-            sigma_ok = rel[:decile].mean() > rel[-decile:].mean()
-            angle_ok = rep.bins[-1].mean_angle_rad < rep.bins[0].mean_angle_rad
-            shape_hits[eps] += int(sigma_ok and angle_ok)
-            e_frob[eps].append(rep.e_norm_frobenius)
+    for _, eps, rep in spectrum_protocol(seeds=range(5)):
+        shape_hits[eps] += int(rep.shape_reproduced)
+        e_frob[eps].append(rep.e_norm_frobenius)
     bigger_everywhere = all(b > a for a, b in zip(e_frob[epsilons[0]],
                                                   e_frob[epsilons[1]]))
     elapsed = time.monotonic() - t0
@@ -301,30 +283,11 @@ def test_criterion_09_constant_kernel_dynamics():
            f"(<=0.10, engineering threshold)")
 
 
-def _subset_training_acc(tr, te, baseline: str, eps: float, seed: int) -> float:
-    cfg = TrainConfig(
-        regime="coreset_only",
-        selection=SelectionConfig(stop="fixed_size", fraction=0.1),
-        transform=TransformSpec(kind="uniform_ball", epsilon0=eps, r=1, seed=seed),
-        refresh_r=1, epochs=90,
-        lr=LrSchedule(0.001, (60,), 0.1), batch_size=16, seed=seed,
-        baseline=baseline, hidden_sizes=(32,), activation="relu",
-    )
-    return train(cfg, tr, te).rows[-1].test_acc
-
-
 def test_criterion_10_subset_training_analog():
-    full = gen_dataset("gaussian_blobs", 900, 8, 3, seed=100, noise=0.25,
-                       margin=0.35)
-    tr, te = split_dataset(full, 1.0 / 3.0, seed=0)
-    assert tr.n == 600
-    eps = 16.0 / 255.0
-    ours_aug = float(np.mean([_subset_training_acc(tr, te, "ours", eps, s)
-                              for s in range(5)]))
-    random_aug = float(np.mean([_subset_training_acc(tr, te, "random", eps, s)
-                                for s in range(5)]))
-    ours_plain = float(np.mean([_subset_training_acc(tr, te, "ours", 0.0, s)
-                                for s in range(5)]))
+    accs = subset_benchmark(seeds=range(5))
+    ours_aug = float(np.mean(accs["coreset+aug"]))
+    random_aug = float(np.mean(accs["random+aug"]))
+    ours_plain = float(np.mean(accs["coreset-noaug"]))
     ok = ours_aug >= random_aug and ours_aug >= ours_plain and random_aug >= ours_plain
     report(10, ok,
            f"mean test acc over 5 seeds: coreset+aug={ours_aug:.4f} >= "
@@ -332,23 +295,9 @@ def test_criterion_10_subset_training_analog():
 
 
 def test_criterion_11_label_noise_selection():
-    wins = 0
-    fractions = []
-    for seed in range(5):
-        data = gen_dataset("gaussian_blobs", 600, 8, 3, seed=50, noise=0.10)
-        noisy, mask = inject_label_noise(data, 0.30, seed=seed)
-        net = MLP.init([8, 16, 3], activation="tanh", seed=seed)
-        sgd_warmup(net, noisy, epochs=15, lr=0.002, batch_size=32, seed=seed)
-        preds = forward(net, noisy.features)
-        losses = 0.5 * np.sum((preds - noisy.one_hot_labels()) ** 2, axis=1)
-        max_loss = max_loss_subset(losses, None, noisy.labels, fraction=0.1)
-        proxies = gradient_proxy(net, noisy, "last_layer")
-        coreset = select_all_classes(
-            proxies, SelectionConfig(stop="fixed_size", fraction=0.1))
-        ours_frac = noisy_selection_audit(coreset.indices, mask)
-        ml_frac = noisy_selection_audit(max_loss.indices, mask)
-        fractions.append((ours_frac, ml_frac))
-        wins += int(ours_frac < ml_frac)
+    noisy = noise_robustness(seeds=range(5))
+    fractions = list(zip(noisy["coreset"], noisy["max_loss"]))
+    wins = sum(int(ours < max_loss) for ours, max_loss in fractions)
     report(11, wins >= 4,
            f"coreset noisy fraction below max-loss in {wins}/5 seeds (>=4); "
            f"pairs={[(round(a, 3), round(b, 3)) for a, b in fractions]}")

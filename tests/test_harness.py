@@ -1,11 +1,14 @@
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from coreaug.cli import main
+from coreaug.audits import noise_robustness
+from coreaug.cli import build_parser, main
 from coreaug.data import (
     DataFormatError,
     gen_dataset,
@@ -172,6 +175,15 @@ class TestCli:
         assert code == 3
         assert str(test_csv) in capsys.readouterr().err
 
+    def test_test_feature_count_mismatch_is_data_error(self, dataset_csv, tmp_path,
+                                                       capsys):
+        test_csv = tmp_path / "test5.csv"
+        save_dataset_csv(gen_dataset("gaussian_blobs", 30, 5, 3, seed=15), test_csv)
+        code = main(["train", "--data", str(dataset_csv), "--test-data", str(test_csv),
+                     "--epochs", "1", "--hidden", "6", "--out", str(tmp_path / "t")])
+        assert code == 3
+        assert str(test_csv) in capsys.readouterr().err
+
     def test_spectrum_untrained_flag_writes_both(self, dataset_csv, tmp_path):
         out = tmp_path / "spec"
         code = main(["spectrum", "--data", str(dataset_csv), "--epsilon0",
@@ -193,6 +205,17 @@ class TestCli:
         assert code == 0
         payload = json.loads((out / "bounds.json").read_text())
         assert payload["weyl_random"]["violations"] == 0
+
+    def test_experiment_noise_writes_protocol_numbers(self, tmp_path):
+        out_a, out_b = tmp_path / "a", tmp_path / "b"
+        assert main(["experiment", "noise", "--out", str(out_a)]) == 0
+        assert main(["experiment", "noise", "--out", str(out_b)]) == 0
+        written = (out_a / "noise.json").read_bytes()
+        assert json.loads(written) == noise_robustness()
+        assert written == (out_b / "noise.json").read_bytes()
+        manifest = json.loads((out_a / "manifest.json").read_text())
+        assert manifest["command"] == "experiment"
+        assert manifest["outputs"] == ["noise.json"]
 
     def test_report_aggregates_runs(self, dataset_csv, tmp_path):
         run_dir = tmp_path / "runs"
@@ -246,3 +269,32 @@ class TestCli:
              "--d", "3", "--classes", "3", "--out", str(tmp_path / "p.csv")],
             capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
+
+
+def _readme_commands() -> list[str]:
+    """Every ``coreaug ...`` command in README's fenced blocks, with ``\\``
+    continuations joined and comment lines dropped."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands = []
+    for block in text.split("```")[1::2]:
+        current = None
+        for line in block.splitlines():
+            line = line.strip()
+            if current is None and not line.startswith("coreaug "):
+                continue
+            current = line if current is None else f"{current} {line}"
+            if current.endswith("\\"):
+                current = current[:-1]
+            else:
+                commands.append(current)
+                current = None
+    return commands
+
+
+def test_readme_commands_parse():
+    argvs = [shlex.split(c, comments=True)[1:] for c in _readme_commands()]
+    assert {argv[0] for argv in argvs} == {"gen-data", "select", "train", "spectrum",
+                                           "bounds", "experiment", "report"}
+    parser = build_parser()
+    for argv in argvs:
+        parser.parse_args(argv)
