@@ -51,6 +51,7 @@ __all__ = [
     "run_bounds_suite",
     "budget_spectra",
     "PROTOCOL_SEEDS",
+    "subset_split",
     "subset_benchmark",
     "spectrum_protocol",
     "noise_robustness",
@@ -234,33 +235,38 @@ def budget_spectra(net: MLP, features, epsilons, kind: str = "uniform_ball",
         yield eps, spectrum_report(jac, jacobian(net, x_aug))
 
 
-def spectrum_protocol(seeds=PROTOCOL_SEEDS) -> list:
+def spectrum_protocol() -> list:
     """Per seed, a 16-20-3 tanh net warmed up on 300 blobs and paired with one
     augmented round at 8/255 and at 16/255. Returns ``(seed, epsilon0,
     SpectrumReport)`` triples in that order."""
     triples = []
-    for seed in seeds:
+    for seed in PROTOCOL_SEEDS:
         net, data = _protocol_net_and_data(seed, n_per_class=100, hidden=20)
         triples += [(seed, eps, report) for eps, report in budget_spectra(
             net, data.features, (8.0 / 255.0, 16.0 / 255.0), seed=seed)]
     return triples
 
 
-def subset_benchmark(seeds=PROTOCOL_SEEDS) -> dict:
-    """Train on 10% per-class subsets of a 600-row split of noisy blobs under
-    three arms (coreset + augmentation, random subset + augmentation, coreset
-    without augmentation). Returns, per arm, the final test accuracy of each
-    seed."""
+def subset_split():
+    """The subset benchmark's instance: 900 noisy blobs split into 600
+    training rows and 300 test rows."""
     full = gen_dataset("gaussian_blobs", 900, 8, 3, seed=100, noise=0.25,
                        margin=0.35)
-    tr, te = split_dataset(full, 1.0 / 3.0, seed=0)
+    return split_dataset(full, 1.0 / 3.0, seed=0)
+
+
+def subset_benchmark() -> dict:
+    """Train on 10% per-class subsets of ``subset_split()`` under three arms
+    (coreset + augmentation, random subset + augmentation, coreset without
+    augmentation). Returns, per arm, the final test accuracy of each seed."""
+    tr, te = subset_split()
     arms = {"coreset+aug": ("ours", 16.0 / 255.0),
             "random+aug": ("random", 16.0 / 255.0),
             "coreset-noaug": ("ours", 0.0)}
     accs = {}
     for name, (baseline, eps) in arms.items():
         accs[name] = []
-        for seed in seeds:
+        for seed in PROTOCOL_SEEDS:
             cfg = TrainConfig(
                 regime="coreset_only",
                 selection=SelectionConfig(stop="fixed_size", fraction=0.1),
@@ -274,13 +280,13 @@ def subset_benchmark(seeds=PROTOCOL_SEEDS) -> dict:
     return accs
 
 
-def noise_robustness(seeds=PROTOCOL_SEEDS) -> dict:
+def noise_robustness() -> dict:
     """Flip 30% of 600 blob labels, warm a tanh net up on the noisy data, and
     select 10% per class by coreset, by largest loss and at random. Returns,
     per selector, the flipped fraction of each seed's selection."""
     data = gen_dataset("gaussian_blobs", 600, 8, 3, seed=50, noise=0.10)
     fractions = {"coreset": [], "max_loss": [], "random": []}
-    for seed in seeds:
+    for seed in PROTOCOL_SEEDS:
         noisy, mask = inject_label_noise(data, 0.30, seed=seed)
         net = MLP.init([8, 16, 3], activation="tanh", seed=seed)
         sgd_warmup(net, noisy, epochs=15, lr=0.002, batch_size=32, seed=seed)

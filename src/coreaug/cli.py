@@ -237,13 +237,13 @@ def cmd_spectrum(args) -> int:
         for eps, report in budget_spectra(model, data.features, args.epsilon0,
                                           args.transform_kind, args.seed):
             timings[f"spectrum_{tag}_eps{eps:.6f}_ms"] = (time.perf_counter() - t1) * 1000.0
-            t1 = time.perf_counter()
             stem = f"spectrum_{tag}_eps{eps:.6f}"
             _write_json(out_dir / f"{stem}.json", report.to_json_dict())
             report.write_bins_csv(out_dir / f"{stem}_bins.csv")
             outputs += [f"{stem}.json", f"{stem}_bins.csv"]
             print(f"{tag} eps={eps:.6f}: ||E||_2={report.e_norm2:.5f} "
                   f"weyl_pass={report.weyl.passed}")
+            t1 = time.perf_counter()
     _manifest(out_dir, "spectrum", {
         "data": str(data_path), "epsilon0": list(args.epsilon0),
         "transform_kind": args.transform_kind, "train_epochs": args.train_epochs,

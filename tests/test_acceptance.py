@@ -22,6 +22,7 @@ from coreaug.audits import (
     noise_robustness,
     spectrum_protocol,
     subset_benchmark,
+    subset_split,
 )
 from coreaug.augment import TransformSpec
 from coreaug.cli import main as cli_main
@@ -147,7 +148,7 @@ def test_criterion_04_spectrum_shape_reproduction():
     epsilons = (8.0 / 255.0, 16.0 / 255.0)
     shape_hits = {eps: 0 for eps in epsilons}
     e_frob = {eps: [] for eps in epsilons}
-    for _, eps, rep in spectrum_protocol(seeds=range(5)):
+    for _, eps, rep in spectrum_protocol():
         shape_hits[eps] += int(rep.shape_reproduced)
         e_frob[eps].append(rep.e_norm_frobenius)
     bigger_everywhere = all(b > a for a, b in zip(e_frob[epsilons[0]],
@@ -284,7 +285,8 @@ def test_criterion_09_constant_kernel_dynamics():
 
 
 def test_criterion_10_subset_training_analog():
-    accs = subset_benchmark(seeds=range(5))
+    assert subset_split()[0].n == 600
+    accs = subset_benchmark()
     ours_aug = float(np.mean(accs["coreset+aug"]))
     random_aug = float(np.mean(accs["random+aug"]))
     ours_plain = float(np.mean(accs["coreset-noaug"]))
@@ -295,7 +297,7 @@ def test_criterion_10_subset_training_analog():
 
 
 def test_criterion_11_label_noise_selection():
-    noisy = noise_robustness(seeds=range(5))
+    noisy = noise_robustness()
     fractions = list(zip(noisy["coreset"], noisy["max_loss"]))
     wins = sum(int(ours < max_loss) for ours, max_loss in fractions)
     report(11, wins >= 4,
