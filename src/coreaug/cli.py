@@ -386,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hidden", type=_hidden_sizes, default=(32,))
     p.add_argument("--net-seed", dest="net_seed", type=int, default=0)
     p.add_argument("--warmup-epochs", dest="warmup_epochs", type=int, default=0)
-    p.add_argument("--lr", type=float, default=0.05)
+    p.add_argument("--lr", type=float, default=0.005)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_select)
 
@@ -402,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_selection_flags(p)
     p.add_argument("--refresh-r", dest="refresh_r", type=int, default=1)
     p.add_argument("--epochs", type=int, default=20)
-    p.add_argument("--lr", type=float, default=0.05)
+    p.add_argument("--lr", type=float, default=0.005)
     p.add_argument("--lr-decay-epochs", dest="lr_decay_epochs", type=int, nargs="*",
                    default=None)
     p.add_argument("--lr-decay-factor", dest="lr_decay_factor", type=float, default=0.1)
@@ -424,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--transform-kind", dest="transform_kind", default="uniform_ball",
                    choices=TRANSFORM_KINDS)
     p.add_argument("--train-epochs", dest="train_epochs", type=int, default=15)
-    p.add_argument("--lr", type=float, default=0.05)
+    p.add_argument("--lr", type=float, default=0.005)
     p.add_argument("--hidden", type=_hidden_sizes, default=(24,))
     p.add_argument("--classes-used", dest="classes_used", type=int, default=3)
     p.add_argument("--per-class-cap", dest="per_class_cap", type=int, default=300)

@@ -24,7 +24,8 @@ __all__ = [
 
 
 class NumericalError(RuntimeError):
-    """An iterative numerical routine failed to converge."""
+    """A numerical routine failed: no convergence, or training reached a
+    non-finite loss."""
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:

@@ -31,6 +31,7 @@ from .coreset import (
     random_subset,
     select_all_classes,
 )
+from .linalg import NumericalError
 from .model import (
     MLP,
     Dataset,
@@ -261,7 +262,9 @@ def train(config: TrainConfig, data: Dataset, test_data: Dataset) -> TrainRecord
     Subsets are re-selected every ``refresh_r`` epochs using the proxies (or
     losses) at the current weights; the grad_norm column is the weighted-pool
     gradient norm at the end of the epoch, and ``initial_grad_norm`` is the
-    same quantity at initialization.
+    same quantity at initialization. Raises ``NumericalError`` naming the
+    epoch at the end of the first epoch whose loss or gradient norm is not
+    finite.
     """
     data, noisy_mask, net, base_indices = _setup(config, data)
     batch_rng = np.random.default_rng([config.seed, 7])
@@ -292,6 +295,9 @@ def train(config: TrainConfig, data: Dataset, test_data: Dataset) -> TrainRecord
             weighted_gradient_step(net, pool.X[batch], pool.Y[batch],
                                    pool.w[batch], eta)
         train_loss, grad_norm = _pool_metrics(net, pool)
+        if not (math.isfinite(train_loss) and math.isfinite(grad_norm)):
+            raise NumericalError(f"training diverged at epoch {epoch}: loss {train_loss!r}, "
+                                 f"gradient norm {grad_norm!r}")
         test_loss, test_acc = evaluate(net, test_data)
         rows.append(EpochRow(
             epoch=epoch, train_loss=train_loss, test_loss=test_loss,
@@ -316,15 +322,20 @@ def initial_pool(config: TrainConfig, data: Dataset):
 def sgd_warmup(net: MLP, data: Dataset, epochs: int, lr: float,
                batch_size: int = 32, seed: int = 0) -> MLP:
     """Plain uniform-weight mini-batch SGD, in place. Used to pretrain nets
-    before spectrum analysis or loss-based selection."""
+    before spectrum analysis or loss-based selection. Raises
+    ``NumericalError`` naming the epoch at the end of the first epoch whose
+    loss is not finite."""
     Y = one_hot(data.labels, data.num_classes)
     rng = np.random.default_rng(seed)
-    for _ in range(epochs):
+    for epoch in range(epochs):
         order = rng.permutation(data.n)
         for start in range(0, data.n, batch_size):
             batch = order[start:start + batch_size]
             weighted_gradient_step(net, data.features[batch], Y[batch],
                                    np.ones(batch.size), lr)
+        loss = evaluate(net, data)[0]
+        if not math.isfinite(loss):
+            raise NumericalError(f"warm-up diverged at epoch {epoch}: loss {loss!r}")
     return net
 
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from coreaug.coreset import (
     _SCORE_BLOCK,
+    ENGINES,
     STOP_MODES,
     SelectionConfig,
     _GreedyState,
@@ -90,6 +92,58 @@ class TestDistanceMatrix:
     def test_empty_class_errors(self):
         with pytest.raises(ValueError):
             distance_matrix(proxy_set(random_points(2, 4), np.zeros(4, dtype=int), C=2), 1)
+
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 600])
+    @pytest.mark.parametrize("d", [1, 99])
+    @pytest.mark.parametrize("duplicated", [False, True])
+    def test_bit_identical_to_reference_expression(self, n, d, duplicated):
+        """The in-place computation performs the same elementwise operations in
+        the same order as the plain expression below, so it matches it bit for
+        bit; the greedy engines' tie rules depend on that."""
+        rng = np.random.default_rng(1000 * n + d)
+        p = rng.random((n, d))
+        if duplicated:
+            p[rng.integers(0, n, size=n // 2)] = p[rng.integers(0, n, size=n // 2)]
+        sq = np.sum(p * p, axis=1)
+        ref = sq[:, None] + sq[None, :] - 2.0 * (p @ p.T)
+        ref = np.sqrt(np.maximum(ref, 0.0))
+        np.fill_diagonal(ref, 0.0)
+        ref = 0.5 * (ref + ref.T)
+        assert pairwise_distances(p).tobytes() == ref.tobytes()
+
+
+def traced_peak_bytes(fn) -> int:
+    """Peak bytes allocated while ``fn`` runs, numpy buffers included (numpy
+    reports its allocations to tracemalloc)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestPeakMemory:
+    """Selection holds at most two n_c x n_c float64 arrays at a time: the
+    distance matrix and the engine's squared transpose."""
+
+    N_C = 1000
+    MATRIX_BYTES = N_C * N_C * 8
+
+    def test_pairwise_distances_holds_two_matrices(self):
+        points = random_points(30, self.N_C, p=16)
+        peak = traced_peak_bytes(lambda: pairwise_distances(points))
+        assert peak <= 2.1 * self.MATRIX_BYTES
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_select_all_classes_holds_two_matrices(self, engine):
+        proxies = proxy_set(random_points(31, 2 * self.N_C, p=16),
+                            np.repeat([0, 1], self.N_C))
+        cfg = SelectionConfig(stop="fixed_size", k_per_class=self.N_C // 10,
+                              engine=engine)
+        peak = traced_peak_bytes(lambda: select_all_classes(proxies, cfg))
+        assert peak <= 2.25 * self.MATRIX_BYTES
 
 
 class TestGFrobenius:
@@ -214,6 +268,25 @@ class TestLazyGreedy:
         D = np.zeros((1, 1))
         res = lazy_greedy_select(D, SelectionConfig(stop="fixed_size", k_per_class=1))
         assert res.indices == [0]
+
+    def test_top_block_scores_fewer_rows_than_single_top(self):
+        """Rescoring a block of the largest stale gains first bounds the rest
+        by a better fresh gain than the single largest stale gain does."""
+        D = pairwise_distances(ENGINE_INPUTS["random_600"]())
+        cfg = SelectionConfig(stop="fixed_size", k_per_class=60)
+        single = _GreedyState(D, cfg)
+        margin = 1e-9 * single.q
+        stale = np.full(single.n_c, np.inf)
+        while not single.S or not single.done():
+            top = np.argmax(stale, keepdims=True)
+            fresh = single.score(top)[0]
+            stale[top] = fresh
+            ids = np.flatnonzero(stale + margin >= fresh)
+            stale[ids] = single.select_best(ids)
+            stale[single.S[-1]] = -np.inf
+        lazy = lazy_greedy_select(D, cfg)
+        assert lazy.indices == single.S
+        assert lazy.evaluations < single.evaluations
 
     def test_fewer_evaluations_than_naive(self):
         D = pairwise_distances(random_points(11, 150))

@@ -1,4 +1,5 @@
 import json
+import re
 import shlex
 import subprocess
 import sys
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import coreaug.audits
 from coreaug.audits import noise_robustness
 from coreaug.cli import build_parser, main
 from coreaug.data import (
@@ -196,6 +198,21 @@ class TestCli:
         assert any("untrained" in o for o in json_outputs)
         assert any("trained" in o and "untrained" not in o for o in json_outputs)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_train_divergence_is_numerical_failure(self, dataset_csv, tmp_path, capsys):
+        code = main(["train", "--data", str(dataset_csv), "--lr", "5", "--epochs", "60",
+                     "--hidden", "6", "--out", str(tmp_path / "t")])
+        assert code == 4
+        assert re.search(r"epoch \d+", capsys.readouterr().err)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_spectrum_warmup_divergence_is_numerical_failure(self, dataset_csv, tmp_path,
+                                                             capsys):
+        code = main(["spectrum", "--data", str(dataset_csv), "--lr", "5",
+                     "--train-epochs", "60", "--hidden", "6", "--out", str(tmp_path / "s")])
+        assert code == 4
+        assert re.search(r"epoch \d+", capsys.readouterr().err)
+
     def test_bounds_small_suite(self, tmp_path):
         out = tmp_path / "bounds"
         code = main(["bounds", "--weyl-trials", "20", "--shift-draws", "200",
@@ -291,10 +308,27 @@ def _readme_commands() -> list[str]:
     return commands
 
 
-def test_readme_commands_parse():
+# Appended to a README command so the run stays short; argparse keeps the last
+# value of a repeated flag. ``train`` and ``spectrum`` run as documented (about
+# 3 s together), so their default learning rate is exercised.
+_SHORT_RUN_FLAGS = {
+    "bounds": ["--weyl-trials", "20", "--shift-draws", "200", "--vector-trials", "10",
+               "--ntk-instances", "3", "--linear-instances", "5",
+               "--augmentation-rounds", "2"],
+}
+
+
+def test_readme_commands_parse(tmp_path, monkeypatch, capsys):
+    """Every README command parses, and then runs, in order, to exit 0;
+    ``bounds`` runs small batteries and the experiments one protocol seed."""
     argvs = [shlex.split(c, comments=True)[1:] for c in _readme_commands()]
     assert {argv[0] for argv in argvs} == {"gen-data", "select", "train", "spectrum",
                                            "bounds", "experiment", "report"}
     parser = build_parser()
     for argv in argvs:
         parser.parse_args(argv)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(coreaug.audits, "PROTOCOL_SEEDS", (0,))
+    for argv in argvs:
+        assert main(argv + _SHORT_RUN_FLAGS.get(argv[0], [])) == 0, \
+            f"{argv}: {capsys.readouterr().err}"

@@ -1,10 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from coreaug.augment import TransformSpec
 from coreaug.coreset import SelectionConfig, random_subset
+from coreaug.linalg import NumericalError
 from coreaug.model import MLP, Dataset, jacobian, one_hot, residuals
 from coreaug.trainer import (
     LrSchedule,
@@ -331,3 +333,31 @@ def test_sgd_warmup_deterministic():
     sgd_warmup(a, data, epochs=3, lr=0.05, seed=1)
     sgd_warmup(b, data, epochs=3, lr=0.05, seed=1)
     assert np.array_equal(a.get_params(), b.get_params())
+
+
+def failing_epoch(exc_info) -> int:
+    message = str(exc_info.value)
+    assert "loss" in message
+    return int(re.search(r"epoch (\d+)", message).group(1))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_divergence_raises_at_first_non_finite_epoch():
+    data, test = blob_pair(4)
+    with pytest.raises(NumericalError) as exc_info:
+        train(quick_config(lr=LrSchedule(5.0), epochs=40), data, test)
+    epoch = failing_epoch(exc_info)
+    record = train(quick_config(lr=LrSchedule(5.0), epochs=epoch), data, test)
+    assert all(math.isfinite(r.train_loss) and math.isfinite(r.grad_norm)
+               for r in record.rows)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_sgd_warmup_divergence_raises_at_first_non_finite_epoch():
+    data, _ = blob_pair(4)
+    net = MLP.init([data.dim, 8, data.num_classes], seed=0)
+    with pytest.raises(NumericalError) as exc_info:
+        sgd_warmup(net.copy(), data, epochs=60, lr=5.0)
+    epoch = failing_epoch(exc_info)
+    sgd_warmup(net, data, epochs=epoch, lr=5.0)
+    assert math.isfinite(evaluate(net, data)[0])
