@@ -28,6 +28,7 @@ from .spectrum import (
     eigengap,
     expected_shift_model_check,
     linear_transform_bound_check,
+    round_spectra,
     singular_vector_bound_check,
     spectrum_report,
     weyl_check,
@@ -96,20 +97,12 @@ def audit_weyl_augmentation(rounds: int = 20, seed: int = 0,
     """Real augmentation rounds on a trained tanh net: the same zero-violation
     requirement on the measured derivative-matrix perturbations."""
     net, data = _protocol_net_and_data(seed)
-    jac = jacobian(net, data.features)
-    s0 = np.linalg.svd(jac, compute_uv=False)
     spec = TransformSpec(kind="uniform_ball", epsilon0=epsilon0, r=1, seed=seed)
-    violations = 0
-    worst = -np.inf
-    for rnd in range(rounds):
-        x_aug = perturb(spec, data.features, round_index=rnd).features
-        j_aug = jacobian(net, x_aug)
-        s1 = np.linalg.svd(j_aug, compute_uv=False)
-        verdict = weyl_check(s0, s1, spectral_norm(j_aug - jac))
-        worst = max(worst, verdict.max_violation)
-        if not verdict.passed:
-            violations += 1
-    return {"rounds": rounds, "violations": violations, "max_violation": worst}
+    s0, s_aug, e_norms = round_spectra(net, data.features, spec, range(rounds))
+    verdicts = [weyl_check(s0, s1, e) for s1, e in zip(s_aug, e_norms)]
+    return {"rounds": rounds,
+            "violations": sum(not v.passed for v in verdicts),
+            "max_violation": max((v.max_violation for v in verdicts), default=-np.inf)}
 
 
 def audit_shift_model(draws: int = 1000, seed: int = 0) -> dict:

@@ -54,12 +54,15 @@ def _write_json(path: Path, payload: dict | list) -> None:
                     encoding="utf-8")
 
 
-def _manifest(out_dir: Path, command: str, config: dict, seeds: list[int],
-              inputs: list[Path], outputs: list[str], timings_ms: dict) -> None:
+def _manifest(out_dir: Path, args, seeds: list[int], inputs: list[Path],
+              outputs: list[str], timings_ms: dict) -> None:
+    """Write ``manifest.json``. Its config holds every parsed argument but the
+    handler, ``--out`` (re-runs into other directories match) and ``--config``
+    (its values are among the arguments)."""
     payload = {
         "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "config": config,
+        "command": args.command,
+        "config": {k: v for k, v in vars(args).items() if k not in ("fn", "out", "config")},
         "seeds": seeds,
         "versions": {
             "coreaug": __version__,
@@ -118,12 +121,8 @@ def cmd_select(args) -> int:
     coreset = select_all_classes(proxies, _selection_config(args), r=args.r)
     selection_ms = (time.perf_counter() - t0) * 1000.0
     _write_json(out_dir / "coreset.json", coreset.to_json_dict())
-    _manifest(out_dir, "select", {
-        "data": str(data_path), "engine": args.engine, "fraction": args.fraction,
-        "k_per_class": args.k_per_class, "xi": args.xi, "proxy_mode": args.proxy_mode,
-        "hidden": list(args.hidden), "net_seed": args.net_seed,
-        "warmup_epochs": args.warmup_epochs, "r": args.r,
-    }, [args.seed], [data_path], ["coreset.json"], {"selection_ms": selection_ms})
+    _manifest(out_dir, args, [args.seed], [data_path], ["coreset.json"],
+              {"selection_ms": selection_ms})
     print(f"selected {coreset.indices.size} points -> {out_dir / 'coreset.json'}")
     return 0
 
@@ -195,15 +194,7 @@ def cmd_train(args) -> int:
     }
     _write_json(out_dir / "aggregate.json", aggregate)
     outputs.append("aggregate.json")
-    _manifest(out_dir, "train", {
-        "data": str(data_path), "regime": args.regime, "baseline": args.baseline,
-        "fraction": args.fraction, "k_per_class": args.k_per_class,
-        "refresh_r": args.refresh_r, "epochs": args.epochs, "lr": args.lr,
-        "batch_size": args.batch_size, "epsilon0": args.epsilon0, "r": args.r,
-        "transform_kind": args.transform_kind, "label_noise": args.label_noise,
-        "hidden": list(args.hidden), "holdout": args.holdout,
-        "random_fraction": args.random_fraction,
-    }, args.seeds, inputs, outputs, timings)
+    _manifest(out_dir, args, args.seeds, inputs, outputs, timings)
     print(f"mean test accuracy {aggregate['mean_test_acc']:.4f} "
           f"(std {aggregate['std_test_acc']:.4f}) over seeds {args.seeds}")
     return 0
@@ -244,12 +235,7 @@ def cmd_spectrum(args) -> int:
             print(f"{tag} eps={eps:.6f}: ||E||_2={report.e_norm2:.5f} "
                   f"weyl_pass={report.weyl.passed}")
             t1 = time.perf_counter()
-    _manifest(out_dir, "spectrum", {
-        "data": str(data_path), "epsilon0": list(args.epsilon0),
-        "transform_kind": args.transform_kind, "train_epochs": args.train_epochs,
-        "hidden": list(args.hidden), "classes_used": args.classes_used,
-        "per_class_cap": args.per_class_cap, "untrained": args.untrained,
-    }, [args.seed], [data_path], outputs, timings)
+    _manifest(out_dir, args, [args.seed], [data_path], outputs, timings)
     return 0
 
 
@@ -268,11 +254,7 @@ def cmd_bounds(args) -> int:
     )
     elapsed = (time.perf_counter() - t0) * 1000.0
     _write_json(out_dir / "bounds.json", suite)
-    _manifest(out_dir, "bounds", {
-        "weyl_trials": args.weyl_trials, "shift_draws": args.shift_draws,
-        "vector_trials": args.vector_trials, "ntk_instances": args.ntk_instances,
-        "linear_instances": args.linear_instances,
-    }, [args.seed], [], ["bounds.json"], {"bounds_ms": elapsed})
+    _manifest(out_dir, args, [args.seed], [], ["bounds.json"], {"bounds_ms": elapsed})
     ok = (suite["weyl_random"]["violations"] == 0
           and suite["weyl_augmentation"]["violations"] == 0
           and suite["shift_model"]["all_within_3se"]
@@ -308,8 +290,7 @@ def cmd_experiment(args) -> int:
         payload = {"subset": subset_benchmark, "noise": noise_robustness}[args.name]()
     elapsed = (time.perf_counter() - t0) * 1000.0
     _write_json(out_dir / outputs[0], payload)
-    _manifest(out_dir, "experiment", {"name": args.name}, list(PROTOCOL_SEEDS),
-              [], outputs, {"experiment_ms": elapsed})
+    _manifest(out_dir, args, list(PROTOCOL_SEEDS), [], outputs, {"experiment_ms": elapsed})
     print(f"{args.name} experiment -> {out_dir / outputs[0]}")
     return 0
 

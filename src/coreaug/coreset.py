@@ -529,6 +529,8 @@ def alignment_error(proxies: GradientProxySet, coreset: WeightedCoreset) -> Alig
         approx = (vectors[local_s] * c.gamma[:, None]).sum(axis=0)
         D = pairwise_distances(vectors)
         cov = g_frobenius(D, list(local_s), c1=2.0 * float(D.max()))
+        # free this class's matrix before the next class builds its own
+        del D
         per_err[c.label] = float(np.linalg.norm(total - approx))
         per_bound[c.label] = math.sqrt(idx.size) * cov
     return AlignmentReport(

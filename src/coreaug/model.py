@@ -27,6 +27,7 @@ __all__ = [
     "loss",
     "residuals",
     "per_example_gradient",
+    "layer_gradients",
     "weighted_gradient",
     "jacobian",
     "per_example_gradients",
@@ -220,9 +221,23 @@ def loss(net: MLP, data: Dataset) -> float:
     return 0.5 * float(np.sum(r * r))
 
 
-def weighted_gradient(net: MLP, X: np.ndarray, Y: np.ndarray,
-                      weights: np.ndarray) -> np.ndarray:
-    """Flat gradient of ``sum_i w_i * 0.5 * ||f(x_i) - y_i||^2``."""
+def _backward(net: MLP, preacts, acts, delta: np.ndarray) -> list:
+    """Backpropagate ``delta``, a derivative with respect to the output-layer
+    pre-activation, one row per example. Returns each layer's (input
+    activation, pre-activation derivative) pair, from the output layer down."""
+    _, deriv = _activation_pair(net.activation)
+    pairs = []
+    for l in range(len(net.weights) - 1, -1, -1):
+        pairs.append((acts[l], delta))
+        if l > 0:
+            delta = (delta @ net.weights[l].T) * deriv(preacts[l - 1])
+    return pairs
+
+
+def layer_gradients(net: MLP, X: np.ndarray, Y: np.ndarray,
+                    weights: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per layer, in forward order, the (weight, bias) gradients of
+    ``sum_i w_i * 0.5 * ||f(x_i) - y_i||^2``."""
     X = as_matrix(X, "X")
     Y = np.asarray(Y, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
@@ -230,22 +245,16 @@ def weighted_gradient(net: MLP, X: np.ndarray, Y: np.ndarray,
         raise ValueError("Y must be one-hot targets with shape (n, C)")
     if weights.shape != (X.shape[0],):
         raise ValueError("weights must have one entry per row")
-    _, deriv = _activation_pair(net.activation)
     preacts, acts = _forward_trace(net, X)
     delta = (acts[-1] - Y) * weights[:, None]
-    n_layers = len(net.weights)
-    grads_w = [None] * n_layers
-    grads_b = [None] * n_layers
-    for l in range(n_layers - 1, -1, -1):
-        grads_w[l] = acts[l].T @ delta
-        grads_b[l] = delta.sum(axis=0)
-        if l > 0:
-            delta = (delta @ net.weights[l].T) * deriv(preacts[l - 1])
-    parts = []
-    for gw, gb in zip(grads_w, grads_b):
-        parts.append(gw.ravel())
-        parts.append(gb)
-    return np.concatenate(parts)
+    return [(a.T @ d, d.sum(axis=0)) for a, d in _backward(net, preacts, acts, delta)][::-1]
+
+
+def weighted_gradient(net: MLP, X: np.ndarray, Y: np.ndarray,
+                      weights: np.ndarray) -> np.ndarray:
+    """Flat gradient of ``sum_i w_i * 0.5 * ||f(x_i) - y_i||^2``."""
+    return np.concatenate([g.ravel() for pair in layer_gradients(net, X, Y, weights)
+                           for g in pair])
 
 
 def per_example_gradient(net: MLP, x: np.ndarray, y_onehot: np.ndarray) -> np.ndarray:
@@ -253,6 +262,16 @@ def per_example_gradient(net: MLP, x: np.ndarray, y_onehot: np.ndarray) -> np.nd
     x = np.asarray(x, dtype=np.float64).reshape(1, -1)
     y = np.asarray(y_onehot, dtype=np.float64).reshape(1, -1)
     return weighted_gradient(net, x, y, np.ones(1))
+
+
+def _row_gradients(net: MLP, preacts, acts, delta: np.ndarray) -> np.ndarray:
+    """Row i: the flat parameter gradient that ``delta[i]`` backpropagates
+    from example i alone."""
+    n = delta.shape[0]
+    blocks = []
+    for a, d in reversed(_backward(net, preacts, acts, delta)):
+        blocks += [np.einsum("ni,nj->nij", a, d).reshape(n, -1), d]
+    return np.concatenate(blocks, axis=1)
 
 
 def jacobian(net: MLP, X, entry_cap: int = JACOBIAN_ENTRY_CAP) -> np.ndarray:
@@ -266,35 +285,19 @@ def jacobian(net: MLP, X, entry_cap: int = JACOBIAN_ENTRY_CAP) -> np.ndarray:
     m = net.num_params
     if n * C * m > entry_cap:
         raise MemoryCapError(f"jacobian would hold {n * C * m} entries, cap is {entry_cap}")
-    _, deriv = _activation_pair(net.activation)
     preacts, acts = _forward_trace(net, X)
-    n_layers = len(net.weights)
     out = np.empty((n * C, m))
     for c in range(C):
         delta = np.zeros((n, C))
         delta[:, c] = 1.0
-        blocks_w = [None] * n_layers
-        blocks_b = [None] * n_layers
-        d = delta
-        for l in range(n_layers - 1, -1, -1):
-            blocks_w[l] = np.einsum("ni,nj->nij", acts[l], d).reshape(n, -1)
-            blocks_b[l] = d
-            if l > 0:
-                d = (d @ net.weights[l].T) * deriv(preacts[l - 1])
-        parts = []
-        for gw, gb in zip(blocks_w, blocks_b):
-            parts.append(gw)
-            parts.append(gb)
-        out[c::C] = np.concatenate(parts, axis=1)
+        out[c::C] = _row_gradients(net, preacts, acts, delta)
     return out
 
 
 def per_example_gradients(net: MLP, data: Dataset) -> np.ndarray:
     """Exact loss gradients, one row per example, shape (n, m)."""
-    jac = jacobian(net, data.features)
-    r = residuals(net, data)
-    n, C = r.shape
-    return np.einsum("ncm,nc->nm", jac.reshape(n, C, -1), r)
+    preacts, acts = _forward_trace(net, data.features)
+    return _row_gradients(net, preacts, acts, acts[-1] - data.one_hot_labels())
 
 
 def gradient_proxy(net: MLP, data: Dataset, mode: str = "last_layer") -> GradientProxySet:

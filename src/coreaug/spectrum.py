@@ -12,13 +12,14 @@ common linear transform applied to a weighted subset.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .augment import TransformSpec, perturb
 from .linalg import as_matrix, principal_angles, spectral_norm, svd
-from .model import MLP, Dataset, forward, jacobian, weighted_gradient
+from .model import MLP, Dataset, forward, jacobian
+from .trainer import weighted_gradient_step
 
 __all__ = [
     "SpectrumBin",
@@ -34,6 +35,7 @@ __all__ = [
     "LinearSgdEnvelopeReport",
     "eigengap",
     "weyl_check",
+    "round_spectra",
     "spectrum_report",
     "perturbation_decomposition",
     "expected_shift_model_check",
@@ -77,6 +79,27 @@ def weyl_check(sigma_clean, sigma_aug, e_norm2: float,
     violation = float(np.max(np.abs(s1 - s0)) - e_norm2)
     return WeylVerdict(passed=violation <= tolerance, max_violation=violation,
                        e_norm2=float(e_norm2), tolerance=tolerance)
+
+
+def round_spectra(net: MLP, X, spec: TransformSpec, round_indices):
+    """Singular values of the stacked derivative matrix J at X and at each
+    listed one-copy augmentation round of ``spec``.
+
+    Returns (clean singular values, one row of augmented singular values per
+    round, ||J_aug - J||_2 per round). Both spectra come from the same LAPACK
+    routine, so a round that leaves X unchanged, as every round at zero
+    budget does, reproduces the clean values bit for bit.
+    """
+    one_copy = replace(spec, r=1)
+    jac = jacobian(net, X)
+    sigma = np.linalg.svd(jac, compute_uv=False)
+    sigma_aug = np.empty((len(round_indices), sigma.size))
+    e_norms = np.empty(len(round_indices))
+    for row, rnd in enumerate(round_indices):
+        j_aug = jacobian(net, perturb(one_copy, X, round_index=rnd).features)
+        sigma_aug[row] = np.linalg.svd(j_aug, compute_uv=False)
+        e_norms[row] = spectral_norm(j_aug - jac)
+    return sigma, sigma_aug, e_norms
 
 
 @dataclass
@@ -297,7 +320,8 @@ class ShiftReport:
         return all(r.within_3se for r in self.records)
 
 
-def _shift_prediction(sigma: float, p: float, e_norm: float) -> float:
+def _shift_prediction(sigma, p, e_norm: float):
+    """Expected squared singular value under the shift model, elementwise."""
     return sigma * sigma + sigma * (1.0 - 2.0 * p) * e_norm + e_norm * e_norm / 3.0
 
 
@@ -341,32 +365,21 @@ def expected_shift_empirical(net: MLP, data: Dataset, spec: TransformSpec,
     """
     if draws < 100:
         raise ValueError("draws must be >= 100")
-    jac = jacobian(net, data.features)
-    sig = svd(jac).sigma
-    k = sig.size
-    lam_samples = np.empty((draws, k))
-    downs = np.zeros(k)
-    e_norms = np.empty(draws)
-    one_copy = TransformSpec(kind=spec.kind, epsilon0=spec.epsilon0, r=1,
-                             seed=spec.seed)
-    for d in range(draws):
-        x_aug = perturb(one_copy, data.features, round_index=seed * 100003 + d).features
-        j_aug = jacobian(net, x_aug)
-        s_aug = np.linalg.svd(j_aug, compute_uv=False)
-        e_norms[d] = spectral_norm(j_aug - jac) if spec.epsilon0 > 0.0 else 0.0
-        lam_samples[d] = s_aug**2
-        downs += (s_aug < sig).astype(np.float64)
-    p_hat = downs / draws if spec.epsilon0 > 0.0 else np.zeros(k)
+    first = seed * 100003
+    sig, sig_aug, e_norms = round_spectra(net, data.features, spec,
+                                          range(first, first + draws))
+    p_hat = (sig_aug < sig).mean(axis=0)
     e_mean = float(e_norms.mean())
-    records = []
-    for i in range(k):
-        emp = float(lam_samples[:, i].mean())
-        se = float(lam_samples[:, i].std(ddof=1) / math.sqrt(draws))
-        records.append(ShiftRecord(
-            index=i, sigma=float(sig[i]), p_hat=float(p_hat[i]),
-            predicted=_shift_prediction(float(sig[i]), float(p_hat[i]), e_mean),
-            empirical=emp, standard_error=se,
-        ))
+    predicted = _shift_prediction(sig, p_hat, e_mean)
+    lam = sig_aug**2
+    emp = lam.mean(axis=0)
+    se = lam.std(axis=0, ddof=1) / math.sqrt(draws)
+    records = [
+        ShiftRecord(index=i, sigma=float(sig[i]), p_hat=float(p_hat[i]),
+                    predicted=float(predicted[i]), empirical=float(emp[i]),
+                    standard_error=float(se[i]))
+        for i in range(sig.size)
+    ]
     return ShiftReport(records=records, e_norm_mean=e_mean, draws=draws)
 
 
@@ -428,6 +441,18 @@ class DynamicsReport:
         return float(np.max(self.relative_deviation))
 
 
+def _descent_residuals(net: MLP, X: np.ndarray, Y: np.ndarray, eta: float,
+                       steps: int):
+    """Yield the flat residual f(X) - Y before each of ``steps`` full-batch
+    gradient-descent steps on a copy of ``net``, and after the last one."""
+    work = net.copy()
+    ones = np.ones(X.shape[0])
+    for t in range(steps + 1):
+        if t:
+            weighted_gradient_step(work, X, Y, ones, eta)
+        yield (forward(work, X) - Y).ravel()
+
+
 def residual_dynamics_check(net: MLP, data: Dataset, eta: float,
                             steps: int) -> DynamicsReport:
     """Predict r_t = sum_i (1 - eta lam_i)^t u_i (u_i . r_0) from the initial
@@ -437,29 +462,23 @@ def residual_dynamics_check(net: MLP, data: Dataset, eta: float,
     eigenvalues: residual mass outside the range of the derivative matrix
     persists unchanged, so the prediction keeps it rather than dropping it.
     """
-    work = net.copy()
-    jac = jacobian(work, data.features)
-    dec = svd(jac)
+    dec = svd(jacobian(net, data.features))
     lam = dec.sigma**2
     if eta * lam[0] >= 2.0:
         raise ValueError("eta * lambda_max must stay below 2 for stable dynamics")
-    Y = data.one_hot_labels()
-    r0 = (forward(work, data.features) - Y).ravel()
-    coeffs = dec.U.T @ r0
     predicted = np.empty(steps + 1)
     actual = np.empty(steps + 1)
     rel = np.empty(steps + 1)
-    r_actual = r0.copy()
-    for t in range(steps + 1):
+    residuals = _descent_residuals(net, data.features, data.one_hot_labels(), eta, steps)
+    for t, r_actual in enumerate(residuals):
+        if t == 0:
+            r0 = r_actual
+            coeffs = dec.U.T @ r0
         decay = (1.0 - eta * lam) ** t
         r_pred = r0 + dec.U @ ((decay - 1.0) * coeffs)
         predicted[t] = float(np.linalg.norm(r_pred))
         actual[t] = float(np.linalg.norm(r_actual))
         rel[t] = float(np.linalg.norm(r_pred - r_actual) / max(actual[t], 1e-300))
-        if t < steps:
-            grad = weighted_gradient(work, data.features, Y, np.ones(data.n))
-            work.set_params(work.get_params() - eta * grad)
-            r_actual = (forward(work, data.features) - Y).ravel()
     return DynamicsReport(predicted_norms=predicted, actual_norms=actual,
                           relative_deviation=rel)
 
@@ -488,45 +507,28 @@ def augmented_dynamics_envelope_check(net: MLP, data: Dataset,
 
     Meaningful when the stacked derivative matrix has full row rank (residual
     mass outside its range never decays, and the bound carries no persistent
-    term). A degenerate gap is a reported skip, except at zero budget where
-    the gap-dependent slack vanishes.
+    term). A degenerate gap is a reported skip, except when no round moved
+    the derivative matrix (zero budget), where the gap-dependent slack
+    vanishes.
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
-    jac = jacobian(net, data.features)
-    dec = svd(jac)
-    sig = dec.sigma
+    sig, sig_aug, e_norms = round_spectra(net, data.features, spec, range(rounds))
+    e_mean = float(e_norms.mean())
     gap = eigengap(sig)
-    if gap <= 1e-12 and spec.epsilon0 > 0.0:
+    if gap <= 1e-12 and e_mean > 0.0:
         return EnvelopeReport(skipped=True, reason=f"degenerate gap {gap:.3e}")
     Y = data.one_hot_labels()
-    yvec = Y.ravel()
-    k = sig.size
-    one_copy = TransformSpec(kind=spec.kind, epsilon0=spec.epsilon0, r=1,
-                             seed=spec.seed)
-    actual = np.zeros((rounds, steps + 1))
-    downs = np.zeros(k)
-    e_norms = np.empty(rounds)
-    for s in range(rounds):
-        x_aug = perturb(one_copy, data.features, round_index=s).features
-        j_aug = jacobian(net, x_aug)
-        s_aug = np.linalg.svd(j_aug, compute_uv=False)
-        downs += (s_aug < sig).astype(np.float64)
-        e_norms[s] = spectral_norm(j_aug - jac)
-        work = net.copy()
-        for t in range(steps + 1):
-            r = (forward(work, x_aug) - Y).ravel()
-            actual[s, t] = float(np.linalg.norm(r))
-            if t < steps:
-                grad = weighted_gradient(work, x_aug, Y, np.ones(data.n))
-                work.set_params(work.get_params() - eta * grad)
-    e_mean = float(e_norms.mean())
-    p_hat = downs / rounds if spec.epsilon0 > 0.0 else np.zeros(k)
-    lam_expected = np.array([
-        _shift_prediction(float(sig[i]), float(p_hat[i]), e_mean) for i in range(k)
+    one_copy = replace(spec, r=1)
+    actual = np.array([
+        [float(np.linalg.norm(r)) for r in _descent_residuals(
+            net, perturb(one_copy, data.features, round_index=s).features, Y, eta, steps)]
+        for s in range(rounds)
     ])
-    slack = 0.0 if e_mean == 0.0 else 2.0 * k * math.sqrt(2.0) * e_mean / gap
-    terms = (dec.U.T @ yvec) ** 2 + slack
+    p_hat = (sig_aug < sig).mean(axis=0)
+    lam_expected = _shift_prediction(sig, p_hat, e_mean)
+    slack = 0.0 if e_mean == 0.0 else 2.0 * sig.size * math.sqrt(2.0) * e_mean / gap
+    terms = (svd(jacobian(net, data.features)).U.T @ Y.ravel()) ** 2 + slack
     t_axis = np.arange(steps + 1)
     bound = np.sqrt(np.clip(
         ((1.0 - eta * lam_expected[None, :]) ** (2 * t_axis[:, None]) * terms[None, :]).sum(axis=1),

@@ -38,6 +38,7 @@ from .model import (
     forward,
     gradient_proxy,
     jacobian,
+    layer_gradients,
     one_hot,
     weighted_gradient,
 )
@@ -161,8 +162,9 @@ def weighted_gradient_step(net: MLP, X_batch, y_batch, rho, eta: float) -> MLP:
     rho = np.asarray(rho, dtype=np.float64)
     if np.any(rho < 0.0):
         raise ValueError("weights must be nonnegative")
-    grad = weighted_gradient(net, X_batch, y_batch, rho)
-    net.set_params(net.get_params() - eta * grad)
+    for l, (gw, gb) in enumerate(layer_gradients(net, X_batch, y_batch, rho)):
+        net.weights[l] -= eta * gw
+        net.biases[l] -= eta * gb
     return net
 
 

@@ -1,6 +1,5 @@
 import itertools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -112,37 +111,34 @@ class TestDistanceMatrix:
         assert pairwise_distances(p).tobytes() == ref.tobytes()
 
 
-def traced_peak_bytes(fn) -> int:
-    """Peak bytes allocated while ``fn`` runs, numpy buffers included (numpy
-    reports its allocations to tracemalloc)."""
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        fn()
-        return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-
-
 class TestPeakMemory:
-    """Selection holds at most two n_c x n_c float64 arrays at a time: the
-    distance matrix and the engine's squared transpose."""
+    """Selection and the alignment audit hold at most two n_c x n_c float64
+    arrays at a time: the distance matrix and either the engine's squared
+    transpose or the distance computation's second buffer."""
 
     N_C = 1000
     MATRIX_BYTES = N_C * N_C * 8
 
-    def test_pairwise_distances_holds_two_matrices(self):
+    def test_pairwise_distances_holds_two_matrices(self, traced_peak_bytes):
         points = random_points(30, self.N_C, p=16)
         peak = traced_peak_bytes(lambda: pairwise_distances(points))
         assert peak <= 2.1 * self.MATRIX_BYTES
 
     @pytest.mark.parametrize("engine", ENGINES)
-    def test_select_all_classes_holds_two_matrices(self, engine):
+    def test_select_all_classes_holds_two_matrices(self, engine, traced_peak_bytes):
         proxies = proxy_set(random_points(31, 2 * self.N_C, p=16),
                             np.repeat([0, 1], self.N_C))
         cfg = SelectionConfig(stop="fixed_size", k_per_class=self.N_C // 10,
                               engine=engine)
         peak = traced_peak_bytes(lambda: select_all_classes(proxies, cfg))
+        assert peak <= 2.25 * self.MATRIX_BYTES
+
+    def test_alignment_error_holds_two_matrices(self, traced_peak_bytes):
+        proxies = proxy_set(random_points(32, 2 * self.N_C, p=16),
+                            np.repeat([0, 1], self.N_C))
+        coreset = select_all_classes(
+            proxies, SelectionConfig(stop="fixed_size", k_per_class=self.N_C // 10))
+        peak = traced_peak_bytes(lambda: alignment_error(proxies, coreset))
         assert peak <= 2.25 * self.MATRIX_BYTES
 
 

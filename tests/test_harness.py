@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import re
 import shlex
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import coreaug.audits
+import coreaug.coreset
 from coreaug.audits import noise_robustness
 from coreaug.cli import build_parser, main
 from coreaug.data import (
@@ -234,6 +236,25 @@ class TestCli:
         assert manifest["command"] == "experiment"
         assert manifest["outputs"] == ["noise.json"]
 
+    @pytest.mark.parametrize("argv", [
+        ["select", "--data", "{data}", "--engine", "naive", "--lr", "0.01",
+         "--stochastic-sample", "5"],
+        ["train", "--data", "{data}", "--epochs", "1", "--hidden", "6", "--engine", "naive",
+         "--lr-decay-epochs", "1", "--split-seed", "3", "--proxy-mode", "residual"],
+        ["spectrum", "--data", "{data}", "--epsilon0", "0.0627", "--train-epochs", "1",
+         "--hidden", "6", "--per-class-cap", "15", "--lr", "0.01"],
+        ["bounds", "--weyl-trials", "5", "--shift-draws", "100", "--vector-trials", "5",
+         "--ntk-instances", "2", "--linear-instances", "2", "--augmentation-rounds", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_manifest_config_records_every_flag(self, argv, dataset_csv, tmp_path):
+        argv = [a.replace("{data}", str(dataset_csv)) for a in argv]
+        argv += ["--out", str(tmp_path / "o")]
+        assert main(argv) == 0
+        parsed = vars(build_parser().parse_args(argv))
+        expected = {k: v for k, v in parsed.items() if k not in ("fn", "out", "config")}
+        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        assert manifest["config"] == json.loads(json.dumps(expected))
+
     def test_report_aggregates_runs(self, dataset_csv, tmp_path):
         run_dir = tmp_path / "runs"
         main(["train", "--data", str(dataset_csv), "--epochs", "2",
@@ -332,3 +353,16 @@ def test_readme_commands_parse(tmp_path, monkeypatch, capsys):
     for argv in argvs:
         assert main(argv + _SHORT_RUN_FLAGS.get(argv[0], [])) == 0, \
             f"{argv}: {capsys.readouterr().err}"
+
+
+def test_bench_trace_targets_exist():
+    """The benchmark's tracer patches functions by name; each one it names
+    must exist, or a rename breaks only the traced benchmark passes."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for module, attr, _, _ in tracing.TARGETS:
+        assert callable(getattr(importlib.import_module(f"coreaug.{module}"), attr, None)), \
+            f"coreaug.{module}.{attr}"
+    assert set(coreaug.coreset._ENGINE_FNS) == {"naive", "lazy", "stochastic"}

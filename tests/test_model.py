@@ -210,6 +210,29 @@ class TestJacobian:
             expected = per_example_gradient(net, data.features[i], Y[i])
             assert rows[i] == pytest.approx(expected, abs=1e-10)
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_per_example_gradients_match_jacobian_contraction(self, seed):
+        """Backpropagating the residual equals contracting the stacked
+        derivative matrix with it, up to rounding."""
+        rng = np.random.default_rng(seed)
+        sizes = [int(rng.integers(2, 7)) for _ in range(int(rng.integers(2, 5)))]
+        data = make_dataset(seed, n=int(rng.integers(1, 15)), d=sizes[0], C=sizes[-1])
+        net = MLP.init(sizes, activation=("tanh", "relu")[seed % 2], seed=seed)
+        n, C = data.n, data.num_classes
+        ref = np.einsum("ncm,nc->nm", jacobian(net, data.features).reshape(n, C, -1),
+                        residuals(net, data))
+        rows = per_example_gradients(net, data)
+        assert rows.shape == ref.shape
+        assert np.linalg.norm(rows - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_per_example_gradients_skip_the_stacked_matrix(self, traced_peak_bytes):
+        # C = 10 outputs: the stacked derivative matrix alone is 10 n*m floats
+        data = make_dataset(18, n=200, d=20, C=10)
+        net = MLP.init([20, 50, 10], seed=18)
+        rows_bytes = data.n * net.num_params * 8
+        peak = traced_peak_bytes(lambda: per_example_gradients(net, data))
+        assert peak <= 3 * rows_bytes
+
 
 class TestGradientProxy:
     def test_zero_residual_zero_proxy(self):

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coreaug.augment import TransformSpec
-from coreaug.model import MLP, Dataset, one_hot
+from coreaug.augment import TransformSpec, perturb
+from coreaug.linalg import spectral_norm
+from coreaug.model import MLP, Dataset, jacobian, one_hot
 from coreaug.spectrum import (
     augmented_dynamics_envelope_check,
     eigengap,
@@ -16,6 +17,7 @@ from coreaug.spectrum import (
     linear_transform_sgd_envelope,
     perturbation_decomposition,
     residual_dynamics_check,
+    round_spectra,
     singular_vector_bound_check,
     spectrum_report,
     weyl_check,
@@ -155,6 +157,32 @@ class TestPerturbationDecomposition:
         report = perturbation_decomposition(j, e)
         assert report.mu_feasible["top"]
         assert report.mu_feasible["bottom"]
+
+
+class TestRoundSpectra:
+    def setup_method(self):
+        rng = np.random.default_rng(25)
+        self.X = rng.uniform(0, 1, (9, 4))
+        self.net = MLP.init([4, 6, 3], seed=5)
+
+    def test_zero_budget_reproduces_clean_spectrum(self):
+        spec = TransformSpec(epsilon0=0.0, r=3, seed=1)
+        sigma, sigma_aug, e_norms = round_spectra(self.net, self.X, spec, range(4))
+        assert sigma_aug.shape == (4, sigma.size)
+        for row in sigma_aug:
+            assert row.tobytes() == sigma.tobytes()
+        assert np.all(e_norms == 0.0)
+
+    def test_rounds_match_direct_computation(self):
+        spec = TransformSpec(epsilon0=0.1, r=2, seed=1)
+        one_copy = TransformSpec(epsilon0=0.1, r=1, seed=1)
+        jac = jacobian(self.net, self.X)
+        sigma, sigma_aug, e_norms = round_spectra(self.net, self.X, spec, [7, 3])
+        assert sigma.tobytes() == np.linalg.svd(jac, compute_uv=False).tobytes()
+        for row, rnd in enumerate([7, 3]):
+            j_aug = jacobian(self.net, perturb(one_copy, self.X, round_index=rnd).features)
+            assert sigma_aug[row].tobytes() == np.linalg.svd(j_aug, compute_uv=False).tobytes()
+            assert e_norms[row] == spectral_norm(j_aug - jac)
 
 
 class TestExpectedShift:
