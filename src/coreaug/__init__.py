@@ -8,7 +8,7 @@ justifies the pipeline.
 
 __version__ = "0.1.0"
 
-from .augment import AugmentedSet, TransformSpec, perturb, perturbation_matrix
+from .augment import AugmentedSet, TransformSpec, perturb
 from .coreset import (
     SelectionConfig,
     WeightedCoreset,
@@ -26,7 +26,6 @@ __all__ = [
     "AugmentedSet",
     "TransformSpec",
     "perturb",
-    "perturbation_matrix",
     "SelectionConfig",
     "WeightedCoreset",
     "alignment_error",

@@ -14,15 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, frobenius_norm, spectral_norm
-from .model import MLP, jacobian
+from .linalg import as_matrix
 
 __all__ = [
     "TransformSpec",
     "AugmentedSet",
-    "PerturbationReport",
     "perturb",
-    "perturbation_matrix",
 ]
 
 TRANSFORM_KINDS = ("uniform_ball", "gaussian_clipped", "pixel_jitter")
@@ -112,46 +109,3 @@ def perturb(spec: TransformSpec, X, round_index: int = 0,
             raise ValueError("labels must have one entry per source row")
         aug_labels = labels[origin]
     return AugmentedSet(features=out, origin=origin, labels=aug_labels)
-
-
-@dataclass(frozen=True)
-class PerturbationReport:
-    """Derivative-matrix shift E for one augmentation round, with its norms.
-
-    ``frobenius_bound`` is sqrt(n) * l_hat * epsilon0 when an estimated
-    derivative Lipschitz constant was supplied, else None.
-    """
-
-    E: np.ndarray
-    norm2: float
-    norm_frobenius: float
-    n: int
-    epsilon_measured: float
-    frobenius_bound: float | None
-
-
-def perturbation_matrix(net: MLP, X, X_aug_round,
-                        l_hat: float | None = None,
-                        epsilon0: float | None = None) -> PerturbationReport:
-    """E = J(augmented rows) - J(original rows) for a single-copy round.
-
-    ``X_aug_round`` must hold exactly one augmentation per source row. The
-    reported bound uses the supplied budget (or, if omitted, the largest
-    measured row displacement).
-    """
-    X = as_matrix(X, "X")
-    Xa = as_matrix(X_aug_round, "X_aug_round")
-    if Xa.shape != X.shape:
-        raise ValueError(f"expected one augmentation per row: {Xa.shape} vs {X.shape}")
-    E = jacobian(net, Xa) - jacobian(net, X)
-    eps_measured = float(np.max(np.linalg.norm(Xa - X, axis=1)))
-    eps = eps_measured if epsilon0 is None else float(epsilon0)
-    bound = None if l_hat is None else float(np.sqrt(X.shape[0]) * l_hat * eps)
-    return PerturbationReport(
-        E=E,
-        norm2=spectral_norm(E),
-        norm_frobenius=frobenius_norm(E),
-        n=X.shape[0],
-        epsilon_measured=eps_measured,
-        frobenius_bound=bound,
-    )

@@ -41,7 +41,6 @@ __all__ = [
     "AlignmentReport",
     "NtkBoundVerdict",
     "pairwise_distances",
-    "distance_matrix",
     "g_frobenius",
     "facility_location_objective",
     "greedy_select",
@@ -134,14 +133,6 @@ def pairwise_distances(points: np.ndarray) -> np.ndarray:
     np.add(d, d.T, out=g)
     g *= 0.5
     return g
-
-
-def distance_matrix(proxies: GradientProxySet, label: int) -> np.ndarray:
-    """Within-class distance matrix over proxy vectors."""
-    idx = np.flatnonzero(proxies.labels == label)
-    if idx.size == 0:
-        raise ValueError(f"class {label} is empty")
-    return pairwise_distances(proxies.proxies[idx])
 
 
 def _resolve_c1(config: SelectionConfig, D: np.ndarray) -> float:
@@ -455,22 +446,17 @@ class BaselineSubset:
     per_class: dict[int, np.ndarray]
 
 
-def _per_class_k(k: int | None, fraction: float | None, n_c: int) -> int:
-    kc = max(1, int(round(fraction * n_c))) if fraction is not None else int(k)
-    if kc > n_c:
-        raise ValueError(f"k={kc} exceeds class population {n_c}")
-    return kc
-
-
 def max_loss_subset(losses, k: int | None, labels,
                     fraction: float | None = None) -> BaselineSubset:
-    """Top-k per-example losses within each class; ties to the smallest index."""
+    """Top-k per-example losses within each class; ties to the smallest index.
+    The per-class size follows ``SelectionConfig``: k, else the fraction."""
     losses = np.asarray(losses, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
+    size = SelectionConfig(k_per_class=k, fraction=fraction)
     indices, weights, per_class = [], [], {}
     for label in np.unique(labels):
         idx = np.flatnonzero(labels == label)
-        kc = _per_class_k(k, fraction, idx.size)
+        kc = _resolve_k(size, idx.size)
         order = np.argsort(-losses[idx], kind="stable")
         chosen = idx[order[:kc]]
         per_class[int(label)] = chosen
@@ -481,15 +467,17 @@ def max_loss_subset(losses, k: int | None, labels,
 
 def random_subset(n: int, k: int | None, labels, seed: int = 0,
                   fraction: float | None = None) -> BaselineSubset:
-    """Uniform without-replacement per-class sample with weights n_c / k."""
+    """Uniform without-replacement per-class sample with weights n_c / k.
+    The per-class size follows ``SelectionConfig``: k, else the fraction."""
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape[0] != n:
         raise ValueError("labels length must equal n")
+    size = SelectionConfig(k_per_class=k, fraction=fraction)
     rng = np.random.default_rng(seed)
     indices, weights, per_class = [], [], {}
     for label in np.unique(labels):
         idx = np.flatnonzero(labels == label)
-        kc = _per_class_k(k, fraction, idx.size)
+        kc = _resolve_k(size, idx.size)
         chosen = np.sort(rng.choice(idx, size=kc, replace=False))
         per_class[int(label)] = chosen
         indices.append(chosen)

@@ -26,7 +26,6 @@ __all__ = [
     "forward",
     "loss",
     "residuals",
-    "per_example_gradient",
     "layer_gradients",
     "weighted_gradient",
     "jacobian",
@@ -255,13 +254,6 @@ def weighted_gradient(net: MLP, X: np.ndarray, Y: np.ndarray,
     """Flat gradient of ``sum_i w_i * 0.5 * ||f(x_i) - y_i||^2``."""
     return np.concatenate([g.ravel() for pair in layer_gradients(net, X, Y, weights)
                            for g in pair])
-
-
-def per_example_gradient(net: MLP, x: np.ndarray, y_onehot: np.ndarray) -> np.ndarray:
-    """Exact backprop gradient of ``0.5 * ||f(x) - y||^2`` for one example."""
-    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    y = np.asarray(y_onehot, dtype=np.float64).reshape(1, -1)
-    return weighted_gradient(net, x, y, np.ones(1))
 
 
 def _row_gradients(net: MLP, preacts, acts, delta: np.ndarray) -> np.ndarray:

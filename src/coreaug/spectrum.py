@@ -17,13 +17,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .augment import TransformSpec, perturb
-from .linalg import as_matrix, principal_angles, spectral_norm, svd
+from .linalg import SvdResult, as_matrix, principal_angles, spectral_norm, svd
 from .model import MLP, Dataset, forward, jacobian
 from .trainer import weighted_gradient_step
 
 __all__ = [
     "SpectrumBin",
     "WeylVerdict",
+    "RoundSpectra",
     "SpectrumReport",
     "ShiftRecord",
     "ShiftReport",
@@ -43,7 +44,6 @@ __all__ = [
     "singular_vector_bound_check",
     "residual_dynamics_check",
     "augmented_dynamics_envelope_check",
-    "generalization_bound_value",
     "linear_transform_bound_check",
     "linear_transform_sgd_envelope",
 ]
@@ -81,25 +81,40 @@ def weyl_check(sigma_clean, sigma_aug, e_norm2: float,
                        e_norm2=float(e_norm2), tolerance=tolerance)
 
 
-def round_spectra(net: MLP, X, spec: TransformSpec, round_indices):
+@dataclass(frozen=True)
+class RoundSpectra:
+    """The stacked derivative matrix J at X with its singular values, and per
+    listed augmentation round the augmented rows, the singular values of J
+    at those rows and ||J_aug - J||_2."""
+
+    jacobian: np.ndarray
+    sigma: np.ndarray
+    features: list[np.ndarray]
+    sigma_aug: np.ndarray
+    e_norms: np.ndarray
+
+
+def round_spectra(net: MLP, X, spec: TransformSpec, round_indices) -> RoundSpectra:
     """Singular values of the stacked derivative matrix J at X and at each
     listed one-copy augmentation round of ``spec``.
 
-    Returns (clean singular values, one row of augmented singular values per
-    round, ||J_aug - J||_2 per round). Both spectra come from the same LAPACK
-    routine, so a round that leaves X unchanged, as every round at zero
-    budget does, reproduces the clean values bit for bit.
+    Both spectra come from the same LAPACK routine, so a round that leaves X
+    unchanged, as every round at zero budget does, reproduces the clean
+    values bit for bit.
     """
     one_copy = replace(spec, r=1)
     jac = jacobian(net, X)
     sigma = np.linalg.svd(jac, compute_uv=False)
+    features = []
     sigma_aug = np.empty((len(round_indices), sigma.size))
     e_norms = np.empty(len(round_indices))
     for row, rnd in enumerate(round_indices):
-        j_aug = jacobian(net, perturb(one_copy, X, round_index=rnd).features)
+        features.append(perturb(one_copy, X, round_index=rnd).features)
+        j_aug = jacobian(net, features[-1])
         sigma_aug[row] = np.linalg.svd(j_aug, compute_uv=False)
         e_norms[row] = spectral_norm(j_aug - jac)
-    return sigma, sigma_aug, e_norms
+    return RoundSpectra(jacobian=jac, sigma=sigma, features=features,
+                        sigma_aug=sigma_aug, e_norms=e_norms)
 
 
 @dataclass
@@ -191,13 +206,18 @@ def _bin_slices(k: int, num_bins: int) -> list[np.ndarray]:
     return out
 
 
-def spectrum_report(J_clean, J_aug, num_bins: int = NUM_BINS) -> SpectrumReport:
-    """Pair the two spectra by rank and summarize shift and rotation per bin."""
+def spectrum_report(J_clean, J_aug, num_bins: int = NUM_BINS,
+                    clean: SvdResult | None = None) -> SpectrumReport:
+    """Pair the two spectra by rank and summarize shift and rotation per bin.
+
+    ``clean`` is ``svd(J_clean)`` when the caller already holds it, so that a
+    clean matrix paired with several augmented ones is decomposed once.
+    """
     jc = as_matrix(J_clean, "J_clean")
     ja = as_matrix(J_aug, "J_aug")
     if jc.shape != ja.shape:
         raise ValueError(f"shape mismatch: {jc.shape} vs {ja.shape}")
-    dec_c = svd(jc)
+    dec_c = svd(jc) if clean is None else clean
     dec_a = svd(ja)
     e_norm2 = spectral_norm(ja - jc)
     e_normf = float(np.linalg.norm(ja - jc))
@@ -248,7 +268,6 @@ class DecompositionReport:
     pe_norm2: float
     perp_e_norm2: float
     perp_e_sigma_min: float
-    projector_identity_error: float
     numerical_rank: int
     mu_feasible: dict[str, bool]
 
@@ -270,7 +289,6 @@ def perturbation_decomposition(J, E) -> DecompositionReport:
     ppe_svals = np.linalg.svd(ppe, compute_uv=False)
     perp_norm2 = float(ppe_svals[0]) if ppe_svals.size else 0.0
     perp_min = float(ppe_svals[-1]) if ppe_svals.size else 0.0
-    identity_err = float(np.linalg.norm(p + p_perp - np.eye(p.shape[0])))
 
     tilde = svd(jt + et).sigma
     clean = dec.sigma
@@ -284,12 +302,11 @@ def perturbation_decomposition(J, E) -> DecompositionReport:
         reach_lo, reach_hi = mu_lo**2, mu_hi**2
         target_lo = tilde[i] ** 2 - perp_norm2**2
         target_hi = tilde[i] ** 2 - perp_min**2
-        feasible[tag] = reach_lo <= target_hi + tol and target_lo <= reach_hi + tol
+        feasible[tag] = bool(reach_lo <= target_hi + tol and target_lo <= reach_hi + tol)
     return DecompositionReport(
         pe_norm2=pe_norm2,
         perp_e_norm2=perp_norm2,
         perp_e_sigma_min=perp_min,
-        projector_identity_error=identity_err,
         numerical_rank=rank,
         mu_feasible=feasible,
     )
@@ -366,12 +383,12 @@ def expected_shift_empirical(net: MLP, data: Dataset, spec: TransformSpec,
     if draws < 100:
         raise ValueError("draws must be >= 100")
     first = seed * 100003
-    sig, sig_aug, e_norms = round_spectra(net, data.features, spec,
-                                          range(first, first + draws))
-    p_hat = (sig_aug < sig).mean(axis=0)
-    e_mean = float(e_norms.mean())
+    spectra = round_spectra(net, data.features, spec, range(first, first + draws))
+    sig = spectra.sigma
+    p_hat = (spectra.sigma_aug < sig).mean(axis=0)
+    e_mean = float(spectra.e_norms.mean())
     predicted = _shift_prediction(sig, p_hat, e_mean)
-    lam = sig_aug**2
+    lam = spectra.sigma_aug**2
     emp = lam.mean(axis=0)
     se = lam.std(axis=0, ddof=1) / math.sqrt(draws)
     records = [
@@ -513,38 +530,27 @@ def augmented_dynamics_envelope_check(net: MLP, data: Dataset,
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
-    sig, sig_aug, e_norms = round_spectra(net, data.features, spec, range(rounds))
-    e_mean = float(e_norms.mean())
+    spectra = round_spectra(net, data.features, spec, range(rounds))
+    sig = spectra.sigma
+    e_mean = float(spectra.e_norms.mean())
     gap = eigengap(sig)
     if gap <= 1e-12 and e_mean > 0.0:
         return EnvelopeReport(skipped=True, reason=f"degenerate gap {gap:.3e}")
     Y = data.one_hot_labels()
-    one_copy = replace(spec, r=1)
     actual = np.array([
-        [float(np.linalg.norm(r)) for r in _descent_residuals(
-            net, perturb(one_copy, data.features, round_index=s).features, Y, eta, steps)]
-        for s in range(rounds)
+        [float(np.linalg.norm(r)) for r in _descent_residuals(net, x_aug, Y, eta, steps)]
+        for x_aug in spectra.features
     ])
-    p_hat = (sig_aug < sig).mean(axis=0)
+    p_hat = (spectra.sigma_aug < sig).mean(axis=0)
     lam_expected = _shift_prediction(sig, p_hat, e_mean)
     slack = 0.0 if e_mean == 0.0 else 2.0 * sig.size * math.sqrt(2.0) * e_mean / gap
-    terms = (svd(jacobian(net, data.features)).U.T @ Y.ravel()) ** 2 + slack
+    terms = (svd(spectra.jacobian).U.T @ Y.ravel()) ** 2 + slack
     t_axis = np.arange(steps + 1)
     bound = np.sqrt(np.clip(
         ((1.0 - eta * lam_expected[None, :]) ** (2 * t_axis[:, None]) * terms[None, :]).sum(axis=1),
         0.0, None))
     return EnvelopeReport(skipped=False, reason="", steps=t_axis,
                           mean_actual=actual.mean(axis=0), bound=bound)
-
-
-def generalization_bound_value(sigma_min: float, n: int, L: float,
-                               epsilon0: float) -> float:
-    """Closed-form bound sqrt(2) / (sigma_min + sqrt(n) L epsilon0); the
-    log(1/delta) additive term is reported symbolically elsewhere, never
-    folded in numerically."""
-    if sigma_min <= 0.0:
-        raise ValueError("sigma_min must be positive")
-    return math.sqrt(2.0) / (sigma_min + math.sqrt(n) * L * epsilon0)
 
 
 @dataclass

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coreaug.augment import TransformSpec, perturb, perturbation_matrix
-from coreaug.model import MLP, Dataset, estimate_lipschitz
+from coreaug.augment import TransformSpec, perturb
+from coreaug.linalg import frobenius_norm, spectral_norm
+from coreaug.model import MLP, Dataset, estimate_lipschitz, jacobian
 
 ALL_KINDS = ("uniform_ball", "gaussian_clipped", "pixel_jitter")
 
@@ -89,13 +90,19 @@ class TestSpecValidation:
             TransformSpec(kind="rotate")
 
 
+def shift_matrix(net, X, X_aug):
+    """The derivative-matrix shift E = J(augmented rows) - J(source rows) of
+    a one-copy augmentation round."""
+    return jacobian(net, X_aug) - jacobian(net, X)
+
+
 class TestPerturbationMatrix:
     def test_zero_budget_zero_shift(self):
         X = source_rows(8, k=6, d=4)
         net = MLP.init([4, 5, 2], seed=0)
         out = perturb(TransformSpec(epsilon0=0.0, r=1, seed=0), X, 0)
-        report = perturbation_matrix(net, X, out.features)
-        assert report.norm2 == 0.0 and report.norm_frobenius == 0.0
+        E = shift_matrix(net, X, out.features)
+        assert spectral_norm(E) == 0.0 and frobenius_norm(E) == 0.0
 
     def test_linear_model_closed_form(self):
         # a single linear layer: row i*C+c of the shift holds the input
@@ -105,19 +112,21 @@ class TestPerturbationMatrix:
         X = source_rows(9, k=5, d=d)
         out = perturb(TransformSpec(epsilon0=0.1, r=1, seed=1), X, 0)
         delta = out.features - X
-        report = perturbation_matrix(net, X, out.features)
+        E = shift_matrix(net, X, out.features)
         expected = np.zeros((5 * C, net.num_params))
         for i in range(5):
             for c in range(C):
                 for j in range(d):
                     expected[i * C + c, j * C + c] = delta[i, j]
-        assert report.E == pytest.approx(expected, abs=1e-12)
+        assert E == pytest.approx(expected, abs=1e-12)
 
     def test_shape_mismatch(self):
+        # E pairs each source row with one copy; a two-copy round has none
         net = MLP.init([4, 2], seed=0)
         X = source_rows(10, k=5, d=4)
+        out = perturb(TransformSpec(epsilon0=0.1, r=2, seed=0), X, 0)
         with pytest.raises(ValueError):
-            perturbation_matrix(net, X, X[:3])
+            shift_matrix(net, X, out.features)
 
     def test_frobenius_bound_with_estimated_lipschitz(self):
         eps = 16.0 / 255.0
@@ -127,13 +136,10 @@ class TestPerturbationMatrix:
         net = MLP.init([6, 8, 2], activation="tanh", seed=2)
         l_hat, _ = estimate_lipschitz(net, data, trials=400, seed=0)
         spec = TransformSpec(kind="uniform_ball", epsilon0=eps, r=1, seed=5)
+        bound = np.sqrt(20) * l_hat * eps
         for rnd in range(20):
             out = perturb(spec, X, round_index=rnd)
-            report = perturbation_matrix(net, X, out.features, l_hat=l_hat,
-                                         epsilon0=eps)
-            assert report.frobenius_bound == pytest.approx(
-                np.sqrt(20) * l_hat * eps)
-            assert report.norm_frobenius <= report.frobenius_bound * 1.05
+            assert frobenius_norm(shift_matrix(net, X, out.features)) <= bound * 1.05
 
     def test_larger_budget_larger_shift(self):
         X = source_rows(12, k=15, d=6)
@@ -141,5 +147,5 @@ class TestPerturbationMatrix:
         norms = []
         for eps in (8.0 / 255.0, 16.0 / 255.0):
             out = perturb(TransformSpec(epsilon0=eps, r=1, seed=7), X, 0)
-            norms.append(perturbation_matrix(net, X, out.features).norm_frobenius)
+            norms.append(frobenius_norm(shift_matrix(net, X, out.features)))
         assert norms[1] >= norms[0]

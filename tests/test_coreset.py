@@ -14,7 +14,6 @@ from coreaug.coreset import (
     alignment_error,
     compute_weights,
     coreset_ntk_bound_check,
-    distance_matrix,
     divide_weights,
     facility_location_objective,
     g_frobenius,
@@ -81,16 +80,18 @@ class TestDistanceMatrix:
                     np.linalg.norm(pts[i] - pts[j]), abs=1e-9)
 
     def test_per_class(self):
+        # one class's rows give the class block of the full distance matrix
         pts = random_points(1, 10)
         labels = np.array([0, 1] * 5)
-        D = distance_matrix(proxy_set(pts, labels), 1)
+        rows = np.flatnonzero(labels == 1)
+        D = pairwise_distances(proxy_set(pts, labels).proxies[rows])
         assert D.shape == (5, 5)
-        expected = pairwise_distances(pts[labels == 1])
-        assert np.array_equal(D, expected)
+        assert D == pytest.approx(pairwise_distances(pts)[np.ix_(rows, rows)], abs=1e-12)
 
     def test_empty_class_errors(self):
+        proxies = proxy_set(random_points(2, 4), np.zeros(4, dtype=int), C=2)
         with pytest.raises(ValueError):
-            distance_matrix(proxy_set(random_points(2, 4), np.zeros(4, dtype=int), C=2), 1)
+            pairwise_distances(proxies.proxies[proxies.labels == 1])
 
     @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 600])
     @pytest.mark.parametrize("d", [1, 99])

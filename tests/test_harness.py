@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 import json
 import re
@@ -225,6 +226,50 @@ class TestCli:
         payload = json.loads((out / "bounds.json").read_text())
         assert payload["weyl_random"]["violations"] == 0
 
+    def test_bounds_reports_real_augmentation_audits(self, tmp_path):
+        outs = [tmp_path / "a", tmp_path / "b"]
+        for out in outs:
+            assert main(["bounds", *_SHORT_RUN_FLAGS["bounds"], "--out", str(out)]) == 0
+        written = (outs[0] / "bounds.json").read_bytes()
+        assert written == (outs[1] / "bounds.json").read_bytes()
+        payload = json.loads(written)
+        assert {name: set(entry) for name, entry in payload.items()} == {
+            "weyl_random": {"trials", "violations", "max_violation"},
+            "weyl_augmentation": {"rounds", "violations", "max_violation"},
+            "shift_model": {"draws", "indices", "all_within_3se", "worst_se_units"},
+            "vector_bound": {"trials", "checked", "skipped", "failures"},
+            "ntk_bound": {"instances", "failures", "min_margin"},
+            "linear_bounds": {"instances", "subset_failures", "combined_failures"},
+            "shift_empirical": {"draws", "indices", "within_3se", "all_within_3se",
+                                "worst_se_units", "e_norm_mean"},
+            "augmented_envelope": {"rounds", "steps", "eta", "skipped", "reason",
+                                   "passed", "max_excess"},
+            "perturbation_decomposition": {"numerical_rank", "pe_norm2", "perp_e_norm2",
+                                           "perp_e_sigma_min", "mu_feasible"},
+        }
+        assert payload["shift_empirical"]["draws"] == coreaug.audits.SHIFT_EMPIRICAL_DRAWS
+        assert payload["augmented_envelope"]["rounds"] == 2
+        assert payload["augmented_envelope"]["steps"] == coreaug.audits.ENVELOPE_STEPS
+
+    def test_real_augmentation_audits_stay_out_of_the_verdict(self, tmp_path, monkeypatch):
+        failing = {
+            "shift_empirical": {"all_within_3se": False, "within_3se": 0},
+            "augmented_envelope": {"skipped": False, "passed": False, "max_excess": 1.0},
+            "perturbation_decomposition": {"mu_feasible": {"top": False, "bottom": False}},
+        }
+        monkeypatch.setattr(coreaug.audits, "audit_real_augmentation",
+                            lambda rounds, seed: failing)
+        out = tmp_path / "bounds"
+        assert main(["bounds", *_SHORT_RUN_FLAGS["bounds"], "--out", str(out)]) == 0
+        payload = json.loads((out / "bounds.json").read_text())
+        assert {name: payload[name] for name in failing} == failing
+
+    def test_bounds_without_augmentation_rounds_is_config_error(self, tmp_path, capsys):
+        # zero rounds leave the envelope check nothing to average
+        argv = ["bounds", *_SHORT_RUN_FLAGS["bounds"], "--augmentation-rounds", "0"]
+        assert main(argv + ["--out", str(tmp_path / "b")]) == 2
+        assert "rounds must be >= 1" in capsys.readouterr().err
+
     def test_experiment_noise_writes_protocol_numbers(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         assert main(["experiment", "noise", "--out", str(out_a)]) == 0
@@ -366,3 +411,51 @@ def test_bench_trace_targets_exist():
         assert callable(getattr(importlib.import_module(f"coreaug.{module}"), attr, None)), \
             f"coreaug.{module}.{attr}"
     assert set(coreaug.coreset._ENGINE_FNS) == {"naive", "lazy", "stochastic"}
+
+
+
+def _used_names(tree: ast.AST):
+    """(name, line) for every name the code reads, as a bare name or as an
+    attribute; imports and ``__all__`` strings are not uses."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+
+
+def _definition_lines(tree: ast.Module, name: str) -> range:
+    """Lines of the top-level class, function or assignment defining ``name``."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            defined = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        else:
+            defined = [getattr(node, "name", None)]
+        if name in defined:
+            return range(node.lineno, node.end_lineno + 1)
+    raise AssertionError(f"no top-level definition of {name}")
+
+
+def test_every_exported_name_has_a_caller():
+    """Each name in a coreaug module's ``__all__`` is used by the package
+    outside its own definition, or by the acceptance criteria, so no library
+    code runs only under unit tests."""
+    root = Path(__file__).resolve().parents[1]
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((root / "src" / "coreaug").glob("*.py"))
+             if path.name != "__init__.py"}
+    uses = {stem: list(_used_names(tree)) for stem, tree in trees.items()}
+    acceptance = ast.parse((root / "tests" / "test_acceptance.py").read_text(encoding="utf-8"))
+    used_by_acceptance = {name for name, _ in _used_names(acceptance)}
+    unused = []
+    for stem, tree in trees.items():
+        exported = [ast.literal_eval(node.value) for node in tree.body
+                    if isinstance(node, ast.Assign)
+                    and any(getattr(t, "id", None) == "__all__" for t in node.targets)]
+        for name in exported[0] if exported else ():
+            own = _definition_lines(tree, name)
+            if name not in used_by_acceptance and not any(
+                    used == name and not (other == stem and line in own)
+                    for other, names in uses.items() for used, line in names):
+                unused.append(f"{stem}.{name}")
+    assert not unused, f"only tests reach: {', '.join(unused)}"

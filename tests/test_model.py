@@ -12,7 +12,6 @@ from coreaug.model import (
     jacobian,
     loss,
     one_hot,
-    per_example_gradient,
     per_example_gradients,
     residuals,
     weighted_gradient,
@@ -22,6 +21,13 @@ from coreaug.model import (
 def make_dataset(seed=0, n=12, d=4, C=3):
     rng = np.random.default_rng(seed)
     return Dataset(rng.uniform(0.0, 1.0, (n, d)), rng.integers(0, C, n), C)
+
+
+def per_example_gradient(net, x, y_onehot):
+    """Gradient of ``0.5 * ||f(x) - y||^2`` for one example: the weighted
+    gradient of a single row with weight 1."""
+    return weighted_gradient(net, np.reshape(x, (1, -1)), np.reshape(y_onehot, (1, -1)),
+                             np.ones(1))
 
 
 def finite_difference_gradient(net, x, y, coords, step=1e-5):

@@ -1,18 +1,18 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import coreaug.audits
+import coreaug.spectrum
+from coreaug.audits import budget_spectra
 from coreaug.augment import TransformSpec, perturb
-from coreaug.linalg import spectral_norm
+from coreaug.linalg import spectral_norm, svd
 from coreaug.model import MLP, Dataset, jacobian, one_hot
 from coreaug.spectrum import (
     augmented_dynamics_envelope_check,
     eigengap,
     expected_shift_empirical,
     expected_shift_model_check,
-    generalization_bound_value,
     linear_transform_bound_check,
     linear_transform_sgd_envelope,
     perturbation_decomposition,
@@ -65,6 +65,33 @@ class TestSpectrumReport:
             if b.count:
                 assert b.mean_delta_sigma == 0.0
                 assert b.mean_angle_rad <= 1e-7
+
+    def test_given_clean_decomposition_is_used_as_is(self):
+        j = random_matrix(3, 40, 32)
+        j_aug = j + 0.05 * random_matrix(4, 40, 32)
+        given = spectrum_report(j, j_aug, clean=svd(j)).to_json_dict()
+        assert given == spectrum_report(j, j_aug).to_json_dict()
+
+    def test_budget_spectra_decomposes_the_clean_matrix_once(self, monkeypatch):
+        X = np.random.default_rng(26).uniform(0, 1, (15, 4))
+        net = MLP.init([4, 8, 3], activation="tanh", seed=6)
+        shapes = []
+
+        def counting_svd(A):
+            shapes.append(np.shape(A))
+            return svd(A)
+
+        monkeypatch.setattr(coreaug.spectrum, "svd", counting_svd)
+        monkeypatch.setattr(coreaug.audits, "svd", counting_svd)
+        budgets = (0.02, 0.05, 0.1)
+        reports = list(budget_spectra(net, X, budgets, seed=2))
+        assert len(shapes) == 1 + len(budgets)
+        monkeypatch.undo()
+        jac = jacobian(net, X)
+        for eps, report in reports:
+            x_aug = perturb(TransformSpec(epsilon0=eps, r=1, seed=2), X).features
+            assert report.to_json_dict() == spectrum_report(
+                jac, jacobian(net, x_aug)).to_json_dict()
 
     def test_scaling_preserves_vectors(self):
         j = random_matrix(2, 45, 30)
@@ -138,7 +165,6 @@ class TestPerturbationDecomposition:
         j = random_matrix(12, 7, 15)
         e = 0.3 * random_matrix(13, 7, 15)
         report = perturbation_decomposition(j, e)
-        assert report.projector_identity_error <= 1e-8
         # independent recomputation of the projected norms
         u, s, _ = np.linalg.svd(j.T, full_matrices=False)
         rank = int(np.sum(s > 1e-10 * s[0]))
@@ -167,22 +193,25 @@ class TestRoundSpectra:
 
     def test_zero_budget_reproduces_clean_spectrum(self):
         spec = TransformSpec(epsilon0=0.0, r=3, seed=1)
-        sigma, sigma_aug, e_norms = round_spectra(self.net, self.X, spec, range(4))
-        assert sigma_aug.shape == (4, sigma.size)
-        for row in sigma_aug:
-            assert row.tobytes() == sigma.tobytes()
-        assert np.all(e_norms == 0.0)
+        rounds = round_spectra(self.net, self.X, spec, range(4))
+        assert rounds.sigma_aug.shape == (4, rounds.sigma.size)
+        for row in rounds.sigma_aug:
+            assert row.tobytes() == rounds.sigma.tobytes()
+        assert np.all(rounds.e_norms == 0.0)
 
     def test_rounds_match_direct_computation(self):
         spec = TransformSpec(epsilon0=0.1, r=2, seed=1)
         one_copy = TransformSpec(epsilon0=0.1, r=1, seed=1)
         jac = jacobian(self.net, self.X)
-        sigma, sigma_aug, e_norms = round_spectra(self.net, self.X, spec, [7, 3])
-        assert sigma.tobytes() == np.linalg.svd(jac, compute_uv=False).tobytes()
+        rounds = round_spectra(self.net, self.X, spec, [7, 3])
+        assert rounds.jacobian.tobytes() == jac.tobytes()
+        assert rounds.sigma.tobytes() == np.linalg.svd(jac, compute_uv=False).tobytes()
         for row, rnd in enumerate([7, 3]):
-            j_aug = jacobian(self.net, perturb(one_copy, self.X, round_index=rnd).features)
-            assert sigma_aug[row].tobytes() == np.linalg.svd(j_aug, compute_uv=False).tobytes()
-            assert e_norms[row] == spectral_norm(j_aug - jac)
+            x_aug = perturb(one_copy, self.X, round_index=rnd).features
+            j_aug = jacobian(self.net, x_aug)
+            assert rounds.features[row].tobytes() == x_aug.tobytes()
+            assert rounds.sigma_aug[row].tobytes() == np.linalg.svd(j_aug, compute_uv=False).tobytes()
+            assert rounds.e_norms[row] == spectral_norm(j_aug - jac)
 
 
 class TestExpectedShift:
@@ -272,6 +301,28 @@ class TestResidualDynamics:
 
 
 class TestAugmentedDynamicsEnvelope:
+    def test_builds_each_matrix_and_round_once(self, monkeypatch):
+        rng = np.random.default_rng(27)
+        data = Dataset(rng.uniform(0, 1, (8, 6)), rng.integers(0, 2, 8), 2)
+        net = MLP.init([6, 5, 2], activation="tanh", seed=7)
+        calls = {"jacobian": 0, "perturb": 0}
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for name in calls:
+            monkeypatch.setattr(coreaug.spectrum, name,
+                                counting(name, getattr(coreaug.spectrum, name)))
+        rounds = 4
+        report = augmented_dynamics_envelope_check(
+            net, data, TransformSpec(epsilon0=0.05, r=2, seed=3), eta=0.01, steps=3,
+            rounds=rounds)
+        assert not report.skipped
+        assert calls == {"jacobian": 1 + rounds, "perturb": rounds}
+
     def test_zero_budget_collapses_to_plain_dynamics(self):
         # full row rank: m = d + 1 > n, single output keeps the gap positive
         rng = np.random.default_rng(22)
@@ -314,28 +365,6 @@ class TestAugmentedDynamicsEnvelope:
                                                        eta=0.2 / lam, steps=3, rounds=5)
             starts.append(report.bound[0])
         assert starts[1] >= starts[0]
-
-
-class TestGeneralizationBound:
-    def test_zero_budget(self):
-        assert generalization_bound_value(2.0, 10, 1.0, 0.0) == pytest.approx(
-            math.sqrt(2) / 2.0)
-
-    def test_hand_computed_case(self):
-        assert generalization_bound_value(1.0, 4, 1.0, 0.5) == pytest.approx(
-            math.sqrt(2) / 2.0)
-
-    def test_strictly_decreasing_in_budget_and_sigma(self):
-        values = [generalization_bound_value(1.0, 9, 2.0, e)
-                  for e in (0.0, 0.1, 0.2, 0.4)]
-        assert all(b < a for a, b in zip(values, values[1:]))
-        values = [generalization_bound_value(s, 9, 2.0, 0.1)
-                  for s in (0.5, 1.0, 2.0)]
-        assert all(b < a for a, b in zip(values, values[1:]))
-
-    def test_requires_positive_sigma(self):
-        with pytest.raises(ValueError):
-            generalization_bound_value(0.0, 4, 1.0, 0.1)
 
 
 class TestLinearTransformBounds:

@@ -12,6 +12,7 @@ from coreaug.trainer import (
     LrSchedule,
     TrainConfig,
     evaluate,
+    initial_pool,
     inject_label_noise,
     measure_pl_constants,
     noisy_selection_audit,
@@ -238,6 +239,16 @@ class TestTrain:
                 record = train(quick_config(regime=regime, baseline=baseline,
                                             epochs=2), data, test)
                 assert len(record.rows) == 2
+
+    @pytest.mark.parametrize("baseline", ["ours", "random", "max_loss"])
+    def test_k_per_class_takes_precedence_over_fraction(self, baseline):
+        """Every selector sizes its per-class subset alike: ``k_per_class``
+        wins when a fraction is also given."""
+        data, _ = blob_pair(16, n=90)
+        selection = SelectionConfig(stop="fixed_size", k_per_class=3, fraction=0.5)
+        indices = initial_pool(quick_config(selection=selection, baseline=baseline),
+                               data)[4]
+        assert indices.size == 3 * data.num_classes
 
     def test_label_noise_recorded(self):
         data, test = blob_pair(15, n=42)
