@@ -263,7 +263,15 @@ def run_bounds_suite(seed: int = 0, weyl_trials: int = 1000,
                      ntk_instances: int = 100, linear_instances: int = 100,
                      augmentation_rounds: int = 20) -> dict:
     """Every audit battery, keyed by name. The entries of
-    ``audit_real_augmentation`` are reported only; the rest are verdicts."""
+    ``audit_real_augmentation`` are reported only; the rest are verdicts.
+    Every count must be >= 1: an empty battery would pass vacuously."""
+    counts = {"weyl_trials": weyl_trials, "shift_draws": shift_draws,
+              "vector_trials": vector_trials, "ntk_instances": ntk_instances,
+              "linear_instances": linear_instances,
+              "augmentation_rounds": augmentation_rounds}
+    for name, count in counts.items():
+        if count < 1:
+            raise ValueError(f"{name} must be >= 1, got {count}")
     return {
         "weyl_random": audit_weyl_random(weyl_trials, seed),
         "weyl_augmentation": audit_weyl_augmentation(augmentation_rounds, seed),
@@ -351,7 +359,7 @@ def noise_robustness() -> dict:
                 SelectionConfig(stop="fixed_size", fraction=0.1)).indices,
             "max_loss": max_loss_subset(losses, None, noisy.labels,
                                         fraction=0.1).indices,
-            "random": random_subset(noisy.n, None, noisy.labels, seed=seed,
+            "random": random_subset(None, noisy.labels, seed=seed,
                                     fraction=0.1).indices,
         }
         for name, indices in picks.items():

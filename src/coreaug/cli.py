@@ -85,13 +85,11 @@ def _seed_list(text: str) -> list[int]:
 
 
 def _selection_config(args) -> SelectionConfig:
-    if args.xi is not None:
-        return SelectionConfig(stop="xi_threshold", xi=args.xi, engine=args.engine,
-                               seed=args.seed, stochastic_sample=args.stochastic_sample)
     return SelectionConfig(
-        stop="fixed_size",
+        stop="fixed_size" if args.xi is None else "xi_threshold",
+        xi=args.xi,
         k_per_class=args.k_per_class,
-        fraction=args.fraction if args.k_per_class is None else None,
+        fraction=args.fraction,
         engine=args.engine,
         seed=args.seed,
         stochastic_sample=args.stochastic_sample,
@@ -485,18 +483,15 @@ def main(argv: list[str] | None = None) -> int:
         argv = _apply_config_file(argv)
         args = parser.parse_args(argv)
         return args.fn(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
-        if isinstance(exc, DataFormatError) or isinstance(exc, FileNotFoundError):
-            print(f"data error: {exc}", file=sys.stderr)
-            return 3
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except NumericalError as exc:
+    except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
+    except (DataFormatError, FileNotFoundError) as exc:
+        print(f"data error: {exc}", file=sys.stderr)
+        return 3
+    except (ValueError, OSError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -2,17 +2,18 @@
 
 The objective is the coverage norm: the root of summed squared distances from
 every class member to its nearest selected element, with an empty-set sentinel
-``c1`` per row. Greedy selection maximizes the per-step reduction of that
-norm. Because the square root is strictly monotone, the argmax is identical to
-maximizing the reduction of the summed squares, which is what the engines
-track internally; the squared form has nonincreasing marginal gains, so lazy
-evaluation certifies exactly the same picks as the naive scan.
+``c1 = 2 max D`` per row. Greedy selection maximizes the per-step reduction of
+that norm. Because the square root is strictly monotone, the argmax is
+identical to maximizing the reduction of the summed squares, which is what the
+engines track internally; the squared form has nonincreasing marginal gains,
+so lazy evaluation certifies exactly the same picks as the naive scan.
 
 All engines score candidates through one batched row reduction over the
-transposed squared distances, in blocks of ``_SCORE_BLOCK`` rows, and pick the
-best with the same smallest-index tie rule; naive, lazy, and fully-sampled
+squared distances, in blocks of ``_SCORE_BLOCK`` rows, and pick the best with
+the same smallest-index tie rule; naive, lazy, and fully-sampled
 stochastic runs therefore agree bit for bit. The engines differ only in which
-candidates they score.
+candidates they score. D must be symmetric, as ``pairwise_distances``
+returns it, so that each row of D^2 is also its column.
 """
 
 from __future__ import annotations
@@ -69,12 +70,10 @@ _LAZY_BLOCK = 16
 class SelectionConfig:
     """How to stop, which engine to run, and the engine's knobs.
 
-    ``xi`` is used iff ``stop == "xi_threshold"``; ``k_per_class`` or
-    ``fraction`` iff ``stop == "fixed_size"``. ``c1`` defaults to twice the
-    largest pairwise distance in the class, a sentinel that dominates any
-    achievable coverage value. ``stochastic_sample`` defaults to
-    ceil((n_c / k) * ln(100)) for fixed-size runs and ceil(n_c / 8) for
-    threshold runs.
+    ``xi`` is used iff ``stop == "xi_threshold"``; ``k_per_class``, else
+    ``fraction``, iff ``stop == "fixed_size"``. ``stochastic_sample``
+    defaults to ceil((n_c / k) * ln(100)) for fixed-size runs and
+    ceil(n_c / 8) for threshold runs.
     """
 
     stop: str = "fixed_size"
@@ -84,7 +83,6 @@ class SelectionConfig:
     engine: str = "lazy"
     stochastic_sample: int | None = None
     seed: int = 0
-    c1: float | None = None
 
     def __post_init__(self):
         if self.stop not in STOP_MODES:
@@ -94,13 +92,12 @@ class SelectionConfig:
         if self.stop == "xi_threshold":
             if self.xi is None or self.xi <= 0.0:
                 raise ValueError("xi_threshold mode needs xi > 0")
-        else:
-            if self.k_per_class is None and self.fraction is None:
-                raise ValueError("fixed_size mode needs k_per_class or fraction")
-            if self.k_per_class is not None and self.k_per_class < 1:
-                raise ValueError("k_per_class must be >= 1")
-            if self.fraction is not None and not (0.0 < self.fraction <= 1.0):
-                raise ValueError("fraction must lie in (0, 1]")
+        elif self.k_per_class is None and self.fraction is None:
+            raise ValueError("fixed_size mode needs k_per_class or fraction")
+        if self.k_per_class is not None and self.k_per_class < 1:
+            raise ValueError("k_per_class must be >= 1")
+        if self.fraction is not None and not (0.0 < self.fraction <= 1.0):
+            raise ValueError("fraction must lie in (0, 1]")
 
 
 @dataclass
@@ -119,7 +116,8 @@ def pairwise_distances(points: np.ndarray) -> np.ndarray:
     Computes ``sq_i + sq_j - 2 (p p^T)``, clamps at zero, takes the root,
     zeroes the diagonal and averages with the transpose, in place in two
     n x n buffers: the same operations in the same order as the plain
-    expression, so the result is identical bit for bit.
+    expression, so the result is identical bit for bit. IEEE addition
+    commutes, so the average is symmetric bit for bit too.
     """
     p = as_matrix(points, "points")
     sq = np.sum(p * p, axis=1)
@@ -133,12 +131,6 @@ def pairwise_distances(points: np.ndarray) -> np.ndarray:
     np.add(d, d.T, out=g)
     g *= 0.5
     return g
-
-
-def _resolve_c1(config: SelectionConfig, D: np.ndarray) -> float:
-    if config.c1 is not None:
-        return float(config.c1)
-    return 2.0 * float(D.max())
 
 
 def _resolve_k(config: SelectionConfig, n_c: int) -> int | None:
@@ -178,12 +170,14 @@ def facility_location_objective(D, S, cap: float | None = None) -> float:
 class _GreedyState:
     """Shared bookkeeping so every engine scores candidates with the same
     floating-point expression: one contiguous row of squared distances per
-    candidate, reduced against the current coverage."""
+    candidate, reduced against the current coverage. D is symmetric, so a
+    candidate's row of D^2 holds its squared distances to every point; the
+    empty-set sentinel is c1 = 2 max D, above any achievable distance."""
 
     def __init__(self, D: np.ndarray, config: SelectionConfig):
-        self.D2T = np.square(D.T, order="C")
+        self.D2 = np.square(D)
         self.n_c = D.shape[0]
-        self.c1 = _resolve_c1(config, D)
+        self.c1 = 2.0 * float(D.max())
         self.k = _resolve_k(config, self.n_c)
         self.config = config
         self.dmin2 = np.full(self.n_c, self.c1 * self.c1)
@@ -197,7 +191,7 @@ class _GreedyState:
         """(marginal gains, resulting summed squared coverage) for candidate ids."""
         nq = np.empty(ids.size)
         for start in range(0, ids.size, _SCORE_BLOCK):
-            rows = self.D2T[ids[start:start + _SCORE_BLOCK]]
+            rows = self.D2[ids[start:start + _SCORE_BLOCK]]
             np.minimum(rows, self.dmin2, out=rows)
             nq[start:start + rows.shape[0]] = rows.sum(axis=1)
         self.evaluations += ids.size
@@ -214,7 +208,7 @@ class _GreedyState:
     def select(self, s: int, nq: float) -> None:
         self.S.append(s)
         self.remaining[s] = False
-        np.minimum(self.dmin2, self.D2T[s], out=self.dmin2)
+        np.minimum(self.dmin2, self.D2[s], out=self.dmin2)
         self.q = nq
         self.trace.append(math.sqrt(max(nq, 0.0)))
 
@@ -235,7 +229,7 @@ def greedy_select(D, config: SelectionConfig) -> SelectionResult:
     Picks the candidate with the largest coverage-norm reduction, ties broken
     by smallest index. Stops at |S| = k (fixed_size), at norm <= xi
     (xi_threshold), or as soon as the norm hits zero; at least one element is
-    always selected.
+    always selected. D must be symmetric.
     """
     state = _GreedyState(as_matrix(D, "D"), config)
     while True:
@@ -256,7 +250,8 @@ def lazy_greedy_select(D, config: SelectionConfig) -> SelectionResult:
     selection grows), but floating-point sums can understate a stale gain by
     an ulp; the margin keeps such near-ties in the rescored set. Every
     candidate left out therefore has a smaller gain than the pick, and the
-    output (set, order, trace) is identical to the naive scan.
+    output (set, order, trace) is identical to the naive scan. D must be
+    symmetric.
     """
     state = _GreedyState(as_matrix(D, "D"), config)
     margin = 1e-9 * state.q
@@ -283,10 +278,9 @@ def stochastic_greedy_select(D, config: SelectionConfig) -> SelectionResult:
     """Stochastic greedy: each step scores a uniform random candidate sample
     of size ``stochastic_sample`` (capped at what remains) and takes its best.
     Deterministic given the config seed; a sample covering everything that
-    remains reduces to the naive scan.
+    remains reduces to the naive scan. D must be symmetric.
     """
-    D = as_matrix(D, "D")
-    state = _GreedyState(D, config)
+    state = _GreedyState(as_matrix(D, "D"), config)
     if config.stochastic_sample is not None:
         sample_size = config.stochastic_sample
     elif state.k is not None:
@@ -341,6 +335,9 @@ def divide_weights(gamma, r: int) -> np.ndarray:
 
 @dataclass
 class ClassCoreset:
+    """One class's selection in global indices; ``g_frobenius`` is the
+    coverage norm it reached, the last value of ``trace``."""
+
     label: int
     indices: list[int]
     gamma: np.ndarray
@@ -410,7 +407,8 @@ def select_all_classes(proxies: GradientProxySet, config: SelectionConfig,
 
     Classes are processed in label order; empty classes are skipped with a
     warning record. Weight conservation holds per class: gamma sums to the
-    class population.
+    class population. The engine's trace already holds the final coverage
+    norm, so it is not recomputed.
     """
     engine = _ENGINE_FNS[config.engine]
     classes: list[ClassCoreset] = []
@@ -428,7 +426,7 @@ def select_all_classes(proxies: GradientProxySet, config: SelectionConfig,
             indices=[int(idx[i]) for i in result.indices],
             gamma=gamma,
             rho=divide_weights(gamma, r),
-            g_frobenius=g_frobenius(D, result.indices, _resolve_c1(config, D)),
+            g_frobenius=result.trace[-1],
             trace=result.trace,
         ))
         # free this class's matrix before the next class builds its own
@@ -443,46 +441,39 @@ class BaselineSubset:
 
     indices: np.ndarray
     weights: np.ndarray
-    per_class: dict[int, np.ndarray]
+
+
+def _per_class_subset(labels, k: int | None, fraction: float | None,
+                      choose) -> BaselineSubset:
+    """Classes in label order, each sized like ``SelectionConfig`` (k, else
+    the fraction); ``choose(class rows, k_c)`` picks the rows."""
+    labels = np.asarray(labels, dtype=np.int64)
+    size = SelectionConfig(k_per_class=k, fraction=fraction)
+    indices, weights = [], []
+    for label in np.unique(labels):
+        idx = np.flatnonzero(labels == label)
+        kc = _resolve_k(size, idx.size)
+        indices.append(choose(idx, kc))
+        weights.append(np.full(kc, idx.size / kc))
+    return BaselineSubset(np.concatenate(indices), np.concatenate(weights))
 
 
 def max_loss_subset(losses, k: int | None, labels,
                     fraction: float | None = None) -> BaselineSubset:
-    """Top-k per-example losses within each class; ties to the smallest index.
-    The per-class size follows ``SelectionConfig``: k, else the fraction."""
+    """Top-k per-example losses within each class; ties to the smallest index."""
     losses = np.asarray(losses, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    size = SelectionConfig(k_per_class=k, fraction=fraction)
-    indices, weights, per_class = [], [], {}
-    for label in np.unique(labels):
-        idx = np.flatnonzero(labels == label)
-        kc = _resolve_k(size, idx.size)
-        order = np.argsort(-losses[idx], kind="stable")
-        chosen = idx[order[:kc]]
-        per_class[int(label)] = chosen
-        indices.append(chosen)
-        weights.append(np.full(kc, idx.size / kc))
-    return BaselineSubset(np.concatenate(indices), np.concatenate(weights), per_class)
+    return _per_class_subset(
+        labels, k, fraction,
+        lambda idx, kc: idx[np.argsort(-losses[idx], kind="stable")[:kc]])
 
 
-def random_subset(n: int, k: int | None, labels, seed: int = 0,
+def random_subset(k: int | None, labels, seed: int = 0,
                   fraction: float | None = None) -> BaselineSubset:
-    """Uniform without-replacement per-class sample with weights n_c / k.
-    The per-class size follows ``SelectionConfig``: k, else the fraction."""
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.shape[0] != n:
-        raise ValueError("labels length must equal n")
-    size = SelectionConfig(k_per_class=k, fraction=fraction)
+    """Uniform without-replacement per-class sample with weights n_c / k."""
     rng = np.random.default_rng(seed)
-    indices, weights, per_class = [], [], {}
-    for label in np.unique(labels):
-        idx = np.flatnonzero(labels == label)
-        kc = _resolve_k(size, idx.size)
-        chosen = np.sort(rng.choice(idx, size=kc, replace=False))
-        per_class[int(label)] = chosen
-        indices.append(chosen)
-        weights.append(np.full(kc, idx.size / kc))
-    return BaselineSubset(np.concatenate(indices), np.concatenate(weights), per_class)
+    return _per_class_subset(
+        labels, k, fraction,
+        lambda idx, kc: np.sort(rng.choice(idx, size=kc, replace=False)))
 
 
 @dataclass
@@ -506,21 +497,16 @@ class AlignmentReport:
 
 
 def alignment_error(proxies: GradientProxySet, coreset: WeightedCoreset) -> AlignmentReport:
+    """Each class's coverage norm comes from its selection, so no distance
+    matrix is built."""
     per_err: dict[int, float] = {}
     per_bound: dict[int, float] = {}
     for c in coreset.classes:
         idx = np.flatnonzero(proxies.labels == c.label)
-        vectors = proxies.proxies[idx]
-        global_to_local = {int(g): p for p, g in enumerate(idx)}
-        local_s = np.asarray([global_to_local[i] for i in c.indices])
-        total = vectors.sum(axis=0)
-        approx = (vectors[local_s] * c.gamma[:, None]).sum(axis=0)
-        D = pairwise_distances(vectors)
-        cov = g_frobenius(D, list(local_s), c1=2.0 * float(D.max()))
-        # free this class's matrix before the next class builds its own
-        del D
+        total = proxies.proxies[idx].sum(axis=0)
+        approx = (proxies.proxies[c.indices] * c.gamma[:, None]).sum(axis=0)
         per_err[c.label] = float(np.linalg.norm(total - approx))
-        per_bound[c.label] = math.sqrt(idx.size) * cov
+        per_bound[c.label] = math.sqrt(idx.size) * c.g_frobenius
     return AlignmentReport(
         error_total=sum(per_err.values()),
         bound_total=sum(per_bound.values()),

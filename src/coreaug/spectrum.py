@@ -193,19 +193,6 @@ class SpectrumReport:
                          f"{b.mean_delta_sigma!r},{b.mean_angle_rad!r}\n")
 
 
-def _bin_slices(k: int, num_bins: int) -> list[np.ndarray]:
-    """Partition ascending sorted indices 0..k-1 into equal-count bins, the
-    remainder spread one each to the lowest bins."""
-    base, rem = divmod(k, num_bins)
-    sizes = [base + (1 if b < rem else 0) for b in range(num_bins)]
-    out = []
-    start = 0
-    for size in sizes:
-        out.append(np.arange(start, start + size))
-        start += size
-    return out
-
-
 def spectrum_report(J_clean, J_aug, num_bins: int = NUM_BINS,
                     clean: SvdResult | None = None) -> SpectrumReport:
     """Pair the two spectra by rank and summarize shift and rotation per bin.
@@ -228,7 +215,8 @@ def spectrum_report(J_clean, J_aug, num_bins: int = NUM_BINS,
     s_a = dec_a.sigma[asc]
     delta = s_a - s_c
     bins: list[SpectrumBin] = []
-    for b, ids in enumerate(_bin_slices(k, num_bins)):
+    # equal-count bins, the remainder spread one each to the lowest bins
+    for b, ids in enumerate(np.array_split(np.arange(k), num_bins)):
         if ids.size == 0:
             bins.append(SpectrumBin(b, math.nan, math.nan, math.nan, math.nan, 0))
             continue

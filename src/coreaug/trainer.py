@@ -190,14 +190,14 @@ class _Pool:
 
 def _select_subset(config: TrainConfig, net: MLP, data: Dataset,
                    refresh_idx: int):
-    """(global indices, per-original-row weights, per-augmented-copy weights)."""
+    """(global indices, per-original-row weights)."""
     sel = config.selection
     if config.baseline == "ours":
         proxies = gradient_proxy(net, data, config.proxy_mode)
         coreset = select_all_classes(proxies, sel, r=config.transform.r)
-        return coreset.indices, coreset.gamma.astype(np.float64), coreset.rho
+        return coreset.indices, coreset.gamma.astype(np.float64)
     if config.baseline == "random":
-        bs = random_subset(data.n, sel.k_per_class, data.labels,
+        bs = random_subset(sel.k_per_class, data.labels,
                            seed=[config.seed, 23, refresh_idx],
                            fraction=sel.fraction)
     else:
@@ -206,17 +206,19 @@ def _select_subset(config: TrainConfig, net: MLP, data: Dataset,
         losses = 0.5 * np.sum(r * r, axis=1)
         bs = max_loss_subset(losses, sel.k_per_class, data.labels,
                              fraction=sel.fraction)
-    return bs.indices, bs.weights, bs.weights / config.transform.r
+    return bs.indices, bs.weights
 
 
-def _build_pool(config: TrainConfig, data: Dataset, indices, orig_w, aug_w,
+def _build_pool(config: TrainConfig, data: Dataset, indices, orig_w,
                 refresh_idx: int, base_indices) -> _Pool:
+    """Each of a row's r augmented copies weighs its row's weight / r."""
     Y_all = one_hot(data.labels, data.num_classes)
     X_sel = data.features[indices]
     aug = perturb(config.transform, X_sel, round_index=refresh_idx,
                   labels=data.labels[indices])
     aug_Y = one_hot(aug.labels, data.num_classes)
-    aug_weights = np.repeat(aug_w, config.transform.r)
+    r = config.transform.r
+    aug_weights = np.repeat(orig_w / r, r)
     aug_origins = np.asarray(indices)[aug.origin]
     if config.regime == "coreset_only":
         base_X, base_Y = X_sel, Y_all[indices]
@@ -252,7 +254,7 @@ def _setup(config: TrainConfig, data: Dataset):
                    activation=config.activation, seed=[config.seed, 5])
     base_indices = None
     if config.regime == "random_plus_coreset_aug":
-        base_indices = random_subset(data.n, None, data.labels,
+        base_indices = random_subset(None, data.labels,
                                      seed=[config.seed, 13],
                                      fraction=config.random_fraction).indices
     return data, noisy_mask, net, base_indices
@@ -282,9 +284,8 @@ def train(config: TrainConfig, data: Dataset, test_data: Dataset) -> TrainRecord
         if refreshed or pool is None:
             refresh_idx += 1
             t0 = time.perf_counter()
-            indices, orig_w, aug_w = _select_subset(config, net, data, refresh_idx)
-            pool = _build_pool(config, data, indices, orig_w, aug_w,
-                               refresh_idx, base_indices)
+            indices, orig_w = _select_subset(config, net, data, refresh_idx)
+            pool = _build_pool(config, data, indices, orig_w, refresh_idx, base_indices)
             selection_ms = (time.perf_counter() - t0) * 1000.0
             events.append((epoch, np.asarray(indices)))
             touched.update(int(o) for o in pool.origins)
@@ -316,8 +317,8 @@ def initial_pool(config: TrainConfig, data: Dataset):
     same net init, same selection streams. Returns (net, X, Y, weights,
     selected indices, gamma-style original-row weights)."""
     data, _, net, base_indices = _setup(config, data)
-    indices, orig_w, aug_w = _select_subset(config, net, data, 0)
-    pool = _build_pool(config, data, indices, orig_w, aug_w, 0, base_indices)
+    indices, orig_w = _select_subset(config, net, data, 0)
+    pool = _build_pool(config, data, indices, orig_w, 0, base_indices)
     return net, pool.X, pool.Y, pool.w, np.asarray(indices), orig_w
 
 

@@ -87,7 +87,7 @@ def test_criterion_01_greedy_optimality_oracles():
         D = pairwise_distances(rng.standard_normal((n, 2)))
         c1 = 2.0 * float(D.max())
         xi = 0.2 * math.sqrt(n) * c1
-        res = greedy_select(D, SelectionConfig(stop="xi_threshold", xi=xi, c1=c1))
+        res = greedy_select(D, SelectionConfig(stop="xi_threshold", xi=xi))
         min_cover = None
         for size in range(1, n + 1):
             if any(g_frobenius(D, list(S), c1) <= xi

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import coreaug.coreset
 from coreaug.coreset import (
     _SCORE_BLOCK,
     ENGINES,
@@ -99,7 +100,8 @@ class TestDistanceMatrix:
     def test_bit_identical_to_reference_expression(self, n, d, duplicated):
         """The in-place computation performs the same elementwise operations in
         the same order as the plain expression below, so it matches it bit for
-        bit; the greedy engines' tie rules depend on that."""
+        bit; the greedy engines' tie rules depend on that. It is symmetric bit
+        for bit, so the engines read rows of its square as columns."""
         rng = np.random.default_rng(1000 * n + d)
         p = rng.random((n, d))
         if duplicated:
@@ -109,13 +111,15 @@ class TestDistanceMatrix:
         ref = np.sqrt(np.maximum(ref, 0.0))
         np.fill_diagonal(ref, 0.0)
         ref = 0.5 * (ref + ref.T)
-        assert pairwise_distances(p).tobytes() == ref.tobytes()
+        D = pairwise_distances(p)
+        assert D.tobytes() == ref.tobytes()
+        assert D.tobytes() == D.T.tobytes()
 
 
 class TestPeakMemory:
-    """Selection and the alignment audit hold at most two n_c x n_c float64
-    arrays at a time: the distance matrix and either the engine's squared
-    transpose or the distance computation's second buffer."""
+    """Selection holds at most two n_c x n_c float64 arrays at a time: the
+    distance matrix and either the engine's squared distances or the distance
+    computation's second buffer. The alignment audit builds none."""
 
     N_C = 1000
     MATRIX_BYTES = N_C * N_C * 8
@@ -141,6 +145,20 @@ class TestPeakMemory:
             proxies, SelectionConfig(stop="fixed_size", k_per_class=self.N_C // 10))
         peak = traced_peak_bytes(lambda: alignment_error(proxies, coreset))
         assert peak <= 2.25 * self.MATRIX_BYTES
+
+    def test_alignment_error_builds_no_distance_matrix(self, traced_peak_bytes,
+                                                       monkeypatch):
+        proxies = proxy_set(random_points(33, 2 * self.N_C, p=16),
+                            np.repeat([0, 1], self.N_C))
+        coreset = select_all_classes(
+            proxies, SelectionConfig(stop="fixed_size", k_per_class=self.N_C // 10))
+
+        def forbidden(points):
+            raise AssertionError("alignment_error built a distance matrix")
+
+        monkeypatch.setattr(coreaug.coreset, "pairwise_distances", forbidden)
+        peak = traced_peak_bytes(lambda: alignment_error(proxies, coreset))
+        assert peak <= 0.25 * self.MATRIX_BYTES
 
 
 class TestGFrobenius:
@@ -214,7 +232,7 @@ class TestGreedy:
             D = pairwise_distances(pts)
             c1 = 2.0 * float(D.max())
             xi = 0.4 * brute_g(D, [0], c1)
-            res = greedy_select(D, SelectionConfig(stop="xi_threshold", xi=xi, c1=c1))
+            res = greedy_select(D, SelectionConfig(stop="xi_threshold", xi=xi))
             assert res.trace[-1] <= xi
             opt = min_cover_size(D, xi, c1)
             assert len(res.indices) <= (1.0 + math.log(n)) * opt + 1e-9
@@ -302,7 +320,7 @@ class TestBatchedScoring:
         D = pairwise_distances(rng.standard_normal((n, 5)))
         D2 = D * D
         dmin2 = D2[:, rng.integers(0, n, size=3)].min(axis=1)
-        batched = np.minimum(dmin2, np.square(D.T, order="C")).sum(axis=1)
+        batched = np.minimum(dmin2, np.square(D)).sum(axis=1)
         single = [float(np.minimum(dmin2, D2[:, s]).sum()) for s in range(n)]
         assert batched.tolist() == single
 
@@ -455,6 +473,28 @@ class TestSelectAllClasses:
                                      SelectionConfig(fraction=0.3), r=2)
         coreset.validate({0: 20, 1: 20})
 
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("stop", STOP_MODES)
+    @pytest.mark.parametrize("points", [
+        lambda: random_points(40, 300, p=4),
+        lambda: integer_grid_points(41, 200),
+        lambda: np.ones((7, 3)),
+        lambda: random_points(42, 1),
+    ], ids=["random", "integer_grid", "identical", "single"])
+    def test_coverage_norm_is_the_last_trace_value(self, engine, stop, points):
+        """Each class's reported coverage norm equals the norm of its
+        selection recomputed from the distance matrix, bit for bit."""
+        pts = points()
+        labels = np.arange(pts.shape[0]) % 2
+        cfg = SelectionConfig(stop=stop, xi=0.5 if stop == "xi_threshold" else None,
+                              fraction=0.1, engine=engine, seed=5)
+        coreset = select_all_classes(proxy_set(pts, labels), cfg)
+        for c in coreset.classes:
+            idx = np.flatnonzero(labels == c.label)
+            D = pairwise_distances(pts[idx])
+            local = list(np.searchsorted(idx, c.indices))
+            assert c.g_frobenius == g_frobenius(D, local, 2.0 * float(D.max()))
+
     def test_json_schema(self):
         pts = random_points(23, 10)
         labels = np.repeat([0, 1], 5)
@@ -473,8 +513,7 @@ class TestBaselines:
         losses = np.ones(8)
         labels = np.repeat([0, 1], 4)
         subset = max_loss_subset(losses, 2, labels)
-        assert np.array_equal(subset.per_class[0], [0, 1])
-        assert np.array_equal(subset.per_class[1], [4, 5])
+        assert np.array_equal(subset.indices, [0, 1, 4, 5])
 
     def test_max_loss_outlier_always_included(self):
         losses = np.array([0.1, 0.2, 9.0, 0.3, 0.1, 0.2])
@@ -490,18 +529,19 @@ class TestBaselines:
         for label in (0, 1):
             idx = np.flatnonzero(labels == label)
             expected = sorted(idx, key=lambda i: (-losses[i], i))[:3]
-            assert list(subset.per_class[label]) == expected
+            picked = subset.indices[labels[subset.indices] == label]
+            assert list(picked) == expected
 
     def test_random_subset_full_class(self):
         labels = np.repeat([0, 1], 6)
-        subset = random_subset(12, 6, labels, seed=0)
+        subset = random_subset(6, labels, seed=0)
         assert sorted(subset.indices.tolist()) == list(range(12))
         assert np.allclose(subset.weights, 1.0)
 
     def test_random_subset_repeatable(self):
         labels = np.repeat([0, 1, 2], 10)
-        a = random_subset(30, 3, labels, seed=42)
-        b = random_subset(30, 3, labels, seed=42)
+        a = random_subset(3, labels, seed=42)
+        b = random_subset(3, labels, seed=42)
         assert np.array_equal(a.indices, b.indices)
 
     def test_random_subset_uniform_frequencies(self):
@@ -509,14 +549,14 @@ class TestBaselines:
         counts = np.zeros(10)
         draws = 10_000
         for seed in range(draws):
-            counts[random_subset(10, 3, labels, seed=seed).indices] += 1
+            counts[random_subset(3, labels, seed=seed).indices] += 1
         p = 3 / 10
         sigma = math.sqrt(draws * p * (1 - p))
         assert np.all(np.abs(counts - draws * p) <= 3 * sigma)
 
     def test_k_too_large_errors(self):
         with pytest.raises(ValueError):
-            random_subset(4, 5, np.zeros(4, dtype=int), seed=0)
+            random_subset(5, np.zeros(4, dtype=int), seed=0)
 
 
 class TestAlignmentError:
@@ -578,7 +618,7 @@ class TestMonotoneCoverage:
         n = int(rng.integers(4, 30))
         D = pairwise_distances(rng.standard_normal((n, 3)))
         c1 = 2.0 * float(D.max())
-        res = greedy_select(D, SelectionConfig(stop="fixed_size", k_per_class=n, c1=c1))
+        res = greedy_select(D, SelectionConfig(stop="fixed_size", k_per_class=n))
         q_values = [n * c1 * c1] + [t * t for t in res.trace]
         gains = -np.diff(q_values)
         assert np.all(np.diff(gains) <= 1e-9 * q_values[0])

@@ -270,6 +270,34 @@ class TestCli:
         assert main(argv + ["--out", str(tmp_path / "b")]) == 2
         assert "rounds must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--weyl-trials", "--shift-draws", "--vector-trials",
+                                      "--ntk-instances", "--linear-instances",
+                                      "--augmentation-rounds"])
+    def test_bounds_empty_battery_is_config_error(self, flag, tmp_path, capsys):
+        # an empty battery would pass vacuously and write +-Infinity extremes
+        out = tmp_path / "b"
+        argv = ["bounds", *_SHORT_RUN_FLAGS["bounds"], flag, "0", "--out", str(out)]
+        assert main(argv) == 2
+        name = flag[2:].replace("-", "_")
+        assert f"{name} must be >= 1, got 0" in capsys.readouterr().err
+        assert not (out / "bounds.json").exists()
+
+    def test_bounds_svd_nonconvergence_is_numerical_failure(self, tmp_path, monkeypatch,
+                                                            capsys):
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", no_convergence)
+        argv = ["bounds", *_SHORT_RUN_FLAGS["bounds"], "--out", str(tmp_path / "b")]
+        assert main(argv) == 4
+        assert "numerical failure: SVD did not converge" in capsys.readouterr().err
+
+    def test_select_rejects_a_bad_fraction_beside_k_per_class(self, dataset_csv, tmp_path,
+                                                               capsys):
+        assert main(["select", "--data", str(dataset_csv), "--k-per-class", "5",
+                     "--fraction", "2", "--out", str(tmp_path / "sel")]) == 2
+        assert "fraction must lie in (0, 1]" in capsys.readouterr().err
+
     def test_experiment_noise_writes_protocol_numbers(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         assert main(["experiment", "noise", "--out", str(out_a)]) == 0

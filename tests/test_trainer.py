@@ -291,7 +291,7 @@ class TestAudit:
         mask[rng.choice(n, size=int(frac * n), replace=False)] = True
         labels = np.zeros(n, dtype=int)
         fractions = [
-            noisy_selection_audit(random_subset(n, 40, labels, seed=s).indices, mask)
+            noisy_selection_audit(random_subset(40, labels, seed=s).indices, mask)
             for s in range(20)
         ]
         p = mask.mean()
