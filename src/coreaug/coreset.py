@@ -8,12 +8,14 @@ identical to maximizing the reduction of the summed squares, which is what the
 engines track internally; the squared form has nonincreasing marginal gains,
 so lazy evaluation certifies exactly the same picks as the naive scan.
 
-All engines score candidates through one batched row reduction over the
-squared distances, in blocks of ``_SCORE_BLOCK`` rows, and pick the best with
-the same smallest-index tie rule; naive, lazy, and fully-sampled
-stochastic runs therefore agree bit for bit. The engines differ only in which
-candidates they score. D must be symmetric, as ``pairwise_distances``
-returns it, so that each row of D^2 is also its column.
+All engines score candidates through one batched row reduction over rows of
+D clipped at the current coverage and squared, in blocks of ``_SCORE_BLOCK``
+rows, and pick the best with the same smallest-index tie rule; naive, lazy,
+and fully-sampled stochastic runs therefore agree bit for bit. The engines
+differ only in which candidates they score. D must be symmetric, as
+``pairwise_distances`` returns it, so that each row of D is also its column.
+Selection holds one n_c x n_c array per class, D itself, plus temporaries of
+a block of rows.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import as_matrix, frobenius_norm
+from .linalg import NumericalError, as_matrix, frobenius_norm
 from .model import (
     MLP,
     Dataset,
@@ -61,6 +63,9 @@ STOP_MODES = ("xi_threshold", "fixed_size")
 
 # Candidate rows scored per reduction; bounds the temporary at block x n_c.
 _SCORE_BLOCK = 64
+# Rows of the Gram matrix turned into distances per step, and the height of
+# the tiles it is symmetrised in; bounds the scratch buffer at block x n.
+_DIST_BLOCK = 128
 # Candidates with the largest stale gains that lazy greedy rescores first; 16
 # scores fewer rows than 64 and runs faster at n_c = 1000 and 3000.
 _LAZY_BLOCK = 16
@@ -114,22 +119,40 @@ def pairwise_distances(points: np.ndarray) -> np.ndarray:
     """Euclidean distance matrix: symmetric, zero diagonal, nonnegative.
 
     Computes ``sq_i + sq_j - 2 (p p^T)``, clamps at zero, takes the root,
-    zeroes the diagonal and averages with the transpose, in place in two
-    n x n buffers: the same operations in the same order as the plain
-    expression, so the result is identical bit for bit. IEEE addition
-    commutes, so the average is symmetric bit for bit too.
+    zeroes the diagonal and averages with the transpose. The Gram matrix
+    ``p p^T`` is the only n x n buffer: it becomes D in place, in row blocks
+    of ``_DIST_BLOCK`` with one block x n scratch buffer, and is then
+    averaged with its transpose tile by tile through that buffer, each upper
+    tile written to its mirror. These are the same operations in the same
+    order as the plain expression, so the result is identical bit for bit.
+    IEEE addition commutes, so the average is symmetric bit for bit too.
     """
     p = as_matrix(points, "points")
+    n = p.shape[0]
     sq = np.sum(p * p, axis=1)
     g = p @ p.T
-    d = sq[:, None] + sq[None, :]
-    g *= 2.0
-    d -= g
-    np.maximum(d, 0.0, out=d)
-    np.sqrt(d, out=d)
-    np.fill_diagonal(d, 0.0)
-    np.add(d, d.T, out=g)
-    g *= 0.5
+    t = np.empty((min(_DIST_BLOCK, n), n))
+    for i in range(0, n, _DIST_BLOCK):
+        gb = g[i:i + _DIST_BLOCK]
+        tb = t[:gb.shape[0]]
+        np.add(sq[i:i + _DIST_BLOCK, None], sq[None, :], out=tb)
+        gb *= 2.0
+        np.subtract(tb, gb, out=gb)
+        np.maximum(gb, 0.0, out=gb)
+        np.sqrt(gb, out=gb)
+    np.fill_diagonal(g, 0.0)
+    # tiles two blocks wide: one tile per row block at n = 200, where call
+    # overhead dominates; within ~3% of square tiles at n = 3000
+    w = 2 * _DIST_BLOCK
+    for i in range(0, n, _DIST_BLOCK):
+        for j in range(i, n, w):
+            u = g[i:i + _DIST_BLOCK, j:j + w]
+            v = g[j:j + w, i:i + _DIST_BLOCK]
+            s = t[:u.shape[0], :u.shape[1]]
+            np.add(u, v.T, out=s)
+            s *= 0.5
+            u[...] = s
+            v[...] = s.T
     return g
 
 
@@ -144,9 +167,27 @@ def _resolve_k(config: SelectionConfig, n_c: int) -> int | None:
     return k
 
 
+class _NonFiniteDistances(ValueError):
+    """D holds NaN or an infinity, or its squared coverage overflows."""
+
+
+def _checked_max(D) -> tuple[np.ndarray, float]:
+    """D as a nonempty 2-D float64 array, and its largest entry.
+
+    Rejects NaN and infinities with two reductions and no n x n temporary:
+    NaN propagates through the maximum, and an infinity is the maximum or
+    the minimum.
+    """
+    D = as_matrix(D, "D", finite=False)
+    hi = float(D.max())
+    if not (math.isfinite(hi) and math.isfinite(float(D.min()))):
+        raise _NonFiniteDistances("D contains non-finite entries")
+    return D, hi
+
+
 def g_frobenius(D, S, c1: float) -> float:
     """Coverage norm sqrt(sum_i min_{j in S} D[i, j]^2); sqrt(n)*c1 when S is empty."""
-    D = as_matrix(D, "D")
+    D, _ = _checked_max(D)
     if len(S) == 0:
         return math.sqrt(D.shape[0]) * c1
     dmin = D[:, sorted(int(s) for s in S)].min(axis=1)
@@ -158,9 +199,9 @@ def facility_location_objective(D, S, cap: float | None = None) -> float:
 
     The monotone submodular surrogate used for approximation-guarantee checks.
     """
-    D = as_matrix(D, "D")
+    D, hi = _checked_max(D)
     if cap is None:
-        cap = float(D.max())
+        cap = hi
     if len(S) == 0:
         return 0.0
     dmin = D[:, sorted(int(s) for s in S)].min(axis=1)
@@ -169,19 +210,23 @@ def facility_location_objective(D, S, cap: float | None = None) -> float:
 
 class _GreedyState:
     """Shared bookkeeping so every engine scores candidates with the same
-    floating-point expression: one contiguous row of squared distances per
-    candidate, reduced against the current coverage. D is symmetric, so a
-    candidate's row of D^2 holds its squared distances to every point; the
-    empty-set sentinel is c1 = 2 max D, above any achievable distance."""
+    floating-point expression: one contiguous row of D per candidate,
+    clipped at the current coverage ``dmin``, squared and summed. D is
+    symmetric, so a candidate's row holds its distances to every point.
+    Rounding is monotone, so fl(min(x, y)^2) = min(fl(x^2), fl(y^2)) bit for
+    bit, and no squared copy of D is needed. The empty-set sentinel is
+    c1 = 2 max D, above any achievable distance."""
 
-    def __init__(self, D: np.ndarray, config: SelectionConfig):
-        self.D2 = np.square(D)
-        self.n_c = D.shape[0]
-        self.c1 = 2.0 * float(D.max())
+    def __init__(self, D, config: SelectionConfig):
+        self.D, hi = _checked_max(D)
+        self.n_c = self.D.shape[0]
+        self.c1 = 2.0 * hi
         self.k = _resolve_k(config, self.n_c)
         self.config = config
-        self.dmin2 = np.full(self.n_c, self.c1 * self.c1)
-        self.q = float(np.sum(self.dmin2))
+        self.dmin = np.full(self.n_c, self.c1)
+        self.q = float(np.sum(np.square(self.dmin)))
+        if not math.isfinite(self.q):
+            raise _NonFiniteDistances(f"squared coverage overflows: max D = {hi!r}")
         self.remaining = np.ones(self.n_c, dtype=bool)
         self.S: list[int] = []
         self.trace: list[float] = []
@@ -191,8 +236,9 @@ class _GreedyState:
         """(marginal gains, resulting summed squared coverage) for candidate ids."""
         nq = np.empty(ids.size)
         for start in range(0, ids.size, _SCORE_BLOCK):
-            rows = self.D2[ids[start:start + _SCORE_BLOCK]]
-            np.minimum(rows, self.dmin2, out=rows)
+            rows = self.D[ids[start:start + _SCORE_BLOCK]]
+            np.minimum(rows, self.dmin, out=rows)
+            np.square(rows, out=rows)
             nq[start:start + rows.shape[0]] = rows.sum(axis=1)
         self.evaluations += ids.size
         return self.q - nq, nq
@@ -208,7 +254,7 @@ class _GreedyState:
     def select(self, s: int, nq: float) -> None:
         self.S.append(s)
         self.remaining[s] = False
-        np.minimum(self.dmin2, self.D2[s], out=self.dmin2)
+        np.minimum(self.dmin, self.D[s], out=self.dmin)
         self.q = nq
         self.trace.append(math.sqrt(max(nq, 0.0)))
 
@@ -231,7 +277,7 @@ def greedy_select(D, config: SelectionConfig) -> SelectionResult:
     (xi_threshold), or as soon as the norm hits zero; at least one element is
     always selected. D must be symmetric.
     """
-    state = _GreedyState(as_matrix(D, "D"), config)
+    state = _GreedyState(D, config)
     while True:
         state.select_best(np.flatnonzero(state.remaining))
         if state.done():
@@ -253,7 +299,7 @@ def lazy_greedy_select(D, config: SelectionConfig) -> SelectionResult:
     output (set, order, trace) is identical to the naive scan. D must be
     symmetric.
     """
-    state = _GreedyState(as_matrix(D, "D"), config)
+    state = _GreedyState(D, config)
     margin = 1e-9 * state.q
     stale = np.full(state.n_c, np.inf)
     nq = np.empty(state.n_c)
@@ -280,7 +326,7 @@ def stochastic_greedy_select(D, config: SelectionConfig) -> SelectionResult:
     Deterministic given the config seed; a sample covering everything that
     remains reduces to the naive scan. D must be symmetric.
     """
-    state = _GreedyState(as_matrix(D, "D"), config)
+    state = _GreedyState(D, config)
     if config.stochastic_sample is not None:
         sample_size = config.stochastic_sample
     elif state.k is not None:
@@ -312,14 +358,16 @@ def compute_weights(D, S) -> np.ndarray:
     the smallest index in S; gamma_j is the count assigned to j and the counts
     sum to the class population.
     """
-    D = as_matrix(D, "D")
+    D, _ = _checked_max(D)
     S = [int(s) for s in S]
     if len(S) == 0:
         raise ValueError("S must be nonempty")
     s_arr = np.asarray(S)
     order = np.argsort(s_arr, kind="stable")
     cols = s_arr[order]
-    assign = np.argmin(D[:, cols], axis=1)
+    # take gathers C-ordered columns; D[:, cols] is F-ordered, and argmin
+    # along its rows would copy it
+    assign = np.argmin(np.take(D, cols, axis=1), axis=1)
     counts_sorted = np.bincount(assign, minlength=cols.size)
     gamma = np.empty(len(S), dtype=np.int64)
     gamma[order] = counts_sorted
@@ -408,7 +456,9 @@ def select_all_classes(proxies: GradientProxySet, config: SelectionConfig,
     Classes are processed in label order; empty classes are skipped with a
     warning record. Weight conservation holds per class: gamma sums to the
     class population. The engine's trace already holds the final coverage
-    norm, so it is not recomputed.
+    norm, so it is not recomputed. The proxies are finite, so distances that
+    are not, or whose squares overflow, raise ``NumericalError`` naming the
+    class.
     """
     engine = _ENGINE_FNS[config.engine]
     classes: list[ClassCoreset] = []
@@ -419,7 +469,11 @@ def select_all_classes(proxies: GradientProxySet, config: SelectionConfig,
             warnings.append(f"class {label} is empty; skipped")
             continue
         D = pairwise_distances(proxies.proxies[idx])
-        result = engine(D, config)
+        try:
+            result = engine(D, config)
+        except _NonFiniteDistances as exc:
+            raise NumericalError(f"class {label}: distances between its gradient "
+                                 f"proxies overflow float64 ({exc})") from exc
         gamma = compute_weights(D, result.indices)
         classes.append(ClassCoreset(
             label=label,

@@ -28,14 +28,15 @@ class NumericalError(RuntimeError):
     non-finite loss."""
 
 
-def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Coerce ``a`` to a finite 2-D float64 array, rejecting NaN/Inf and empty shapes."""
+def as_matrix(a, name: str = "matrix", finite: bool = True) -> np.ndarray:
+    """Coerce ``a`` to a 2-D float64 array, rejecting empty shapes and, unless
+    ``finite`` is false (the caller checks values itself), NaN/Inf."""
     m = np.asarray(a, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {m.shape}")
     if m.size == 0:
         raise ValueError(f"{name} is empty")
-    if not np.all(np.isfinite(m)):
+    if finite and not np.all(np.isfinite(m)):
         raise ValueError(f"{name} contains non-finite entries")
     return m
 

@@ -64,6 +64,12 @@ BASELINES = ("ours", "random", "max_loss")
 
 CSV_HEADER = "epoch,train_loss,test_loss,test_acc,grad_norm,refreshed,selection_ms,points_touched"
 
+# Pool loss, as a multiple of the loss before the first step, past which a
+# run counts as diverged although the loss is still finite. Converging runs
+# stay near 1 or below; runs at a too-large step grow by 1e12 to 1e30 per
+# epoch and pass this within a few epochs, long before float64 overflows.
+_DIVERGENCE_FACTOR = 1e30
+
 
 @dataclass(frozen=True)
 class LrSchedule:
@@ -268,7 +274,8 @@ def train(config: TrainConfig, data: Dataset, test_data: Dataset) -> TrainRecord
     gradient norm at the end of the epoch, and ``initial_grad_norm`` is the
     same quantity at initialization. Raises ``NumericalError`` naming the
     epoch at the end of the first epoch whose loss or gradient norm is not
-    finite.
+    finite, or whose loss exceeds ``_DIVERGENCE_FACTOR`` times the pool loss
+    before the first step.
     """
     data, noisy_mask, net, base_indices = _setup(config, data)
     batch_rng = np.random.default_rng([config.seed, 7])
@@ -276,7 +283,7 @@ def train(config: TrainConfig, data: Dataset, test_data: Dataset) -> TrainRecord
     rows: list[EpochRow] = []
     events: list[tuple[int, np.ndarray]] = []
     touched: set[int] = set()
-    initial_grad_norm = None
+    initial_loss = initial_grad_norm = None
     refresh_idx = -1
     for epoch in range(config.epochs):
         refreshed = epoch % config.refresh_r == 0
@@ -290,7 +297,7 @@ def train(config: TrainConfig, data: Dataset, test_data: Dataset) -> TrainRecord
             events.append((epoch, np.asarray(indices)))
             touched.update(int(o) for o in pool.origins)
         if initial_grad_norm is None:
-            _, initial_grad_norm = _pool_metrics(net, pool)
+            initial_loss, initial_grad_norm = _pool_metrics(net, pool)
         eta = config.lr.value(epoch)
         order = batch_rng.permutation(pool.X.shape[0])
         for start in range(0, order.size, config.batch_size):
@@ -301,6 +308,10 @@ def train(config: TrainConfig, data: Dataset, test_data: Dataset) -> TrainRecord
         if not (math.isfinite(train_loss) and math.isfinite(grad_norm)):
             raise NumericalError(f"training diverged at epoch {epoch}: loss {train_loss!r}, "
                                  f"gradient norm {grad_norm!r}")
+        if train_loss > _DIVERGENCE_FACTOR * initial_loss:
+            raise NumericalError(f"training diverged at epoch {epoch}: loss {train_loss!r} "
+                                 f"exceeds {_DIVERGENCE_FACTOR:g} x the initial loss "
+                                 f"{initial_loss!r}")
         test_loss, test_acc = evaluate(net, test_data)
         rows.append(EpochRow(
             epoch=epoch, train_loss=train_loss, test_loss=test_loss,

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import coreaug.coreset
 from coreaug.coreset import (
+    _ENGINE_FNS,
     _SCORE_BLOCK,
     ENGINES,
     STOP_MODES,
@@ -26,6 +27,7 @@ from coreaug.coreset import (
     select_all_classes,
     stochastic_greedy_select,
 )
+from coreaug.linalg import NumericalError
 from coreaug.model import Dataset, GradientProxySet, MLP, gradient_proxy
 
 
@@ -94,7 +96,7 @@ class TestDistanceMatrix:
         with pytest.raises(ValueError):
             pairwise_distances(proxies.proxies[proxies.labels == 1])
 
-    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 600])
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 127, 128, 129, 257, 600])
     @pytest.mark.parametrize("d", [1, 99])
     @pytest.mark.parametrize("duplicated", [False, True])
     def test_bit_identical_to_reference_expression(self, n, d, duplicated):
@@ -117,12 +119,28 @@ class TestDistanceMatrix:
 
 
 class TestPeakMemory:
-    """Selection holds at most two n_c x n_c float64 arrays at a time: the
-    distance matrix and either the engine's squared distances or the distance
-    computation's second buffer. The alignment audit builds none."""
+    """Selection holds one n_c x n_c float64 array per class, the distance
+    matrix, which ``pairwise_distances`` builds in its Gram buffer; the rest
+    is block temporaries of O(128 n_c) bytes and the engines' coverage
+    vectors. The two-matrix bounds below predate that and still hold. The
+    alignment audit builds no matrix."""
 
     N_C = 1000
     MATRIX_BYTES = N_C * N_C * 8
+
+    def test_pairwise_distances_holds_one_matrix(self, traced_peak_bytes):
+        points = random_points(34, self.N_C, p=16)
+        peak = traced_peak_bytes(lambda: pairwise_distances(points))
+        assert peak <= 1.25 * self.MATRIX_BYTES
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_select_all_classes_holds_one_matrix(self, engine, traced_peak_bytes):
+        proxies = proxy_set(random_points(35, 2 * self.N_C, p=16),
+                            np.repeat([0, 1], self.N_C))
+        cfg = SelectionConfig(stop="fixed_size", k_per_class=self.N_C // 10,
+                              engine=engine)
+        peak = traced_peak_bytes(lambda: select_all_classes(proxies, cfg))
+        assert peak <= 1.3 * self.MATRIX_BYTES
 
     def test_pairwise_distances_holds_two_matrices(self, traced_peak_bytes):
         points = random_points(30, self.N_C, p=16)
@@ -137,6 +155,12 @@ class TestPeakMemory:
                               engine=engine)
         peak = traced_peak_bytes(lambda: select_all_classes(proxies, cfg))
         assert peak <= 2.25 * self.MATRIX_BYTES
+
+    def test_compute_weights_holds_one_column_block(self, traced_peak_bytes):
+        D = pairwise_distances(random_points(36, self.N_C, p=16))
+        S = list(range(0, self.N_C, 10))
+        peak = traced_peak_bytes(lambda: compute_weights(D, S))
+        assert peak <= 1.5 * self.N_C * len(S) * 8
 
     def test_alignment_error_holds_two_matrices(self, traced_peak_bytes):
         proxies = proxy_set(random_points(32, 2 * self.N_C, p=16),
@@ -324,6 +348,23 @@ class TestBatchedScoring:
         single = [float(np.minimum(dmin2, D2[:, s]).sum()) for s in range(n)]
         assert batched.tolist() == single
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_square_of_minimum_is_minimum_of_squares(self):
+        """The engines clip rows of D at the coverage and then square, where
+        the squared distances used to be clipped: x -> fl(x^2) is monotone on
+        x >= 0, so both give the same bits, also at exact ties, at zero, and
+        where the squares underflow (below ~1e-154) or overflow."""
+        rng = np.random.default_rng(7)
+        tiny = np.geomspace(1e-160, 1e-150, 2000)
+        values = np.concatenate([
+            tiny, rng.permutation(tiny), rng.random(2000) * 10.0,
+            np.zeros(100), np.geomspace(1e150, 1e160, 100), [1.0, 2.5, 3.0]])
+        D = rng.choice(values, size=(60, values.size))
+        D[:, ::3] = values[::3]  # exact ties with dmin
+        dmin = values
+        assert (np.square(np.minimum(D, dmin)).tobytes()
+                == np.minimum(np.square(D), np.square(dmin)).tobytes())
+
     def test_state_scores_match_column_reduction(self):
         D = pairwise_distances(random_points(21, 600, p=4))
         state = _GreedyState(D, SelectionConfig(stop="fixed_size", k_per_class=10))
@@ -332,7 +373,8 @@ class TestBatchedScoring:
         ids = np.flatnonzero(state.remaining)
         gains, nq = state.score(ids)
         D2 = D * D
-        single = [float(np.minimum(state.dmin2, D2[:, s]).sum()) for s in ids]
+        dmin2 = np.square(state.dmin)
+        single = [float(np.minimum(dmin2, D2[:, s]).sum()) for s in ids]
         assert nq.tolist() == single
         assert gains.tolist() == [state.q - v for v in single]
         assert state.evaluations == 600 + 599 + 598 + ids.size
@@ -426,6 +468,49 @@ class TestWeights:
         assert gamma.sum() == n
         rho = divide_weights(gamma, r)
         assert rho.sum() * r == pytest.approx(n)
+
+
+# Every function that takes a distance matrix, called on D and the first two
+# points.
+TAKES_D = {
+    **_ENGINE_FNS,
+    "compute_weights": lambda D, config: compute_weights(D, [0, 1]),
+    "g_frobenius": lambda D, config: g_frobenius(D, [0, 1], 1.0),
+    "facility_location": lambda D, config: facility_location_objective(D, [0, 1]),
+}
+
+
+class TestNonFiniteDistances:
+    """Engines and weights reject D with NaN or infinities using reductions,
+    not an n_c^2 scan; finite proxies whose distances overflow are a
+    numerical failure of the class that holds them."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", TAKES_D)
+    @pytest.mark.parametrize("where", [(0, 0), (7, 19), (29, 28)])
+    def test_rejects_non_finite_entries(self, name, bad, where):
+        D = pairwise_distances(random_points(40, 30))
+        D[where] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            TAKES_D[name](D, SelectionConfig(stop="fixed_size", k_per_class=3))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_rejects_overflowing_squared_coverage(self, engine):
+        D = np.array([[0.0, 1e154], [1e154, 0.0]])
+        with pytest.raises(ValueError, match="overflows"):
+            _ENGINE_FNS[engine](D, SelectionConfig(stop="fixed_size", k_per_class=1))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("huge", [
+        random_points(41, 10) * 1e160,      # the distances themselves overflow
+        np.array([[0.0], [1e154]] * 5),     # finite distances, squares overflow
+    ], ids=["non_finite", "squares"])
+    def test_overflowing_proxies_are_a_numerical_failure(self, huge):
+        pts = np.concatenate([random_points(42, 10, p=huge.shape[1]), huge])
+        proxies = proxy_set(pts, np.repeat([0, 1], 10))
+        with pytest.raises(NumericalError, match="class 1: .*overflow"):
+            select_all_classes(proxies, SelectionConfig(stop="fixed_size", k_per_class=2))
 
 
 class TestSelectAllClasses:

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib.util
 import json
 import re
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import coreaug.audits
+import coreaug.cli
 import coreaug.coreset
 from coreaug.audits import noise_robustness
 from coreaug.cli import build_parser, main
@@ -291,6 +293,20 @@ class TestCli:
         argv = ["bounds", *_SHORT_RUN_FLAGS["bounds"], "--out", str(tmp_path / "b")]
         assert main(argv) == 4
         assert "numerical failure: SVD did not converge" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_select_distance_overflow_is_numerical_failure(self, dataset_csv, tmp_path,
+                                                           monkeypatch, capsys):
+        proxy = coreaug.cli.gradient_proxy
+
+        def huge_proxy(net, data, mode):
+            proxies = proxy(net, data, mode)
+            return dataclasses.replace(proxies, proxies=proxies.proxies * 1e160)
+
+        monkeypatch.setattr(coreaug.cli, "gradient_proxy", huge_proxy)
+        assert main(["select", "--data", str(dataset_csv), "--k-per-class", "5",
+                     "--out", str(tmp_path / "sel")]) == 4
+        assert "numerical failure: class 0: " in capsys.readouterr().err
 
     def test_select_rejects_a_bad_fraction_beside_k_per_class(self, dataset_csv, tmp_path,
                                                                capsys):

@@ -363,6 +363,15 @@ def test_train_divergence_raises_at_first_non_finite_epoch():
                for r in record.rows)
 
 
+def test_train_divergence_to_huge_finite_losses_raises():
+    """lr 0.5 drives the pool loss from ~1e18 to ~1e104 in six epochs, 1e16
+    to 1e102 times the initial loss, without ever leaving float64's range."""
+    data, test = blob_pair(1)
+    with pytest.raises(NumericalError, match="exceeds 1e[+]30 x the initial loss") as exc:
+        train(quick_config(lr=LrSchedule(0.5), epochs=6), data, test)
+    assert failing_epoch(exc) == 1
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_sgd_warmup_divergence_raises_at_first_non_finite_epoch():
     data, _ = blob_pair(4)
