@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import as_matrix
+from .linalg import NumericalError, as_matrix
 
 __all__ = [
     "MemoryCapError",
@@ -26,7 +26,9 @@ __all__ = [
     "forward",
     "loss",
     "residuals",
-    "layer_gradients",
+    "flatten_layers",
+    "checked_rows",
+    "residual_and_gradients",
     "weighted_gradient",
     "jacobian",
     "per_example_gradients",
@@ -116,11 +118,20 @@ class GradientProxySet:
         object.__setattr__(self, "labels", labels)
 
 
+def _tanh_derivative(a: np.ndarray) -> np.ndarray:
+    t = np.square(a)
+    return np.subtract(1.0, t, out=t)
+
+
 def _activation_pair(name: str):
+    """(activation, written over the pre-activation it is given; derivative,
+    computed from that activation). Each derivative equals its
+    pre-activation form bit for bit: ``1 - a**2`` squares the very value
+    tanh wrote, and ``maximum(p, 0) > 0`` holds exactly where ``p > 0``."""
     if name == "tanh":
-        return np.tanh, lambda p: 1.0 - np.tanh(p) ** 2
+        return lambda p: np.tanh(p, out=p), _tanh_derivative
     if name == "relu":
-        return lambda p: np.maximum(p, 0.0), lambda p: (p > 0.0).astype(np.float64)
+        return lambda p: np.maximum(p, 0.0, out=p), lambda a: a > 0.0
     raise ValueError(f"unknown activation {name!r}")
 
 
@@ -165,11 +176,7 @@ class MLP:
         return self.layer_sizes[-1]
 
     def get_params(self) -> np.ndarray:
-        parts = []
-        for w, b in zip(self.weights, self.biases):
-            parts.append(w.ravel())
-            parts.append(b)
-        return np.concatenate(parts)
+        return flatten_layers(zip(self.weights, self.biases))
 
     def set_params(self, flat: np.ndarray) -> None:
         flat = np.asarray(flat, dtype=np.float64)
@@ -188,19 +195,25 @@ class MLP:
                    [w.copy() for w in self.weights], [b.copy() for b in self.biases])
 
 
-def _forward_trace(net: MLP, X: np.ndarray):
-    """Activations per layer; ``acts[0]`` is the input, ``acts[-1]`` the output."""
+def flatten_layers(pairs) -> np.ndarray:
+    """Per-layer (weight, bias) pairs in the flat parameter layout."""
+    return np.concatenate([g.ravel() for pair in pairs for g in pair])
+
+
+def _forward_trace(net: MLP, X: np.ndarray) -> list:
+    """Activations per layer; ``acts[0]`` is the input, ``acts[-1]`` the output.
+
+    Each layer's activation is computed in place in a fresh array that only
+    the trace holds, so a caller may overwrite ``acts[-1]`` once nothing
+    else reads it."""
     act, _ = _activation_pair(net.activation)
-    preacts = []
     acts = [X]
-    z = X
     last = len(net.weights) - 1
     for l, (w, b) in enumerate(zip(net.weights, net.biases)):
-        p = z @ w + b
-        preacts.append(p)
-        z = p if l == last else act(p)
-        acts.append(z)
-    return preacts, acts
+        p = acts[-1] @ w
+        p += b
+        acts.append(p if l == last else act(p))
+    return acts
 
 
 def forward(net: MLP, X) -> np.ndarray:
@@ -208,7 +221,7 @@ def forward(net: MLP, X) -> np.ndarray:
     X = as_matrix(X, "X")
     if X.shape[1] != net.layer_sizes[0]:
         raise ValueError(f"X has {X.shape[1]} columns, network expects {net.layer_sizes[0]}")
-    return _forward_trace(net, X)[1][-1]
+    return _forward_trace(net, X)[-1]
 
 
 def residuals(net: MLP, data: Dataset) -> np.ndarray:
@@ -220,23 +233,26 @@ def loss(net: MLP, data: Dataset) -> float:
     return 0.5 * float(np.sum(r * r))
 
 
-def _backward(net: MLP, preacts, acts, delta: np.ndarray) -> list:
+def _backward(net: MLP, acts, delta: np.ndarray) -> list:
     """Backpropagate ``delta``, a derivative with respect to the output-layer
     pre-activation, one row per example. Returns each layer's (input
-    activation, pre-activation derivative) pair, from the output layer down."""
+    activation, pre-activation derivative) pair, from the output layer down.
+    Each hidden derivative is taken from the layer's stored activation; the
+    trace and ``delta`` are read, never written."""
     _, deriv = _activation_pair(net.activation)
     pairs = []
     for l in range(len(net.weights) - 1, -1, -1):
         pairs.append((acts[l], delta))
         if l > 0:
-            delta = (delta @ net.weights[l].T) * deriv(preacts[l - 1])
+            delta = delta @ net.weights[l].T
+            delta *= deriv(acts[l])
     return pairs
 
 
-def layer_gradients(net: MLP, X: np.ndarray, Y: np.ndarray,
-                    weights: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per layer, in forward order, the (weight, bias) gradients of
-    ``sum_i w_i * 0.5 * ||f(x_i) - y_i||^2``."""
+def checked_rows(net: MLP, X, Y, weights):
+    """``(X, Y, weights)`` as float64 arrays, after the checks a gradient
+    needs: X finite and 2-D, Y of shape (n, C), one weight per row. A set of
+    rows checked once covers every batch drawn from it."""
     X = as_matrix(X, "X")
     Y = np.asarray(Y, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
@@ -244,24 +260,33 @@ def layer_gradients(net: MLP, X: np.ndarray, Y: np.ndarray,
         raise ValueError("Y must be one-hot targets with shape (n, C)")
     if weights.shape != (X.shape[0],):
         raise ValueError("weights must have one entry per row")
-    preacts, acts = _forward_trace(net, X)
-    delta = (acts[-1] - Y) * weights[:, None]
-    return [(a.T @ d, d.sum(axis=0)) for a, d in _backward(net, preacts, acts, delta)][::-1]
+    return X, Y, weights
+
+
+def residual_and_gradients(net: MLP, X: np.ndarray, Y: np.ndarray, weights: np.ndarray):
+    """From one forward trace: the residual ``f(X) - Y`` and, per layer in
+    forward order, the (weight, bias) gradients of
+    ``sum_i w_i * 0.5 * ||f(x_i) - y_i||^2``. The residual is a fresh array
+    the caller owns. The rows are not checked (see ``checked_rows``)."""
+    acts = _forward_trace(net, X)
+    r = acts[-1]
+    r -= Y
+    delta = r * weights[:, None]
+    return r, [(a.T @ d, d.sum(axis=0)) for a, d in _backward(net, acts, delta)][::-1]
 
 
 def weighted_gradient(net: MLP, X: np.ndarray, Y: np.ndarray,
                       weights: np.ndarray) -> np.ndarray:
     """Flat gradient of ``sum_i w_i * 0.5 * ||f(x_i) - y_i||^2``."""
-    return np.concatenate([g.ravel() for pair in layer_gradients(net, X, Y, weights)
-                           for g in pair])
+    return flatten_layers(residual_and_gradients(net, *checked_rows(net, X, Y, weights))[1])
 
 
-def _row_gradients(net: MLP, preacts, acts, delta: np.ndarray) -> np.ndarray:
+def _row_gradients(net: MLP, acts, delta: np.ndarray) -> np.ndarray:
     """Row i: the flat parameter gradient that ``delta[i]`` backpropagates
     from example i alone."""
     n = delta.shape[0]
     blocks = []
-    for a, d in reversed(_backward(net, preacts, acts, delta)):
+    for a, d in reversed(_backward(net, acts, delta)):
         blocks += [np.einsum("ni,nj->nij", a, d).reshape(n, -1), d]
     return np.concatenate(blocks, axis=1)
 
@@ -269,7 +294,9 @@ def _row_gradients(net: MLP, preacts, acts, delta: np.ndarray) -> np.ndarray:
 def jacobian(net: MLP, X, entry_cap: int = JACOBIAN_ENTRY_CAP) -> np.ndarray:
     """Stacked output derivatives, shape (n*C, m); row i*C + c is d f_c(x_i) / dW.
 
-    Raises MemoryCapError when n*C*m exceeds ``entry_cap``.
+    Raises MemoryCapError when n*C*m exceeds ``entry_cap``, and
+    NumericalError when an entry is not finite (the network's weights or
+    outputs overflowed).
     """
     X = as_matrix(X, "X")
     n = X.shape[0]
@@ -277,19 +304,22 @@ def jacobian(net: MLP, X, entry_cap: int = JACOBIAN_ENTRY_CAP) -> np.ndarray:
     m = net.num_params
     if n * C * m > entry_cap:
         raise MemoryCapError(f"jacobian would hold {n * C * m} entries, cap is {entry_cap}")
-    preacts, acts = _forward_trace(net, X)
+    acts = _forward_trace(net, X)
     out = np.empty((n * C, m))
     for c in range(C):
         delta = np.zeros((n, C))
         delta[:, c] = 1.0
-        out[c::C] = _row_gradients(net, preacts, acts, delta)
+        out[c::C] = _row_gradients(net, acts, delta)
+    if not (np.isfinite(out.max()) and np.isfinite(out.min())):
+        raise NumericalError(f"stacked derivative matrix ({n * C} x {m}) has "
+                             "non-finite entries")
     return out
 
 
 def per_example_gradients(net: MLP, data: Dataset) -> np.ndarray:
     """Exact loss gradients, one row per example, shape (n, m)."""
-    preacts, acts = _forward_trace(net, data.features)
-    return _row_gradients(net, preacts, acts, acts[-1] - data.one_hot_labels())
+    acts = _forward_trace(net, data.features)
+    return _row_gradients(net, acts, acts[-1] - data.one_hot_labels())
 
 
 def gradient_proxy(net: MLP, data: Dataset, mode: str = "last_layer") -> GradientProxySet:
@@ -302,7 +332,7 @@ def gradient_proxy(net: MLP, data: Dataset, mode: str = "last_layer") -> Gradien
     """
     if mode not in PROXY_MODES:
         raise ValueError(f"mode must be one of {PROXY_MODES}, got {mode!r}")
-    _, acts = _forward_trace(net, data.features)
+    acts = _forward_trace(net, data.features)
     r = acts[-1] - data.one_hot_labels()
     if mode == "residual":
         proxies = r.copy()

@@ -35,11 +35,13 @@ from .linalg import NumericalError
 from .model import (
     MLP,
     Dataset,
+    checked_rows,
+    flatten_layers,
     forward,
     gradient_proxy,
     jacobian,
-    layer_gradients,
     one_hot,
+    residual_and_gradients,
     weighted_gradient,
 )
 
@@ -64,10 +66,11 @@ BASELINES = ("ours", "random", "max_loss")
 
 CSV_HEADER = "epoch,train_loss,test_loss,test_acc,grad_norm,refreshed,selection_ms,points_touched"
 
-# Pool loss, as a multiple of the loss before the first step, past which a
-# run counts as diverged although the loss is still finite. Converging runs
-# stay near 1 or below; runs at a too-large step grow by 1e12 to 1e30 per
-# epoch and pass this within a few epochs, long before float64 overflows.
+# Loss, as a multiple of the loss before the first step, past which a
+# training run or warm-up counts as diverged although the loss is still
+# finite. Converging runs stay near 1 or below; runs at a too-large step grow
+# by 1e8 to 1e30 per epoch and pass this within a few epochs, long before
+# float64 overflows.
 _DIVERGENCE_FACTOR = 1e30
 
 
@@ -163,15 +166,51 @@ def inject_label_noise(data: Dataset, frac: float, seed: int = 0):
     return data.with_labels(labels), mask
 
 
-def weighted_gradient_step(net: MLP, X_batch, y_batch, rho, eta: float) -> MLP:
-    """W <- W - eta * sum_i rho_i * grad_i. Updates the network in place."""
-    rho = np.asarray(rho, dtype=np.float64)
+def _checked_sgd_rows(net: MLP, X, Y, rho):
+    """``checked_rows`` plus nonnegative weights: every check an SGD step
+    needs, made once for all the batches drawn from these rows."""
+    X, Y, rho = checked_rows(net, X, Y, rho)
     if np.any(rho < 0.0):
         raise ValueError("weights must be nonnegative")
-    for l, (gw, gb) in enumerate(layer_gradients(net, X_batch, y_batch, rho)):
-        net.weights[l] -= eta * gw
-        net.biases[l] -= eta * gb
+    return X, Y, rho
+
+
+def weighted_gradient_step(net: MLP, X_batch, y_batch, rho, eta: float) -> MLP:
+    """W <- W - eta * sum_i rho_i * grad_i over the flat parameter vector.
+    Updates the network in place. The training loops take the same step
+    layer by layer (``_sgd_epoch``) on rows checked once per pool."""
+    grad = weighted_gradient(net, *_checked_sgd_rows(net, X_batch, y_batch, rho))
+    net.set_params(net.get_params() - eta * grad)
     return net
+
+
+def _sgd_epoch(net: MLP, X: np.ndarray, Y: np.ndarray, w: np.ndarray,
+               order: np.ndarray, batch_size: int, eta: float) -> None:
+    """One epoch of weighted mini-batch SGD over checked rows, in ``order``:
+    each batch is the next ``batch_size`` of them. The rows are gathered
+    once, so every batch is a contiguous slice; each step computes every
+    layer's gradient before it updates any layer."""
+    X, Y, w = X[order], Y[order], w[order]
+    for start in range(0, order.size, batch_size):
+        stop = start + batch_size
+        _, grads = residual_and_gradients(net, X[start:stop], Y[start:stop], w[start:stop])
+        for l, (gw, gb) in enumerate(grads):
+            net.weights[l] -= eta * gw
+            net.biases[l] -= eta * gb
+
+
+def _check_epoch(what: str, epoch: int, loss: float, initial_loss: float,
+                 grad_norm: float | None = None) -> None:
+    """Raise ``NumericalError`` naming the epoch if its loss (or gradient
+    norm) is not finite, or its loss exceeds ``_DIVERGENCE_FACTOR`` times the
+    loss before the first step."""
+    if not (math.isfinite(loss) and (grad_norm is None or math.isfinite(grad_norm))):
+        norm = "" if grad_norm is None else f", gradient norm {grad_norm!r}"
+        raise NumericalError(f"{what} diverged at epoch {epoch}: loss {loss!r}{norm}")
+    if loss > _DIVERGENCE_FACTOR * initial_loss:
+        raise NumericalError(f"{what} diverged at epoch {epoch}: loss {loss!r} "
+                             f"exceeds {_DIVERGENCE_FACTOR:g} x the initial loss "
+                             f"{initial_loss!r}")
 
 
 def evaluate(net: MLP, data: Dataset) -> tuple[float, float]:
@@ -244,11 +283,12 @@ def _build_pool(config: TrainConfig, data: Dataset, indices, orig_w,
 
 
 def _pool_metrics(net: MLP, pool: _Pool) -> tuple[float, float]:
-    preds = forward(net, pool.X)
-    r = preds - pool.Y
-    train_loss = 0.5 * float(np.sum(pool.w * np.sum(r * r, axis=1)))
-    grad = weighted_gradient(net, pool.X, pool.Y, pool.w)
-    return train_loss, float(np.linalg.norm(grad))
+    """(weighted pool loss, norm of its flat gradient), from one forward
+    trace."""
+    r, grads = residual_and_gradients(net, pool.X, pool.Y, pool.w)
+    r *= r
+    train_loss = 0.5 * float(np.sum(pool.w * np.sum(r, axis=1)))
+    return train_loss, float(np.linalg.norm(flatten_layers(grads)))
 
 
 def _setup(config: TrainConfig, data: Dataset):
@@ -293,25 +333,16 @@ def train(config: TrainConfig, data: Dataset, test_data: Dataset) -> TrainRecord
             t0 = time.perf_counter()
             indices, orig_w = _select_subset(config, net, data, refresh_idx)
             pool = _build_pool(config, data, indices, orig_w, refresh_idx, base_indices)
+            _checked_sgd_rows(net, pool.X, pool.Y, pool.w)
             selection_ms = (time.perf_counter() - t0) * 1000.0
             events.append((epoch, np.asarray(indices)))
             touched.update(int(o) for o in pool.origins)
         if initial_grad_norm is None:
             initial_loss, initial_grad_norm = _pool_metrics(net, pool)
-        eta = config.lr.value(epoch)
-        order = batch_rng.permutation(pool.X.shape[0])
-        for start in range(0, order.size, config.batch_size):
-            batch = order[start:start + config.batch_size]
-            weighted_gradient_step(net, pool.X[batch], pool.Y[batch],
-                                   pool.w[batch], eta)
+        _sgd_epoch(net, pool.X, pool.Y, pool.w, batch_rng.permutation(pool.X.shape[0]),
+                   config.batch_size, config.lr.value(epoch))
         train_loss, grad_norm = _pool_metrics(net, pool)
-        if not (math.isfinite(train_loss) and math.isfinite(grad_norm)):
-            raise NumericalError(f"training diverged at epoch {epoch}: loss {train_loss!r}, "
-                                 f"gradient norm {grad_norm!r}")
-        if train_loss > _DIVERGENCE_FACTOR * initial_loss:
-            raise NumericalError(f"training diverged at epoch {epoch}: loss {train_loss!r} "
-                                 f"exceeds {_DIVERGENCE_FACTOR:g} x the initial loss "
-                                 f"{initial_loss!r}")
+        _check_epoch("training", epoch, train_loss, initial_loss, grad_norm)
         test_loss, test_acc = evaluate(net, test_data)
         rows.append(EpochRow(
             epoch=epoch, train_loss=train_loss, test_loss=test_loss,
@@ -335,21 +366,18 @@ def initial_pool(config: TrainConfig, data: Dataset):
 
 def sgd_warmup(net: MLP, data: Dataset, epochs: int, lr: float,
                batch_size: int = 32, seed: int = 0) -> MLP:
-    """Plain uniform-weight mini-batch SGD, in place. Used to pretrain nets
-    before spectrum analysis or loss-based selection. Raises
-    ``NumericalError`` naming the epoch at the end of the first epoch whose
-    loss is not finite."""
-    Y = one_hot(data.labels, data.num_classes)
+    """Plain uniform-weight mini-batch SGD, in place, through the same epoch
+    loop as ``train``. Used to pretrain nets before spectrum analysis or
+    loss-based selection. Raises ``NumericalError`` naming the epoch at the
+    end of the first epoch whose loss is not finite or exceeds
+    ``_DIVERGENCE_FACTOR`` times the loss before the first step."""
+    X, Y, w = _checked_sgd_rows(net, data.features,
+                                one_hot(data.labels, data.num_classes), np.ones(data.n))
     rng = np.random.default_rng(seed)
+    initial_loss = evaluate(net, data)[0]
     for epoch in range(epochs):
-        order = rng.permutation(data.n)
-        for start in range(0, data.n, batch_size):
-            batch = order[start:start + batch_size]
-            weighted_gradient_step(net, data.features[batch], Y[batch],
-                                   np.ones(batch.size), lr)
-        loss = evaluate(net, data)[0]
-        if not math.isfinite(loss):
-            raise NumericalError(f"warm-up diverged at epoch {epoch}: loss {loss!r}")
+        _sgd_epoch(net, X, Y, w, rng.permutation(data.n), batch_size, lr)
+        _check_epoch("warm-up", epoch, evaluate(net, data)[0], initial_loss)
     return net
 
 

@@ -308,6 +308,29 @@ class TestCli:
                      "--out", str(tmp_path / "sel")]) == 4
         assert "numerical failure: class 0: " in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_spectrum_non_finite_jacobian_is_numerical_failure(self, dataset_csv, tmp_path,
+                                                               monkeypatch, capsys):
+        def overflowed_warmup(net, data, epochs, lr, seed=0):
+            net.weights[-1][0, 0] = np.inf
+            return net
+
+        monkeypatch.setattr(coreaug.cli, "sgd_warmup", overflowed_warmup)
+        assert main(["spectrum", "--data", str(dataset_csv), "--train-epochs", "1",
+                     "--hidden", "6", "--out", str(tmp_path / "s")]) == 4
+        err = capsys.readouterr().err
+        assert "numerical failure: stacked derivative matrix" in err
+        assert "non-finite entries" in err
+
+    def test_spectrum_jacobian_over_the_entry_cap_is_config_error(self, dataset_csv, tmp_path,
+                                                                  monkeypatch, capsys):
+        jacobian = coreaug.audits.jacobian
+        monkeypatch.setattr(coreaug.audits, "jacobian",
+                            lambda net, X: jacobian(net, X, entry_cap=1000))
+        assert main(["spectrum", "--data", str(dataset_csv), "--train-epochs", "1",
+                     "--hidden", "6", "--out", str(tmp_path / "s")]) == 2
+        assert "entries, cap is 1000" in capsys.readouterr().err
+
     def test_select_rejects_a_bad_fraction_beside_k_per_class(self, dataset_csv, tmp_path,
                                                                capsys):
         assert main(["select", "--data", str(dataset_csv), "--k-per-class", "5",

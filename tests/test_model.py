@@ -2,17 +2,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from coreaug.linalg import NumericalError
 from coreaug.model import (
     Dataset,
     MLP,
     MemoryCapError,
+    _activation_pair,
     estimate_lipschitz,
+    flatten_layers,
     forward,
     gradient_proxy,
     jacobian,
     loss,
     one_hot,
     per_example_gradients,
+    residual_and_gradients,
     residuals,
     weighted_gradient,
 )
@@ -155,6 +159,70 @@ class TestGradients:
         assert g == pytest.approx(acc, abs=1e-10)
 
 
+def bits(a) -> np.ndarray:
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+_SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e300, -1e300,
+            np.inf, -np.inf, np.nan]
+
+
+class TestActivationDerivatives:
+    """The backward pass takes each hidden derivative from the activation
+    the forward pass wrote over its pre-activation; that must equal the
+    pre-activation form bit for bit."""
+
+    @given(act=st.sampled_from(["tanh", "relu"]),
+           values=st.lists(st.one_of(st.floats(), st.sampled_from(_SPECIAL)),
+                           min_size=1, max_size=30),
+           scale=st.one_of(st.floats(allow_nan=False), st.sampled_from(_SPECIAL)))
+    @settings(max_examples=300, deadline=None)
+    def test_derivative_from_activation_equals_preactivation_form(self, act, values, scale):
+        apply, deriv = _activation_pair(act)
+        p = np.array(values)
+        a = p.copy()
+        assert apply(a) is a
+        activation = np.tanh(p) if act == "tanh" else np.maximum(p, 0.0)
+        assert np.array_equal(bits(a), bits(activation))
+        with np.errstate(invalid="ignore", over="ignore"):
+            reference = (1.0 - np.tanh(p) ** 2 if act == "tanh"
+                         else (p > 0.0).astype(np.float64))
+            assert np.array_equal(bits(deriv(a)), bits(reference))
+            # the backward pass multiplies the derivative into delta in place
+            delta = np.full(p.shape, scale)
+            expected = delta * reference
+            delta *= deriv(a)
+        assert np.array_equal(bits(delta), bits(expected))
+
+
+class TestResidualAndGradients:
+    @pytest.mark.parametrize("hidden", [(5,), (6, 4)])
+    @pytest.mark.parametrize("act", ["tanh", "relu"])
+    def test_one_trace_equals_forward_and_weighted_gradient(self, hidden, act):
+        data = make_dataset(21, n=17, d=4, C=3)
+        net = MLP.init([data.dim, *hidden, data.num_classes], activation=act, seed=9)
+        X, Y = data.features, data.one_hot_labels()
+        X_before = X.copy()
+        w = np.random.default_rng(22).uniform(0.0, 2.0, data.n)
+        r, grads = residual_and_gradients(net, X, Y, w)
+        assert np.array_equal(bits(r), bits(forward(net, X) - Y))
+        assert np.array_equal(bits(flatten_layers(grads)),
+                              bits(weighted_gradient(net, X, Y, w)))
+        assert [(gw.shape, gb.shape) for gw, gb in grads] == \
+            [(w_.shape, b_.shape) for w_, b_ in zip(net.weights, net.biases)]
+        assert np.array_equal(bits(X), bits(X_before))
+
+    def test_residual_is_owned_by_the_caller(self):
+        data = make_dataset(23, n=9)
+        net = MLP.init([data.dim, 5, data.num_classes], seed=3)
+        X, Y, w = data.features, data.one_hot_labels(), np.ones(data.n)
+        r, _ = residual_and_gradients(net, X, Y, w)
+        r[:] = np.nan
+        again, grads = residual_and_gradients(net, X, Y, w)
+        assert np.array_equal(again, forward(net, X) - Y)
+        assert np.all(np.isfinite(flatten_layers(grads)))
+
+
 class TestJacobian:
     def test_contraction_identity(self):
         data = make_dataset(6, n=8)
@@ -206,6 +274,15 @@ class TestJacobian:
         net = MLP.init([4, 6, 3], seed=0)
         with pytest.raises(MemoryCapError):
             jacobian(net, np.zeros((10, 4)), entry_cap=10)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_entries_are_numerical_failures(self, bad):
+        data = make_dataset(24, n=5)
+        net = MLP.init([data.dim, 4, data.num_classes], seed=2)
+        net.weights[-1][0, 0] = bad
+        with pytest.raises(NumericalError, match="non-finite entries"):
+            jacobian(net, data.features)
 
     def test_per_example_gradients_match(self):
         data = make_dataset(10, n=7)

@@ -37,7 +37,7 @@ def quick_config(**overrides):
         transform=TransformSpec(epsilon0=0.05, r=1, seed=0),
         refresh_r=2,
         epochs=4,
-        lr=LrSchedule(0.05),
+        lr=LrSchedule(0.005),
         batch_size=16,
         seed=3,
         hidden_sizes=(8,),
@@ -255,6 +255,14 @@ class TestTrain:
         record = train(quick_config(label_noise_frac=0.3, epochs=2), data, test)
         assert record.noisy_mask.sum() == 12
 
+    def test_default_quick_config_pool_loss_does_not_grow(self):
+        """The unit-test config trains at a step that converges: its pool
+        loss (42.9 to 39.3 here) falls across epochs and the refresh at
+        epoch 2, so the divergence checks never fire on these tests."""
+        data, test = blob_pair(1)
+        losses = [r.train_loss for r in train(quick_config(), data, test).rows]
+        assert all(b <= a for a, b in zip(losses, losses[1:]))
+
     def test_csv_round_trip_header(self, tmp_path):
         data, test = blob_pair(16)
         record = train(quick_config(epochs=2), data, test)
@@ -346,6 +354,25 @@ def test_sgd_warmup_deterministic():
     assert np.array_equal(a.get_params(), b.get_params())
 
 
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+def test_sgd_warmup_replays_weighted_gradient_steps(activation):
+    """The warm-up's epoch loop (rows gathered once per epoch, per-layer
+    updates) takes exactly the public flat-vector step on each batch."""
+    data, _ = blob_pair(20, n=45)
+    net = MLP.init([data.dim, 6, 5, data.num_classes], activation=activation, seed=3)
+    replay = net.copy()
+    sgd_warmup(net, data, epochs=3, lr=0.01, batch_size=8, seed=4)
+    rng = np.random.default_rng(4)
+    Y = data.one_hot_labels()
+    for _ in range(3):
+        order = rng.permutation(data.n)
+        for start in range(0, data.n, 8):
+            batch = order[start:start + 8]
+            weighted_gradient_step(replay, data.features[batch], Y[batch],
+                                   np.ones(batch.size), 0.01)
+    assert np.array_equal(net.get_params(), replay.get_params())
+
+
 def failing_epoch(exc_info) -> int:
     message = str(exc_info.value)
     assert "loss" in message
@@ -370,6 +397,20 @@ def test_train_divergence_to_huge_finite_losses_raises():
     with pytest.raises(NumericalError, match="exceeds 1e[+]30 x the initial loss") as exc:
         train(quick_config(lr=LrSchedule(0.5), epochs=6), data, test)
     assert failing_epoch(exc) == 1
+
+
+def test_sgd_warmup_divergence_to_huge_finite_losses_raises():
+    """lr 0.5 grows the warm-up loss by ~1e8 per epoch (1.3e5, 1.5e12,
+    4.7e20, 9.2e28 and 2.9e37 x the initial loss after epochs 0-4) without
+    ever leaving float64's range."""
+    data, _ = blob_pair(1)
+    net = MLP.init([data.dim, 8, data.num_classes], seed=0)
+    initial = evaluate(net, data)[0]
+    diverged = "warm-up diverged at epoch 4: .*exceeds 1e[+]30 x the initial loss"
+    with pytest.raises(NumericalError, match=diverged):
+        sgd_warmup(net.copy(), data, epochs=6, lr=0.5)
+    sgd_warmup(net, data, epochs=4, lr=0.5)
+    assert 1e20 < evaluate(net, data)[0] / initial <= 1e30
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
