@@ -9,13 +9,13 @@ engines track internally; the squared form has nonincreasing marginal gains,
 so lazy evaluation certifies exactly the same picks as the naive scan.
 
 All engines score candidates through one batched row reduction over rows of
-D clipped at the current coverage and squared, in blocks of ``_SCORE_BLOCK``
-rows, and pick the best with the same smallest-index tie rule; naive, lazy,
-and fully-sampled stochastic runs therefore agree bit for bit. The engines
-differ only in which candidates they score. D must be symmetric, as
-``pairwise_distances`` returns it, so that each row of D is also its column.
-Selection holds one n_c x n_c array per class, D itself, plus temporaries of
-a block of rows.
+D clipped at the current coverage and squared, in blocks of
+max(``_SCORE_BLOCK``, ``_SCORE_ENTRIES`` / n_c) rows, and pick the best with
+the same smallest-index tie rule; naive, lazy, and fully-sampled stochastic
+runs therefore agree bit for bit. The engines differ only in which
+candidates they score. D must be symmetric, as ``pairwise_distances``
+returns it, so that each row of D is also its column. Selection holds one
+n_c x n_c array per class, D itself, plus temporaries of a block of rows.
 """
 
 from __future__ import annotations
@@ -61,8 +61,11 @@ __all__ = [
 ENGINES = ("naive", "lazy", "stochastic")
 STOP_MODES = ("xi_threshold", "fixed_size")
 
-# Candidate rows scored per reduction; bounds the temporary at block x n_c.
+# Candidate rows scored per reduction: at least _SCORE_BLOCK rows, and as many
+# as fit _SCORE_ENTRIES entries, so a small class scores any candidate set in
+# one reduction while the temporary stays at 64 x n_c from n_c = 1000 on.
 _SCORE_BLOCK = 64
+_SCORE_ENTRIES = 64_000
 # Rows of the Gram matrix turned into distances per step, and the height of
 # the tiles it is symmetrised in; bounds the scratch buffer at block x n.
 _DIST_BLOCK = 128
@@ -220,6 +223,7 @@ class _GreedyState:
     def __init__(self, D, config: SelectionConfig):
         self.D, hi = _checked_max(D)
         self.n_c = self.D.shape[0]
+        self.score_rows = max(_SCORE_BLOCK, _SCORE_ENTRIES // self.n_c)
         self.c1 = 2.0 * hi
         self.k = _resolve_k(config, self.n_c)
         self.config = config
@@ -233,15 +237,21 @@ class _GreedyState:
         self.evaluations = 0
 
     def score(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(marginal gains, resulting summed squared coverage) for candidate ids."""
-        nq = np.empty(ids.size)
-        for start in range(0, ids.size, _SCORE_BLOCK):
-            rows = self.D[ids[start:start + _SCORE_BLOCK]]
-            np.minimum(rows, self.dmin, out=rows)
-            np.square(rows, out=rows)
-            nq[start:start + rows.shape[0]] = rows.sum(axis=1)
+        """(marginal gains, resulting summed squared coverage) for candidate
+        ids. Each row's sum is the same whatever the block height."""
         self.evaluations += ids.size
+        if ids.size <= self.score_rows:
+            nq = self._reduce(ids)
+        else:
+            nq = np.concatenate([self._reduce(ids[start:start + self.score_rows])
+                                 for start in range(0, ids.size, self.score_rows)])
         return self.q - nq, nq
+
+    def _reduce(self, ids: np.ndarray) -> np.ndarray:
+        rows = self.D[ids]
+        np.minimum(rows, self.dmin, out=rows)
+        np.square(rows, out=rows)
+        return rows.sum(axis=1)
 
     def select_best(self, ids: np.ndarray) -> np.ndarray:
         """Score ascending candidate ids and select the largest gain; argmax
@@ -302,19 +312,26 @@ def lazy_greedy_select(D, config: SelectionConfig) -> SelectionResult:
     state = _GreedyState(D, config)
     margin = 1e-9 * state.q
     stale = np.full(state.n_c, np.inf)
-    nq = np.empty(state.n_c)
+    # ndarray methods rather than np.* functions below: at n_c = 200 a step
+    # takes tens of microseconds, and each function's dispatch adds 1-2 more
     while True:
         block = min(_LAZY_BLOCK, state.n_c - len(state.S))
-        top = np.sort(np.argpartition(stale, -block)[-block:])
-        stale[top], nq[top] = state.score(top)
-        fresh = np.zeros(state.n_c, dtype=bool)
-        fresh[top] = True
-        rest = np.flatnonzero(~fresh & (stale + margin >= stale[top].max()))
-        stale[rest], nq[rest] = state.score(rest)
-        fresh[rest] = True
-        ids = np.flatnonzero(fresh)
-        s = int(ids[np.argmax(stale[ids])])
-        state.select(s, float(nq[s]))
+        top = stale.argpartition(-block)[-block:]
+        top.sort()
+        gains, nq = state.score(top)
+        i = int(gains.argmax())
+        s, best, s_nq = int(top[i]), gains[i], nq[i]
+        # the rest: every other candidate that might reach the block's best
+        stale[top] = -np.inf
+        rest = (stale + margin >= best).nonzero()[0]
+        stale[top] = gains
+        if rest.size:
+            gains, nq = state.score(rest)
+            stale[rest] = gains
+            j = int(gains.argmax())
+            if gains[j] > best or (gains[j] == best and rest[j] < s):
+                s, s_nq = int(rest[j]), nq[j]
+        state.select(s, float(s_nq))
         stale[s] = -np.inf
         if state.done():
             return state.result()
@@ -362,6 +379,11 @@ def compute_weights(D, S) -> np.ndarray:
     S = [int(s) for s in S]
     if len(S) == 0:
         raise ValueError("S must be nonempty")
+    return _assign_counts(D, S)
+
+
+def _assign_counts(D: np.ndarray, S: list[int]) -> np.ndarray:
+    """``compute_weights`` on a D already checked and a nonempty S."""
     s_arr = np.asarray(S)
     order = np.argsort(s_arr, kind="stable")
     cols = s_arr[order]
@@ -456,8 +478,9 @@ def select_all_classes(proxies: GradientProxySet, config: SelectionConfig,
     Classes are processed in label order; empty classes are skipped with a
     warning record. Weight conservation holds per class: gamma sums to the
     class population. The engine's trace already holds the final coverage
-    norm, so it is not recomputed. The proxies are finite, so distances that
-    are not, or whose squares overflow, raise ``NumericalError`` naming the
+    norm, so it is not recomputed, and the engine's check of D covers the
+    weight assignment too. The proxies are finite, so distances that are
+    not, or whose squares overflow, raise ``NumericalError`` naming the
     class.
     """
     engine = _ENGINE_FNS[config.engine]
@@ -474,7 +497,7 @@ def select_all_classes(proxies: GradientProxySet, config: SelectionConfig,
         except _NonFiniteDistances as exc:
             raise NumericalError(f"class {label}: distances between its gradient "
                                  f"proxies overflow float64 ({exc})") from exc
-        gamma = compute_weights(D, result.indices)
+        gamma = _assign_counts(D, result.indices)
         classes.append(ClassCoreset(
             label=label,
             indices=[int(idx[i]) for i in result.indices],

@@ -89,6 +89,15 @@ def save_dataset_csv(data: Dataset, path) -> None:
 
 
 def load_dataset_csv(path) -> Dataset:
+    """Parse rows line by line, then range-check every feature at once.
+
+    Parsing stops at the first line with a wrong column count, a non-numeric
+    value or a negative label; the reported line is the first offending one,
+    a range error on that line coming before its negative label. The range
+    check is two reductions, and only a failing file builds the mask
+    ``~((X >= 0) & (X <= 1))`` to name the entry; NaN and infinities fail
+    both.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines:
@@ -97,31 +106,44 @@ def load_dataset_csv(path) -> Dataset:
     if header[-1] != "label" or any(h != f"f{i}" for i, h in enumerate(header[:-1])):
         raise DataFormatError(f"{path}: line 1: malformed header")
     d = len(header) - 1
-    feats, labels = [], []
+    feats, labels, blanks = [], [], []
+    failure = cause = None
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
+            blanks.append(lineno)
             continue
         parts = line.split(",")
         if len(parts) != d + 1:
-            raise DataFormatError(
-                f"{path}: line {lineno}: expected {d + 1} columns, got {len(parts)}")
+            failure = f"line {lineno}: expected {d + 1} columns, got {len(parts)}"
+            break
         try:
             row = [float(v) for v in parts[:-1]]
             label = int(parts[-1])
         except ValueError as exc:
-            raise DataFormatError(f"{path}: line {lineno}: non-numeric value") from exc
-        for j, v in enumerate(row):
-            if not np.isfinite(v) or v < 0.0 or v > 1.0:
-                raise DataFormatError(
-                    f"{path}: line {lineno}: feature f{j}={v} outside [0, 1]")
-        if label < 0:
-            raise DataFormatError(f"{path}: line {lineno}: negative label")
+            failure, cause = f"line {lineno}: non-numeric value", exc
+            break
         feats.append(row)
+        if label < 0:
+            failure = f"line {lineno}: negative label"
+            break
         labels.append(label)
+    X = np.asarray(feats, dtype=np.float64).reshape(len(feats), d)
+    if X.size and not (X.min() >= 0.0 and X.max() <= 1.0):
+        bad = ~((X >= 0.0) & (X <= 1.0))
+        i = int(np.argmax(bad.any(axis=1)))
+        j = int(np.argmax(bad[i]))
+        # data row i sits on line i + 2 plus the blank lines up to it
+        lineno = i + 2
+        for blank in blanks:
+            lineno += blank <= lineno
+        raise DataFormatError(
+            f"{path}: line {lineno}: feature f{j}={float(X[i, j])} outside [0, 1]")
+    if failure is not None:
+        raise DataFormatError(f"{path}: {failure}") from cause
     if not feats:
         raise DataFormatError(f"{path}: no data rows")
     labels_arr = np.asarray(labels, dtype=np.int64)
-    return Dataset(np.asarray(feats), labels_arr, int(labels_arr.max()) + 1)
+    return Dataset(X, labels_arr, int(labels_arr.max()) + 1)
 
 
 def split_dataset(data: Dataset, test_fraction: float, seed: int = 0):

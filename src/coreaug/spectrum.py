@@ -18,8 +18,7 @@ import numpy as np
 
 from .augment import TransformSpec, perturb
 from .linalg import SvdResult, as_matrix, principal_angles, spectral_norm, svd
-from .model import MLP, Dataset, forward, jacobian
-from .trainer import weighted_gradient_step
+from .model import MLP, Dataset, checked_rows, jacobian, residual_and_gradients
 
 __all__ = [
     "SpectrumBin",
@@ -449,13 +448,18 @@ class DynamicsReport:
 def _descent_residuals(net: MLP, X: np.ndarray, Y: np.ndarray, eta: float,
                        steps: int):
     """Yield the flat residual f(X) - Y before each of ``steps`` full-batch
-    gradient-descent steps on a copy of ``net``, and after the last one."""
+    gradient-descent steps on a copy of ``net``, and after the last one.
+    The rows are checked once; each step takes its residual and gradient
+    from one forward trace."""
     work = net.copy()
-    ones = np.ones(X.shape[0])
+    X, Y, ones = checked_rows(work, X, Y, np.ones(X.shape[0]))
     for t in range(steps + 1):
-        if t:
-            weighted_gradient_step(work, X, Y, ones, eta)
-        yield (forward(work, X) - Y).ravel()
+        r, grads = residual_and_gradients(work, X, Y, ones)
+        yield r.ravel()
+        if t < steps:
+            for l, (gw, gb) in enumerate(grads):
+                work.weights[l] -= eta * gw
+                work.biases[l] -= eta * gb
 
 
 def residual_dynamics_check(net: MLP, data: Dataset, eta: float,

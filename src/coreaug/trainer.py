@@ -51,7 +51,6 @@ __all__ = [
     "EpochRow",
     "TrainRecord",
     "inject_label_noise",
-    "weighted_gradient_step",
     "evaluate",
     "train",
     "initial_pool",
@@ -177,8 +176,9 @@ def _checked_sgd_rows(net: MLP, X, Y, rho):
 
 def weighted_gradient_step(net: MLP, X_batch, y_batch, rho, eta: float) -> MLP:
     """W <- W - eta * sum_i rho_i * grad_i over the flat parameter vector.
-    Updates the network in place. The training loops take the same step
-    layer by layer (``_sgd_epoch``) on rows checked once per pool."""
+    Updates the network in place. The training loops and the descent runs of
+    ``spectrum`` take the same step layer by layer on rows checked once; this
+    flat-vector form is the reference their replay tests compare against."""
     grad = weighted_gradient(net, *_checked_sgd_rows(net, X_batch, y_batch, rho))
     net.set_params(net.get_params() - eta * grad)
     return net

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -121,9 +122,10 @@ class TestDistanceMatrix:
 class TestPeakMemory:
     """Selection holds one n_c x n_c float64 array per class, the distance
     matrix, which ``pairwise_distances`` builds in its Gram buffer; the rest
-    is block temporaries of O(128 n_c) bytes and the engines' coverage
-    vectors. The two-matrix bounds below predate that and still hold. The
-    alignment audit builds no matrix."""
+    is block temporaries (128 x n_c for the distances, and for scoring
+    max(64 x n_c, 64,000) entries) and the engines' coverage vectors. The
+    two-matrix bounds below predate that and still hold. The alignment audit
+    builds no matrix."""
 
     N_C = 1000
     MATRIX_BYTES = N_C * N_C * 8
@@ -155,6 +157,16 @@ class TestPeakMemory:
                               engine=engine)
         peak = traced_peak_bytes(lambda: select_all_classes(proxies, cfg))
         assert peak <= 2.25 * self.MATRIX_BYTES
+
+    def test_score_holds_one_block_of_rows(self, traced_peak_bytes):
+        """Scoring every candidate of a large class at once holds one block
+        of _SCORE_BLOCK rows of D, not a copy of every candidate's row."""
+        n_c = 3000
+        state = _GreedyState(pairwise_distances(random_points(37, n_c, p=16)),
+                             SelectionConfig(stop="fixed_size", k_per_class=1))
+        ids = np.arange(n_c)
+        peak = traced_peak_bytes(lambda: state.score(ids))
+        assert peak <= 1.5 * _SCORE_BLOCK * n_c * 8
 
     def test_compute_weights_holds_one_column_block(self, traced_peak_bytes):
         D = pairwise_distances(random_points(36, self.N_C, p=16))
@@ -268,18 +280,24 @@ class TestGreedy:
 
 
 class TestLazyGreedy:
-    @given(seed=st.integers(0, 300))
-    @settings(max_examples=40)
-    def test_identical_to_naive(self, seed):
+    @given(seed=st.integers(0, 10_000), n=st.integers(2, 150),
+           grid=st.booleans(), stop=st.sampled_from(STOP_MODES))
+    @settings(max_examples=60)
+    def test_identical_to_naive(self, seed, n, grid, stop):
+        """Same picks and trace as the naive scan, from no more scored rows,
+        on random points and on integer grids full of exact ties."""
+        points = integer_grid_points(seed, n) if grid else random_points(seed, n)
+        D = pairwise_distances(points)
         rng = np.random.default_rng(seed)
-        n = int(rng.integers(2, 60))
-        k = int(rng.integers(1, n + 1))
-        D = pairwise_distances(rng.standard_normal((n, 3)))
-        cfg = SelectionConfig(stop="fixed_size", k_per_class=k)
+        if stop == "fixed_size":
+            cfg = SelectionConfig(stop=stop, k_per_class=int(rng.integers(1, n + 1)))
+        else:
+            cfg = SelectionConfig(stop=stop, xi=float(rng.uniform(0.05, 2.0)))
         naive = greedy_select(D, cfg)
         lazy = lazy_greedy_select(D, cfg)
         assert lazy.indices == naive.indices
         assert lazy.trace == naive.trace
+        assert lazy.evaluations <= naive.evaluations
 
     def test_identical_under_xi_threshold(self):
         D = pairwise_distances(random_points(10, 40))
@@ -333,6 +351,65 @@ class TestLazyGreedy:
         naive = greedy_select(D, cfg)
         lazy = lazy_greedy_select(D, cfg)
         assert lazy.evaluations <= naive.evaluations
+
+    # (seed, n_c, dims, k) -> (evaluations, first picks, SHA-256 prefix of the
+    # int64 picks followed by the float64 trace); a faster lazy step must keep
+    # all three, evaluation counts included
+    PINNED = {
+        (50, 200, 8, 20): (969, [176, 43, 159, 14, 160, 54, 7, 129],
+                           "cf6c26d798d58d6c"),
+        (51, 1000, 16, 100): (6165, [593, 744, 723, 957, 772, 405, 64, 540],
+                              "2ea09f59424043e2"),
+    }
+
+    @pytest.mark.parametrize("case", PINNED)
+    def test_pinned_picks_and_evaluations(self, case):
+        seed, n, dims, k = case
+        evaluations, first, digest = self.PINNED[case]
+        res = lazy_greedy_select(pairwise_distances(random_points(seed, n, p=dims)),
+                                 SelectionConfig(stop="fixed_size", k_per_class=k))
+        assert res.evaluations == evaluations
+        assert res.indices[:len(first)] == first
+        assert len(res.indices) == k
+        raw = np.asarray(res.indices, np.int64).tobytes() + np.asarray(res.trace).tobytes()
+        assert hashlib.sha256(raw).hexdigest()[:16] == digest
+
+    def test_ties_between_top_block_and_rest_go_to_smallest_index(self, monkeypatch):
+        """Duplicated rows give exactly equal gains; when the best gain of the
+        top block equals the best of the rest, the smaller index is picked,
+        whichever set holds it."""
+        scored = []
+        score = _GreedyState.score
+
+        def recording(state, ids):
+            gains, nq = score(state, ids)
+            scored.append((len(state.S), ids.copy(), gains.copy()))
+            return gains, nq
+
+        monkeypatch.setattr(_GreedyState, "score", recording)
+        winners = {"top": 0, "rest": 0}
+        for seed in range(12):
+            D = pairwise_distances(integer_grid_points(100 + seed, 120))
+            cfg = SelectionConfig(stop="fixed_size", k_per_class=12)
+            naive = greedy_select(D, cfg)
+            scored.clear()
+            lazy = lazy_greedy_select(D, cfg)
+            steps: dict[int, list] = {}
+            for step, ids, gains in scored:
+                steps.setdefault(step, []).append((ids, gains))
+            for step, sets in steps.items():
+                if len(sets) < 2 or sets[1][0].size == 0:
+                    continue
+                (top, g_top), (rest, g_rest) = sets
+                if g_top.max() != g_rest.max():
+                    continue
+                tied = np.concatenate([top[g_top == g_top.max()],
+                                       rest[g_rest == g_rest.max()]])
+                assert lazy.indices[step] == tied.min()
+                winners["top" if tied.min() in top else "rest"] += 1
+            assert lazy.indices == naive.indices
+            assert lazy.trace == naive.trace
+        assert winners["top"] > 0 and winners["rest"] > 0
 
 
 class TestBatchedScoring:

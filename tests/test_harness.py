@@ -105,6 +105,48 @@ class TestCsvFormat:
         with pytest.raises(DataFormatError, match="line 3"):
             load_dataset_csv(path)
 
+    # (data rows after the header "f0,f1,label", the message after the path);
+    # the first offending line wins, and within a line the order is columns,
+    # numbers, feature range, label
+    PRECEDENCE = {
+        "range_before_columns": (["0.5,0.5,0", "0.5,1.5,0", "0.5,0", "0.5,0.5,0"],
+                                 "line 3: feature f1=1.5 outside [0, 1]"),
+        "columns_before_range": (["0.5,0.5,0", "0.5,0", "0.5,1.5,0"],
+                                 "line 3: expected 3 columns, got 2"),
+        "range_before_non_numeric": (["-0.25,0.5,0", "x,0.5,1"],
+                                     "line 2: feature f0=-0.25 outside [0, 1]"),
+        "non_numeric_before_range": (["0.5,0.5,0", "0.5,0.5,y", "2,0.5,0"],
+                                     "line 3: non-numeric value"),
+        "range_before_label_same_line": (["0.5,0.5,0", "0.5,7,-1"],
+                                         "line 3: feature f1=7.0 outside [0, 1]"),
+        "first_bad_feature_of_line": (["1.5,-1,0"],
+                                      "line 2: feature f0=1.5 outside [0, 1]"),
+        "label_before_range": (["0.5,0.5,-2", "0.5,1.5,0"],
+                               "line 2: negative label"),
+        "range_before_label": (["0.5,1.5,0", "0.5,0.5,-2"],
+                               "line 2: feature f1=1.5 outside [0, 1]"),
+        "nan_feature": (["0.5,0.5,0", "nan,0.5,1"],
+                        "line 3: feature f0=nan outside [0, 1]"),
+        "inf_feature": (["0.5,inf,0"], "line 2: feature f1=inf outside [0, 1]"),
+        "minus_inf_feature": (["0.5,0.5,0", "0.5,0.5,1", "-inf,0.5,0"],
+                              "line 4: feature f0=-inf outside [0, 1]"),
+        "blank_lines_count": (["0.5,0.5,0", "", "   ", "0.5,0.5,1", "", "0.5,1.01,0"],
+                              "line 7: feature f1=1.01 outside [0, 1]"),
+        "blank_lines_count_for_columns": (["", "0.5,0.5,0", "", "0.5,0.5"],
+                                          "line 5: expected 3 columns, got 2"),
+        "bounds_are_inclusive": (["0,1,0", "1,0,1", "0.0,1.0,-3"],
+                                 "line 4: negative label"),
+    }
+
+    @pytest.mark.parametrize("case", PRECEDENCE)
+    def test_error_precedence(self, tmp_path, case):
+        rows, message = self.PRECEDENCE[case]
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join(["f0,f1,label"] + rows) + "\n")
+        with pytest.raises(DataFormatError) as info:
+            load_dataset_csv(path)
+        assert str(info.value) == f"{path}: {message}"
+
 
 def test_split_dataset_stratified():
     data = gen_dataset("gaussian_blobs", 90, 4, 3, seed=5)

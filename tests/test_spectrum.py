@@ -292,6 +292,30 @@ class TestResidualDynamics:
         report = residual_dynamics_check(net, data, eta=0.5 / lam, steps=30)
         assert report.max_relative_deviation <= 1e-8
 
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    def test_descent_residuals_match_public_step_and_forward(self, activation):
+        """Each yielded residual, taken from the same trace as the step's
+        gradient, equals a public ``weighted_gradient_step`` followed by a
+        separate ``forward`` bit for bit; the input net is left untouched."""
+        from coreaug.model import forward
+        from coreaug.trainer import weighted_gradient_step
+
+        rng = np.random.default_rng(22)
+        data = Dataset(rng.uniform(0, 1, (15, 4)), rng.integers(0, 3, 15), 3)
+        net = MLP.init([4, 7, 5, 3], activation=activation, seed=5)
+        before = net.get_params()
+        X, Y, eta, steps = data.features, data.one_hot_labels(), 0.05, 12
+        ref, work = [], net.copy()
+        for t in range(steps + 1):
+            if t:
+                weighted_gradient_step(work, X, Y, np.ones(X.shape[0]), eta)
+            ref.append((forward(work, X) - Y).ravel())
+        got = list(coreaug.spectrum._descent_residuals(net, X, Y, eta, steps))
+        assert len(got) == steps + 1
+        for r_got, r_ref in zip(got, ref):
+            assert r_got.tobytes() == r_ref.tobytes()
+        assert net.get_params().tobytes() == before.tobytes()
+
     def test_unstable_step_rejected(self):
         rng = np.random.default_rng(21)
         data = Dataset(rng.uniform(0, 1, (8, 3)), rng.integers(0, 2, 8), 2)
