@@ -25,7 +25,7 @@ from .coreset import (
 )
 from .data import gen_dataset, split_dataset
 from .linalg import spectral_norm, svd
-from .model import MLP, Dataset, forward, gradient_proxy, jacobian, one_hot
+from .model import MLP, Dataset, example_losses, gradient_proxy, jacobian, one_hot
 from .spectrum import (
     augmented_dynamics_envelope_check,
     eigengap,
@@ -72,16 +72,15 @@ SHIFT_EMPIRICAL_DRAWS = 100
 ENVELOPE_STEPS = 20
 
 
-def audit_weyl_random(trials: int = 1000, seed: int = 0,
-                      max_rows: int = 40, max_cols: int = 60) -> dict:
-    """Random (J, E) pairs: count rank-paired singular-value moves beyond
-    ||E||_2 (there must be none)."""
+def audit_weyl_random(trials: int, seed: int) -> dict:
+    """Random (J, E) pairs of 2-40 rows and 2-60 columns: count rank-paired
+    singular-value moves beyond ||E||_2 (there must be none)."""
     rng = np.random.default_rng(seed)
     violations = 0
     worst = -np.inf
     for _ in range(trials):
-        rows = int(rng.integers(2, max_rows + 1))
-        cols = int(rng.integers(2, max_cols + 1))
+        rows = int(rng.integers(2, 41))
+        cols = int(rng.integers(2, 61))
         J = rng.standard_normal((rows, cols))
         E = rng.standard_normal((rows, cols)) * float(rng.uniform(0.01, 2.0))
         s0 = np.linalg.svd(J, compute_uv=False)
@@ -93,22 +92,21 @@ def audit_weyl_random(trials: int = 1000, seed: int = 0,
     return {"trials": trials, "violations": violations, "max_violation": worst}
 
 
-def _protocol_net_and_data(seed: int, n_per_class: int = 60, d: int = 16,
-                           hidden: int = 16, epochs: int = 15):
-    data = gen_dataset("gaussian_blobs", n=3 * n_per_class, d=d, num_classes=3,
+def _protocol_net_and_data(seed: int, n_per_class: int = 60, hidden: int = 16):
+    data = gen_dataset("gaussian_blobs", n=3 * n_per_class, d=16, num_classes=3,
                        seed=seed, noise=0.08)
-    net = MLP.init([d, hidden, 3], activation="tanh", seed=seed)
+    net = MLP.init([16, hidden, 3], activation="tanh", seed=seed)
     # gradients are summed over the batch, so the step scales with its size
-    sgd_warmup(net, data, epochs=epochs, lr=0.002, batch_size=32, seed=seed)
+    sgd_warmup(net, data, epochs=15, lr=0.002, batch_size=32, seed=seed)
     return net, data
 
 
-def audit_weyl_augmentation(rounds: int = 20, seed: int = 0,
-                            epsilon0: float = 16.0 / 255.0) -> dict:
-    """Real augmentation rounds on a trained tanh net: the same zero-violation
-    requirement on the measured derivative-matrix perturbations."""
+def audit_weyl_augmentation(rounds: int, seed: int) -> dict:
+    """Real augmentation rounds at 16/255 on a trained tanh net: the same
+    zero-violation requirement on the measured derivative-matrix
+    perturbations."""
     net, data = _protocol_net_and_data(seed)
-    spec = TransformSpec(kind="uniform_ball", epsilon0=epsilon0, r=1, seed=seed)
+    spec = TransformSpec(kind="uniform_ball", epsilon0=16.0 / 255.0, r=1, seed=seed)
     spectra = round_spectra(net, data.features, spec, range(rounds))
     verdicts = [weyl_check(spectra.sigma, s1, e)
                 for s1, e in zip(spectra.sigma_aug, spectra.e_norms)]
@@ -117,7 +115,7 @@ def audit_weyl_augmentation(rounds: int = 20, seed: int = 0,
             "max_violation": max((v.max_violation for v in verdicts), default=-np.inf)}
 
 
-def audit_shift_model(draws: int = 1000, seed: int = 0) -> dict:
+def audit_shift_model(draws: int, seed: int) -> dict:
     """Model-consistent Monte Carlo for the expected eigenvalue shift on a
     random 10 x 20 derivative matrix; every index must match the closed form
     within three standard errors."""
@@ -137,7 +135,7 @@ def audit_shift_model(draws: int = 1000, seed: int = 0) -> dict:
     }
 
 
-def audit_vector_bound(trials: int = 200, seed: int = 0) -> dict:
+def audit_vector_bound(trials: int, seed: int) -> dict:
     """Random perturbations scaled around the gap condition: the singular
     vector deviation bound must hold whenever the gap condition does, and
     unmet preconditions are reported as skips, never asserted."""
@@ -164,7 +162,7 @@ def audit_vector_bound(trials: int = 200, seed: int = 0) -> dict:
             "failures": failures}
 
 
-def audit_ntk_bound(instances: int = 100, seed: int = 0) -> dict:
+def audit_ntk_bound(instances: int, seed: int) -> dict:
     """Small-net coreset kernel bound with the measured alignment error."""
     rng = np.random.default_rng(seed)
     failures = 0
@@ -189,7 +187,7 @@ def audit_ntk_bound(instances: int = 100, seed: int = 0) -> dict:
     return {"instances": instances, "failures": failures, "min_margin": min_margin}
 
 
-def audit_linear_bounds(instances: int = 100, seed: int = 0) -> dict:
+def audit_linear_bounds(instances: int, seed: int) -> dict:
     """Common-linear-transform gradient bounds on random weighted subsets."""
     rng = np.random.default_rng(seed)
     subset_failures = combined_failures = 0
@@ -258,10 +256,9 @@ def audit_real_augmentation(rounds: int, seed: int) -> dict:
     }
 
 
-def run_bounds_suite(seed: int = 0, weyl_trials: int = 1000,
-                     shift_draws: int = 1000, vector_trials: int = 200,
-                     ntk_instances: int = 100, linear_instances: int = 100,
-                     augmentation_rounds: int = 20) -> dict:
+def run_bounds_suite(seed: int, weyl_trials: int, shift_draws: int,
+                     vector_trials: int, ntk_instances: int,
+                     linear_instances: int, augmentation_rounds: int) -> dict:
     """Every audit battery, keyed by name. The entries of
     ``audit_real_augmentation`` are reported only; the rest are verdicts.
     Every count must be >= 1: an empty battery would pass vacuously."""
@@ -351,14 +348,12 @@ def noise_robustness() -> dict:
         noisy, mask = inject_label_noise(data, 0.30, seed=seed)
         net = MLP.init([8, 16, 3], activation="tanh", seed=seed)
         sgd_warmup(net, noisy, epochs=15, lr=0.002, batch_size=32, seed=seed)
-        losses = 0.5 * np.sum((forward(net, noisy.features)
-                               - noisy.one_hot_labels()) ** 2, axis=1)
         picks = {
             "coreset": select_all_classes(
                 gradient_proxy(net, noisy, "last_layer"),
                 SelectionConfig(stop="fixed_size", fraction=0.1)).indices,
-            "max_loss": max_loss_subset(losses, None, noisy.labels,
-                                        fraction=0.1).indices,
+            "max_loss": max_loss_subset(example_losses(net, noisy), None,
+                                        noisy.labels, fraction=0.1).indices,
             "random": random_subset(None, noisy.labels, seed=seed,
                                     fraction=0.1).indices,
         }

@@ -35,7 +35,7 @@ from .augment import TRANSFORM_KINDS, TransformSpec
 from .coreset import SelectionConfig, select_all_classes
 from .data import DataFormatError, gen_dataset, load_dataset_csv, save_dataset_csv, split_dataset
 from .linalg import NumericalError
-from .model import MLP, Dataset, gradient_proxy
+from .model import MLP, Dataset, class_rows, gradient_proxy
 from .trainer import CSV_HEADER, LrSchedule, TrainConfig, sgd_warmup, train
 
 SCHEMA_VERSION = 1
@@ -81,7 +81,27 @@ def _hidden_sizes(text: str) -> tuple[int, ...]:
 
 
 def _seed_list(text: str) -> list[int]:
-    return [int(v) for v in text.split(",") if v.strip()]
+    seeds = [int(v) for v in text.split(",") if v.strip()]
+    if not seeds:
+        raise argparse.ArgumentTypeError("needs at least one seed")
+    return seeds
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _load_data(path: Path) -> Dataset:
+    """``load_dataset_csv``, naming on stderr each label below the largest
+    that has no rows: every command skips that class."""
+    data = load_dataset_csv(path)
+    for label in np.flatnonzero(np.bincount(data.labels) == 0):
+        print(f"warning: {path}: label {label} has no rows; its class is skipped",
+              file=sys.stderr)
+    return data
 
 
 def _selection_config(args) -> SelectionConfig:
@@ -110,7 +130,7 @@ def cmd_select(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     data_path = Path(args.data)
-    data = load_dataset_csv(data_path)
+    data = _load_data(data_path)
     net = MLP.init([data.dim, *args.hidden, data.num_classes], seed=args.net_seed)
     if args.warmup_epochs > 0:
         sgd_warmup(net, data, args.warmup_epochs, args.lr, seed=args.net_seed)
@@ -148,7 +168,7 @@ def cmd_train(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     data_path = Path(args.data)
-    data = load_dataset_csv(data_path)
+    data = _load_data(data_path)
     inputs = [data_path]
     if args.test_data:
         test_path = Path(args.test_data)
@@ -163,7 +183,10 @@ def cmd_train(args) -> int:
         test = Dataset(test.features, test.labels, data.num_classes)
         inputs.append(test_path)
     else:
-        data, test = split_dataset(data, args.holdout, seed=args.split_seed)
+        try:
+            data, test = split_dataset(data, args.holdout, seed=args.split_seed)
+        except DataFormatError as exc:
+            raise DataFormatError(f"{data_path}: --holdout {args.holdout}: {exc}") from None
 
     timings = {}
     outputs = []
@@ -198,20 +221,19 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _subsample_for_spectrum(data: Dataset, classes_used: int,
-                            per_class_cap: int) -> Dataset:
-    classes_used = min(classes_used, data.num_classes)
-    keep = np.concatenate([data.class_index[c][:per_class_cap]
-                           for c in range(classes_used)])
-    return Dataset(data.features[keep].copy(), data.labels[keep].copy(), classes_used)
-
-
 def cmd_spectrum(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     data_path = Path(args.data)
-    data = _subsample_for_spectrum(load_dataset_csv(data_path),
-                                   args.classes_used, args.per_class_cap)
+    data = _load_data(data_path)
+    classes_used = min(args.classes_used, data.num_classes)
+    keep = [idx[:args.per_class_cap] for label, idx in class_rows(data.labels)
+            if label < classes_used]
+    if not keep:
+        raise DataFormatError(f"{data_path}: no rows with a label below "
+                              f"--classes-used {classes_used}")
+    keep = np.concatenate(keep)
+    data = Dataset(data.features[keep].copy(), data.labels[keep].copy(), classes_used)
     net = MLP.init([data.dim, *args.hidden, data.num_classes],
                    activation="tanh", seed=args.seed)
     outputs = []
@@ -405,8 +427,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train-epochs", dest="train_epochs", type=int, default=15)
     p.add_argument("--lr", type=float, default=0.005)
     p.add_argument("--hidden", type=_hidden_sizes, default=(24,))
-    p.add_argument("--classes-used", dest="classes_used", type=int, default=3)
-    p.add_argument("--per-class-cap", dest="per_class_cap", type=int, default=300)
+    p.add_argument("--classes-used", dest="classes_used", type=_positive_int, default=3)
+    p.add_argument("--per-class-cap", dest="per_class_cap", type=_positive_int, default=300)
     p.add_argument("--untrained", action="store_true",
                    help="also report the spectrum at initialization")
     p.add_argument("--seed", type=int, default=0)

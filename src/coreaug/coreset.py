@@ -21,7 +21,7 @@ n_c x n_c array per class, D itself, plus temporaries of a block of rows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .model import (
     MLP,
     Dataset,
     GradientProxySet,
+    class_rows,
     jacobian,
     per_example_gradients,
     residuals,
@@ -197,14 +198,12 @@ def g_frobenius(D, S, c1: float) -> float:
     return math.sqrt(float(np.sum(dmin * dmin)))
 
 
-def facility_location_objective(D, S, cap: float | None = None) -> float:
-    """Coverage sum ``sum_i (cap - min_{j in S} D[i, j])``, cap defaulting to max D.
+def facility_location_objective(D, S, cap: float) -> float:
+    """Coverage sum ``sum_i (cap - min_{j in S} D[i, j])``.
 
     The monotone submodular surrogate used for approximation-guarantee checks.
     """
-    D, hi = _checked_max(D)
-    if cap is None:
-        cap = hi
+    D, _ = _checked_max(D)
     if len(S) == 0:
         return 0.0
     dmin = D[:, sorted(int(s) for s in S)].min(axis=1)
@@ -424,7 +423,6 @@ class WeightedCoreset:
     engine: str
     seed: int
     r: int = 1
-    warnings: list[str] = field(default_factory=list)
 
     @property
     def indices(self) -> np.ndarray:
@@ -475,22 +473,17 @@ def select_all_classes(proxies: GradientProxySet, config: SelectionConfig,
                        r: int = 1) -> WeightedCoreset:
     """Run the configured engine on every class and merge the results.
 
-    Classes are processed in label order; empty classes are skipped with a
-    warning record. Weight conservation holds per class: gamma sums to the
-    class population. The engine's trace already holds the final coverage
-    norm, so it is not recomputed, and the engine's check of D covers the
-    weight assignment too. The proxies are finite, so distances that are
-    not, or whose squares overflow, raise ``NumericalError`` naming the
-    class.
+    Classes are processed in label order; a class with no rows is skipped
+    (see ``class_rows``). Weight conservation holds per class: gamma sums to
+    the class population. The engine's trace already holds the final
+    coverage norm, so it is not recomputed, and the engine's check of D
+    covers the weight assignment too. The proxies are finite, so distances
+    that are not, or whose squares overflow, raise ``NumericalError`` naming
+    the class.
     """
     engine = _ENGINE_FNS[config.engine]
     classes: list[ClassCoreset] = []
-    warnings: list[str] = []
-    for label in range(proxies.num_classes):
-        idx = np.flatnonzero(proxies.labels == label)
-        if idx.size == 0:
-            warnings.append(f"class {label} is empty; skipped")
-            continue
+    for label, idx in class_rows(proxies.labels):
         D = pairwise_distances(proxies.proxies[idx])
         try:
             result = engine(D, config)
@@ -509,7 +502,7 @@ def select_all_classes(proxies: GradientProxySet, config: SelectionConfig,
         # free this class's matrix before the next class builds its own
         del D
     return WeightedCoreset(classes=classes, engine=config.engine,
-                           seed=config.seed, r=r, warnings=warnings)
+                           seed=config.seed, r=r)
 
 
 @dataclass
@@ -524,11 +517,9 @@ def _per_class_subset(labels, k: int | None, fraction: float | None,
                       choose) -> BaselineSubset:
     """Classes in label order, each sized like ``SelectionConfig`` (k, else
     the fraction); ``choose(class rows, k_c)`` picks the rows."""
-    labels = np.asarray(labels, dtype=np.int64)
     size = SelectionConfig(k_per_class=k, fraction=fraction)
     indices, weights = [], []
-    for label in np.unique(labels):
-        idx = np.flatnonzero(labels == label)
+    for _, idx in class_rows(labels):
         kc = _resolve_k(size, idx.size)
         indices.append(choose(idx, kc))
         weights.append(np.full(kc, idx.size / kc))
@@ -576,10 +567,11 @@ class AlignmentReport:
 def alignment_error(proxies: GradientProxySet, coreset: WeightedCoreset) -> AlignmentReport:
     """Each class's coverage norm comes from its selection, so no distance
     matrix is built."""
+    rows = dict(class_rows(proxies.labels))
     per_err: dict[int, float] = {}
     per_bound: dict[int, float] = {}
     for c in coreset.classes:
-        idx = np.flatnonzero(proxies.labels == c.label)
+        idx = rows[c.label]
         total = proxies.proxies[idx].sum(axis=0)
         approx = (proxies.proxies[c.indices] * c.gamma[:, None]).sum(axis=0)
         per_err[c.label] = float(np.linalg.norm(total - approx))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import Dataset
+from .model import Dataset, class_rows
 
 __all__ = [
     "DataFormatError",
@@ -23,7 +23,8 @@ GENERATOR_KINDS = ("gaussian_blobs", "two_moons_embedded", "grid_digits")
 
 
 class DataFormatError(ValueError):
-    """A dataset file violated the CSV contract; the message names the line."""
+    """A dataset file violated the CSV contract (the message names the line),
+    or its rows cannot serve the requested split."""
 
 
 def _blob_means(rng: np.random.Generator, num_classes: int, d: int,
@@ -88,12 +89,23 @@ def save_dataset_csv(data: Dataset, path) -> None:
             fh.write(",".join(repr(float(v)) for v in row) + f",{int(label)}\n")
 
 
+def _parse_failure(parts: list[str]) -> str:
+    """Why a row's values do not parse: a value that is not a number, or
+    else a label that is a number but not an integer."""
+    try:
+        [float(v) for v in parts]
+    except ValueError:
+        return "non-numeric value"
+    return f"label {parts[-1]!r} is not an integer"
+
+
 def load_dataset_csv(path) -> Dataset:
     """Parse rows line by line, then range-check every feature at once.
 
     Parsing stops at the first line with a wrong column count, a non-numeric
-    value or a negative label; the reported line is the first offending one,
-    a range error on that line coming before its negative label. The range
+    value, a label that is not an integer or a negative label; the reported
+    line is the first offending one, a range error on that line coming
+    before its negative label. The range
     check is two reductions, and only a failing file builds the mask
     ``~((X >= 0) & (X <= 1))`` to name the entry; NaN and infinities fail
     both.
@@ -120,7 +132,7 @@ def load_dataset_csv(path) -> Dataset:
             row = [float(v) for v in parts[:-1]]
             label = int(parts[-1])
         except ValueError as exc:
-            failure, cause = f"line {lineno}: non-numeric value", exc
+            failure, cause = f"line {lineno}: {_parse_failure(parts)}", exc
             break
         feats.append(row)
         if label < 0:
@@ -147,16 +159,19 @@ def load_dataset_csv(path) -> Dataset:
 
 
 def split_dataset(data: Dataset, test_fraction: float, seed: int = 0):
-    """Stratified deterministic split into (train, test)."""
+    """Stratified deterministic split into (train, test): each class with
+    rows gives at least one of them to the test side. Raises
+    ``DataFormatError`` when that leaves no training rows."""
     if not 0.0 < test_fraction < 1.0:
         raise ValueError("test_fraction must lie in (0, 1)")
     rng = np.random.default_rng(seed)
     test_idx = []
-    for c in range(data.num_classes):
-        idx = data.class_index[c]
+    for _, idx in class_rows(data.labels):
         take = max(1, int(round(test_fraction * idx.size)))
         test_idx.append(rng.choice(idx, size=take, replace=False))
     test_idx = np.sort(np.concatenate(test_idx))
+    if test_idx.size == data.n:
+        raise DataFormatError("the split left no training rows")
     mask = np.zeros(data.n, dtype=bool)
     mask[test_idx] = True
     return data.subset(np.flatnonzero(~mask)), data.subset(test_idx)

@@ -43,40 +43,35 @@ def as_matrix(a, name: str = "matrix", finite: bool = True) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SvdResult:
-    """Thin SVD ``A = U @ diag(sigma) @ V.T``.
+    """Left singular vectors and singular values of a thin SVD
+    ``A = U @ diag(sigma) @ V.T``; no caller needs V, so it is not kept.
 
-    ``sigma`` is nonincreasing and nonnegative, U and V have orthonormal
-    columns. The largest-magnitude entry of each U column is made nonnegative
-    (V flipped to match), pinning the otherwise arbitrary sign choice so that
-    repeated decompositions are bit-comparable.
+    ``sigma`` is nonincreasing and nonnegative, U has orthonormal columns.
+    The largest-magnitude entry of each U column is made nonnegative, pinning
+    the otherwise arbitrary sign choice so that repeated decompositions are
+    bit-comparable.
     """
 
     U: np.ndarray
     sigma: np.ndarray
-    V: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.U * self.sigma) @ self.V.T
 
 
 def svd(A) -> SvdResult:
     """Thin SVD with ``k = min(rows, cols)`` columns and a fixed sign convention."""
     m = as_matrix(A, "A")
     try:
-        u, s, vt = np.linalg.svd(m, full_matrices=False)
+        u, s, _ = np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         residual = float(np.linalg.norm(m))
         raise NumericalError(
             f"SVD did not converge for shape {m.shape} (input norm {residual:.3e})"
         ) from exc
     u = u.copy()
-    v = vt.T.copy()
     for j in range(s.shape[0]):
         i = int(np.argmax(np.abs(u[:, j])))
         if u[i, j] < 0.0:
             u[:, j] = -u[:, j]
-            v[:, j] = -v[:, j]
-    return SvdResult(U=u, sigma=s, V=v)
+    return SvdResult(U=u, sigma=s)
 
 
 def spectral_norm(A) -> float:

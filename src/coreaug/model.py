@@ -11,7 +11,6 @@ coordinate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -23,9 +22,10 @@ __all__ = [
     "GradientProxySet",
     "MLP",
     "one_hot",
+    "class_rows",
     "forward",
-    "loss",
     "residuals",
+    "example_losses",
     "flatten_layers",
     "checked_rows",
     "residual_and_gradients",
@@ -52,13 +52,20 @@ def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
     return out
 
 
+def class_rows(labels) -> list[tuple[int, np.ndarray]]:
+    """(label, row indices) of every class that has rows, in label order.
+    A class with no rows is absent, so every consumer skips it. Labels are
+    nonnegative integers; ``np.bincount`` finds them without the import of
+    ``numpy.ma`` that a first ``np.unique`` call makes."""
+    labels = np.asarray(labels)
+    return [(int(c), np.flatnonzero(labels == c))
+            for c in np.flatnonzero(np.bincount(labels))]
+
+
 @dataclass(frozen=True)
 class Dataset:
-    """Feature matrix in [0, 1]^(n x d) with integer class labels.
-
-    ``class_index`` partitions row indices by label; labels must lie in
-    ``{0, ..., num_classes - 1}``.
-    """
+    """Feature matrix in [0, 1]^(n x d) with integer class labels in
+    ``{0, ..., num_classes - 1}``; a label may have no rows."""
 
     features: np.ndarray
     labels: np.ndarray
@@ -85,10 +92,6 @@ class Dataset:
     @property
     def dim(self) -> int:
         return self.features.shape[1]
-
-    @cached_property
-    def class_index(self) -> list[np.ndarray]:
-        return [np.flatnonzero(self.labels == c) for c in range(self.num_classes)]
 
     def one_hot_labels(self) -> np.ndarray:
         return one_hot(self.labels, self.num_classes)
@@ -145,9 +148,8 @@ class MLP:
     biases: list = field(repr=False)
 
     @classmethod
-    def init(cls, layer_sizes, activation: str = "tanh", seed: int = 0,
-             scale: float = 1.0) -> "MLP":
-        """Seeded init: per-layer uniform in [-scale/sqrt(fan_in), +scale/sqrt(fan_in)]."""
+    def init(cls, layer_sizes, activation: str = "tanh", seed: int = 0) -> "MLP":
+        """Seeded init: per-layer uniform in [-1/sqrt(fan_in), +1/sqrt(fan_in)]."""
         sizes = tuple(int(s) for s in layer_sizes)
         if len(sizes) < 2 or any(s < 1 for s in sizes):
             raise ValueError("layer_sizes needs at least input and output sizes >= 1")
@@ -155,16 +157,9 @@ class MLP:
         rng = np.random.default_rng(seed)
         weights, biases = [], []
         for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-            bound = scale / np.sqrt(fan_in)
+            bound = 1.0 / np.sqrt(fan_in)
             weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
             biases.append(rng.uniform(-bound, bound, size=fan_out))
-        return cls(sizes, activation, weights, biases)
-
-    @classmethod
-    def zeros(cls, layer_sizes, activation: str = "tanh") -> "MLP":
-        sizes = tuple(int(s) for s in layer_sizes)
-        weights = [np.zeros((i, o)) for i, o in zip(sizes[:-1], sizes[1:])]
-        biases = [np.zeros(o) for o in sizes[1:]]
         return cls(sizes, activation, weights, biases)
 
     @property
@@ -228,9 +223,10 @@ def residuals(net: MLP, data: Dataset) -> np.ndarray:
     return forward(net, data.features) - data.one_hot_labels()
 
 
-def loss(net: MLP, data: Dataset) -> float:
+def example_losses(net: MLP, data: Dataset) -> np.ndarray:
+    """Squared loss ``0.5 * ||f(x_i) - y_i||^2`` of each example."""
     r = residuals(net, data)
-    return 0.5 * float(np.sum(r * r))
+    return 0.5 * np.sum(r * r, axis=1)
 
 
 def _backward(net: MLP, acts, delta: np.ndarray) -> list:

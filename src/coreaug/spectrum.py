@@ -12,7 +12,7 @@ common linear transform applied to a weighted subset.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -64,20 +64,18 @@ class WeylVerdict:
     passed: bool
     max_violation: float
     e_norm2: float
-    tolerance: float = WEYL_TOL
 
 
-def weyl_check(sigma_clean, sigma_aug, e_norm2: float,
-               tolerance: float = WEYL_TOL) -> WeylVerdict:
+def weyl_check(sigma_clean, sigma_aug, e_norm2: float) -> WeylVerdict:
     """No rank-paired singular value may move more than the perturbation norm:
-    |sigma_aug_i - sigma_clean_i| <= ||E||_2 + tolerance."""
+    |sigma_aug_i - sigma_clean_i| <= ||E||_2 + WEYL_TOL."""
     s0 = np.asarray(sigma_clean, dtype=np.float64)
     s1 = np.asarray(sigma_aug, dtype=np.float64)
     if s0.shape != s1.shape:
         raise ValueError("spectra must be rank-paired with equal lengths")
     violation = float(np.max(np.abs(s1 - s0)) - e_norm2)
-    return WeylVerdict(passed=violation <= tolerance, max_violation=violation,
-                       e_norm2=float(e_norm2), tolerance=tolerance)
+    return WeylVerdict(passed=violation <= WEYL_TOL, max_violation=violation,
+                       e_norm2=float(e_norm2))
 
 
 @dataclass(frozen=True)
@@ -118,7 +116,7 @@ def round_spectra(net: MLP, X, spec: TransformSpec, round_indices) -> RoundSpect
 
 @dataclass
 class SpectrumBin:
-    index: int
+    bin: int
     sigma_lo: float
     sigma_hi: float
     mean_delta_sigma: float
@@ -160,40 +158,18 @@ class SpectrumReport:
         return bottom > top and self.bins[-1].mean_angle_rad < self.bins[0].mean_angle_rad
 
     def to_json_dict(self) -> dict:
-        return {
-            "sigma_clean": [float(s) for s in self.sigma_clean],
-            "sigma_aug": [float(s) for s in self.sigma_aug],
-            "e_norm2": self.e_norm2,
-            "e_norm_frobenius": self.e_norm_frobenius,
-            "eigengap": self.eigengap,
-            "weyl": {
-                "passed": self.weyl.passed,
-                "max_violation": self.weyl.max_violation,
-                "e_norm2": self.weyl.e_norm2,
-            },
-            "bins": [
-                {
-                    "bin": b.index,
-                    "sigma_lo": b.sigma_lo,
-                    "sigma_hi": b.sigma_hi,
-                    "mean_delta_sigma": b.mean_delta_sigma,
-                    "mean_angle_rad": b.mean_angle_rad,
-                    "count": b.count,
-                }
-                for b in self.bins
-            ],
-        }
+        return {**asdict(self), "sigma_clean": self.sigma_clean.tolist(),
+                "sigma_aug": self.sigma_aug.tolist()}
 
     def write_bins_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("bin,sigma_lo,sigma_hi,mean_delta_sigma,mean_angle_rad\n")
             for b in self.bins:
-                fh.write(f"{b.index},{b.sigma_lo!r},{b.sigma_hi!r},"
+                fh.write(f"{b.bin},{b.sigma_lo!r},{b.sigma_hi!r},"
                          f"{b.mean_delta_sigma!r},{b.mean_angle_rad!r}\n")
 
 
-def spectrum_report(J_clean, J_aug, num_bins: int = NUM_BINS,
-                    clean: SvdResult | None = None) -> SpectrumReport:
+def spectrum_report(J_clean, J_aug, clean: SvdResult | None = None) -> SpectrumReport:
     """Pair the two spectra by rank and summarize shift and rotation per bin.
 
     ``clean`` is ``svd(J_clean)`` when the caller already holds it, so that a
@@ -215,14 +191,14 @@ def spectrum_report(J_clean, J_aug, num_bins: int = NUM_BINS,
     delta = s_a - s_c
     bins: list[SpectrumBin] = []
     # equal-count bins, the remainder spread one each to the lowest bins
-    for b, ids in enumerate(np.array_split(np.arange(k), num_bins)):
+    for b, ids in enumerate(np.array_split(np.arange(k), NUM_BINS)):
         if ids.size == 0:
             bins.append(SpectrumBin(b, math.nan, math.nan, math.nan, math.nan, 0))
             continue
         cols = asc[ids]
         angles = principal_angles(dec_c.U[:, cols], dec_a.U[:, cols])
         bins.append(SpectrumBin(
-            index=b,
+            bin=b,
             sigma_lo=float(s_c[ids].min()),
             sigma_hi=float(s_c[ids].max()),
             mean_delta_sigma=float(delta[ids].mean()),

@@ -36,6 +36,7 @@ from .model import (
     MLP,
     Dataset,
     checked_rows,
+    example_losses,
     flatten_layers,
     forward,
     gradient_proxy,
@@ -110,6 +111,8 @@ class TrainConfig:
             raise ValueError(f"baseline must be one of {BASELINES}")
         if self.refresh_r < 1 or self.epochs < 1:
             raise ValueError("refresh_r and epochs must be >= 1")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if not 0.0 <= self.label_noise_frac < 1.0:
             raise ValueError("label_noise_frac must lie in [0, 1)")
 
@@ -246,10 +249,7 @@ def _select_subset(config: TrainConfig, net: MLP, data: Dataset,
                            seed=[config.seed, 23, refresh_idx],
                            fraction=sel.fraction)
     else:
-        preds = forward(net, data.features)
-        r = preds - data.one_hot_labels()
-        losses = 0.5 * np.sum(r * r, axis=1)
-        bs = max_loss_subset(losses, sel.k_per_class, data.labels,
+        bs = max_loss_subset(example_losses(net, data), sel.k_per_class, data.labels,
                              fraction=sel.fraction)
     return bs.indices, bs.weights
 

@@ -30,6 +30,7 @@ from coreaug.coreset import (
 )
 from coreaug.linalg import NumericalError
 from coreaug.model import Dataset, GradientProxySet, MLP, gradient_proxy
+from helpers import zero_mlp
 
 
 def random_points(seed, n, p=3, scale=1.0):
@@ -553,7 +554,7 @@ TAKES_D = {
     **_ENGINE_FNS,
     "compute_weights": lambda D, config: compute_weights(D, [0, 1]),
     "g_frobenius": lambda D, config: g_frobenius(D, [0, 1], 1.0),
-    "facility_location": lambda D, config: facility_location_objective(D, [0, 1]),
+    "facility_location": lambda D, config: facility_location_objective(D, [0, 1], 1.0),
 }
 
 
@@ -621,12 +622,11 @@ class TestSelectAllClasses:
 
     def test_empty_class_warns(self):
         pts = random_points(21, 6)
-        labels = np.zeros(6, dtype=int)
+        labels = np.array([0, 2, 0, 2, 0, 2])
         coreset = select_all_classes(
-            GradientProxySet(pts, labels, "residual", 2),
+            GradientProxySet(pts, labels, "residual", 3),
             SelectionConfig(fraction=0.5))
-        assert len(coreset.classes) == 1
-        assert any("class 1" in w for w in coreset.warnings)
+        assert [c.label for c in coreset.classes] == [0, 2]
 
     def test_validate_passes_on_engine_output(self):
         pts = random_points(22, 40)
@@ -816,7 +816,7 @@ class TestNtkBound:
         assert verdict.passed
 
     def test_zero_residual(self):
-        net = MLP.zeros([3, 2])
+        net = zero_mlp([3, 2])
         net.biases[-1] = np.array([1.0, 0.0])
         rng = np.random.default_rng(28)
         data = Dataset(rng.uniform(0, 1, (6, 3)), np.zeros(6, dtype=int), 2)

@@ -16,6 +16,16 @@ def random_matrix(seed, rows, cols, scale=1.0):
     return scale * rng.standard_normal((rows, cols))
 
 
+def assert_factorises(a, dec):
+    """``a = U diag(sigma) V^T`` for some V with orthonormal columns: ``a``
+    lies in the span of U, and the columns of ``a^T U`` (that is, sigma_j
+    v_j) are orthogonal with norms sigma."""
+    scale = max(np.linalg.norm(a), 1e-300)
+    assert np.linalg.norm(a - dec.U @ (dec.U.T @ a)) <= 1e-7 * scale
+    g = a.T @ dec.U
+    assert np.linalg.norm(g.T @ g - np.diag(dec.sigma**2)) <= 1e-7 * scale**2
+
+
 def orthonormal_columns(seed, rows, cols):
     q, _ = np.linalg.qr(random_matrix(seed, rows, cols))
     return q[:, :cols]
@@ -26,7 +36,6 @@ class TestSvd:
         dec = svd(np.diag([3.0, 2.0, 1.0]))
         assert np.array_equal(dec.sigma, [3.0, 2.0, 1.0])
         assert np.allclose(dec.U, np.eye(3))
-        assert np.allclose(dec.V, np.eye(3))
 
     def test_zero_matrix(self):
         dec = svd(np.zeros((4, 3)))
@@ -34,15 +43,13 @@ class TestSvd:
 
     def test_reconstruction_random(self):
         a = random_matrix(0, 20, 10)
-        dec = svd(a)
-        assert np.linalg.norm(a - dec.reconstruct()) <= 1e-7 * np.linalg.norm(a)
+        assert_factorises(a, svd(a))
 
     def test_sign_convention_and_determinism(self):
         a = random_matrix(1, 12, 7)
         dec1 = svd(a)
         dec2 = svd(a.copy())
         assert np.array_equal(dec1.U, dec2.U)
-        assert np.array_equal(dec1.V, dec2.V)
         for j in range(dec1.sigma.size):
             i = np.argmax(np.abs(dec1.U[:, j]))
             assert dec1.U[i, j] >= 0.0
@@ -56,8 +63,7 @@ class TestSvd:
         assert np.all(dec.sigma >= 0.0)
         assert np.all(np.diff(dec.sigma) <= 0.0)
         assert np.linalg.norm(dec.U.T @ dec.U - np.eye(k)) <= 1e-8
-        assert np.linalg.norm(dec.V.T @ dec.V - np.eye(k)) <= 1e-8
-        assert np.linalg.norm(a - dec.reconstruct()) <= 1e-7 * max(np.linalg.norm(a), 1e-300)
+        assert_factorises(a, dec)
 
     def test_rejects_nan(self):
         bad = np.ones((3, 3))

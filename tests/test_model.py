@@ -8,18 +8,20 @@ from coreaug.model import (
     MLP,
     MemoryCapError,
     _activation_pair,
+    class_rows,
     estimate_lipschitz,
+    example_losses,
     flatten_layers,
     forward,
     gradient_proxy,
     jacobian,
-    loss,
     one_hot,
     per_example_gradients,
     residual_and_gradients,
     residuals,
     weighted_gradient,
 )
+from helpers import zero_mlp
 
 
 def make_dataset(seed=0, n=12, d=4, C=3):
@@ -62,15 +64,21 @@ class TestDataset:
 
     def test_class_index_partitions(self):
         data = make_dataset(5, n=30, C=4)
-        combined = np.sort(np.concatenate(data.class_index))
+        rows = class_rows(data.labels)
+        combined = np.sort(np.concatenate([idx for _, idx in rows]))
         assert np.array_equal(combined, np.arange(30))
-        for c, idx in enumerate(data.class_index):
+        assert [c for c, _ in rows] == sorted(set(data.labels.tolist()))
+        for c, idx in rows:
             assert np.all(data.labels[idx] == c)
+
+    def test_class_rows_skip_labels_without_rows(self):
+        rows = class_rows(np.array([2, 0, 2, 0, 2]))
+        assert [(c, idx.tolist()) for c, idx in rows] == [(0, [1, 3]), (2, [0, 2, 4])]
 
 
 class TestForward:
     def test_zero_net_outputs_zero(self):
-        net = MLP.zeros([4, 5, 3])
+        net = zero_mlp([4, 5, 3])
         X = np.random.default_rng(0).uniform(0, 1, (6, 4))
         assert np.array_equal(forward(net, X), np.zeros((6, 3)))
 
@@ -93,28 +101,28 @@ class TestForward:
 
 class TestLoss:
     def test_perfect_predictions(self):
-        net = MLP.zeros([2, 2])
+        net = zero_mlp([2, 2])
         net.biases[0] = np.array([1.0, 0.0])
         data = Dataset(np.random.default_rng(0).uniform(0, 1, (8, 2)),
                        np.zeros(8, dtype=int), 2)
-        assert loss(net, data) == 0.0
+        assert np.array_equal(example_losses(net, data), np.zeros(8))
 
     def test_zero_net_one_hot(self):
         data = make_dataset(1, n=9)
-        net = MLP.zeros([data.dim, 6, data.num_classes])
-        assert loss(net, data) == pytest.approx(9 / 2)
+        net = zero_mlp([data.dim, 6, data.num_classes])
+        assert np.array_equal(example_losses(net, data), np.full(9, 0.5))
 
     def test_matches_forward_recomputation(self):
         data = make_dataset(2)
         net = MLP.init([data.dim, 5, data.num_classes], seed=3)
         preds = forward(net, data.features)
-        expected = 0.5 * np.sum((preds - data.one_hot_labels()) ** 2)
-        assert loss(net, data) == pytest.approx(expected, rel=1e-12)
+        expected = 0.5 * np.sum((preds - data.one_hot_labels()) ** 2, axis=1)
+        assert np.array_equal(example_losses(net, data), expected)
 
 
 class TestGradients:
     def test_zero_residual_zero_gradient(self):
-        net = MLP.zeros([2, 2])
+        net = zero_mlp([2, 2])
         net.biases[0] = np.array([1.0, 0.0])
         g = per_example_gradient(net, np.array([0.3, 0.4]), np.array([1.0, 0.0]))
         assert np.array_equal(g, np.zeros(net.num_params))
@@ -320,7 +328,7 @@ class TestJacobian:
 class TestGradientProxy:
     def test_zero_residual_zero_proxy(self):
         # zero hidden weights with bias e_0 interpolate the all-class-0 labels
-        net = MLP.zeros([2, 3, 2])
+        net = zero_mlp([2, 3, 2])
         data = Dataset(np.random.default_rng(0).uniform(0, 1, (5, 2)),
                        np.zeros(5, dtype=int), 2)
         net.biases[-1] = np.array([1.0, 0.0])

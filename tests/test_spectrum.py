@@ -22,6 +22,7 @@ from coreaug.spectrum import (
     spectrum_report,
     weyl_check,
 )
+from helpers import zero_mlp
 
 
 def random_matrix(seed, rows, cols, scale=1.0):
@@ -351,7 +352,7 @@ class TestAugmentedDynamicsEnvelope:
         # full row rank: m = d + 1 > n, single output keeps the gap positive
         rng = np.random.default_rng(22)
         data = Dataset(rng.uniform(0, 1, (10, 12)), np.zeros(10, dtype=int), 1)
-        net = MLP.zeros([12, 1])
+        net = zero_mlp([12, 1])
         from coreaug.model import jacobian
 
         lam = np.linalg.svd(jacobian(net, data.features), compute_uv=False)[0] ** 2
@@ -365,7 +366,7 @@ class TestAugmentedDynamicsEnvelope:
     def test_linear_with_synthetic_rounds(self):
         rng = np.random.default_rng(23)
         data = Dataset(rng.uniform(0, 1, (12, 14)), np.zeros(12, dtype=int), 1)
-        net = MLP.zeros([14, 1])
+        net = zero_mlp([14, 1])
         from coreaug.model import jacobian
 
         lam = np.linalg.svd(jacobian(net, data.features), compute_uv=False)[0] ** 2
@@ -378,7 +379,7 @@ class TestAugmentedDynamicsEnvelope:
     def test_bound_monotone_in_budget_at_start(self):
         rng = np.random.default_rng(24)
         data = Dataset(rng.uniform(0, 1, (10, 12)), np.zeros(10, dtype=int), 1)
-        net = MLP.zeros([12, 1])
+        net = zero_mlp([12, 1])
         from coreaug.model import jacobian
 
         lam = np.linalg.svd(jacobian(net, data.features), compute_uv=False)[0] ** 2

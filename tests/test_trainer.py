@@ -21,6 +21,7 @@ from coreaug.trainer import (
     train,
     weighted_gradient_step,
 )
+from helpers import zero_mlp
 
 
 def blob_pair(seed=0, n=60, d=4, C=3, n_test=30):
@@ -128,7 +129,7 @@ class TestWeightedStep:
 
 class TestEvaluate:
     def test_perfect_predictions(self):
-        net = MLP.zeros([2, 2])
+        net = zero_mlp([2, 2])
         net.biases[0] = np.array([1.0, 0.0])
         data = Dataset(np.random.default_rng(0).uniform(0, 1, (6, 2)),
                        np.zeros(6, dtype=int), 2)
@@ -138,7 +139,7 @@ class TestEvaluate:
     def test_zero_net_tie_rule(self):
         # all predictions tie at zero; argmax resolves to class 0
         data, _ = blob_pair(7, n=30, C=3)
-        net = MLP.zeros([data.dim, 4, data.num_classes])
+        net = zero_mlp([data.dim, 4, data.num_classes])
         _, acc = evaluate(net, data)
         assert acc == pytest.approx(np.mean(data.labels == 0))
 
