@@ -261,14 +261,8 @@ def run_bounds_suite(seed: int, weyl_trials: int, shift_draws: int,
                      linear_instances: int, augmentation_rounds: int) -> dict:
     """Every audit battery, keyed by name. The entries of
     ``audit_real_augmentation`` are reported only; the rest are verdicts.
-    Every count must be >= 1: an empty battery would pass vacuously."""
-    counts = {"weyl_trials": weyl_trials, "shift_draws": shift_draws,
-              "vector_trials": vector_trials, "ntk_instances": ntk_instances,
-              "linear_instances": linear_instances,
-              "augmentation_rounds": augmentation_rounds}
-    for name, count in counts.items():
-        if count < 1:
-            raise ValueError(f"{name} must be >= 1, got {count}")
+    Every count must be >= 1, as the ``bounds`` parser checks: an empty
+    battery would pass vacuously."""
     return {
         "weyl_random": audit_weyl_random(weyl_trials, seed),
         "weyl_augmentation": audit_weyl_augmentation(augmentation_rounds, seed),

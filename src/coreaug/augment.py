@@ -54,7 +54,6 @@ class AugmentedSet:
 
     features: np.ndarray
     origin: np.ndarray
-    labels: np.ndarray | None = None
 
 
 def _raw_displacements(spec: TransformSpec, k: int, d: int,
@@ -77,8 +76,7 @@ def _raw_displacements(spec: TransformSpec, k: int, d: int,
     return values * mask
 
 
-def perturb(spec: TransformSpec, X, round_index: int = 0,
-            labels: np.ndarray | None = None) -> AugmentedSet:
+def perturb(spec: TransformSpec, X, round_index: int = 0) -> AugmentedSet:
     """Emit ``spec.r`` bounded perturbed copies of every row of X.
 
     Each copy block c is drawn from the stream keyed by (seed, round, c), so a
@@ -101,11 +99,4 @@ def perturb(spec: TransformSpec, X, round_index: int = 0,
         if np.any(over):
             scale[over] = eps / norms[over]
         out[copy::spec.r] = np.clip(X + delta * scale[:, None], 0.0, 1.0)
-    origin = np.repeat(np.arange(k), spec.r)
-    aug_labels = None
-    if labels is not None:
-        labels = np.asarray(labels)
-        if labels.shape[0] != k:
-            raise ValueError("labels must have one entry per source row")
-        aug_labels = labels[origin]
-    return AugmentedSet(features=out, origin=origin, labels=aug_labels)
+    return AugmentedSet(features=out, origin=np.repeat(np.arange(k), spec.r))

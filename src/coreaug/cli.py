@@ -87,11 +87,21 @@ def _seed_list(text: str) -> list[int]:
     return seeds
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _checked(kind, ok, bound: str):
+    """An argparse type: ``kind(text)``, rejected unless ``ok`` holds, so the
+    error names the flag."""
+    def parse(text: str):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must {bound}, got {value}")
+        return value
+    parse.__name__ = kind.__name__
+    return parse
+
+
+_positive_int = _checked(int, lambda v: v >= 1, "be >= 1")
+_fraction = _checked(float, lambda v: 0.0 < v <= 1.0, "lie in (0, 1]")
+_holdout = _checked(float, lambda v: 0.0 < v < 1.0, "lie in (0, 1)")
 
 
 def _load_data(path: Path) -> Dataset:
@@ -233,7 +243,7 @@ def cmd_spectrum(args) -> int:
         raise DataFormatError(f"{data_path}: no rows with a label below "
                               f"--classes-used {classes_used}")
     keep = np.concatenate(keep)
-    data = Dataset(data.features[keep].copy(), data.labels[keep].copy(), classes_used)
+    data = Dataset(data.features[keep], data.labels[keep], classes_used)
     net = MLP.init([data.dim, *args.hidden, data.num_classes],
                    activation="tanh", seed=args.seed)
     outputs = []
@@ -317,26 +327,31 @@ def cmd_experiment(args) -> int:
 
 def cmd_report(args) -> int:
     runs_dir = Path(args.runs)
-    rows_by_run = {}
+    columns = CSV_HEADER.split(",")
+    summary = {}
     for csv_path in sorted(runs_dir.glob("*.csv")):
         with open(csv_path, "r", encoding="utf-8") as fh:
-            header = fh.readline().strip()
-            if header != CSV_HEADER:
+            if fh.readline().strip() != CSV_HEADER:
                 continue
-            rows = [line.strip().split(",") for line in fh if line.strip()]
-        rows_by_run[csv_path.name] = rows
-    if not rows_by_run:
+            rows = []
+            for line_no, line in enumerate(fh, start=2):
+                if not line.strip():
+                    continue
+                fields = line.strip().split(",")
+                if len(fields) != len(columns):
+                    raise DataFormatError(f"{csv_path}: line {line_no}: {len(fields)} "
+                                          f"columns, the run header has {len(columns)}")
+                try:
+                    rows.append([float(v) for v in fields])
+                except ValueError as exc:
+                    raise DataFormatError(f"{csv_path}: line {line_no}: {exc}") from None
+        if not rows:
+            raise DataFormatError(f"{csv_path}: no rows below the run header")
+        # the last epoch's train_loss, test_loss, test_acc and grad_norm
+        summary[csv_path.name] = {"epochs": len(rows), **{
+            f"final_{c}": v for c, v in zip(columns[1:5], rows[-1][1:5])}}
+    if not summary:
         raise DataFormatError(f"{runs_dir}: no run CSVs found")
-    summary = {}
-    for name, rows in rows_by_run.items():
-        last = rows[-1]
-        summary[name] = {
-            "epochs": len(rows),
-            "final_train_loss": float(last[1]),
-            "final_test_loss": float(last[2]),
-            "final_test_acc": float(last[3]),
-            "final_grad_norm": float(last[4]),
-        }
     accs = [v["final_test_acc"] for v in summary.values()]
     payload = {
         "runs": summary,
@@ -372,47 +387,45 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_selection_flags(p):
         p.add_argument("--engine", default="lazy", choices=("naive", "lazy", "stochastic"))
-        p.add_argument("--fraction", type=float, default=0.1)
-        p.add_argument("--k-per-class", dest="k_per_class", type=int, default=None)
+        p.add_argument("--fraction", type=_fraction, default=0.1)
+        p.add_argument("--k-per-class", type=_positive_int, default=None)
         p.add_argument("--xi", type=float, default=None)
-        p.add_argument("--stochastic-sample", dest="stochastic_sample", type=int, default=None)
-        p.add_argument("--proxy-mode", dest="proxy_mode", default="last_layer",
+        p.add_argument("--stochastic-sample", type=_positive_int, default=None)
+        p.add_argument("--proxy-mode", default="last_layer",
                        choices=("residual", "last_layer"))
-        p.add_argument("--r", type=int, default=1)
+        p.add_argument("--r", type=_positive_int, default=1)
         p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("select", help="extract a weighted per-class coreset")
     p.add_argument("--data", required=True)
     add_selection_flags(p)
     p.add_argument("--hidden", type=_hidden_sizes, default=(32,))
-    p.add_argument("--net-seed", dest="net_seed", type=int, default=0)
-    p.add_argument("--warmup-epochs", dest="warmup_epochs", type=int, default=0)
+    p.add_argument("--net-seed", type=int, default=0)
+    p.add_argument("--warmup-epochs", type=int, default=0)
     p.add_argument("--lr", type=float, default=0.005)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_select)
 
     p = sub.add_parser("train", help="weighted SGD over a training regime")
     p.add_argument("--data", required=True)
-    p.add_argument("--test-data", dest="test_data", default=None)
-    p.add_argument("--holdout", type=float, default=0.25)
-    p.add_argument("--split-seed", dest="split_seed", type=int, default=0)
+    p.add_argument("--test-data", default=None)
+    p.add_argument("--holdout", type=_holdout, default=0.25)
+    p.add_argument("--split-seed", type=int, default=0)
     p.add_argument("--regime", default="full_plus_coreset_aug",
                    choices=("coreset_only", "full_plus_coreset_aug",
                             "random_plus_coreset_aug"))
     p.add_argument("--baseline", default="ours", choices=("ours", "random", "max_loss"))
     add_selection_flags(p)
-    p.add_argument("--refresh-r", dest="refresh_r", type=int, default=1)
-    p.add_argument("--epochs", type=int, default=20)
+    p.add_argument("--refresh-r", type=_positive_int, default=1)
+    p.add_argument("--epochs", type=_positive_int, default=20)
     p.add_argument("--lr", type=float, default=0.005)
-    p.add_argument("--lr-decay-epochs", dest="lr_decay_epochs", type=int, nargs="*",
-                   default=None)
-    p.add_argument("--lr-decay-factor", dest="lr_decay_factor", type=float, default=0.1)
-    p.add_argument("--batch-size", dest="batch_size", type=int, default=32)
+    p.add_argument("--lr-decay-epochs", type=int, nargs="*", default=None)
+    p.add_argument("--lr-decay-factor", type=float, default=0.1)
+    p.add_argument("--batch-size", type=int, default=32)
     p.add_argument("--epsilon0", type=float, default=16.0 / 255.0)
-    p.add_argument("--transform-kind", dest="transform_kind", default="uniform_ball",
-                   choices=TRANSFORM_KINDS)
-    p.add_argument("--label-noise", dest="label_noise", type=float, default=0.0)
-    p.add_argument("--random-fraction", dest="random_fraction", type=float, default=0.5)
+    p.add_argument("--transform-kind", default="uniform_ball", choices=TRANSFORM_KINDS)
+    p.add_argument("--label-noise", type=float, default=0.0)
+    p.add_argument("--random-fraction", type=float, default=0.5)
     p.add_argument("--hidden", type=_hidden_sizes, default=(32,))
     p.add_argument("--seeds", type=_seed_list, default=[0])
     p.add_argument("--out", required=True)
@@ -420,15 +433,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="paired clean/augmented spectrum reports")
     p.add_argument("--data", required=True)
-    p.add_argument("--epsilon0", type=float, nargs="+",
-                   default=[8.0 / 255.0, 16.0 / 255.0])
-    p.add_argument("--transform-kind", dest="transform_kind", default="uniform_ball",
-                   choices=TRANSFORM_KINDS)
-    p.add_argument("--train-epochs", dest="train_epochs", type=int, default=15)
+    p.add_argument("--epsilon0", type=float, nargs="+", default=[8.0 / 255.0, 16.0 / 255.0])
+    p.add_argument("--transform-kind", default="uniform_ball", choices=TRANSFORM_KINDS)
+    p.add_argument("--train-epochs", type=int, default=15)
     p.add_argument("--lr", type=float, default=0.005)
     p.add_argument("--hidden", type=_hidden_sizes, default=(24,))
-    p.add_argument("--classes-used", dest="classes_used", type=_positive_int, default=3)
-    p.add_argument("--per-class-cap", dest="per_class_cap", type=_positive_int, default=300)
+    p.add_argument("--classes-used", type=_positive_int, default=3)
+    p.add_argument("--per-class-cap", type=_positive_int, default=300)
     p.add_argument("--untrained", action="store_true",
                    help="also report the spectrum at initialization")
     p.add_argument("--seed", type=int, default=0)
@@ -437,12 +448,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="run the randomized bound-audit suite")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--weyl-trials", dest="weyl_trials", type=int, default=1000)
-    p.add_argument("--shift-draws", dest="shift_draws", type=int, default=1000)
-    p.add_argument("--vector-trials", dest="vector_trials", type=int, default=200)
-    p.add_argument("--ntk-instances", dest="ntk_instances", type=int, default=100)
-    p.add_argument("--linear-instances", dest="linear_instances", type=int, default=100)
-    p.add_argument("--augmentation-rounds", dest="augmentation_rounds", type=int, default=20)
+    # an empty battery would pass vacuously
+    p.add_argument("--weyl-trials", type=_positive_int, default=1000)
+    p.add_argument("--shift-draws", type=_positive_int, default=1000)
+    p.add_argument("--vector-trials", type=_positive_int, default=200)
+    p.add_argument("--ntk-instances", type=_positive_int, default=100)
+    p.add_argument("--linear-instances", type=_positive_int, default=100)
+    p.add_argument("--augmentation-rounds", type=_positive_int, default=20)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_bounds)
 
@@ -459,9 +471,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Config keys whose list is several values of an ``nargs`` flag; any other list
+# is one comma-separated value (``--seeds``, ``--hidden``).
+_MULTI_VALUE_KEYS = ("epsilon0", "lr_decay_epochs")
+
+
 def _apply_config_file(argv: list[str]) -> list[str]:
-    """Prepend flag values from a JSON config (schema_version checked); explicit
-    command-line flags still win because argparse takes the last occurrence."""
+    """Insert flag values from a JSON config (schema_version checked) after
+    the subcommand; explicit command-line flags still win because argparse
+    takes the last occurrence. A manifest's ``config`` replays its run: a
+    null leaves its flag at the default, and a ``command`` key must name the
+    subcommand."""
     if "--config" not in argv:
         return argv
     pos = argv.index("--config")
@@ -477,24 +497,27 @@ def _apply_config_file(argv: list[str]) -> list[str]:
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
     if payload.get("schema_version") != SCHEMA_VERSION:
         raise ConfigError(f"config schema_version must be {SCHEMA_VERSION}")
-    injected: list[str] = []
-    for key, value in payload.items():
-        if key == "schema_version":
-            continue
-        flag = "--" + key.replace("_", "-")
-        if isinstance(value, bool):
-            if value:
-                injected.append(flag)
-        elif isinstance(value, list):
-            injected.append(flag)
-            injected += [str(v) for v in value]
-        else:
-            injected += [flag, str(value)]
-    # insert after the subcommand so argparse scopes flags correctly
     command_pos = next((i for i, a in enumerate(argv)
                         if not a.startswith("-") and i != pos + 1), None)
     if command_pos is None:
         raise ConfigError("missing subcommand")
+    command = argv[command_pos]
+    if payload.get("command", command) != command:
+        raise ConfigError(f"{cfg_path}: command {payload['command']!r} does not match "
+                          f"the subcommand {command!r}")
+    injected: list[str] = []
+    for key, value in payload.items():
+        if key in ("schema_version", "command") or value is None or value is False:
+            continue
+        flag = "--" + key.replace("_", "-")
+        if value is True:
+            injected.append(flag)
+        elif isinstance(value, list) and key in _MULTI_VALUE_KEYS:
+            injected += [flag, *(str(v) for v in value)]
+        elif isinstance(value, list):
+            injected += [flag, ",".join(str(v) for v in value)]
+        else:
+            injected += [flag, str(value)]
     return argv[:command_pos + 1] + injected + argv[command_pos + 1:]
 
 

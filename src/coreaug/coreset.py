@@ -67,8 +67,9 @@ STOP_MODES = ("xi_threshold", "fixed_size")
 # one reduction while the temporary stays at 64 x n_c from n_c = 1000 on.
 _SCORE_BLOCK = 64
 _SCORE_ENTRIES = 64_000
-# Rows of the Gram matrix turned into distances per step, and the height of
-# the tiles it is symmetrised in; bounds the scratch buffer at block x n.
+# Rows of the Gram matrix turned into distances per step; bounds the scratch
+# buffer at block x n. Each step is elementwise, so D keeps the Gram matrix's
+# bitwise symmetry whatever the block.
 _DIST_BLOCK = 128
 # Candidates with the largest stale gains that lazy greedy rescores first; 16
 # scores fewer rows than 64 and runs faster at n_c = 1000 and 3000.
@@ -122,16 +123,17 @@ class SelectionResult:
 def pairwise_distances(points: np.ndarray) -> np.ndarray:
     """Euclidean distance matrix: symmetric, zero diagonal, nonnegative.
 
-    Computes ``sq_i + sq_j - 2 (p p^T)``, clamps at zero, takes the root,
-    zeroes the diagonal and averages with the transpose. The Gram matrix
-    ``p p^T`` is the only n x n buffer: it becomes D in place, in row blocks
-    of ``_DIST_BLOCK`` with one block x n scratch buffer, and is then
-    averaged with its transpose tile by tile through that buffer, each upper
-    tile written to its mirror. These are the same operations in the same
-    order as the plain expression, so the result is identical bit for bit.
-    IEEE addition commutes, so the average is symmetric bit for bit too.
+    Computes ``sq_i + sq_j - 2 (p p^T)``, clamps at zero, takes the root and
+    zeroes the diagonal. The Gram matrix ``p p^T`` is the only n x n buffer:
+    it becomes D in place, in row blocks of ``_DIST_BLOCK`` with one block x n
+    scratch buffer. These are the same operations in the same order as the
+    plain expression, so the result is identical bit for bit. D is symmetric
+    bit for bit as built: numpy hands ``p @ p.T`` on a contiguous ``p`` to
+    BLAS ``syrk``, which computes one triangle and copies it to the other,
+    and every later step gives (i, j) and (j, i) the same result, since IEEE
+    addition commutes.
     """
-    p = as_matrix(points, "points")
+    p = np.ascontiguousarray(as_matrix(points, "points"))
     n = p.shape[0]
     sq = np.sum(p * p, axis=1)
     g = p @ p.T
@@ -145,18 +147,6 @@ def pairwise_distances(points: np.ndarray) -> np.ndarray:
         np.maximum(gb, 0.0, out=gb)
         np.sqrt(gb, out=gb)
     np.fill_diagonal(g, 0.0)
-    # tiles two blocks wide: one tile per row block at n = 200, where call
-    # overhead dominates; within ~3% of square tiles at n = 3000
-    w = 2 * _DIST_BLOCK
-    for i in range(0, n, _DIST_BLOCK):
-        for j in range(i, n, w):
-            u = g[i:i + _DIST_BLOCK, j:j + w]
-            v = g[j:j + w, i:i + _DIST_BLOCK]
-            s = t[:u.shape[0], :u.shape[1]]
-            np.add(u, v.T, out=s)
-            s *= 0.5
-            u[...] = s
-            v[...] = s.T
     return g
 
 

@@ -66,7 +66,6 @@ def svd(A) -> SvdResult:
         raise NumericalError(
             f"SVD did not converge for shape {m.shape} (input norm {residual:.3e})"
         ) from exc
-    u = u.copy()
     for j in range(s.shape[0]):
         i = int(np.argmax(np.abs(u[:, j])))
         if u[i, j] < 0.0:

@@ -98,7 +98,7 @@ class Dataset:
 
     def subset(self, indices) -> "Dataset":
         idx = np.asarray(indices, dtype=np.int64)
-        return Dataset(self.features[idx].copy(), self.labels[idx].copy(), self.num_classes)
+        return Dataset(self.features[idx], self.labels[idx], self.num_classes)
 
     def with_labels(self, labels: np.ndarray) -> "Dataset":
         return Dataset(self.features, labels, self.num_classes)
@@ -331,7 +331,7 @@ def gradient_proxy(net: MLP, data: Dataset, mode: str = "last_layer") -> Gradien
     acts = _forward_trace(net, data.features)
     r = acts[-1] - data.one_hot_labels()
     if mode == "residual":
-        proxies = r.copy()
+        proxies = r
     else:
         h = acts[-2]
         wgrad = np.einsum("nh,nc->nhc", h, r).reshape(r.shape[0], -1)

@@ -259,12 +259,11 @@ def _build_pool(config: TrainConfig, data: Dataset, indices, orig_w,
     """Each of a row's r augmented copies weighs its row's weight / r."""
     Y_all = one_hot(data.labels, data.num_classes)
     X_sel = data.features[indices]
-    aug = perturb(config.transform, X_sel, round_index=refresh_idx,
-                  labels=data.labels[indices])
-    aug_Y = one_hot(aug.labels, data.num_classes)
+    aug = perturb(config.transform, X_sel, round_index=refresh_idx)
     r = config.transform.r
     aug_weights = np.repeat(orig_w / r, r)
     aug_origins = np.asarray(indices)[aug.origin]
+    aug_Y = Y_all[aug_origins]
     if config.regime == "coreset_only":
         base_X, base_Y = X_sel, Y_all[indices]
         base_w, base_o = orig_w, np.asarray(indices)

@@ -42,12 +42,6 @@ class TestPerturb:
         out = perturb(TransformSpec(epsilon0=0.5, r=2, seed=1), X, 0)
         assert out.features.min() >= 0.0 and out.features.max() <= 1.0
 
-    def test_label_invariance(self):
-        X = source_rows(5, k=6, d=3)
-        labels = np.array([0, 1, 2, 0, 1, 2])
-        out = perturb(TransformSpec(epsilon0=0.1, r=2, seed=2), X, 0, labels=labels)
-        assert np.array_equal(out.labels, labels[out.origin])
-
     def test_deterministic(self):
         X = source_rows(6)
         spec = TransformSpec(kind="pixel_jitter", epsilon0=0.2, r=2, seed=3)

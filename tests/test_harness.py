@@ -27,6 +27,7 @@ from coreaug.data import (
     split_dataset,
 )
 from coreaug.model import class_rows
+from coreaug.trainer import CSV_HEADER
 
 
 class TestGenerators:
@@ -314,9 +315,11 @@ class TestCli:
 
     def test_bounds_without_augmentation_rounds_is_config_error(self, tmp_path, capsys):
         # zero rounds leave the envelope check nothing to average
+        out = tmp_path / "b"
         argv = ["bounds", *_SHORT_RUN_FLAGS["bounds"], "--augmentation-rounds", "0"]
-        assert main(argv + ["--out", str(tmp_path / "b")]) == 2
-        assert "rounds must be >= 1" in capsys.readouterr().err
+        assert _exit_code(argv + ["--out", str(out)]) == 2
+        assert "argument --augmentation-rounds: must be >= 1, got 0" in capsys.readouterr().err
+        assert not (out / "bounds.json").exists()
 
     @pytest.mark.parametrize("flag", ["--weyl-trials", "--shift-draws", "--vector-trials",
                                       "--ntk-instances", "--linear-instances",
@@ -325,9 +328,8 @@ class TestCli:
         # an empty battery would pass vacuously and write +-Infinity extremes
         out = tmp_path / "b"
         argv = ["bounds", *_SHORT_RUN_FLAGS["bounds"], flag, "0", "--out", str(out)]
-        assert main(argv) == 2
-        name = flag[2:].replace("-", "_")
-        assert f"{name} must be >= 1, got 0" in capsys.readouterr().err
+        assert _exit_code(argv) == 2
+        assert f"argument {flag}: must be >= 1, got 0" in capsys.readouterr().err
         assert not (out / "bounds.json").exists()
 
     def test_bounds_svd_nonconvergence_is_numerical_failure(self, tmp_path, monkeypatch,
@@ -379,9 +381,9 @@ class TestCli:
 
     def test_select_rejects_a_bad_fraction_beside_k_per_class(self, dataset_csv, tmp_path,
                                                                capsys):
-        assert main(["select", "--data", str(dataset_csv), "--k-per-class", "5",
-                     "--fraction", "2", "--out", str(tmp_path / "sel")]) == 2
-        assert "fraction must lie in (0, 1]" in capsys.readouterr().err
+        assert _exit_code(["select", "--data", str(dataset_csv), "--k-per-class", "5",
+                           "--fraction", "2", "--out", str(tmp_path / "sel")]) == 2
+        assert "argument --fraction: must lie in (0, 1], got 2.0" in capsys.readouterr().err
 
     def test_experiment_noise_writes_protocol_numbers(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -445,6 +447,36 @@ class TestCli:
         cfg.write_text(json.dumps({"schema_version": 99}))
         assert main(["--config", str(cfg), "gen-data", "--out", "x.csv"]) == 2
 
+    def test_manifest_config_replays_its_run(self, dataset_csv, tmp_path):
+        """A manifest's config, with schema_version added, fed back through
+        ``--config`` reproduces the run: its nulls keep their defaults, its
+        lists become ``--seeds``/``--hidden`` values or ``nargs`` values, and
+        its ``command`` names the subcommand."""
+        first, replay = tmp_path / "first", tmp_path / "replay"
+        assert main(["train", "--data", str(dataset_csv), "--epochs", "2", "--hidden", "6,5",
+                     "--seeds", "1,2", "--lr-decay-epochs", "1", "--out", str(first)]) == 0
+        config = json.loads((first / "manifest.json").read_text())["config"]
+        assert None in config.values()
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"schema_version": 1, **config}))
+        assert main(["--config", str(cfg), "train", "--out", str(replay)]) == 0
+        col = CSV_HEADER.split(",").index("selection_ms")
+
+        def masked(path):
+            rows = [line.split(",") for line in path.read_text().splitlines()]
+            return "\n".join(",".join(row[:col] + row[col + 1:]) for row in rows)
+
+        for name in ("run_seed1.csv", "run_seed2.csv"):
+            assert masked(replay / name) == masked(first / name)
+        assert (replay / "aggregate.json").read_bytes() == (first / "aggregate.json").read_bytes()
+
+    def test_config_command_must_name_the_subcommand(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"schema_version": 1, "command": "train", "n": 30}))
+        assert _exit_code(["--config", str(cfg), "gen-data", "--out", "x.csv"]) == 2
+        assert "command 'train' does not match the subcommand 'gen-data'" \
+            in capsys.readouterr().err
+
     def test_missing_data_file_is_data_error(self, tmp_path):
         assert main(["select", "--data", str(tmp_path / "nope.csv"),
                      "--out", str(tmp_path / "sel")]) == 3
@@ -481,7 +513,8 @@ _NO_LABEL_1 = "f0,f1,label\n" + "".join(f"{i / 10},{1 - i / 10},{2 * (i % 2)}\n"
                                          for i in range(8))
 
 # One row per (command, flag or file, bad value): the argv, where {data} is a
-# valid 60-row CSV and {csv} holds the row's own CSV text; that text, or None;
+# valid 60-row CSV, {csv} holds the row's own CSV text and {runs} is the
+# directory that holds {csv}; that text, or None;
 # the exit code; and what stderr must hold, naming the flag, or the file and
 # the line.
 CLI_ERRORS = {
@@ -493,6 +526,21 @@ CLI_ERRORS = {
                                   None, 2, "argument --classes-used: must be >= 1, got 0"),
     "spectrum --per-class-cap 0": (["spectrum", "--data", "{data}", "--per-class-cap", "0"],
                                    None, 2, "argument --per-class-cap: must be >= 1, got 0"),
+    "train --epochs 0": (["train", "--data", "{data}", "--epochs", "0"], None,
+                         2, "argument --epochs: must be >= 1, got 0"),
+    "train --refresh-r 0": (["train", "--data", "{data}", "--refresh-r", "0"], None,
+                            2, "argument --refresh-r: must be >= 1, got 0"),
+    "select --r 0": (["select", "--data", "{data}", "--r", "0"], None,
+                     2, "argument --r: must be >= 1, got 0"),
+    "select --k-per-class 0": (["select", "--data", "{data}", "--k-per-class", "0"], None,
+                               2, "argument --k-per-class: must be >= 1, got 0"),
+    "select --stochastic-sample 0": (["select", "--data", "{data}", "--engine", "stochastic",
+                                      "--stochastic-sample", "0"], None,
+                                     2, "argument --stochastic-sample: must be >= 1, got 0"),
+    "select --fraction 1.5": (["select", "--data", "{data}", "--fraction", "1.5"], None,
+                              2, "argument --fraction: must lie in (0, 1], got 1.5"),
+    "train --holdout 1": (["train", "--data", "{data}", "--holdout", "1"], None,
+                          2, "argument --holdout: must lie in (0, 1), got 1.0"),
     "train one-row file": (["train", "--data", "{csv}"], "f0,label\n0.5,0\n",
                            3, "{csv}: --holdout 0.25: the split left no training rows"),
     "select label 1.5": (["select", "--data", "{csv}"], "f0,label\n0.5,1.5\n",
@@ -501,6 +549,13 @@ CLI_ERRORS = {
                           0, "warning: {csv}: label 1 has no rows"),
     "select empty class": (["select", "--data", "{csv}"], _NO_LABEL_1,
                            0, "warning: {csv}: label 1 has no rows"),
+    "report header only": (["report", "--runs", "{runs}"], CSV_HEADER + "\n",
+                           3, "{csv}: no rows below the run header"),
+    "report short row": (["report", "--runs", "{runs}"], CSV_HEADER + "\n1,0.5,0.4\n",
+                         3, "{csv}: line 2: 3 columns, the run header has 8"),
+    "report non-numeric": (["report", "--runs", "{runs}"],
+                           CSV_HEADER + "\n1,0.5,0.4,0.9,0.1,1,2.0,5\n2,0.5,x,0.9,0.1,0,0.0,5\n",
+                           3, "{csv}: line 3: could not convert string to float: 'x'"),
 }
 
 
@@ -510,7 +565,7 @@ def test_cli_error_names_its_flag_or_file(case, dataset_csv, tmp_path, capsys):
     csv = tmp_path / "case.csv"
     if text is not None:
         csv.write_text(text)
-    argv = [a.format(data=dataset_csv, csv=csv) for a in argv]
+    argv = [a.format(data=dataset_csv, csv=csv, runs=tmp_path) for a in argv]
     assert _exit_code(argv + ["--out", str(tmp_path / "out")]) == code
     assert message.format(csv=csv) in capsys.readouterr().err
 

@@ -251,6 +251,19 @@ class TestTrain:
                                data)[4]
         assert indices.size == 3 * data.num_classes
 
+    def test_label_invariance(self):
+        """Each augmented row of the pool is a bounded perturbation of its
+        source row and carries that row's one-hot label."""
+        data, _ = blob_pair(17, n=30)
+        cfg = quick_config(regime="coreset_only",
+                           transform=TransformSpec(epsilon0=0.1, r=2, seed=2))
+        _, X, Y, _, indices, _ = initial_pool(cfg, data)
+        k = indices.size
+        sources = np.repeat(indices, 2)
+        assert X.shape[0] == Y.shape[0] == 3 * k
+        assert np.all(np.linalg.norm(X[k:] - data.features[sources], axis=1) <= 0.1 + 1e-12)
+        assert np.array_equal(Y[k:], one_hot(data.labels[sources], data.num_classes))
+
     def test_label_noise_recorded(self):
         data, test = blob_pair(15, n=42)
         record = train(quick_config(label_noise_frac=0.3, epochs=2), data, test)
