@@ -53,7 +53,6 @@ class AugmentedSet:
     """Augmented rows in copy-major order: output row i*r + c copies source i."""
 
     features: np.ndarray
-    origin: np.ndarray
 
 
 def _raw_displacements(spec: TransformSpec, k: int, d: int,
@@ -99,4 +98,4 @@ def perturb(spec: TransformSpec, X, round_index: int = 0) -> AugmentedSet:
         if np.any(over):
             scale[over] = eps / norms[over]
         out[copy::spec.r] = np.clip(X + delta * scale[:, None], 0.0, 1.0)
-    return AugmentedSet(features=out, origin=np.repeat(np.arange(k), spec.r))
+    return AugmentedSet(features=out)

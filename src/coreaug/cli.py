@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -287,7 +288,7 @@ def cmd_bounds(args) -> int:
     _manifest(out_dir, args, [args.seed], [], ["bounds.json"], {"bounds_ms": elapsed})
     ok = (suite["weyl_random"]["violations"] == 0
           and suite["weyl_augmentation"]["violations"] == 0
-          and suite["shift_model"]["all_within_3se"]
+          and suite["shift_model"]["passed"]
           and suite["vector_bound"]["failures"] == 0
           and suite["ntk_bound"]["failures"] == 0
           and suite["linear_bounds"]["subset_failures"] == 0
@@ -471,17 +472,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Config keys whose list is several values of an ``nargs`` flag; any other list
-# is one comma-separated value (``--seeds``, ``--hidden``).
-_MULTI_VALUE_KEYS = ("epsilon0", "lr_decay_epochs")
+# Values an option takes, by its nargs; an int nargs takes that many.
+_ARITY = {None: 1, "?": 1, "*": math.inf, "+": math.inf}
 
 
-def _apply_config_file(argv: list[str]) -> list[str]:
-    """Insert flag values from a JSON config (schema_version checked) after
-    the subcommand; explicit command-line flags still win because argparse
-    takes the last occurrence. A manifest's ``config`` replays its run: a
-    null leaves its flag at the default, and a ``command`` key must name the
-    subcommand."""
+def _gives_positional(tokens: list[str], options: dict) -> bool:
+    """Whether the command-line tokens after a subcommand hold a positional
+    value: a token that is neither an option nor one of its values."""
+    takes = 0
+    for tok in tokens:
+        if tok.startswith("-"):
+            # "--flag=value" and unknown flags are not keys of options
+            action = options.get(tok)
+            takes = 0 if action is None else _ARITY.get(action.nargs, action.nargs)
+        elif takes:
+            takes -= 1
+        else:
+            return True
+    return False
+
+
+def _apply_config_file(argv: list[str], parser: argparse.ArgumentParser) -> list[str]:
+    """Insert values from a JSON config (schema_version checked) after the
+    subcommand; explicit command-line flags still win because argparse takes
+    the last occurrence. A manifest's ``config`` replays its run: a null
+    leaves its flag at the default, and a ``command`` key must name the
+    subcommand. Each key becomes argv by the subcommand's own action: a
+    positional is a bare value, used only when the command line gives none;
+    an ``nargs`` flag takes a list as separate values; a ``store_true`` flag
+    is bare; any other list is one comma-joined value."""
     if "--config" not in argv:
         return argv
     pos = argv.index("--config")
@@ -505,27 +524,41 @@ def _apply_config_file(argv: list[str]) -> list[str]:
     if payload.get("command", command) != command:
         raise ConfigError(f"{cfg_path}: command {payload['command']!r} does not match "
                           f"the subcommand {command!r}")
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    if command not in subparsers.choices:
+        return argv  # argparse names the unknown subcommand
+    actions = subparsers.choices[command]._actions
+    by_dest = {a.dest: a for a in actions}
+    options = {o: a for a in actions for o in a.option_strings}
+    rest = argv[command_pos + 1:]
     injected: list[str] = []
     for key, value in payload.items():
-        if key in ("schema_version", "command") or value is None or value is False:
+        if key in ("schema_version", "command"):
             continue
-        flag = "--" + key.replace("_", "-")
-        if value is True:
-            injected.append(flag)
-        elif isinstance(value, list) and key in _MULTI_VALUE_KEYS:
-            injected += [flag, *(str(v) for v in value)]
-        elif isinstance(value, list):
-            injected += [flag, ",".join(str(v) for v in value)]
+        action = by_dest.get(key)
+        if action is None:
+            raise ConfigError(f"{cfg_path}: key {key!r} is not an option of {command!r}")
+        if value is None or value is False:
+            continue
+        values = [str(v) for v in value] if isinstance(value, list) else [str(value)]
+        if not action.option_strings:
+            if not _gives_positional(rest, options):
+                injected += values
+        elif action.nargs == 0:
+            injected.append(action.option_strings[0])
+        elif action.nargs in ("*", "+"):
+            injected += [action.option_strings[0], *values]
         else:
-            injected += [flag, str(value)]
-    return argv[:command_pos + 1] + injected + argv[command_pos + 1:]
+            injected += [action.option_strings[0], ",".join(values)]
+    return argv[:command_pos + 1] + injected + rest
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        argv = _apply_config_file(argv)
+        argv = _apply_config_file(argv, parser)
         args = parser.parse_args(argv)
         return args.fn(args)
     except (NumericalError, np.linalg.LinAlgError) as exc:

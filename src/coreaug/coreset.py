@@ -51,7 +51,6 @@ __all__ = [
     "lazy_greedy_select",
     "stochastic_greedy_select",
     "compute_weights",
-    "divide_weights",
     "alignment_error",
     "select_all_classes",
     "max_loss_subset",
@@ -385,29 +384,26 @@ def _assign_counts(D: np.ndarray, S: list[int]) -> np.ndarray:
     return gamma
 
 
-def divide_weights(gamma, r: int) -> np.ndarray:
-    """rho_j = gamma_j / r, exactly."""
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    return np.asarray(gamma, dtype=np.float64) / r
-
-
 @dataclass
 class ClassCoreset:
-    """One class's selection in global indices; ``g_frobenius`` is the
-    coverage norm it reached, the last value of ``trace``."""
+    """One class's selection in global indices, its integer weights gamma and
+    the coverage norm after each pick."""
 
     label: int
     indices: list[int]
     gamma: np.ndarray
-    rho: np.ndarray
-    g_frobenius: float
     trace: list[float]
+
+    @property
+    def g_frobenius(self) -> float:
+        """The coverage norm the selection reached."""
+        return self.trace[-1]
 
 
 @dataclass
 class WeightedCoreset:
-    """Per-class selections with integer weights gamma and divided weights rho."""
+    """Per-class selections with integer weights gamma; each of a pick's r
+    augmented copies weighs rho = gamma / r."""
 
     classes: list[ClassCoreset]
     engine: str
@@ -422,10 +418,6 @@ class WeightedCoreset:
     def gamma(self) -> np.ndarray:
         return np.concatenate([c.gamma for c in self.classes])
 
-    @property
-    def rho(self) -> np.ndarray:
-        return np.concatenate([c.rho for c in self.classes])
-
     def validate(self, class_sizes: dict[int, int] | None = None) -> None:
         seen: set[int] = set()
         for c in self.classes:
@@ -434,8 +426,6 @@ class WeightedCoreset:
             seen.update(c.indices)
             if np.any(c.gamma < 1):
                 raise ValueError(f"class {c.label} has a zero weight")
-            if not np.allclose(c.rho * self.r, c.gamma):
-                raise ValueError("rho must equal gamma / r exactly")
             if class_sizes is not None and int(c.gamma.sum()) != class_sizes[c.label]:
                 raise ValueError(f"class {c.label} weights do not sum to its population")
             if np.any(np.diff(c.trace) >= 0.0):
@@ -448,7 +438,7 @@ class WeightedCoreset:
                     "class": int(c.label),
                     "indices": [int(i) for i in c.indices],
                     "gamma": [int(g) for g in c.gamma],
-                    "rho": [float(x) for x in c.rho],
+                    "rho": [float(x) for x in c.gamma / self.r],
                     "g_frobenius": float(c.g_frobenius),
                     "trace": [float(t) for t in c.trace],
                 }
@@ -471,6 +461,8 @@ def select_all_classes(proxies: GradientProxySet, config: SelectionConfig,
     that are not, or whose squares overflow, raise ``NumericalError`` naming
     the class.
     """
+    if r < 1:
+        raise ValueError("r must be >= 1")
     engine = _ENGINE_FNS[config.engine]
     classes: list[ClassCoreset] = []
     for label, idx in class_rows(proxies.labels):
@@ -480,13 +472,10 @@ def select_all_classes(proxies: GradientProxySet, config: SelectionConfig,
         except _NonFiniteDistances as exc:
             raise NumericalError(f"class {label}: distances between its gradient "
                                  f"proxies overflow float64 ({exc})") from exc
-        gamma = _assign_counts(D, result.indices)
         classes.append(ClassCoreset(
             label=label,
             indices=[int(idx[i]) for i in result.indices],
-            gamma=gamma,
-            rho=divide_weights(gamma, r),
-            g_frobenius=result.trace[-1],
+            gamma=_assign_counts(D, result.indices),
             trace=result.trace,
         ))
         # free this class's matrix before the next class builds its own

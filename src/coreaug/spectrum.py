@@ -181,8 +181,9 @@ def spectrum_report(J_clean, J_aug, clean: SvdResult | None = None) -> SpectrumR
         raise ValueError(f"shape mismatch: {jc.shape} vs {ja.shape}")
     dec_c = svd(jc) if clean is None else clean
     dec_a = svd(ja)
-    e_norm2 = spectral_norm(ja - jc)
-    e_normf = float(np.linalg.norm(ja - jc))
+    e = ja - jc
+    e_norm2 = spectral_norm(e)
+    e_normf = float(np.linalg.norm(e))
     k = dec_c.sigma.shape[0]
     # ascending order so bin 0 holds the smallest singular values
     asc = np.arange(k - 1, -1, -1)

@@ -262,7 +262,8 @@ def _build_pool(config: TrainConfig, data: Dataset, indices, orig_w,
     aug = perturb(config.transform, X_sel, round_index=refresh_idx)
     r = config.transform.r
     aug_weights = np.repeat(orig_w / r, r)
-    aug_origins = np.asarray(indices)[aug.origin]
+    # copy-major: augmented row i*r + c copies selected row i
+    aug_origins = np.repeat(indices, r)
     aug_Y = Y_all[aug_origins]
     if config.regime == "coreset_only":
         base_X, base_Y = X_sel, Y_all[indices]
@@ -318,7 +319,6 @@ def train(config: TrainConfig, data: Dataset, test_data: Dataset) -> TrainRecord
     """
     data, noisy_mask, net, base_indices = _setup(config, data)
     batch_rng = np.random.default_rng([config.seed, 7])
-    pool: _Pool | None = None
     rows: list[EpochRow] = []
     events: list[tuple[int, np.ndarray]] = []
     touched: set[int] = set()
@@ -327,7 +327,7 @@ def train(config: TrainConfig, data: Dataset, test_data: Dataset) -> TrainRecord
     for epoch in range(config.epochs):
         refreshed = epoch % config.refresh_r == 0
         selection_ms = 0.0
-        if refreshed or pool is None:
+        if refreshed:
             refresh_idx += 1
             t0 = time.perf_counter()
             indices, orig_w = _select_subset(config, net, data, refresh_idx)

@@ -17,7 +17,6 @@ from coreaug.coreset import (
     alignment_error,
     compute_weights,
     coreset_ntk_bound_check,
-    divide_weights,
     facility_location_objective,
     g_frobenius,
     greedy_select,
@@ -536,23 +535,16 @@ class TestWeights:
         # order follows S: index 2 then index 1; point 0 ties -> index 1 wins
         assert list(gamma) == [1, 2]
 
-    def test_divide_weights(self):
-        assert np.array_equal(divide_weights(np.array([4, 2]), 2), [2.0, 1.0])
-        assert np.array_equal(divide_weights(np.array([3, 5]), 1), [3.0, 5.0])
-
     @given(seed=st.integers(0, 500))
     @settings(max_examples=30)
     def test_weight_conservation(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 30))
         k = int(rng.integers(1, n + 1))
-        r = int(rng.integers(1, 5))
         D = pairwise_distances(rng.standard_normal((n, 2)))
         S = list(rng.choice(n, size=k, replace=False))
         gamma = compute_weights(D, S)
         assert gamma.sum() == n
-        rho = divide_weights(gamma, r)
-        assert rho.sum() * r == pytest.approx(n)
 
 
 # Every function that takes a distance matrix, called on D and the first two
@@ -641,6 +633,20 @@ class TestSelectAllClasses:
         coreset = select_all_classes(proxy_set(pts, labels),
                                      SelectionConfig(fraction=0.3), r=2)
         coreset.validate({0: 20, 1: 20})
+
+    def test_rho_is_gamma_over_r(self):
+        """Each of a pick's r augmented copies weighs gamma / r, in the
+        coreset and in its JSON."""
+        labels = np.repeat([0, 1, 2], 10)
+        coreset = select_all_classes(proxy_set(random_points(24, 30), labels),
+                                     SelectionConfig(fraction=0.3), r=3)
+        for c, entry in zip(coreset.classes, coreset.to_json_dict()["classes"]):
+            assert entry["rho"] == (c.gamma / 3).tolist()
+
+    def test_zero_copies_rejected(self):
+        with pytest.raises(ValueError, match="r must be >= 1"):
+            select_all_classes(proxy_set(random_points(25, 6)),
+                               SelectionConfig(fraction=0.5), r=0)
 
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("stop", STOP_MODES)

@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 import coreaug.audits
 import coreaug.cli
 import coreaug.coreset
+import coreaug.spectrum
 from coreaug.audits import noise_robustness
 from coreaug.cli import build_parser, main
 from coreaug.data import (
@@ -285,7 +286,8 @@ class TestCli:
         assert {name: set(entry) for name, entry in payload.items()} == {
             "weyl_random": {"trials", "violations", "max_violation"},
             "weyl_augmentation": {"rounds", "violations", "max_violation"},
-            "shift_model": {"draws", "indices", "all_within_3se", "worst_se_units"},
+            "shift_model": {"draws", "indices", "all_within_3se", "worst_se_units",
+                            "chi2", "chi2_critical", "passed"},
             "vector_bound": {"trials", "checked", "skipped", "failures"},
             "ntk_bound": {"instances", "failures", "min_margin"},
             "linear_bounds": {"instances", "subset_failures", "combined_failures"},
@@ -331,6 +333,27 @@ class TestCli:
         assert _exit_code(argv) == 2
         assert f"argument {flag}: must be >= 1, got 0" in capsys.readouterr().err
         assert not (out / "bounds.json").exists()
+
+    def test_bounds_shift_model_false_alarm_passes(self, tmp_path):
+        """At seed 6 one of the ten shift-model indices lies 3.25 SE out,
+        a false alarm the chi-square verdict does not raise."""
+        argv = ["bounds", "--seed", "6", "--weyl-trials", "20", "--vector-trials", "10",
+                "--ntk-instances", "3", "--linear-instances", "5",
+                "--augmentation-rounds", "2", "--out", str(tmp_path / "b")]
+        assert main(argv) == 0
+        shift = json.loads((tmp_path / "b" / "bounds.json").read_text())["shift_model"]
+        assert not shift["all_within_3se"] and shift["passed"]
+
+    def test_bounds_shift_model_catches_a_wrong_closed_form(self, monkeypatch):
+        """A closed form that overstates ||E|| by 10% fails the verdict at
+        seed 0, whose correct closed form passes it."""
+        shift = coreaug.audits.audit_shift_model(1000, 0)
+        assert shift["passed"]
+        assert shift["chi2_critical"] == pytest.approx(23.209, abs=1e-3)
+        closed_form = coreaug.spectrum._shift_prediction
+        monkeypatch.setattr(coreaug.spectrum, "_shift_prediction",
+                            lambda sigma, p, e_norm: closed_form(sigma, p, 1.1 * e_norm))
+        assert not coreaug.audits.audit_shift_model(1000, 0)["passed"]
 
     def test_bounds_svd_nonconvergence_is_numerical_failure(self, tmp_path, monkeypatch,
                                                             capsys):
@@ -469,6 +492,42 @@ class TestCli:
         for name in ("run_seed1.csv", "run_seed2.csv"):
             assert masked(replay / name) == masked(first / name)
         assert (replay / "aggregate.json").read_bytes() == (first / "aggregate.json").read_bytes()
+
+    def test_experiment_manifest_replays(self, tmp_path, monkeypatch):
+        """An experiment manifest's positional ``name`` replays as a bare
+        value, unless the command line names the experiment itself."""
+        monkeypatch.setattr(coreaug.cli, "noise_robustness", lambda: {"coreset": [0.0]})
+        monkeypatch.setattr(coreaug.cli, "subset_benchmark", lambda: {"coreset+aug": [1.0]})
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"schema_version": 1, "command": "experiment",
+                                   "name": "noise"}))
+        out = tmp_path / "e"
+        assert main(["--config", str(cfg), "experiment", "--out", str(out)]) == 0
+        assert json.loads((out / "noise.json").read_text()) == {"coreset": [0.0]}
+        assert main(["--config", str(cfg), "experiment", "subset", "--out", str(out)]) == 0
+        assert json.loads((out / "subset.json").read_text()) == {"coreset+aug": [1.0]}
+
+    def test_spectrum_manifest_replays(self, dataset_csv, tmp_path):
+        """A spectrum manifest's ``epsilon0`` list replays as the separate
+        values of its ``nargs`` flag, and ``untrained`` as a bare flag."""
+        first, replay = tmp_path / "first", tmp_path / "replay"
+        assert main(["spectrum", "--data", str(dataset_csv), "--epsilon0", "0.03", "0.06",
+                     "--train-epochs", "1", "--hidden", "6", "--per-class-cap", "15",
+                     "--untrained", "--out", str(first)]) == 0
+        manifest = json.loads((first / "manifest.json").read_text())
+        assert manifest["config"]["epsilon0"] == [0.03, 0.06]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"schema_version": 1, **manifest["config"]}))
+        assert main(["--config", str(cfg), "spectrum", "--out", str(replay)]) == 0
+        assert len(manifest["outputs"]) == 8
+        for name in manifest["outputs"]:
+            assert (replay / name).read_bytes() == (first / name).read_bytes()
+
+    def test_config_key_outside_the_subcommand_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"schema_version": 1, "n": 30, "epochs": 2}))
+        assert _exit_code(["--config", str(cfg), "gen-data", "--out", "x.csv"]) == 2
+        assert "key 'epochs' is not an option of 'gen-data'" in capsys.readouterr().err
 
     def test_config_command_must_name_the_subcommand(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
