@@ -17,6 +17,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -59,7 +60,10 @@ def _manifest(out_dir: Path, args, seeds: list[int], inputs: list[Path],
               outputs: list[str], timings_ms: dict) -> None:
     """Write ``manifest.json``. Its config holds every parsed argument but the
     handler, ``--out`` (re-runs into other directories match) and ``--config``
-    (its values are among the arguments)."""
+    (its values are among the arguments). Its versions name the BLAS build
+    and its thread variables (null when unset), since re-runs reproduce bit
+    for bit only under the same build and settings."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": args.command,
@@ -69,6 +73,10 @@ def _manifest(out_dir: Path, args, seeds: list[int], inputs: list[Path],
             "coreaug": __version__,
             "numpy": np.__version__,
             "python": sys.version.split()[0],
+            "blas": {"name": blas.get("name"), "version": blas.get("version"),
+                     "build": blas.get("openblas configuration")},
+            "blas_threads": {v: os.environ.get(v) for v in (
+                "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
         },
         "inputs": [{"path": str(p), "sha256": _sha256(p)} for p in inputs],
         "outputs": sorted(outputs),

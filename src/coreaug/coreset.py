@@ -9,13 +9,17 @@ engines track internally; the squared form has nonincreasing marginal gains,
 so lazy evaluation certifies exactly the same picks as the naive scan.
 
 All engines score candidates through one batched row reduction over rows of
-D clipped at the current coverage and squared, in blocks of
-max(``_SCORE_BLOCK``, ``_SCORE_ENTRIES`` / n_c) rows, and pick the best with
-the same smallest-index tie rule; naive, lazy, and fully-sampled stochastic
-runs therefore agree bit for bit. The engines differ only in which
-candidates they score. D must be symmetric, as ``pairwise_distances``
-returns it, so that each row of D is also its column. Selection holds one
-n_c x n_c array per class, D itself, plus temporaries of a block of rows.
+D clipped at the current coverage and squared, and pick the best with the
+same smallest-index tie rule; naive, lazy, and fully-sampled stochastic runs
+therefore agree bit for bit. The engines differ only in which candidates
+they score. D must be symmetric, as ``pairwise_distances`` returns it, so
+that each row of D is also its column.
+
+Selection holds one n_c x n_c array per class, D itself. Every other
+temporary of the distances, the scoring and the weights is one block of
+rows: a block w entries wide has max(``_SCORE_BLOCK``, ``_SCORE_ENTRIES`` /
+w) rows (``_block_rows``), so at most 512 KB once w <= 1000 and 64 rows
+beyond.
 """
 
 from __future__ import annotations
@@ -61,15 +65,11 @@ __all__ = [
 ENGINES = ("naive", "lazy", "stochastic")
 STOP_MODES = ("xi_threshold", "fixed_size")
 
-# Candidate rows scored per reduction: at least _SCORE_BLOCK rows, and as many
-# as fit _SCORE_ENTRIES entries, so a small class scores any candidate set in
-# one reduction while the temporary stays at 64 x n_c from n_c = 1000 on.
+# Rows per block of every selection temporary: at least _SCORE_BLOCK rows,
+# and as many as fit _SCORE_ENTRIES entries, so a small class takes one block
+# while a block stays at 64 x n_c from n_c = 1000 on.
 _SCORE_BLOCK = 64
 _SCORE_ENTRIES = 64_000
-# Rows of the Gram matrix turned into distances per step; bounds the scratch
-# buffer at block x n. Each step is elementwise, so D keeps the Gram matrix's
-# bitwise symmetry whatever the block.
-_DIST_BLOCK = 128
 # Candidates with the largest stale gains that lazy greedy rescores first; 16
 # scores fewer rows than 64 and runs faster at n_c = 1000 and 3000.
 _LAZY_BLOCK = 16
@@ -119,28 +119,34 @@ class SelectionResult:
     evaluations: int
 
 
+def _block_rows(width: int) -> int:
+    """Rows per block of a selection temporary ``width`` entries wide."""
+    return max(_SCORE_BLOCK, _SCORE_ENTRIES // width)
+
+
 def pairwise_distances(points: np.ndarray) -> np.ndarray:
     """Euclidean distance matrix: symmetric, zero diagonal, nonnegative.
 
     Computes ``sq_i + sq_j - 2 (p p^T)``, clamps at zero, takes the root and
     zeroes the diagonal. The Gram matrix ``p p^T`` is the only n x n buffer:
-    it becomes D in place, in row blocks of ``_DIST_BLOCK`` with one block x n
-    scratch buffer. These are the same operations in the same order as the
+    it becomes D in place, in blocks of ``_block_rows(n)`` rows with one
+    block of scratch. These are the same operations in the same order as the
     plain expression, so the result is identical bit for bit. D is symmetric
     bit for bit as built: numpy hands ``p @ p.T`` on a contiguous ``p`` to
     BLAS ``syrk``, which computes one triangle and copies it to the other,
-    and every later step gives (i, j) and (j, i) the same result, since IEEE
-    addition commutes.
+    and every later step is elementwise and gives (i, j) and (j, i) the same
+    result, since IEEE addition commutes.
     """
     p = np.ascontiguousarray(as_matrix(points, "points"))
     n = p.shape[0]
     sq = np.sum(p * p, axis=1)
     g = p @ p.T
-    t = np.empty((min(_DIST_BLOCK, n), n))
-    for i in range(0, n, _DIST_BLOCK):
-        gb = g[i:i + _DIST_BLOCK]
+    rows = _block_rows(n)
+    t = np.empty((min(rows, n), n))
+    for i in range(0, n, rows):
+        gb = g[i:i + rows]
         tb = t[:gb.shape[0]]
-        np.add(sq[i:i + _DIST_BLOCK, None], sq[None, :], out=tb)
+        np.add(sq[i:i + rows, None], sq[None, :], out=tb)
         gb *= 2.0
         np.subtract(tb, gb, out=gb)
         np.maximum(gb, 0.0, out=gb)
@@ -211,7 +217,7 @@ class _GreedyState:
     def __init__(self, D, config: SelectionConfig):
         self.D, hi = _checked_max(D)
         self.n_c = self.D.shape[0]
-        self.score_rows = max(_SCORE_BLOCK, _SCORE_ENTRIES // self.n_c)
+        self.score_rows = _block_rows(self.n_c)
         self.c1 = 2.0 * hi
         self.k = _resolve_k(config, self.n_c)
         self.config = config
@@ -361,7 +367,8 @@ def compute_weights(D, S) -> np.ndarray:
 
     Every class point is assigned to its nearest element of S, ties going to
     the smallest index in S; gamma_j is the count assigned to j and the counts
-    sum to the class population.
+    sum to the class population. The distances to S are read one block of
+    ``_block_rows(len(S))`` rows at a time.
     """
     D, _ = _checked_max(D)
     S = [int(s) for s in S]
@@ -375,9 +382,14 @@ def _assign_counts(D: np.ndarray, S: list[int]) -> np.ndarray:
     s_arr = np.asarray(S)
     order = np.argsort(s_arr, kind="stable")
     cols = s_arr[order]
+    n = D.shape[0]
+    rows = _block_rows(cols.size)
+    assign = np.empty(n, dtype=np.intp)
     # take gathers C-ordered columns; D[:, cols] is F-ordered, and argmin
-    # along its rows would copy it
-    assign = np.argmin(np.take(D, cols, axis=1), axis=1)
+    # along its rows would copy it. Each row's argmin is its own, so the
+    # block height cannot change it.
+    for i in range(0, n, rows):
+        np.argmin(np.take(D[i:i + rows], cols, axis=1), axis=1, out=assign[i:i + rows])
     counts_sorted = np.bincount(assign, minlength=cols.size)
     gamma = np.empty(len(S), dtype=np.int64)
     gamma[order] = counts_sorted

@@ -7,6 +7,8 @@ every row and reports the first offending line by number.
 
 from __future__ import annotations
 
+from array import array
+
 import numpy as np
 
 from .model import Dataset, class_rows
@@ -102,13 +104,14 @@ def _parse_failure(parts: list[str]) -> str:
 def load_dataset_csv(path) -> Dataset:
     """Parse rows line by line, then range-check every feature at once.
 
-    Parsing stops at the first line with a wrong column count, a non-numeric
-    value, a label that is not an integer or a negative label; the reported
-    line is the first offending one, a range error on that line coming
-    before its negative label. The range
-    check is two reductions, and only a failing file builds the mask
-    ``~((X >= 0) & (X <= 1))`` to name the entry; NaN and infinities fail
-    both.
+    Each fully parsed row's features are appended as raw doubles to one
+    growing buffer, which becomes the feature matrix without a copy. Parsing
+    stops at the first line with a wrong column count, a non-numeric value,
+    a label that is not an integer or a negative label; the reported line is
+    the first offending one, a range error on that line coming before its
+    negative label. The range check is two reductions, and only a failing
+    file builds the mask ``~((X >= 0) & (X <= 1))`` to name the entry; NaN
+    and infinities fail both.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
@@ -118,7 +121,7 @@ def load_dataset_csv(path) -> Dataset:
     if header[-1] != "label" or any(h != f"f{i}" for i, h in enumerate(header[:-1])):
         raise DataFormatError(f"{path}: line 1: malformed header")
     d = len(header) - 1
-    feats, labels, blanks = [], [], []
+    feats, labels, blanks = array("d"), [], []
     failure = cause = None
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -134,12 +137,12 @@ def load_dataset_csv(path) -> Dataset:
         except ValueError as exc:
             failure, cause = f"line {lineno}: {_parse_failure(parts)}", exc
             break
-        feats.append(row)
+        feats.extend(row)
+        labels.append(label)
         if label < 0:
             failure = f"line {lineno}: negative label"
             break
-        labels.append(label)
-    X = np.asarray(feats, dtype=np.float64).reshape(len(feats), d)
+    X = np.frombuffer(feats, dtype=np.float64).reshape(len(labels), d)
     if X.size and not (X.min() >= 0.0 and X.max() <= 1.0):
         bad = ~((X >= 0.0) & (X <= 1.0))
         i = int(np.argmax(bad.any(axis=1)))
@@ -152,7 +155,7 @@ def load_dataset_csv(path) -> Dataset:
             f"{path}: line {lineno}: feature f{j}={float(X[i, j])} outside [0, 1]")
     if failure is not None:
         raise DataFormatError(f"{path}: {failure}") from cause
-    if not feats:
+    if not labels:
         raise DataFormatError(f"{path}: no data rows")
     labels_arr = np.asarray(labels, dtype=np.int64)
     return Dataset(X, labels_arr, int(labels_arr.max()) + 1)

@@ -66,10 +66,11 @@ def svd(A) -> SvdResult:
         raise NumericalError(
             f"SVD did not converge for shape {m.shape} (input norm {residual:.3e})"
         ) from exc
-    for j in range(s.shape[0]):
-        i = int(np.argmax(np.abs(u[:, j])))
-        if u[i, j] < 0.0:
-            u[:, j] = -u[:, j]
+    # first largest-magnitude entry of each column; the columns where it is
+    # negative are negated in one pass, by multiplying by -1, which is exact
+    # on finite values and, unlike np.negative with a where mask, vectorizes
+    top = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]
+    u *= np.where(top < 0.0, -1.0, 1.0)
     return SvdResult(U=u, sigma=s)
 
 

@@ -325,17 +325,24 @@ def gradient_proxy(net: MLP, data: Dataset, mode: str = "last_layer") -> Gradien
     ``last_layer``: the output-layer pre-activation gradient (equal to the
     residual for a linear output) concatenated with the flattened output-layer
     weight gradient outer(h_i, r_i), where h_i is the penultimate activation.
+    Both parts are written into one (n, h + 1, C) buffer, the residual as
+    each example's first row, so the proxies are the only n x hC array.
     """
     if mode not in PROXY_MODES:
         raise ValueError(f"mode must be one of {PROXY_MODES}, got {mode!r}")
     acts = _forward_trace(net, data.features)
-    r = acts[-1] - data.one_hot_labels()
     if mode == "residual":
-        proxies = r
+        proxies = acts[-1] - data.one_hot_labels()
     else:
-        h = acts[-2]
-        wgrad = np.einsum("nh,nc->nhc", h, r).reshape(r.shape[0], -1)
-        proxies = np.concatenate([r, wgrad], axis=1)
+        h, f = acts[-2], acts[-1]
+        n, C = f.shape
+        out = np.empty((n, h.shape[1] + 1, C))
+        r = np.subtract(f, data.one_hot_labels(), out=out[:, 0])
+        # einsum, not h[:, :, None] * r[:, None]: einsum accumulates into a
+        # zeroed output, so zero times a negative residual is +0.0 where a
+        # multiply gives -0.0
+        np.einsum("nh,nc->nhc", h, r, out=out[:, 1:])
+        proxies = out.reshape(n, -1)
     return GradientProxySet(proxies, data.labels, mode, data.num_classes)
 
 

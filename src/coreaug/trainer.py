@@ -254,10 +254,10 @@ def _select_subset(config: TrainConfig, net: MLP, data: Dataset,
     return bs.indices, bs.weights
 
 
-def _build_pool(config: TrainConfig, data: Dataset, indices, orig_w,
-                refresh_idx: int, base_indices) -> _Pool:
-    """Each of a row's r augmented copies weighs its row's weight / r."""
-    Y_all = one_hot(data.labels, data.num_classes)
+def _build_pool(config: TrainConfig, data: Dataset, Y_all: np.ndarray, indices,
+                orig_w, refresh_idx: int, base_indices) -> _Pool:
+    """Each of a row's r augmented copies weighs its row's weight / r.
+    ``Y_all`` holds the one-hot targets of every row of ``data``."""
     X_sel = data.features[indices]
     aug = perturb(config.transform, X_sel, round_index=refresh_idx)
     r = config.transform.r
@@ -318,10 +318,12 @@ def train(config: TrainConfig, data: Dataset, test_data: Dataset) -> TrainRecord
     before the first step.
     """
     data, noisy_mask, net, base_indices = _setup(config, data)
+    Y_all = one_hot(data.labels, data.num_classes)
     batch_rng = np.random.default_rng([config.seed, 7])
     rows: list[EpochRow] = []
     events: list[tuple[int, np.ndarray]] = []
-    touched: set[int] = set()
+    # training rows that some pool has held, its own or augmented
+    touched = np.zeros(data.n, dtype=bool)
     initial_loss = initial_grad_norm = None
     refresh_idx = -1
     for epoch in range(config.epochs):
@@ -331,11 +333,12 @@ def train(config: TrainConfig, data: Dataset, test_data: Dataset) -> TrainRecord
             refresh_idx += 1
             t0 = time.perf_counter()
             indices, orig_w = _select_subset(config, net, data, refresh_idx)
-            pool = _build_pool(config, data, indices, orig_w, refresh_idx, base_indices)
+            pool = _build_pool(config, data, Y_all, indices, orig_w, refresh_idx,
+                               base_indices)
             _checked_sgd_rows(net, pool.X, pool.Y, pool.w)
             selection_ms = (time.perf_counter() - t0) * 1000.0
             events.append((epoch, np.asarray(indices)))
-            touched.update(int(o) for o in pool.origins)
+            touched[pool.origins] = True
         if initial_grad_norm is None:
             initial_loss, initial_grad_norm = _pool_metrics(net, pool)
         _sgd_epoch(net, pool.X, pool.Y, pool.w, batch_rng.permutation(pool.X.shape[0]),
@@ -346,7 +349,8 @@ def train(config: TrainConfig, data: Dataset, test_data: Dataset) -> TrainRecord
         rows.append(EpochRow(
             epoch=epoch, train_loss=train_loss, test_loss=test_loss,
             test_acc=test_acc, grad_norm=grad_norm, refreshed=refreshed,
-            selection_ms=selection_ms, points_touched=len(touched),
+            selection_ms=selection_ms,
+            points_touched=int(np.count_nonzero(touched)),
         ))
     return TrainRecord(rows=rows, initial_grad_norm=float(initial_grad_norm),
                        noisy_mask=noisy_mask, selection_events=events,
@@ -359,7 +363,8 @@ def initial_pool(config: TrainConfig, data: Dataset):
     selected indices, gamma-style original-row weights)."""
     data, _, net, base_indices = _setup(config, data)
     indices, orig_w = _select_subset(config, net, data, 0)
-    pool = _build_pool(config, data, indices, orig_w, 0, base_indices)
+    pool = _build_pool(config, data, one_hot(data.labels, data.num_classes),
+                       indices, orig_w, 0, base_indices)
     return net, pool.X, pool.Y, pool.w, np.asarray(indices), orig_w
 
 

@@ -10,6 +10,7 @@ import coreaug.coreset
 from coreaug.coreset import (
     _ENGINE_FNS,
     _SCORE_BLOCK,
+    _SCORE_ENTRIES,
     ENGINES,
     STOP_MODES,
     SelectionConfig,
@@ -128,11 +129,11 @@ class TestDistanceMatrix:
 
 class TestPeakMemory:
     """Selection holds one n_c x n_c float64 array per class, the distance
-    matrix, which ``pairwise_distances`` builds in its Gram buffer; the rest
-    is block temporaries (128 x n_c for the distances, and for scoring
-    max(64 x n_c, 64,000) entries) and the engines' coverage vectors. The
-    two-matrix bounds below predate that and still hold. The alignment audit
-    builds no matrix."""
+    matrix, which ``pairwise_distances`` builds in its Gram buffer. Every
+    other temporary, of the distances, the scoring and the weights, is one
+    block of rows: a block w entries wide has max(64, 64,000 / w) rows. The
+    rest is the engines' coverage vectors. The two-matrix bounds below
+    predate that and still hold. The alignment audit builds no matrix."""
 
     N_C = 1000
     MATRIX_BYTES = N_C * N_C * 8
@@ -180,6 +181,15 @@ class TestPeakMemory:
         S = list(range(0, self.N_C, 10))
         peak = traced_peak_bytes(lambda: compute_weights(D, S))
         assert peak <= 1.5 * self.N_C * len(S) * 8
+
+    def test_compute_weights_holds_one_row_block(self, traced_peak_bytes):
+        """The distances to S are gathered one block of rows at a time, at
+        most _SCORE_ENTRIES of them (256 rows at k = 250), not as one
+        n_c x k matrix (four times that)."""
+        D = pairwise_distances(random_points(38, self.N_C, p=16))
+        S = list(range(0, self.N_C, 4))
+        peak = traced_peak_bytes(lambda: compute_weights(D, S))
+        assert peak <= 1.25 * _SCORE_ENTRIES * 8
 
     def test_alignment_error_holds_two_matrices(self, traced_peak_bytes):
         proxies = proxy_set(random_points(32, 2 * self.N_C, p=16),
@@ -534,6 +544,23 @@ class TestWeights:
         gamma = compute_weights(D, [2, 1])
         # order follows S: index 2 then index 1; point 0 ties -> index 1 wins
         assert list(gamma) == [1, 2]
+
+    @pytest.mark.parametrize("entries", [1, 7, 40, 64_000])
+    @pytest.mark.parametrize("points", ["random", "integer_grid"])
+    def test_blocked_assignment_equals_one_gather(self, points, entries, monkeypatch):
+        """Counting one block of rows at a time gives the counts of one
+        argmin over the whole n_c x k gather, ties to the smallest selected
+        index, whatever the block height (1, 1, 5 and all 150 rows)."""
+        pts = (random_points(39, 150) if points == "random"
+               else integer_grid_points(39, 150))
+        D = pairwise_distances(pts)
+        S = [int(s) for s in np.random.default_rng(40).permutation(150)[:8]]
+        cols = np.sort(S)
+        ref = np.bincount(np.argmin(np.take(D, cols, axis=1), axis=1),
+                          minlength=cols.size)[np.searchsorted(cols, S)]
+        monkeypatch.setattr(coreaug.coreset, "_SCORE_BLOCK", 1)
+        monkeypatch.setattr(coreaug.coreset, "_SCORE_ENTRIES", entries)
+        assert np.array_equal(compute_weights(D, S), ref)
 
     @given(seed=st.integers(0, 500))
     @settings(max_examples=30)

@@ -79,6 +79,17 @@ class TestCsvFormat:
         assert np.array_equal(loaded.features, data.features)
         assert np.array_equal(loaded.labels, data.labels)
 
+    def test_load_holds_text_and_raw_doubles(self, tmp_path, traced_peak_bytes):
+        """Loading holds the file's text and its split lines (about twice the
+        file) plus the features as raw doubles with their buffer's growth
+        slack; a Python float and its list slot per value would take 32
+        bytes, not 8, and exceed the bound."""
+        data = gen_dataset("gaussian_blobs", 3000, 16, 3, seed=6)
+        path = tmp_path / "d.csv"
+        save_dataset_csv(data, path)
+        peak = traced_peak_bytes(lambda: load_dataset_csv(path))
+        assert peak <= 2 * path.stat().st_size + 2 * data.features.nbytes
+
     def test_feature_out_of_range_names_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         rows = ["f0,f1,label"] + ["0.5,0.5,0"] * 5 + ["0.5,1.2,0"] + ["0.5,0.5,0"]
@@ -188,6 +199,24 @@ class TestCli:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "select"
         assert "selection_ms" in manifest["timings_ms"]
+
+    def test_manifest_records_blas_build_and_threads(self, dataset_csv, tmp_path,
+                                                     monkeypatch):
+        """Byte-identical outputs hold for one BLAS build at one thread
+        setting, so the manifest names both; an unset variable is null."""
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.setenv("MKL_NUM_THREADS", "2")
+        out = tmp_path / "sel"
+        assert main(["select", "--data", str(dataset_csv), "--fraction", "0.2",
+                     "--out", str(out)]) == 0
+        versions = json.loads((out / "manifest.json").read_text())["versions"]
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert versions["blas"] == {"name": blas["name"], "version": blas["version"],
+                                    "build": blas.get("openblas configuration")}
+        assert versions["blas_threads"] == {"OPENBLAS_NUM_THREADS": "1",
+                                            "OMP_NUM_THREADS": None,
+                                            "MKL_NUM_THREADS": "2"}
 
     def test_train_multi_seed_aggregate(self, dataset_csv, tmp_path):
         out = tmp_path / "train"

@@ -54,6 +54,28 @@ class TestSvd:
             i = np.argmax(np.abs(dec1.U[:, j]))
             assert dec1.U[i, j] >= 0.0
 
+    def test_sign_convention_equals_column_loop(self, monkeypatch):
+        """Negating the flagged columns in one pass gives the per-column loop's
+        U bit for bit. Where magnitudes tie, the first entry decides: the
+        first column ties -0.5 before 0.5 and is negated, the second ties
+        0.5 before -0.5 and is kept, the third ties 0.25 before -0.25, and
+        the fourth ties -0.7 before 0.7, so its zeros become -0.0."""
+        u = np.array([[-0.5, 0.5, 0.25, 0.0],
+                      [0.5, -0.5, -0.25, 0.0],
+                      [0.1, 0.2, 0.0, -0.7],
+                      [-0.3, -0.1, 0.0, 0.7]])
+        ref = u.copy()
+        for j in range(ref.shape[1]):
+            i = int(np.argmax(np.abs(ref[:, j])))
+            if ref[i, j] < 0.0:
+                ref[:, j] = -ref[:, j]
+        sigma = np.array([4.0, 3.0, 2.0, 1.0])
+        monkeypatch.setattr(np.linalg, "svd",
+                            lambda m, full_matrices: (u.copy(), sigma, None))
+        dec = svd(np.eye(4))
+        assert dec.U.tobytes() == ref.tobytes()
+        assert np.array_equal(dec.U[0], [0.5, 0.5, 0.25, 0.0])
+
     @given(seed=st.integers(0, 10_000), rows=st.integers(1, 64), cols=st.integers(1, 64))
     def test_invariants_random(self, seed, rows, cols):
         a = random_matrix(seed, rows, cols, scale=float(1 + seed % 5))

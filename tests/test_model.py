@@ -357,6 +357,35 @@ class TestGradientProxy:
             p = gradient_proxy(net, data, mode).proxies
             assert np.array_equal(p[0], p[1])
 
+    @pytest.mark.parametrize("act", ["relu", "tanh"])
+    def test_last_layer_equals_einsum_and_concatenate(self, act):
+        """Written in place, the proxies equal the residual concatenated
+        with the einsum outer products bit for bit, signed zeros included:
+        relu zeroes hidden units, and 0 times a negative residual is -0.0
+        in a plain multiply but +0.0 in einsum."""
+        data = make_dataset(19, n=300, d=6, C=4)
+        net = MLP.init([6, 16, 12, 4], activation=act, seed=19)
+        h = np.tanh if act == "tanh" else (lambda p: np.maximum(p, 0.0))
+        hidden = h(h(data.features @ net.weights[0] + net.biases[0])
+                   @ net.weights[1] + net.biases[1])
+        r = forward(net, data.features) - data.one_hot_labels()
+        ref = np.concatenate(
+            [r, np.einsum("nh,nc->nhc", hidden, r).reshape(data.n, -1)], axis=1)
+        proxies = gradient_proxy(net, data, "last_layer").proxies
+        assert proxies.tobytes() == ref.tobytes()
+        if act == "relu":
+            assert np.any(ref == 0.0)
+
+    def test_last_layer_holds_one_proxy_matrix(self, traced_peak_bytes):
+        """The proxies and the forward trace, with no second n x hC array
+        for the outer products before they are joined to the residual."""
+        data = make_dataset(20, n=2000, d=8, C=4)
+        net = MLP.init([8, 32, 4], activation="relu", seed=20)
+        proxy_bytes = data.n * 33 * 4 * 8
+        trace_bytes = data.n * (32 + 4) * 8
+        peak = traced_peak_bytes(lambda: gradient_proxy(net, data, "last_layer"))
+        assert peak <= 1.25 * proxy_bytes + trace_bytes
+
     def test_rejects_unknown_mode(self):
         data = make_dataset(0, n=4)
         net = MLP.init([data.dim, 3, data.num_classes], seed=0)

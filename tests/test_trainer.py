@@ -232,6 +232,27 @@ class TestTrain:
             selected.update(int(i) for i in idx)
         assert touched[-1] == len(selected)
 
+    @pytest.mark.parametrize("regime", ["coreset_only", "full_plus_coreset_aug",
+                                        "random_plus_coreset_aug"])
+    def test_points_touched_counts_every_pool_row(self, regime):
+        """Each epoch counts the distinct training rows that any pool so far
+        has held: the regime's base rows plus every selection."""
+        data, test = blob_pair(15, n=30)
+        cfg = quick_config(regime=regime, baseline="ours", random_fraction=0.3,
+                           selection=SelectionConfig(stop="fixed_size", k_per_class=1),
+                           transform=TransformSpec(epsilon0=0.05, r=2, seed=1),
+                           epochs=6, refresh_r=2)
+        record = train(cfg, data, test)
+        base = {"coreset_only": [],
+                "full_plus_coreset_aug": range(data.n),
+                "random_plus_coreset_aug": random_subset(
+                    None, data.labels, seed=[cfg.seed, 13], fraction=0.3).indices}
+        seen = {int(i) for i in base[regime]}
+        events = dict(record.selection_events)
+        for row in record.rows:
+            seen.update(int(i) for i in events.get(row.epoch, []))
+            assert row.points_touched == len(seen)
+
     def test_all_baselines_and_regimes_run(self):
         data, test = blob_pair(14, n=30)
         for baseline in ("ours", "random", "max_loss"):
