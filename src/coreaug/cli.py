@@ -7,8 +7,9 @@ byte (wall clock timings live only in the manifest and the selection_ms
 column).
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 numerical failure.
-A JSON config file (``--config``) may supply any flag's value; explicit flags
-override it.
+A JSON config file (``--config``, before or after the subcommand) holds the
+subcommand's defaults, each checked like its flag's value; explicit flags
+override them.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 import time
@@ -375,14 +375,19 @@ def cmd_report(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The ``coreaug`` parser; its ``subcommands`` maps each subcommand's
+    name to that subcommand's parser."""
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", default=None,
+                        help="JSON config file whose values become this command's "
+                             "defaults; explicit flags override them")
     parser = argparse.ArgumentParser(
-        prog="coreaug",
+        prog="coreaug", parents=[config],
         description="Coreset-driven data augmentation: selection, training, spectrum analysis")
-    parser.add_argument("--config", default=None,
-                        help="JSON config file; explicit flags override its values")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.subcommands = sub.choices
 
-    p = sub.add_parser("gen-data", help="generate a synthetic dataset CSV")
+    p = sub.add_parser("gen-data", parents=[config], help="generate a synthetic dataset CSV")
     p.add_argument("--kind", default="gaussian_blobs",
                    choices=("gaussian_blobs", "two_moons_embedded", "grid_digits"))
     p.add_argument("--n", type=int, default=600)
@@ -405,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--r", type=_positive_int, default=1)
         p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("select", help="extract a weighted per-class coreset")
+    p = sub.add_parser("select", parents=[config], help="extract a weighted per-class coreset")
     p.add_argument("--data", required=True)
     add_selection_flags(p)
     p.add_argument("--hidden", type=_hidden_sizes, default=(32,))
@@ -415,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_select)
 
-    p = sub.add_parser("train", help="weighted SGD over a training regime")
+    p = sub.add_parser("train", parents=[config], help="weighted SGD over a training regime")
     p.add_argument("--data", required=True)
     p.add_argument("--test-data", default=None)
     p.add_argument("--holdout", type=_holdout, default=0.25)
@@ -440,7 +445,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_train)
 
-    p = sub.add_parser("spectrum", help="paired clean/augmented spectrum reports")
+    p = sub.add_parser("spectrum", parents=[config],
+                       help="paired clean/augmented spectrum reports")
     p.add_argument("--data", required=True)
     p.add_argument("--epsilon0", type=float, nargs="+", default=[8.0 / 255.0, 16.0 / 255.0])
     p.add_argument("--transform-kind", default="uniform_ball", choices=TRANSFORM_KINDS)
@@ -455,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_spectrum)
 
-    p = sub.add_parser("bounds", help="run the randomized bound-audit suite")
+    p = sub.add_parser("bounds", parents=[config], help="run the randomized bound-audit suite")
     p.add_argument("--seed", type=int, default=0)
     # an empty battery would pass vacuously
     p.add_argument("--weyl-trials", type=_positive_int, default=1000)
@@ -467,12 +473,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_bounds)
 
-    p = sub.add_parser("experiment", help="run one of the paper's experiment protocols")
+    p = sub.add_parser("experiment", parents=[config],
+                       help="run one of the paper's experiment protocols")
     p.add_argument("name", choices=("subset", "spectrum", "noise"))
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_experiment)
 
-    p = sub.add_parser("report", help="aggregate run CSVs into a summary JSON")
+    p = sub.add_parser("report", parents=[config], help="aggregate run CSVs into a summary JSON")
     p.add_argument("--runs", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_report)
@@ -480,93 +487,84 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Values an option takes, by its nargs; an int nargs takes that many.
-_ARITY = {None: 1, "?": 1, "*": math.inf, "+": math.inf}
-
-
-def _gives_positional(tokens: list[str], options: dict) -> bool:
-    """Whether the command-line tokens after a subcommand hold a positional
-    value: a token that is neither an option nor one of its values."""
-    takes = 0
-    for tok in tokens:
-        if tok.startswith("-"):
-            # "--flag=value" and unknown flags are not keys of options
-            action = options.get(tok)
-            takes = 0 if action is None else _ARITY.get(action.nargs, action.nargs)
-        elif takes:
-            takes -= 1
-        else:
-            return True
-    return False
-
-
-def _apply_config_file(argv: list[str], parser: argparse.ArgumentParser) -> list[str]:
-    """Insert values from a JSON config (schema_version checked) after the
-    subcommand; explicit command-line flags still win because argparse takes
-    the last occurrence. A manifest's ``config`` replays its run: a null
-    leaves its flag at the default, and a ``command`` key must name the
-    subcommand. Each key becomes argv by the subcommand's own action: a
-    positional is a bare value, used only when the command line gives none;
-    an ``nargs`` flag takes a list as separate values; a ``store_true`` flag
-    is bare; any other list is one comma-joined value."""
-    if "--config" not in argv:
-        return argv
-    pos = argv.index("--config")
+def _config_value(action: argparse.Action, value, where: str):
+    """A config value as its action parses it from the command line: a list
+    element-wise for an ``nargs`` flag and comma-joined otherwise, each
+    through the action's ``type`` and ``choices``; a switch takes a bool."""
+    if action.nargs == 0:
+        if not isinstance(value, bool):
+            raise ConfigError(f"{where}: must be true or false, got {value!r}")
+        return action.const if value else action.default
+    many = action.nargs in ("*", "+")
+    if isinstance(value, list) and not many:
+        value = ",".join(map(str, value))
+    texts = [str(v) for v in value] if isinstance(value, list) else [str(value)]
     try:
-        cfg_path = argv[pos + 1]
-    except IndexError as exc:
-        raise ConfigError("--config requires a path") from exc
+        values = [(action.type or str)(t) for t in texts]
+    except (argparse.ArgumentTypeError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+    if not values and action.nargs == "+":
+        raise ConfigError(f"{where}: needs at least one value")
+    for v in values:
+        if action.choices is not None and v not in action.choices:
+            raise ConfigError(f"{where}: invalid choice {v!r} (choose from "
+                              f"{', '.join(map(repr, action.choices))})")
+    return values if many else values[0]
+
+
+def _apply_config_file(argv: list[str], parser: argparse.ArgumentParser) -> None:
+    """Make a JSON config's values (schema_version checked) the defaults of
+    the subcommand, with ``--config`` before or after it; flags on the
+    command line still win. A manifest's ``config`` replays its run: a null
+    keeps its flag's default, and a ``command`` key must name the
+    subcommand. A key the config sets is no longer required on the command
+    line; ``experiment``'s name becomes an optional positional."""
+    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    pre.add_argument("--config")
+    try:
+        known, rest = pre.parse_known_args(argv)
+    except argparse.ArgumentError:
+        return  # the full parser names the flag that lacks its path
+    if known.config is None:
+        return
+    cfg_path = known.config
     try:
         payload = json.loads(Path(cfg_path).read_text(encoding="utf-8"))
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {cfg_path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
-    if payload.get("schema_version") != SCHEMA_VERSION:
+    if not isinstance(payload, dict) or payload.get("schema_version") != SCHEMA_VERSION:
         raise ConfigError(f"config schema_version must be {SCHEMA_VERSION}")
-    command_pos = next((i for i, a in enumerate(argv)
-                        if not a.startswith("-") and i != pos + 1), None)
-    if command_pos is None:
-        raise ConfigError("missing subcommand")
-    command = argv[command_pos]
+    command = next((a for a in rest if not a.startswith("-")), None)
+    subparser = parser.subcommands.get(command)
+    if subparser is None:
+        return  # argparse names the missing or unknown subcommand
     if payload.get("command", command) != command:
         raise ConfigError(f"{cfg_path}: command {payload['command']!r} does not match "
                           f"the subcommand {command!r}")
-    subparsers = next(a for a in parser._actions
-                      if isinstance(a, argparse._SubParsersAction))
-    if command not in subparsers.choices:
-        return argv  # argparse names the unknown subcommand
-    actions = subparsers.choices[command]._actions
-    by_dest = {a.dest: a for a in actions}
-    options = {o: a for a in actions for o in a.option_strings}
-    rest = argv[command_pos + 1:]
-    injected: list[str] = []
+    by_dest = {a.dest: a for a in subparser._actions}
+    defaults = {}
     for key, value in payload.items():
         if key in ("schema_version", "command"):
             continue
         action = by_dest.get(key)
         if action is None:
             raise ConfigError(f"{cfg_path}: key {key!r} is not an option of {command!r}")
-        if value is None or value is False:
+        if value is None:
             continue
-        values = [str(v) for v in value] if isinstance(value, list) else [str(value)]
+        defaults[key] = _config_value(action, value, f"{cfg_path}: key {key!r}")
+        action.required = False
         if not action.option_strings:
-            if not _gives_positional(rest, options):
-                injected += values
-        elif action.nargs == 0:
-            injected.append(action.option_strings[0])
-        elif action.nargs in ("*", "+"):
-            injected += [action.option_strings[0], *values]
-        else:
-            injected += [action.option_strings[0], ",".join(values)]
-    return argv[:command_pos + 1] + injected + rest
+            action.nargs = "?"
+    subparser.set_defaults(**defaults)
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        argv = _apply_config_file(argv, parser)
+        _apply_config_file(argv, parser)
         args = parser.parse_args(argv)
         return args.fn(args)
     except (NumericalError, np.linalg.LinAlgError) as exc:

@@ -104,6 +104,11 @@ def _parse_failure(parts: list[str]) -> str:
 def load_dataset_csv(path) -> Dataset:
     """Parse rows line by line, then range-check every feature at once.
 
+    The file is read one physical line at a time, and each is split by
+    ``str.splitlines``, so lines (and their numbers) are those of the whole
+    text's ``splitlines()``, ``\\x0c``, ``\\x1c`` and ``\\x85`` included, while
+    only one line's text is held.
+
     Each fully parsed row's features are appended as raw doubles to one
     growing buffer, which becomes the feature matrix without a copy. Parsing
     stops at the first line with a wrong column count, a non-numeric value,
@@ -114,34 +119,35 @@ def load_dataset_csv(path) -> Dataset:
     and infinities fail both.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise DataFormatError(f"{path}: empty file, no header")
-    header = lines[0].split(",")
-    if header[-1] != "label" or any(h != f"f{i}" for i, h in enumerate(header[:-1])):
-        raise DataFormatError(f"{path}: line 1: malformed header")
-    d = len(header) - 1
-    feats, labels, blanks = array("d"), [], []
-    failure = cause = None
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            blanks.append(lineno)
-            continue
-        parts = line.split(",")
-        if len(parts) != d + 1:
-            failure = f"line {lineno}: expected {d + 1} columns, got {len(parts)}"
-            break
-        try:
-            row = [float(v) for v in parts[:-1]]
-            label = int(parts[-1])
-        except ValueError as exc:
-            failure, cause = f"line {lineno}: {_parse_failure(parts)}", exc
-            break
-        feats.extend(row)
-        labels.append(label)
-        if label < 0:
-            failure = f"line {lineno}: negative label"
-            break
+        lines = (line for physical in fh for line in physical.splitlines())
+        header = next(lines, None)
+        if header is None:
+            raise DataFormatError(f"{path}: empty file, no header")
+        header = header.split(",")
+        if header[-1] != "label" or any(h != f"f{i}" for i, h in enumerate(header[:-1])):
+            raise DataFormatError(f"{path}: line 1: malformed header")
+        d = len(header) - 1
+        feats, labels, blanks = array("d"), [], []
+        failure = cause = None
+        for lineno, line in enumerate(lines, start=2):
+            if not line.strip():
+                blanks.append(lineno)
+                continue
+            parts = line.split(",")
+            if len(parts) != d + 1:
+                failure = f"line {lineno}: expected {d + 1} columns, got {len(parts)}"
+                break
+            try:
+                row = [float(v) for v in parts[:-1]]
+                label = int(parts[-1])
+            except ValueError as exc:
+                failure, cause = f"line {lineno}: {_parse_failure(parts)}", exc
+                break
+            feats.extend(row)
+            labels.append(label)
+            if label < 0:
+                failure = f"line {lineno}: negative label"
+                break
     X = np.frombuffer(feats, dtype=np.float64).reshape(len(labels), d)
     if X.size and not (X.min() >= 0.0 and X.max() <= 1.0):
         bad = ~((X >= 0.0) & (X <= 1.0))

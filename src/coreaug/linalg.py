@@ -30,13 +30,15 @@ class NumericalError(RuntimeError):
 
 def as_matrix(a, name: str = "matrix", finite: bool = True) -> np.ndarray:
     """Coerce ``a`` to a 2-D float64 array, rejecting empty shapes and, unless
-    ``finite`` is false (the caller checks values itself), NaN/Inf."""
+    ``finite`` is false (the caller checks values itself), NaN/Inf. The
+    check is two reductions with no n x p temporary: NaN propagates through
+    the maximum, and an infinity is the maximum or the minimum."""
     m = np.asarray(a, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {m.shape}")
     if m.size == 0:
         raise ValueError(f"{name} is empty")
-    if finite and not np.all(np.isfinite(m)):
+    if finite and not (math.isfinite(m.max()) and math.isfinite(m.min())):
         raise ValueError(f"{name} contains non-finite entries")
     return m
 

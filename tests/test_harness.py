@@ -90,6 +90,44 @@ class TestCsvFormat:
         peak = traced_peak_bytes(lambda: load_dataset_csv(path))
         assert peak <= 2 * path.stat().st_size + 2 * data.features.nbytes
 
+    def test_load_holds_one_line_of_text(self, tmp_path, traced_peak_bytes):
+        """Loading reads the file one line at a time, so its peak is the
+        features as raw doubles with their buffer's growth slack plus the
+        labels, not the file's text (about 2.4 times the features here)."""
+        data = gen_dataset("gaussian_blobs", 3000, 16, 3, seed=6)
+        path = tmp_path / "d.csv"
+        save_dataset_csv(data, path)
+        peak = traced_peak_bytes(lambda: load_dataset_csv(path))
+        assert peak <= 2 * data.features.nbytes
+
+    # CRLF ends, a form feed (\x0c), a file separator (\x1c), NEL (\x85) and
+    # a blank line: text.splitlines() breaks at each, so the loader does too.
+    # Lines 3, 6 and 7 are blank.
+    _MIXED_LINE_ENDS = ("f0,f1,label\r\n0.1,0.2,0\r\n\r\n0.3,0.4,1\x0c0.5,0.6,2\n"
+                        "\x1c\n0.7,0.8,1\x850.9,1,0\n")
+
+    def test_rows_split_at_every_line_boundary(self, tmp_path):
+        path = tmp_path / "mixed.csv"
+        path.write_bytes(self._MIXED_LINE_ENDS.encode("utf-8"))
+        loaded = load_dataset_csv(path)
+        assert loaded.features.tolist() == [[0.1, 0.2], [0.3, 0.4], [0.5, 0.6],
+                                            [0.7, 0.8], [0.9, 1.0]]
+        assert loaded.labels.tolist() == [0, 1, 2, 1, 0]
+
+    @pytest.mark.parametrize("bad_row, message", [
+        ("0.5,0.5", "line 10: expected 3 columns, got 2"),
+        ("0.5,x,0", "line 10: non-numeric value"),
+        ("0.5,0.5,-1", "line 10: negative label"),
+        ("0.5,1.5,0", "line 10: feature f1=1.5 outside [0, 1]"),
+        ("0.5,0.5,0\x0c\x1c0.5,1.5,0", "line 12: feature f1=1.5 outside [0, 1]"),
+    ])
+    def test_line_numbers_count_every_line_boundary(self, bad_row, message, tmp_path):
+        path = tmp_path / "mixed.csv"
+        path.write_bytes((self._MIXED_LINE_ENDS + bad_row + "\r\n").encode("utf-8"))
+        with pytest.raises(DataFormatError) as info:
+            load_dataset_csv(path)
+        assert str(info.value) == f"{path}: {message}"
+
     def test_feature_out_of_range_names_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         rows = ["f0,f1,label"] + ["0.5,0.5,0"] * 5 + ["0.5,1.2,0"] + ["0.5,0.5,0"]
@@ -178,6 +216,40 @@ def dataset_csv(tmp_path):
     path = tmp_path / "data.csv"
     save_dataset_csv(gen_dataset("gaussian_blobs", 60, 4, 3, seed=11, noise=0.07), path)
     return path
+
+
+# One row per config value that must exit 2: the argv, where {cfg} is the
+# config file and {data} a valid 60-row CSV; the config's keys besides
+# schema_version; and what stderr must hold, naming the key.
+CONFIG_ERRORS = {
+    "select engine": (["--config", "{cfg}", "select", "--data", "{data}"],
+                      {"engine": "fast"}, ("engine", "'fast'")),
+    "select fraction": (["--config", "{cfg}", "select", "--data", "{data}"],
+                        {"fraction": 2.0}, ("fraction", "must lie in (0, 1], got 2.0")),
+    "train k_per_class": (["train", "--config", "{cfg}"], {"k_per_class": 0},
+                          ("key 'k_per_class': must be >= 1, got 0",)),
+    "train seeds": (["train", "--config", "{cfg}"], {"seeds": []},
+                    ("key 'seeds': needs at least one seed",)),
+    "train hidden": (["train", "--config", "{cfg}"], {"hidden": ["a"]},
+                     ("key 'hidden': invalid literal for int()",)),
+    "train lr_decay_epochs": (["train", "--config", "{cfg}"], {"lr_decay_epochs": [1, 2.5]},
+                              ("key 'lr_decay_epochs': invalid literal for int()",)),
+    "train regime": (["train", "--config", "{cfg}"], {"regime": "all"},
+                     ("key 'regime': invalid choice 'all'",)),
+    "train false epochs": (["train", "--config", "{cfg}"], {"epochs": False},
+                           ("key 'epochs': invalid literal for int()",)),
+    "train null data": (["train", "--config", "{cfg}"], {"data": None, "epochs": 1},
+                        ("the following arguments are required: --data",)),
+    "spectrum untrained": (["spectrum", "--data", "{data}", "--config", "{cfg}"],
+                           {"untrained": "yes"},
+                           ("key 'untrained': must be true or false, got 'yes'",)),
+    "spectrum epsilon0": (["spectrum", "--data", "{data}", "--config", "{cfg}"],
+                          {"epsilon0": []}, ("key 'epsilon0': needs at least one value",)),
+    "gen-data unknown key": (["gen-data", "--config", "{cfg}"], {"epochs": 2},
+                             ("key 'epochs' is not an option of 'gen-data'",)),
+    "gen-data command": (["gen-data", "--config", "{cfg}"], {"command": "train"},
+                         ("command 'train' does not match the subcommand 'gen-data'",)),
+}
 
 
 class TestCli:
@@ -564,6 +636,62 @@ class TestCli:
         assert _exit_code(["--config", str(cfg), "gen-data", "--out", "x.csv"]) == 2
         assert "command 'train' does not match the subcommand 'gen-data'" \
             in capsys.readouterr().err
+
+    def test_config_after_the_subcommand_supplies_the_positional(self, tmp_path,
+                                                                 monkeypatch):
+        monkeypatch.setattr(coreaug.cli, "noise_robustness", lambda: {"coreset": [0.0]})
+        cfg = tmp_path / "e.json"
+        cfg.write_text(json.dumps({"schema_version": 1, "name": "noise"}))
+        out = tmp_path / "x"
+        assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == 0
+        assert json.loads((out / "noise.json").read_text()) == {"coreset": [0.0]}
+
+    def test_config_after_the_subcommand_supplies_a_required_flag(self, dataset_csv,
+                                                                  tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"schema_version": 1, "data": str(dataset_csv),
+                                   "epochs": 1, "hidden": [6]}))
+        out = tmp_path / "x"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert (config["data"], config["epochs"], config["hidden"]) == \
+            (str(dataset_csv), 1, [6])
+
+    @pytest.mark.parametrize("argv", [
+        ["gen-data", "--config", "{cfg}", "--n", "60"],
+        ["gen-data", "--n", "60", "--config", "{cfg}"],
+    ], ids=["after", "last"])
+    def test_flag_overrides_config_in_any_position(self, argv, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"schema_version": 1, "n": 30, "d": 4, "classes": 3}))
+        out = tmp_path / "o.csv"
+        argv = [a.replace("{cfg}", str(cfg)) for a in argv] + ["--out", str(out)]
+        assert main(argv) == 0
+        data = load_dataset_csv(out)
+        assert (data.n, data.dim) == (60, 4)
+
+    @pytest.mark.parametrize("name", CONFIG_ERRORS)
+    def test_config_error_names_the_key(self, name, dataset_csv, tmp_path, capsys):
+        argv, payload, needles = CONFIG_ERRORS[name]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"schema_version": 1, **payload}))
+        argv = [a.replace("{cfg}", str(cfg)).replace("{data}", str(dataset_csv))
+                for a in argv] + ["--out", str(tmp_path / "o")]
+        assert _exit_code(argv) == 2
+        err = capsys.readouterr().err
+        for needle in needles:
+            assert needle in err
+
+    def test_config_without_a_path_names_the_flag(self, capsys):
+        assert _exit_code(["train", "--data", "d.csv", "--config"]) == 2
+        err = capsys.readouterr().err
+        assert "coreaug train: error: argument --config: expected one argument" in err
+
+    @pytest.mark.parametrize("command", ["gen-data", "select", "train", "spectrum", "bounds",
+                                         "experiment", "report"])
+    def test_every_subcommand_help_lists_config(self, command, capsys):
+        assert _exit_code([command, "-h"]) == 0
+        assert "--config CONFIG" in capsys.readouterr().out
 
     def test_missing_data_file_is_data_error(self, tmp_path):
         assert main(["select", "--data", str(tmp_path / "nope.csv"),

@@ -186,3 +186,21 @@ def test_as_matrix_coerces_and_validates():
     assert m.dtype == np.float64
     with pytest.raises(ValueError):
         as_matrix([[np.inf, 0.0]])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("pos", [(0, 0), (3, 1), (4, 2)], ids=["first", "middle", "last"])
+def test_as_matrix_rejects_non_finite(bad, pos):
+    m = random_matrix(5, 5, 3)
+    m[pos] = bad
+    with pytest.raises(ValueError, match="^M contains non-finite entries$"):
+        as_matrix(m, "M")
+    assert as_matrix(m, "M", finite=False) is m
+
+
+def test_as_matrix_finite_check_builds_no_mask(traced_peak_bytes):
+    """The finite check of a float64 matrix allocates no n x p temporary:
+    an ``isfinite`` mask would take n * p bytes."""
+    m = random_matrix(6, 2000, 99)
+    peak = traced_peak_bytes(lambda: as_matrix(m, "M"))
+    assert peak <= m.size // 8
