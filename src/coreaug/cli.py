@@ -109,8 +109,10 @@ def _checked(kind, ok, bound: str):
 
 
 _positive_int = _checked(int, lambda v: v >= 1, "be >= 1")
+_nonnegative_int = _checked(int, lambda v: v >= 0, "be >= 0")
 _fraction = _checked(float, lambda v: 0.0 < v <= 1.0, "lie in (0, 1]")
 _holdout = _checked(float, lambda v: 0.0 < v < 1.0, "lie in (0, 1)")
+_label_noise = _checked(float, lambda v: 0.0 <= v < 1.0, "lie in [0, 1)")
 
 
 def _load_data(path: Path) -> Dataset:
@@ -415,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_selection_flags(p)
     p.add_argument("--hidden", type=_hidden_sizes, default=(32,))
     p.add_argument("--net-seed", type=int, default=0)
-    p.add_argument("--warmup-epochs", type=int, default=0)
+    p.add_argument("--warmup-epochs", type=_nonnegative_int, default=0)
     p.add_argument("--lr", type=float, default=0.005)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_select)
@@ -435,11 +437,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=float, default=0.005)
     p.add_argument("--lr-decay-epochs", type=int, nargs="*", default=None)
     p.add_argument("--lr-decay-factor", type=float, default=0.1)
-    p.add_argument("--batch-size", type=int, default=32)
+    p.add_argument("--batch-size", type=_positive_int, default=32)
     p.add_argument("--epsilon0", type=float, default=16.0 / 255.0)
     p.add_argument("--transform-kind", default="uniform_ball", choices=TRANSFORM_KINDS)
-    p.add_argument("--label-noise", type=float, default=0.0)
-    p.add_argument("--random-fraction", type=float, default=0.5)
+    p.add_argument("--label-noise", type=_label_noise, default=0.0)
+    p.add_argument("--random-fraction", type=_fraction, default=0.5)
     p.add_argument("--hidden", type=_hidden_sizes, default=(32,))
     p.add_argument("--seeds", type=_seed_list, default=[0])
     p.add_argument("--out", required=True)
@@ -450,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--epsilon0", type=float, nargs="+", default=[8.0 / 255.0, 16.0 / 255.0])
     p.add_argument("--transform-kind", default="uniform_ball", choices=TRANSFORM_KINDS)
-    p.add_argument("--train-epochs", type=int, default=15)
+    p.add_argument("--train-epochs", type=_nonnegative_int, default=15)
     p.add_argument("--lr", type=float, default=0.005)
     p.add_argument("--hidden", type=_hidden_sizes, default=(24,))
     p.add_argument("--classes-used", type=_positive_int, default=3)

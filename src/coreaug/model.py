@@ -287,10 +287,10 @@ def _row_gradients(net: MLP, acts, delta: np.ndarray) -> np.ndarray:
     return np.concatenate(blocks, axis=1)
 
 
-def jacobian(net: MLP, X, entry_cap: int = JACOBIAN_ENTRY_CAP) -> np.ndarray:
+def jacobian(net: MLP, X) -> np.ndarray:
     """Stacked output derivatives, shape (n*C, m); row i*C + c is d f_c(x_i) / dW.
 
-    Raises MemoryCapError when n*C*m exceeds ``entry_cap``, and
+    Raises MemoryCapError when n*C*m exceeds ``JACOBIAN_ENTRY_CAP``, and
     NumericalError when an entry is not finite (the network's weights or
     outputs overflowed).
     """
@@ -298,8 +298,9 @@ def jacobian(net: MLP, X, entry_cap: int = JACOBIAN_ENTRY_CAP) -> np.ndarray:
     n = X.shape[0]
     C = net.num_outputs
     m = net.num_params
-    if n * C * m > entry_cap:
-        raise MemoryCapError(f"jacobian would hold {n * C * m} entries, cap is {entry_cap}")
+    if n * C * m > JACOBIAN_ENTRY_CAP:
+        raise MemoryCapError(f"jacobian would hold {n * C * m} entries, "
+                             f"cap is {JACOBIAN_ENTRY_CAP}")
     acts = _forward_trace(net, X)
     out = np.empty((n * C, m))
     for c in range(C):

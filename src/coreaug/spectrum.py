@@ -300,10 +300,30 @@ class ShiftReport:
     def all_within_3se(self) -> bool:
         return all(r.within_3se for r in self.records)
 
+    @property
+    def z(self) -> list[float]:
+        """Per index, (empirical - closed form) / standard error."""
+        return [(r.empirical - r.predicted) / max(r.standard_error, 1e-300)
+                for r in self.records]
+
 
 def _shift_prediction(sigma, p, e_norm: float):
     """Expected squared singular value under the shift model, elementwise."""
     return sigma * sigma + sigma * (1.0 - 2.0 * p) * e_norm + e_norm * e_norm / 3.0
+
+
+def _shift_report(sigma, p, e_norm: float, empirical, standard_error,
+                  draws: int) -> ShiftReport:
+    """Pair each index's Monte Carlo mean of the squared singular value, and
+    its standard error, with the closed form at (sigma, p, e_norm)."""
+    predicted = _shift_prediction(sigma, p, e_norm)
+    records = [
+        ShiftRecord(index=i, sigma=float(sigma[i]), p_hat=float(p[i]),
+                    predicted=float(predicted[i]), empirical=float(empirical[i]),
+                    standard_error=float(standard_error[i]))
+        for i in range(sigma.size)
+    ]
+    return ShiftReport(records=records, e_norm_mean=float(e_norm), draws=draws)
 
 
 def expected_shift_model_check(sigma, p, e_norm: float, draws: int,
@@ -320,20 +340,13 @@ def expected_shift_model_check(sigma, p, e_norm: float, draws: int,
     if np.any(p < 0.0) or np.any(p > 1.0):
         raise ValueError("p must lie in [0, 1]")
     rng = np.random.default_rng(seed)
-    records = []
+    lam = np.empty((sigma.size, draws))
     for i in range(sigma.size):
         down = rng.uniform(size=draws) < p[i]
         mag = rng.uniform(0.0, e_norm, size=draws)
-        delta = np.where(down, -mag, mag)
-        lam = (sigma[i] + delta) ** 2
-        emp = float(lam.mean())
-        se = float(lam.std(ddof=1) / math.sqrt(draws)) if draws > 1 else 0.0
-        records.append(ShiftRecord(
-            index=i, sigma=float(sigma[i]), p_hat=float(p[i]),
-            predicted=_shift_prediction(float(sigma[i]), float(p[i]), e_norm),
-            empirical=emp, standard_error=se,
-        ))
-    return ShiftReport(records=records, e_norm_mean=float(e_norm), draws=draws)
+        lam[i] = (sigma[i] + np.where(down, -mag, mag)) ** 2
+    se = lam.std(axis=1, ddof=1) / math.sqrt(draws)
+    return _shift_report(sigma, p, e_norm, lam.mean(axis=1), se, draws)
 
 
 def expected_shift_empirical(net: MLP, data: Dataset, spec: TransformSpec,
@@ -348,20 +361,11 @@ def expected_shift_empirical(net: MLP, data: Dataset, spec: TransformSpec,
         raise ValueError("draws must be >= 100")
     first = seed * 100003
     spectra = round_spectra(net, data.features, spec, range(first, first + draws))
-    sig = spectra.sigma
-    p_hat = (spectra.sigma_aug < sig).mean(axis=0)
-    e_mean = float(spectra.e_norms.mean())
-    predicted = _shift_prediction(sig, p_hat, e_mean)
+    p_hat = (spectra.sigma_aug < spectra.sigma).mean(axis=0)
     lam = spectra.sigma_aug**2
-    emp = lam.mean(axis=0)
     se = lam.std(axis=0, ddof=1) / math.sqrt(draws)
-    records = [
-        ShiftRecord(index=i, sigma=float(sig[i]), p_hat=float(p_hat[i]),
-                    predicted=float(predicted[i]), empirical=float(emp[i]),
-                    standard_error=float(se[i]))
-        for i in range(sig.size)
-    ]
-    return ShiftReport(records=records, e_norm_mean=e_mean, draws=draws)
+    return _shift_report(spectra.sigma, p_hat, float(spectra.e_norms.mean()),
+                         lam.mean(axis=0), se, draws)
 
 
 @dataclass
@@ -485,11 +489,12 @@ class EnvelopeReport:
 
 
 def augmented_dynamics_envelope_check(net: MLP, data: Dataset,
-                                      spec: TransformSpec, eta: float,
-                                      steps: int, rounds: int = 10) -> EnvelopeReport:
-    """Mean residual norm over augmentation rounds versus the expected-shift
-    dynamics bound evaluated with measured spectra, decrease probabilities,
-    the mean perturbation norm and the spectrum gap.
+                                      spectra: RoundSpectra, eta: float,
+                                      steps: int) -> EnvelopeReport:
+    """Mean residual norm over the augmentation rounds of ``spectra``, which
+    ``round_spectra`` built at ``data.features``, versus the expected-shift
+    dynamics bound evaluated with their spectra, decrease probabilities, mean
+    perturbation norm and spectrum gap.
 
     Meaningful when the stacked derivative matrix has full row rank (residual
     mass outside its range never decays, and the bound carries no persistent
@@ -497,9 +502,8 @@ def augmented_dynamics_envelope_check(net: MLP, data: Dataset,
     the derivative matrix (zero budget), where the gap-dependent slack
     vanishes.
     """
-    if rounds < 1:
-        raise ValueError("rounds must be >= 1")
-    spectra = round_spectra(net, data.features, spec, range(rounds))
+    if not spectra.features:
+        raise ValueError("spectra must hold at least one round")
     sig = spectra.sigma
     e_mean = float(spectra.e_norms.mean())
     gap = eigengap(sig)

@@ -255,31 +255,21 @@ def _select_subset(config: TrainConfig, net: MLP, data: Dataset,
 
 
 def _build_pool(config: TrainConfig, data: Dataset, Y_all: np.ndarray, indices,
-                orig_w, refresh_idx: int, base_indices) -> _Pool:
-    """Each of a row's r augmented copies weighs its row's weight / r.
-    ``Y_all`` holds the one-hot targets of every row of ``data``."""
-    X_sel = data.features[indices]
-    aug = perturb(config.transform, X_sel, round_index=refresh_idx)
+                orig_w, refresh_idx: int, base) -> _Pool:
+    """The base rows at weight 1 (the selection at its own weights when
+    ``base`` is None), then the selection's augmented copies: each of a
+    row's r copies weighs its row's weight / r. ``Y_all`` holds the one-hot
+    targets of every row of ``data``."""
+    aug = perturb(config.transform, data.features[indices], round_index=refresh_idx)
     r = config.transform.r
-    aug_weights = np.repeat(orig_w / r, r)
+    base, base_w = (indices, orig_w) if base is None else (base, np.ones(base.size))
     # copy-major: augmented row i*r + c copies selected row i
-    aug_origins = np.repeat(indices, r)
-    aug_Y = Y_all[aug_origins]
-    if config.regime == "coreset_only":
-        base_X, base_Y = X_sel, Y_all[indices]
-        base_w, base_o = orig_w, np.asarray(indices)
-    elif config.regime == "full_plus_coreset_aug":
-        base_X, base_Y = data.features, Y_all
-        base_w, base_o = np.ones(data.n), np.arange(data.n)
-    else:
-        base_X, base_Y = data.features[base_indices], Y_all[base_indices]
-        base_w, base_o = np.ones(len(base_indices)), np.asarray(base_indices)
-    return _Pool(
-        X=np.concatenate([base_X, aug.features]),
-        Y=np.concatenate([base_Y, aug_Y]),
-        w=np.concatenate([base_w, aug_weights]),
-        origins=np.concatenate([base_o, aug_origins]),
-    )
+    origins = np.concatenate([base, np.repeat(indices, r)])
+    X = data.features[origins]
+    X[base.size:] = aug.features
+    return _Pool(X=X, Y=Y_all[origins],
+                 w=np.concatenate([base_w, np.repeat(orig_w / r, r)]),
+                 origins=origins)
 
 
 def _pool_metrics(net: MLP, pool: _Pool) -> tuple[float, float]:
@@ -292,18 +282,20 @@ def _pool_metrics(net: MLP, pool: _Pool) -> tuple[float, float]:
 
 
 def _setup(config: TrainConfig, data: Dataset):
-    """(noisy data, flip mask, initial net, fixed random base rows or None):
-    the seeded set-up that ``train`` and ``initial_pool`` share."""
+    """(noisy data, flip mask, initial net, the pool's base rows): the seeded
+    set-up that ``train`` and ``initial_pool`` share. The base rows are every
+    row, a fixed random fraction of them, or None for the selection itself."""
     data, noisy_mask = inject_label_noise(data, config.label_noise_frac,
                                           seed=[config.seed, 11])
     net = MLP.init([data.dim, *config.hidden_sizes, data.num_classes],
                    activation=config.activation, seed=[config.seed, 5])
-    base_indices = None
-    if config.regime == "random_plus_coreset_aug":
-        base_indices = random_subset(None, data.labels,
-                                     seed=[config.seed, 13],
-                                     fraction=config.random_fraction).indices
-    return data, noisy_mask, net, base_indices
+    base = None
+    if config.regime == "full_plus_coreset_aug":
+        base = np.arange(data.n)
+    elif config.regime == "random_plus_coreset_aug":
+        base = random_subset(None, data.labels, seed=[config.seed, 13],
+                             fraction=config.random_fraction).indices
+    return data, noisy_mask, net, base
 
 
 def train(config: TrainConfig, data: Dataset, test_data: Dataset) -> TrainRecord:
@@ -317,7 +309,7 @@ def train(config: TrainConfig, data: Dataset, test_data: Dataset) -> TrainRecord
     finite, or whose loss exceeds ``_DIVERGENCE_FACTOR`` times the pool loss
     before the first step.
     """
-    data, noisy_mask, net, base_indices = _setup(config, data)
+    data, noisy_mask, net, base = _setup(config, data)
     Y_all = one_hot(data.labels, data.num_classes)
     batch_rng = np.random.default_rng([config.seed, 7])
     rows: list[EpochRow] = []
@@ -333,8 +325,7 @@ def train(config: TrainConfig, data: Dataset, test_data: Dataset) -> TrainRecord
             refresh_idx += 1
             t0 = time.perf_counter()
             indices, orig_w = _select_subset(config, net, data, refresh_idx)
-            pool = _build_pool(config, data, Y_all, indices, orig_w, refresh_idx,
-                               base_indices)
+            pool = _build_pool(config, data, Y_all, indices, orig_w, refresh_idx, base)
             _checked_sgd_rows(net, pool.X, pool.Y, pool.w)
             selection_ms = (time.perf_counter() - t0) * 1000.0
             events.append((epoch, np.asarray(indices)))
@@ -361,10 +352,10 @@ def initial_pool(config: TrainConfig, data: Dataset):
     """Reconstruct the epoch-0 training pool exactly as ``train`` builds it:
     same net init, same selection streams. Returns (net, X, Y, weights,
     selected indices, gamma-style original-row weights)."""
-    data, _, net, base_indices = _setup(config, data)
+    data, _, net, base = _setup(config, data)
     indices, orig_w = _select_subset(config, net, data, 0)
     pool = _build_pool(config, data, one_hot(data.labels, data.num_classes),
-                       indices, orig_w, 0, base_indices)
+                       indices, orig_w, 0, base)
     return net, pool.X, pool.Y, pool.w, np.asarray(indices), orig_w
 
 

@@ -4,6 +4,7 @@ import dataclasses
 import importlib.util
 import io
 import json
+import math
 import re
 import shlex
 import subprocess
@@ -17,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 import coreaug.audits
 import coreaug.cli
 import coreaug.coreset
+import coreaug.model
 import coreaug.spectrum
 from coreaug.audits import noise_robustness
 from coreaug.cli import build_parser, main
@@ -456,6 +458,13 @@ class TestCli:
                             lambda sigma, p, e_norm: closed_form(sigma, p, 1.1 * e_norm))
         assert not coreaug.audits.audit_shift_model(1000, 0)["passed"]
 
+    def test_shift_model_cut_is_the_exact_upper_1_percent_point(self):
+        """With 10 degrees of freedom the chi-square upper tail at x is
+        exp(-x/2) sum_{k<5} (x/2)^k / k!, which the cut must bring to 1%."""
+        h = coreaug.audits.audit_shift_model(100, 0)["chi2_critical"] / 2.0
+        tail = math.exp(-h) * sum(h**k / math.factorial(k) for k in range(5))
+        assert abs(tail - 0.01) <= 1e-15
+
     def test_bounds_svd_nonconvergence_is_numerical_failure(self, tmp_path, monkeypatch,
                                                             capsys):
         def no_convergence(*args, **kwargs):
@@ -496,9 +505,7 @@ class TestCli:
 
     def test_spectrum_jacobian_over_the_entry_cap_is_config_error(self, dataset_csv, tmp_path,
                                                                   monkeypatch, capsys):
-        jacobian = coreaug.audits.jacobian
-        monkeypatch.setattr(coreaug.audits, "jacobian",
-                            lambda net, X: jacobian(net, X, entry_cap=1000))
+        monkeypatch.setattr(coreaug.model, "JACOBIAN_ENTRY_CAP", 1000)
         assert main(["spectrum", "--data", str(dataset_csv), "--train-epochs", "1",
                      "--hidden", "6", "--out", str(tmp_path / "s")]) == 2
         assert "entries, cap is 1000" in capsys.readouterr().err
@@ -735,7 +742,16 @@ _NO_LABEL_1 = "f0,f1,label\n" + "".join(f"{i / 10},{1 - i / 10},{2 * (i % 2)}\n"
 # the line.
 CLI_ERRORS = {
     "train --batch-size 0": (["train", "--data", "{data}", "--batch-size", "0"], None,
-                             2, "batch_size must be >= 1, got 0"),
+                             2, "argument --batch-size: must be >= 1, got 0"),
+    "train --label-noise 1.5": (["train", "--data", "{data}", "--label-noise", "1.5"], None,
+                                2, "argument --label-noise: must lie in [0, 1), got 1.5"),
+    "train --random-fraction 0": (["train", "--data", "{data}", "--random-fraction", "0"],
+                                  None, 2,
+                                  "argument --random-fraction: must lie in (0, 1], got 0.0"),
+    "spectrum --train-epochs -1": (["spectrum", "--data", "{data}", "--train-epochs", "-1"],
+                                   None, 2, "argument --train-epochs: must be >= 0, got -1"),
+    "select --warmup-epochs -3": (["select", "--data", "{data}", "--warmup-epochs", "-3"],
+                                  None, 2, "argument --warmup-epochs: must be >= 0, got -3"),
     "train --seeds ''": (["train", "--data", "{data}", "--seeds", ""], None,
                          2, "argument --seeds: needs at least one seed"),
     "spectrum --classes-used 0": (["spectrum", "--data", "{data}", "--classes-used", "0"],

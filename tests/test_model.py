@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import coreaug.model
 from coreaug.linalg import NumericalError
 from coreaug.model import (
     Dataset,
@@ -278,10 +279,11 @@ class TestJacobian:
             fd = (f_plus - f_minus) / (2 * step)
             assert abs(jac[i * 2 + c, p] - fd) <= 1e-5 * max(abs(fd), 1e-4)
 
-    def test_memory_cap(self):
+    def test_memory_cap(self, monkeypatch):
+        monkeypatch.setattr(coreaug.model, "JACOBIAN_ENTRY_CAP", 10)
         net = MLP.init([4, 6, 3], seed=0)
         with pytest.raises(MemoryCapError):
-            jacobian(net, np.zeros((10, 4)), entry_cap=10)
+            jacobian(net, np.zeros((10, 4)))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.inf, np.nan])

@@ -342,11 +342,19 @@ class TestAugmentedDynamicsEnvelope:
             monkeypatch.setattr(coreaug.spectrum, name,
                                 counting(name, getattr(coreaug.spectrum, name)))
         rounds = 4
-        report = augmented_dynamics_envelope_check(
-            net, data, TransformSpec(epsilon0=0.05, r=2, seed=3), eta=0.01, steps=3,
-            rounds=rounds)
+        spectra = round_spectra(net, data.features, TransformSpec(epsilon0=0.05, r=2, seed=3),
+                                range(rounds))
+        report = augmented_dynamics_envelope_check(net, data, spectra, eta=0.01, steps=3)
         assert not report.skipped
         assert calls == {"jacobian": 1 + rounds, "perturb": rounds}
+
+    def test_rounds_are_required(self):
+        rng = np.random.default_rng(26)
+        data = Dataset(rng.uniform(0, 1, (6, 4)), rng.integers(0, 2, 6), 2)
+        net = MLP.init([4, 5, 2], activation="tanh", seed=2)
+        spectra = round_spectra(net, data.features, TransformSpec(epsilon0=0.05), [])
+        with pytest.raises(ValueError, match="at least one round"):
+            augmented_dynamics_envelope_check(net, data, spectra, eta=0.01, steps=2)
 
     def test_zero_budget_collapses_to_plain_dynamics(self):
         # full row rank: m = d + 1 > n, single output keeps the gap positive
@@ -357,8 +365,9 @@ class TestAugmentedDynamicsEnvelope:
 
         lam = np.linalg.svd(jacobian(net, data.features), compute_uv=False)[0] ** 2
         spec = TransformSpec(epsilon0=0.0, r=1, seed=0)
-        report = augmented_dynamics_envelope_check(net, data, spec,
-                                                   eta=0.4 / lam, steps=15, rounds=3)
+        report = augmented_dynamics_envelope_check(
+            net, data, round_spectra(net, data.features, spec, range(3)),
+            eta=0.4 / lam, steps=15)
         assert not report.skipped
         assert report.passed
         assert report.mean_actual[0] == pytest.approx(report.bound[0], rel=1e-9)
@@ -371,8 +380,9 @@ class TestAugmentedDynamicsEnvelope:
 
         lam = np.linalg.svd(jacobian(net, data.features), compute_uv=False)[0] ** 2
         spec = TransformSpec(epsilon0=0.03, r=1, seed=1)
-        report = augmented_dynamics_envelope_check(net, data, spec,
-                                                   eta=0.3 / lam, steps=10, rounds=10)
+        report = augmented_dynamics_envelope_check(
+            net, data, round_spectra(net, data.features, spec, range(10)),
+            eta=0.3 / lam, steps=10)
         assert not report.skipped
         assert report.passed
 
@@ -386,8 +396,9 @@ class TestAugmentedDynamicsEnvelope:
         starts = []
         for eps in (8.0 / 255.0, 16.0 / 255.0):
             spec = TransformSpec(epsilon0=eps, r=1, seed=2)
-            report = augmented_dynamics_envelope_check(net, data, spec,
-                                                       eta=0.2 / lam, steps=3, rounds=5)
+            report = augmented_dynamics_envelope_check(
+                net, data, round_spectra(net, data.features, spec, range(5)),
+                eta=0.2 / lam, steps=3)
             starts.append(report.bound[0])
         assert starts[1] >= starts[0]
 
