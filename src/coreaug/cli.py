@@ -1,10 +1,10 @@
 """Command-line harness.
 
 Subcommands: gen-data, select, train, spectrum, bounds, experiment, report.
-Every run writes its artifacts plus a ``manifest.json`` under ``--out``;
-re-running with the manifest's seeds reproduces every numeric artifact byte for
-byte (wall clock timings live only in the manifest and the selection_ms
-column).
+The five that write a directory under ``--out`` run in one frame
+(``_recorded``), which times their phases and writes ``manifest.json``;
+re-running with its config reproduces every numeric artifact byte for byte
+(wall clock timings live only in the manifest and the selection_ms column).
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 numerical failure.
 A JSON config file (``--config``, before or after the subcommand) holds the
@@ -15,6 +15,7 @@ override them.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -47,42 +48,72 @@ class ConfigError(ValueError):
     pass
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 def _write_json(path: Path, payload: dict | list) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
                     encoding="utf-8")
 
 
-def _manifest(out_dir: Path, args, seeds: list[int], inputs: list[Path],
-              outputs: list[str], timings_ms: dict) -> None:
-    """Write ``manifest.json``. Its config holds every parsed argument but the
-    handler, ``--out`` (re-runs into other directories match) and ``--config``
-    (its values are among the arguments). Its versions name the BLAS build
-    and its thread variables (null when unset), since re-runs reproduce bit
-    for bit only under the same build and settings."""
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": args.command,
-        "config": {k: v for k, v in vars(args).items() if k not in ("fn", "out", "config")},
-        "seeds": seeds,
-        "versions": {
-            "coreaug": __version__,
-            "numpy": np.__version__,
-            "python": sys.version.split()[0],
-            "blas": {"name": blas.get("name"), "version": blas.get("version"),
-                     "build": blas.get("openblas configuration")},
-            "blas_threads": {v: os.environ.get(v) for v in (
-                "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
-        },
-        "inputs": [{"path": str(p), "sha256": _sha256(p)} for p in inputs],
-        "outputs": sorted(outputs),
-        "timings_ms": timings_ms,
-    }
-    _write_json(out_dir / "manifest.json", payload)
+class _Run:
+    """What a run records: the files it wrote under ``--out``, the ms of each
+    timed phase, and its seeds (``--seeds``, else ``--seed``)."""
+
+    def __init__(self, args):
+        self.out_dir = Path(args.out)
+        self.outputs: set[str] = set()
+        self.timings_ms: dict[str, float] = {}
+        self.seeds = list(getattr(args, "seeds", None)
+                          or ([args.seed] if hasattr(args, "seed") else []))
+
+    def path(self, name: str) -> Path:
+        """``--out``/``name``, listed as one of the run's outputs."""
+        self.outputs.add(name)
+        return self.out_dir / name
+
+    @contextlib.contextmanager
+    def timed(self, key: str):
+        """Record the wall-clock ms of the ``with`` body as ``timings_ms[key]``."""
+        t0 = time.perf_counter()
+        yield
+        self.timings_ms[key] = (time.perf_counter() - t0) * 1000.0
+
+
+def _recorded(handler):
+    """Run ``handler(args, run)`` in ``--out``, made first, and write its
+    ``manifest.json`` once it returns, whatever the exit code; a raise writes
+    none. The config holds every parsed argument but the handler, ``--out``
+    (re-runs elsewhere match) and ``--config`` (its values are among them);
+    the inputs are the ``--data``/``--test-data`` files; the versions name the
+    BLAS build and thread variables (null when unset), since re-runs match
+    bit for bit only under the same build and settings."""
+    def frame(args) -> int:
+        run = _Run(args)
+        run.out_dir.mkdir(parents=True, exist_ok=True)
+        code = handler(args, run)
+        inputs = [Path(p) for p in (getattr(args, "data", None),
+                                    getattr(args, "test_data", None)) if p]
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        _write_json(run.out_dir / "manifest.json", {
+            "schema_version": SCHEMA_VERSION,
+            "command": args.command,
+            "config": {k: v for k, v in vars(args).items()
+                       if k not in ("fn", "out", "config")},
+            "seeds": run.seeds,
+            "versions": {
+                "coreaug": __version__,
+                "numpy": np.__version__,
+                "python": sys.version.split()[0],
+                "blas": {"name": blas.get("name"), "version": blas.get("version"),
+                         "build": blas.get("openblas configuration")},
+                "blas_threads": {v: os.environ.get(v) for v in (
+                    "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
+            },
+            "inputs": [{"path": str(p), "sha256": hashlib.sha256(p.read_bytes()).hexdigest()}
+                       for p in inputs],
+            "outputs": sorted(run.outputs),
+            "timings_ms": run.timings_ms,
+        })
+        return code
+    return frame
 
 
 def _hidden_sizes(text: str) -> tuple[int, ...]:
@@ -110,6 +141,8 @@ def _checked(kind, ok, bound: str):
 
 _positive_int = _checked(int, lambda v: v >= 1, "be >= 1")
 _nonnegative_int = _checked(int, lambda v: v >= 0, "be >= 0")
+_positive_float = _checked(float, lambda v: v > 0.0, "be > 0")
+_nonnegative_float = _checked(float, lambda v: v >= 0.0, "be >= 0")
 _fraction = _checked(float, lambda v: 0.0 < v <= 1.0, "lie in (0, 1]")
 _holdout = _checked(float, lambda v: 0.0 < v < 1.0, "lie in (0, 1)")
 _label_noise = _checked(float, lambda v: 0.0 <= v < 1.0, "lie in [0, 1)")
@@ -147,22 +180,18 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-def cmd_select(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    data_path = Path(args.data)
-    data = _load_data(data_path)
+@_recorded
+def cmd_select(args, run: _Run) -> int:
+    data = _load_data(Path(args.data))
     net = MLP.init([data.dim, *args.hidden, data.num_classes], seed=args.net_seed)
     if args.warmup_epochs > 0:
         sgd_warmup(net, data, args.warmup_epochs, args.lr, seed=args.net_seed)
-    t0 = time.perf_counter()
-    proxies = gradient_proxy(net, data, args.proxy_mode)
-    coreset = select_all_classes(proxies, _selection_config(args), r=args.r)
-    selection_ms = (time.perf_counter() - t0) * 1000.0
-    _write_json(out_dir / "coreset.json", coreset.to_json_dict())
-    _manifest(out_dir, args, [args.seed], [data_path], ["coreset.json"],
-              {"selection_ms": selection_ms})
-    print(f"selected {coreset.indices.size} points -> {out_dir / 'coreset.json'}")
+    with run.timed("selection_ms"):
+        proxies = gradient_proxy(net, data, args.proxy_mode)
+        coreset = select_all_classes(proxies, _selection_config(args), r=args.r)
+    out = run.path("coreset.json")
+    _write_json(out, coreset.to_json_dict())
+    print(f"selected {coreset.indices.size} points -> {out}")
     return 0
 
 
@@ -185,12 +214,10 @@ def _train_config(args, seed: int) -> TrainConfig:
     )
 
 
-def cmd_train(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+@_recorded
+def cmd_train(args, run: _Run) -> int:
     data_path = Path(args.data)
     data = _load_data(data_path)
-    inputs = [data_path]
     if args.test_data:
         test_path = Path(args.test_data)
         test = load_dataset_csv(test_path)
@@ -202,49 +229,34 @@ def cmd_train(args) -> int:
                 f"{test_path}: test label {test.num_classes - 1} outside the training "
                 f"classes 0..{data.num_classes - 1}")
         test = Dataset(test.features, test.labels, data.num_classes)
-        inputs.append(test_path)
     else:
         try:
             data, test = split_dataset(data, args.holdout, seed=args.split_seed)
         except DataFormatError as exc:
             raise DataFormatError(f"{data_path}: --holdout {args.holdout}: {exc}") from None
 
-    timings = {}
-    outputs = []
-    records = {}
+    final = {}
     for seed in args.seeds:
-        t0 = time.perf_counter()
-        record = train(_train_config(args, seed), data, test)
-        timings[f"train_seed{seed}_ms"] = (time.perf_counter() - t0) * 1000.0
-        name = f"run_seed{seed}.csv"
-        record.to_csv(out_dir / name)
-        outputs.append(name)
-        records[seed] = record
-    final = {
-        seed: {
-            "test_acc": records[seed].rows[-1].test_acc,
-            "test_loss": records[seed].rows[-1].test_loss,
-            "train_loss": records[seed].rows[-1].train_loss,
-        }
-        for seed in args.seeds
-    }
+        with run.timed(f"train_seed{seed}_ms"):
+            record = train(_train_config(args, seed), data, test)
+        record.to_csv(run.path(f"run_seed{seed}.csv"))
+        last = record.rows[-1]
+        final[seed] = {"test_acc": last.test_acc, "test_loss": last.test_loss,
+                       "train_loss": last.train_loss}
     accs = [v["test_acc"] for v in final.values()]
     aggregate = {
         "per_seed": {str(k): v for k, v in final.items()},
         "mean_test_acc": float(np.mean(accs)),
         "std_test_acc": float(np.std(accs)),
     }
-    _write_json(out_dir / "aggregate.json", aggregate)
-    outputs.append("aggregate.json")
-    _manifest(out_dir, args, args.seeds, inputs, outputs, timings)
+    _write_json(run.path("aggregate.json"), aggregate)
     print(f"mean test accuracy {aggregate['mean_test_acc']:.4f} "
           f"(std {aggregate['std_test_acc']:.4f}) over seeds {args.seeds}")
     return 0
 
 
-def cmd_spectrum(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+@_recorded
+def cmd_spectrum(args, run: _Run) -> int:
     data_path = Path(args.data)
     data = _load_data(data_path)
     classes_used = min(args.classes_used, data.num_classes)
@@ -257,45 +269,38 @@ def cmd_spectrum(args) -> int:
     data = Dataset(data.features[keep], data.labels[keep], classes_used)
     net = MLP.init([data.dim, *args.hidden, data.num_classes],
                    activation="tanh", seed=args.seed)
-    outputs = []
-    timings = {}
     variants = [("untrained", net.copy())] if args.untrained else []
-    t0 = time.perf_counter()
-    sgd_warmup(net, data, args.train_epochs, args.lr, seed=args.seed)
-    timings["train_ms"] = (time.perf_counter() - t0) * 1000.0
+    with run.timed("train_ms"):
+        sgd_warmup(net, data, args.train_epochs, args.lr, seed=args.seed)
     variants.append(("trained", net))
     for tag, model in variants:
-        t1 = time.perf_counter()
-        for eps, report in budget_spectra(model, data.features, args.epsilon0,
-                                          args.transform_kind, args.seed):
-            timings[f"spectrum_{tag}_eps{eps:.6f}_ms"] = (time.perf_counter() - t1) * 1000.0
+        reports = budget_spectra(model, data.features, args.epsilon0,
+                                 args.transform_kind, args.seed)
+        for eps in args.epsilon0:
             stem = f"spectrum_{tag}_eps{eps:.6f}"
-            _write_json(out_dir / f"{stem}.json", report.to_json_dict())
-            report.write_bins_csv(out_dir / f"{stem}_bins.csv")
-            outputs += [f"{stem}.json", f"{stem}_bins.csv"]
+            with run.timed(f"{stem}_ms"):
+                _, report = next(reports)
+            _write_json(run.path(f"{stem}.json"), report.to_json_dict())
+            report.write_bins_csv(run.path(f"{stem}_bins.csv"))
             print(f"{tag} eps={eps:.6f}: ||E||_2={report.e_norm2:.5f} "
                   f"weyl_pass={report.weyl.passed}")
-            t1 = time.perf_counter()
-    _manifest(out_dir, args, [args.seed], [data_path], outputs, timings)
     return 0
 
 
-def cmd_bounds(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    t0 = time.perf_counter()
-    suite = run_bounds_suite(
-        seed=args.seed,
-        weyl_trials=args.weyl_trials,
-        shift_draws=args.shift_draws,
-        vector_trials=args.vector_trials,
-        ntk_instances=args.ntk_instances,
-        linear_instances=args.linear_instances,
-        augmentation_rounds=args.augmentation_rounds,
-    )
-    elapsed = (time.perf_counter() - t0) * 1000.0
-    _write_json(out_dir / "bounds.json", suite)
-    _manifest(out_dir, args, [args.seed], [], ["bounds.json"], {"bounds_ms": elapsed})
+@_recorded
+def cmd_bounds(args, run: _Run) -> int:
+    with run.timed("bounds_ms"):
+        suite = run_bounds_suite(
+            seed=args.seed,
+            weyl_trials=args.weyl_trials,
+            shift_draws=args.shift_draws,
+            vector_trials=args.vector_trials,
+            ntk_instances=args.ntk_instances,
+            linear_instances=args.linear_instances,
+            augmentation_rounds=args.augmentation_rounds,
+        )
+    out = run.path("bounds.json")
+    _write_json(out, suite)
     ok = (suite["weyl_random"]["violations"] == 0
           and suite["weyl_augmentation"]["violations"] == 0
           and suite["shift_model"]["passed"]
@@ -303,36 +308,33 @@ def cmd_bounds(args) -> int:
           and suite["ntk_bound"]["failures"] == 0
           and suite["linear_bounds"]["subset_failures"] == 0
           and suite["linear_bounds"]["combined_failures"] == 0)
-    print(f"bounds suite {'PASS' if ok else 'FAIL'} -> {out_dir / 'bounds.json'}")
+    print(f"bounds suite {'PASS' if ok else 'FAIL'} -> {out}")
     return 0 if ok else 4
 
 
-def cmd_experiment(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = [f"{args.name}.json"]
-    t0 = time.perf_counter()
-    if args.name == "spectrum":
-        payload = []
-        for seed, eps, report in spectrum_protocol():
-            stem = f"spectrum_seed{seed}_eps{eps:.6f}"
-            report.write_bins_csv(out_dir / f"{stem}_bins.csv")
-            outputs.append(f"{stem}_bins.csv")
-            bottom, top = report.decile_relative_shifts()
-            payload.append({
-                "seed": seed, "epsilon0": eps, "e_norm2": report.e_norm2,
-                "e_norm_frobenius": report.e_norm_frobenius,
-                "weyl_passed": report.weyl.passed,
-                "bottom_decile_relative_shift": bottom,
-                "top_decile_relative_shift": top,
-                "shape_reproduced": report.shape_reproduced,
-            })
-    else:
-        payload = {"subset": subset_benchmark, "noise": noise_robustness}[args.name]()
-    elapsed = (time.perf_counter() - t0) * 1000.0
-    _write_json(out_dir / outputs[0], payload)
-    _manifest(out_dir, args, list(PROTOCOL_SEEDS), [], outputs, {"experiment_ms": elapsed})
-    print(f"{args.name} experiment -> {out_dir / outputs[0]}")
+@_recorded
+def cmd_experiment(args, run: _Run) -> int:
+    run.seeds = list(PROTOCOL_SEEDS)
+    with run.timed("experiment_ms"):
+        if args.name == "spectrum":
+            payload = []
+            for seed, eps, report in spectrum_protocol():
+                stem = f"spectrum_seed{seed}_eps{eps:.6f}"
+                report.write_bins_csv(run.path(f"{stem}_bins.csv"))
+                bottom, top = report.decile_relative_shifts()
+                payload.append({
+                    "seed": seed, "epsilon0": eps, "e_norm2": report.e_norm2,
+                    "e_norm_frobenius": report.e_norm_frobenius,
+                    "weyl_passed": report.weyl.passed,
+                    "bottom_decile_relative_shift": bottom,
+                    "top_decile_relative_shift": top,
+                    "shape_reproduced": report.shape_reproduced,
+                })
+        else:
+            payload = {"subset": subset_benchmark, "noise": noise_robustness}[args.name]()
+    out = run.path(f"{args.name}.json")
+    _write_json(out, payload)
+    print(f"{args.name} experiment -> {out}")
     return 0
 
 
@@ -358,9 +360,10 @@ def cmd_report(args) -> int:
                     raise DataFormatError(f"{csv_path}: line {line_no}: {exc}") from None
         if not rows:
             raise DataFormatError(f"{csv_path}: no rows below the run header")
-        # the last epoch's train_loss, test_loss, test_acc and grad_norm
+        last = dict(zip(columns, rows[-1]))
         summary[csv_path.name] = {"epochs": len(rows), **{
-            f"final_{c}": v for c, v in zip(columns[1:5], rows[-1][1:5])}}
+            f"final_{c}": last[c] for c in ("train_loss", "test_loss", "test_acc",
+                                            "grad_norm")}}
     if not summary:
         raise DataFormatError(f"{runs_dir}: no run CSVs found")
     accs = [v["final_test_acc"] for v in summary.values()]
@@ -383,13 +386,15 @@ def build_parser() -> argparse.ArgumentParser:
     config.add_argument("--config", default=None,
                         help="JSON config file whose values become this command's "
                              "defaults; explicit flags override them")
+    common = argparse.ArgumentParser(add_help=False, parents=[config])
+    common.add_argument("--out", required=True)
     parser = argparse.ArgumentParser(
         prog="coreaug", parents=[config],
         description="Coreset-driven data augmentation: selection, training, spectrum analysis")
     sub = parser.add_subparsers(dest="command", required=True)
     parser.subcommands = sub.choices
 
-    p = sub.add_parser("gen-data", parents=[config], help="generate a synthetic dataset CSV")
+    p = sub.add_parser("gen-data", parents=[common], help="generate a synthetic dataset CSV")
     p.add_argument("--kind", default="gaussian_blobs",
                    choices=("gaussian_blobs", "two_moons_embedded", "grid_digits"))
     p.add_argument("--n", type=int, default=600)
@@ -398,31 +403,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--noise", type=float, default=0.05)
     p.add_argument("--margin", type=float, default=0.25)
-    p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_gen_data)
 
     def add_selection_flags(p):
         p.add_argument("--engine", default="lazy", choices=("naive", "lazy", "stochastic"))
         p.add_argument("--fraction", type=_fraction, default=0.1)
         p.add_argument("--k-per-class", type=_positive_int, default=None)
-        p.add_argument("--xi", type=float, default=None)
+        p.add_argument("--xi", type=_positive_float, default=None)
         p.add_argument("--stochastic-sample", type=_positive_int, default=None)
         p.add_argument("--proxy-mode", default="last_layer",
                        choices=("residual", "last_layer"))
         p.add_argument("--r", type=_positive_int, default=1)
         p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("select", parents=[config], help="extract a weighted per-class coreset")
+    p = sub.add_parser("select", parents=[common], help="extract a weighted per-class coreset")
     p.add_argument("--data", required=True)
     add_selection_flags(p)
     p.add_argument("--hidden", type=_hidden_sizes, default=(32,))
     p.add_argument("--net-seed", type=int, default=0)
     p.add_argument("--warmup-epochs", type=_nonnegative_int, default=0)
-    p.add_argument("--lr", type=float, default=0.005)
-    p.add_argument("--out", required=True)
+    p.add_argument("--lr", type=_positive_float, default=0.005)
     p.set_defaults(fn=cmd_select)
 
-    p = sub.add_parser("train", parents=[config], help="weighted SGD over a training regime")
+    p = sub.add_parser("train", parents=[common], help="weighted SGD over a training regime")
     p.add_argument("--data", required=True)
     p.add_argument("--test-data", default=None)
     p.add_argument("--holdout", type=_holdout, default=0.25)
@@ -434,36 +437,34 @@ def build_parser() -> argparse.ArgumentParser:
     add_selection_flags(p)
     p.add_argument("--refresh-r", type=_positive_int, default=1)
     p.add_argument("--epochs", type=_positive_int, default=20)
-    p.add_argument("--lr", type=float, default=0.005)
+    p.add_argument("--lr", type=_positive_float, default=0.005)
     p.add_argument("--lr-decay-epochs", type=int, nargs="*", default=None)
-    p.add_argument("--lr-decay-factor", type=float, default=0.1)
+    p.add_argument("--lr-decay-factor", type=_positive_float, default=0.1)
     p.add_argument("--batch-size", type=_positive_int, default=32)
-    p.add_argument("--epsilon0", type=float, default=16.0 / 255.0)
+    p.add_argument("--epsilon0", type=_nonnegative_float, default=16.0 / 255.0)
     p.add_argument("--transform-kind", default="uniform_ball", choices=TRANSFORM_KINDS)
     p.add_argument("--label-noise", type=_label_noise, default=0.0)
     p.add_argument("--random-fraction", type=_fraction, default=0.5)
     p.add_argument("--hidden", type=_hidden_sizes, default=(32,))
     p.add_argument("--seeds", type=_seed_list, default=[0])
-    p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_train)
 
-    p = sub.add_parser("spectrum", parents=[config],
+    p = sub.add_parser("spectrum", parents=[common],
                        help="paired clean/augmented spectrum reports")
     p.add_argument("--data", required=True)
-    p.add_argument("--epsilon0", type=float, nargs="+", default=[8.0 / 255.0, 16.0 / 255.0])
+    p.add_argument("--epsilon0", type=_nonnegative_float, nargs="+", default=[8.0 / 255.0, 16.0 / 255.0])
     p.add_argument("--transform-kind", default="uniform_ball", choices=TRANSFORM_KINDS)
     p.add_argument("--train-epochs", type=_nonnegative_int, default=15)
-    p.add_argument("--lr", type=float, default=0.005)
+    p.add_argument("--lr", type=_positive_float, default=0.005)
     p.add_argument("--hidden", type=_hidden_sizes, default=(24,))
     p.add_argument("--classes-used", type=_positive_int, default=3)
     p.add_argument("--per-class-cap", type=_positive_int, default=300)
     p.add_argument("--untrained", action="store_true",
                    help="also report the spectrum at initialization")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_spectrum)
 
-    p = sub.add_parser("bounds", parents=[config], help="run the randomized bound-audit suite")
+    p = sub.add_parser("bounds", parents=[common], help="run the randomized bound-audit suite")
     p.add_argument("--seed", type=int, default=0)
     # an empty battery would pass vacuously
     p.add_argument("--weyl-trials", type=_positive_int, default=1000)
@@ -472,18 +473,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ntk-instances", type=_positive_int, default=100)
     p.add_argument("--linear-instances", type=_positive_int, default=100)
     p.add_argument("--augmentation-rounds", type=_positive_int, default=20)
-    p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_bounds)
 
-    p = sub.add_parser("experiment", parents=[config],
+    p = sub.add_parser("experiment", parents=[common],
                        help="run one of the paper's experiment protocols")
     p.add_argument("name", choices=("subset", "spectrum", "noise"))
-    p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_experiment)
 
-    p = sub.add_parser("report", parents=[config], help="aggregate run CSVs into a summary JSON")
+    p = sub.add_parser("report", parents=[common], help="aggregate run CSVs into a summary JSON")
     p.add_argument("--runs", required=True)
-    p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_report)
 
     return parser

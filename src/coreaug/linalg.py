@@ -1,8 +1,9 @@
 """Dense linear algebra kernels shared by every other module.
 
 All routines operate on float64 numpy arrays, validate their inputs, and are
-deterministic: identical inputs produce bit-identical outputs. Decompositions
-carry a fixed sign convention so repeated runs are directly comparable.
+deterministic: identical inputs produce bit-identical outputs. The signs of
+singular vectors are LAPACK's: every caller reads them through sign-invariant
+quantities (principal angles, projectors, squared coefficients).
 """
 
 from __future__ import annotations
@@ -49,9 +50,6 @@ class SvdResult:
     ``A = U @ diag(sigma) @ V.T``; no caller needs V, so it is not kept.
 
     ``sigma`` is nonincreasing and nonnegative, U has orthonormal columns.
-    The largest-magnitude entry of each U column is made nonnegative, pinning
-    the otherwise arbitrary sign choice so that repeated decompositions are
-    bit-comparable.
     """
 
     U: np.ndarray
@@ -59,7 +57,7 @@ class SvdResult:
 
 
 def svd(A) -> SvdResult:
-    """Thin SVD with ``k = min(rows, cols)`` columns and a fixed sign convention."""
+    """Thin SVD with ``k = min(rows, cols)`` columns."""
     m = as_matrix(A, "A")
     try:
         u, s, _ = np.linalg.svd(m, full_matrices=False)
@@ -68,11 +66,6 @@ def svd(A) -> SvdResult:
         raise NumericalError(
             f"SVD did not converge for shape {m.shape} (input norm {residual:.3e})"
         ) from exc
-    # first largest-magnitude entry of each column; the columns where it is
-    # negative are negated in one pass, by multiplying by -1, which is exact
-    # on finite values and, unlike np.negative with a where mask, vectorizes
-    top = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]
-    u *= np.where(top < 0.0, -1.0, 1.0)
     return SvdResult(U=u, sigma=s)
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -63,8 +63,6 @@ __all__ = [
 
 REGIMES = ("coreset_only", "full_plus_coreset_aug", "random_plus_coreset_aug")
 BASELINES = ("ours", "random", "max_loss")
-
-CSV_HEADER = "epoch,train_loss,test_loss,test_acc,grad_norm,refreshed,selection_ms,points_touched"
 
 # Loss, as a multiple of the loss before the first step, past which a
 # training run or warm-up counts as diverged although the loss is still
@@ -129,6 +127,10 @@ class EpochRow:
     points_touched: int
 
 
+# A run CSV has one column per EpochRow field, in field order.
+CSV_HEADER = ",".join(f.name for f in fields(EpochRow))
+
+
 @dataclass
 class TrainRecord:
     rows: list[EpochRow]
@@ -140,11 +142,11 @@ class TrainRecord:
     def to_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(CSV_HEADER + "\n")
+            columns = CSV_HEADER.split(",")
             for r in self.rows:
-                fh.write(
-                    f"{r.epoch},{r.train_loss!r},{r.test_loss!r},{r.test_acc!r},"
-                    f"{r.grad_norm!r},{int(r.refreshed)},{r.selection_ms!r},{r.points_touched}\n"
-                )
+                # floats as repr, which round-trips; int and bool fields as integers
+                fh.write(",".join(repr(v) if isinstance(v, float) else str(int(v))
+                                  for v in (getattr(r, c) for c in columns)) + "\n")
 
 
 def inject_label_noise(data: Dataset, frac: float, seed: int = 0):

@@ -1,6 +1,7 @@
 import ast
 import contextlib
 import dataclasses
+import hashlib
 import importlib.util
 import io
 import json
@@ -546,6 +547,55 @@ class TestCli:
         manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
         assert manifest["config"] == json.loads(json.dumps(expected))
 
+    @pytest.mark.parametrize("argv,inputs,seeds,timings", [
+        (["select", "--data", "{data}", "--seed", "3"], ["{data}"], [3], ["selection_ms"]),
+        (["train", "--data", "{data}", "--test-data", "{test}", "--epochs", "1",
+          "--hidden", "6", "--seeds", "1,2"], ["{data}", "{test}"], [1, 2],
+         ["train_seed1_ms", "train_seed2_ms"]),
+        (["spectrum", "--data", "{data}", "--epsilon0", "0.03", "0.06", "--train-epochs", "1",
+          "--hidden", "6", "--per-class-cap", "15", "--untrained"], ["{data}"], [0],
+         ["train_ms", "spectrum_untrained_eps0.030000_ms", "spectrum_untrained_eps0.060000_ms",
+          "spectrum_trained_eps0.030000_ms", "spectrum_trained_eps0.060000_ms"]),
+        (["bounds", "--weyl-trials", "5", "--shift-draws", "100", "--vector-trials", "5",
+          "--ntk-instances", "2", "--linear-instances", "2", "--augmentation-rounds", "1"],
+         [], [0], ["bounds_ms"]),
+        (["experiment", "noise"], [], [0, 1, 2, 3, 4], ["experiment_ms"]),
+    ], ids=["select", "train", "spectrum", "bounds", "experiment"])
+    def test_manifest_records_the_run(self, argv, inputs, seeds, timings, dataset_csv,
+                                      tmp_path, monkeypatch):
+        """The manifest lists exactly the files the run wrote under --out,
+        hashes the --data and --test-data files, and names the seeds and the
+        timed phases."""
+        monkeypatch.setattr(coreaug.cli, "noise_robustness", lambda: {"coreset": [0.0]})
+        test_csv = tmp_path / "test.csv"
+        save_dataset_csv(gen_dataset("gaussian_blobs", 30, 4, 3, seed=12), test_csv)
+        out = tmp_path / "o"
+        argv, inputs = ([a.format(data=dataset_csv, test=test_csv) for a in v]
+                        for v in (argv, inputs))
+        assert main(argv + ["--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["outputs"] == sorted(p.name for p in out.iterdir()
+                                             if p.name != "manifest.json")
+        assert manifest["inputs"] == [
+            {"path": p, "sha256": hashlib.sha256(Path(p).read_bytes()).hexdigest()}
+            for p in inputs]
+        assert manifest["seeds"] == seeds
+        assert sorted(manifest["timings_ms"]) == sorted(timings)
+
+    def test_failing_bounds_still_writes_its_manifest(self, tmp_path, monkeypatch, capsys):
+        suite = {"weyl_random": {"violations": 1}, "weyl_augmentation": {"violations": 0},
+                 "shift_model": {"passed": True}, "vector_bound": {"failures": 0},
+                 "ntk_bound": {"failures": 0},
+                 "linear_bounds": {"subset_failures": 0, "combined_failures": 0}}
+        monkeypatch.setattr(coreaug.cli, "run_bounds_suite", lambda **kwargs: suite)
+        out = tmp_path / "b"
+        assert main(["bounds", "--out", str(out)]) == 4
+        assert "bounds suite FAIL" in capsys.readouterr().out
+        assert json.loads((out / "bounds.json").read_text()) == suite
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["outputs"] == ["bounds.json"]
+        assert list(manifest["timings_ms"]) == ["bounds_ms"]
+
     def test_report_aggregates_runs(self, dataset_csv, tmp_path):
         run_dir = tmp_path / "runs"
         main(["train", "--data", str(dataset_csv), "--epochs", "2",
@@ -781,6 +831,22 @@ CLI_ERRORS = {
                           0, "warning: {csv}: label 1 has no rows"),
     "select empty class": (["select", "--data", "{csv}"], _NO_LABEL_1,
                            0, "warning: {csv}: label 1 has no rows"),
+    "select --lr -1": (["select", "--data", "{data}", "--lr", "-1", "--warmup-epochs", "1"],
+                       None, 2, "argument --lr: must be > 0, got -1.0"),
+    "train --lr 0": (["train", "--data", "{data}", "--lr", "0"], None,
+                     2, "argument --lr: must be > 0, got 0.0"),
+    "spectrum --lr 0": (["spectrum", "--data", "{data}", "--lr", "0"], None,
+                        2, "argument --lr: must be > 0, got 0.0"),
+    "train --lr-decay-factor -1": (["train", "--data", "{data}", "--lr-decay-epochs", "1",
+                                    "--lr-decay-factor", "-1"], None,
+                                   2, "argument --lr-decay-factor: must be > 0, got -1.0"),
+    "train --epsilon0 -0.1": (["train", "--data", "{data}", "--epsilon0", "-0.1"], None,
+                              2, "argument --epsilon0: must be >= 0, got -0.1"),
+    "spectrum --epsilon0 0.03 -0.1": (["spectrum", "--data", "{data}", "--epsilon0", "0.03",
+                                       "-0.1"], None,
+                                      2, "argument --epsilon0: must be >= 0, got -0.1"),
+    "select --xi 0": (["select", "--data", "{data}", "--xi", "0"], None,
+                      2, "argument --xi: must be > 0, got 0.0"),
     "report header only": (["report", "--runs", "{runs}"], CSV_HEADER + "\n",
                            3, "{csv}: no rows below the run header"),
     "report short row": (["report", "--runs", "{runs}"], CSV_HEADER + "\n1,0.5,0.4\n",
@@ -991,3 +1057,31 @@ def test_every_definition_is_reachable():
         f"only tests reach: {', '.join(sorted(unreached - set(PERFBENCH_ONLY)))}"
     assert set(PERFBENCH_ONLY) <= unreached, \
         f"reachable, so not exempt: {', '.join(sorted(set(PERFBENCH_ONLY) - unreached))}"
+
+
+def test_wall_clock_is_read_in_two_places():
+    """``perf_counter`` is named only in the CLI frame's timer and in
+    ``trainer.train``, which times each refresh for the ``selection_ms``
+    column; every other phase is timed through the frame."""
+    src = Path(__file__).resolve().parents[1] / "src" / "coreaug"
+    users = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}")
+                continue
+            if isinstance(child, ast.Attribute):
+                names = [child.attr]
+            elif isinstance(child, ast.Name):
+                names = [child.id]
+            elif isinstance(child, ast.ImportFrom):
+                names = [alias.name for alias in child.names]
+            else:
+                names = []
+            users.extend([scope] * names.count("perf_counter"))
+            visit(child, scope)
+
+    for path in sorted(src.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    assert sorted(users) == ["cli._Run.timed"] * 2 + ["trainer.train"] * 2
