@@ -54,10 +54,10 @@ def gen_dataset(kind: str, n: int, d: int, num_classes: int, seed: int = 0,
     """
     if kind not in GENERATOR_KINDS:
         raise ValueError(f"kind must be one of {GENERATOR_KINDS}")
-    if n < num_classes or n % num_classes != 0:
-        raise ValueError("n must be a positive multiple of num_classes")
     if d < 1 or num_classes < 1 or noise < 0.0:
         raise ValueError("invalid generator parameters")
+    if n < num_classes or n % num_classes != 0:
+        raise ValueError("n must be a positive multiple of num_classes")
     rng = np.random.default_rng(seed)
     per = n // num_classes
     labels = np.repeat(np.arange(num_classes), per)

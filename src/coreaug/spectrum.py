@@ -2,11 +2,13 @@
 
 Given a clean stacked derivative matrix J and its augmented counterpart
 J + E, this module pairs the two singular spectra by rank, summarizes the
-shifts and subspace rotations in 30 equal-count bins, and audits the classical
-bounds that govern them: the Weyl singular-value bound, the Wedin-style
-singular-vector bound, the expected eigenvalue shift under a piecewise-uniform
-shift model, constant-kernel residual dynamics, and the gradient bounds for a
-common linear transform applied to a weighted subset.
+shifts and subspace rotations in 30 equal-count bins, and measures both
+spectra over augmentation rounds. It checks the classical bounds that govern
+them: the Weyl singular-value bound, the Wedin-style singular-vector bound,
+the closed form of the expected eigenvalue shift under a piecewise-uniform
+shift model (against a Monte Carlo of that model), constant-kernel residual
+dynamics, and the gradient bounds and descent envelope for a common linear
+transform applied to a weighted subset.
 """
 
 from __future__ import annotations
@@ -28,21 +30,16 @@ __all__ = [
     "ShiftRecord",
     "ShiftReport",
     "VectorBoundReport",
-    "DecompositionReport",
     "DynamicsReport",
-    "EnvelopeReport",
     "LinearBoundReport",
     "LinearSgdEnvelopeReport",
     "eigengap",
     "weyl_check",
     "round_spectra",
     "spectrum_report",
-    "perturbation_decomposition",
     "expected_shift_model_check",
-    "expected_shift_empirical",
     "singular_vector_bound_check",
     "residual_dynamics_check",
-    "augmented_dynamics_envelope_check",
     "linear_transform_bound_check",
     "linear_transform_sgd_envelope",
 ]
@@ -80,13 +77,11 @@ def weyl_check(sigma_clean, sigma_aug, e_norm2: float) -> WeylVerdict:
 
 @dataclass(frozen=True)
 class RoundSpectra:
-    """The stacked derivative matrix J at X with its singular values, and per
-    listed augmentation round the augmented rows, the singular values of J
-    at those rows and ||J_aug - J||_2."""
+    """The singular values of the stacked derivative matrix J at X, and per
+    listed augmentation round the singular values of J at the augmented rows
+    and ||J_aug - J||_2."""
 
-    jacobian: np.ndarray
     sigma: np.ndarray
-    features: list[np.ndarray]
     sigma_aug: np.ndarray
     e_norms: np.ndarray
 
@@ -102,16 +97,13 @@ def round_spectra(net: MLP, X, spec: TransformSpec, round_indices) -> RoundSpect
     one_copy = replace(spec, r=1)
     jac = jacobian(net, X)
     sigma = np.linalg.svd(jac, compute_uv=False)
-    features = []
     sigma_aug = np.empty((len(round_indices), sigma.size))
     e_norms = np.empty(len(round_indices))
     for row, rnd in enumerate(round_indices):
-        features.append(perturb(one_copy, X, round_index=rnd).features)
-        j_aug = jacobian(net, features[-1])
+        j_aug = jacobian(net, perturb(one_copy, X, round_index=rnd).features)
         sigma_aug[row] = np.linalg.svd(j_aug, compute_uv=False)
         e_norms[row] = spectral_norm(j_aug - jac)
-    return RoundSpectra(jacobian=jac, sigma=sigma, features=features,
-                        sigma_aug=sigma_aug, e_norms=e_norms)
+    return RoundSpectra(sigma=sigma, sigma_aug=sigma_aug, e_norms=e_norms)
 
 
 @dataclass
@@ -218,65 +210,6 @@ def spectrum_report(J_clean, J_aug, clean: SvdResult | None = None) -> SpectrumR
 
 
 @dataclass
-class DecompositionReport:
-    """Split of a perturbation into the column space of the transposed
-    derivative matrix and its orthogonal complement.
-
-    The squared perturbed singular values decompose as (sigma + mu)^2 +
-    zeta^2 with |mu| bounded by the in-space norm and zeta pinched between the
-    extreme singular values of the out-of-space block. ``mu_feasible`` records,
-    for the largest and smallest index, whether the observed shift is
-    consistent with those ranges.
-    """
-
-    pe_norm2: float
-    perp_e_norm2: float
-    perp_e_sigma_min: float
-    numerical_rank: int
-    mu_feasible: dict[str, bool]
-
-
-def perturbation_decomposition(J, E) -> DecompositionReport:
-    jt = as_matrix(J, "J").T
-    et = as_matrix(E, "E").T
-    if jt.shape != et.shape:
-        raise ValueError("J and E must share a shape")
-    dec = svd(jt)
-    smax = dec.sigma[0] if dec.sigma.size else 0.0
-    rank = int(np.sum(dec.sigma > 1e-10 * max(smax, 1e-300)))
-    u_r = dec.U[:, :rank]
-    p = u_r @ u_r.T
-    p_perp = np.eye(p.shape[0]) - p
-    pe = p @ et
-    ppe = p_perp @ et
-    pe_norm2 = spectral_norm(pe) if rank else 0.0
-    ppe_svals = np.linalg.svd(ppe, compute_uv=False)
-    perp_norm2 = float(ppe_svals[0]) if ppe_svals.size else 0.0
-    perp_min = float(ppe_svals[-1]) if ppe_svals.size else 0.0
-
-    tilde = svd(jt + et).sigma
-    clean = dec.sigma
-    feasible: dict[str, bool] = {}
-    tol = 1e-8 * max(1.0, float(tilde[0]) ** 2)
-    for tag, i in (("top", 0), ("bottom", clean.size - 1)):
-        # (sigma + mu)^2 must land in [tilde^2 - zhi^2, tilde^2 - zlo^2] for
-        # some |mu| <= pe_norm2; intersect that with the reachable range
-        mu_lo = max(0.0, clean[i] - pe_norm2)
-        mu_hi = clean[i] + pe_norm2
-        reach_lo, reach_hi = mu_lo**2, mu_hi**2
-        target_lo = tilde[i] ** 2 - perp_norm2**2
-        target_hi = tilde[i] ** 2 - perp_min**2
-        feasible[tag] = bool(reach_lo <= target_hi + tol and target_lo <= reach_hi + tol)
-    return DecompositionReport(
-        pe_norm2=pe_norm2,
-        perp_e_norm2=perp_norm2,
-        perp_e_sigma_min=perp_min,
-        numerical_rank=rank,
-        mu_feasible=feasible,
-    )
-
-
-@dataclass
 class ShiftRecord:
     index: int
     sigma: float
@@ -312,20 +245,6 @@ def _shift_prediction(sigma, p, e_norm: float):
     return sigma * sigma + sigma * (1.0 - 2.0 * p) * e_norm + e_norm * e_norm / 3.0
 
 
-def _shift_report(sigma, p, e_norm: float, empirical, standard_error,
-                  draws: int) -> ShiftReport:
-    """Pair each index's Monte Carlo mean of the squared singular value, and
-    its standard error, with the closed form at (sigma, p, e_norm)."""
-    predicted = _shift_prediction(sigma, p, e_norm)
-    records = [
-        ShiftRecord(index=i, sigma=float(sigma[i]), p_hat=float(p[i]),
-                    predicted=float(predicted[i]), empirical=float(empirical[i]),
-                    standard_error=float(standard_error[i]))
-        for i in range(sigma.size)
-    ]
-    return ShiftReport(records=records, e_norm_mean=float(e_norm), draws=draws)
-
-
 def expected_shift_model_check(sigma, p, e_norm: float, draws: int,
                                seed: int = 0) -> ShiftReport:
     """Monte Carlo over the shift model itself: each singular value moves by a
@@ -345,27 +264,16 @@ def expected_shift_model_check(sigma, p, e_norm: float, draws: int,
         down = rng.uniform(size=draws) < p[i]
         mag = rng.uniform(0.0, e_norm, size=draws)
         lam[i] = (sigma[i] + np.where(down, -mag, mag)) ** 2
+    empirical = lam.mean(axis=1)
     se = lam.std(axis=1, ddof=1) / math.sqrt(draws)
-    return _shift_report(sigma, p, e_norm, lam.mean(axis=1), se, draws)
-
-
-def expected_shift_empirical(net: MLP, data: Dataset, spec: TransformSpec,
-                             draws: int, seed: int = 0) -> ShiftReport:
-    """Monte Carlo over real augmentation rounds: estimate the per-index
-    decrease probability and the mean squared singular values, then evaluate
-    the closed form with the mean perturbation norm. This audits how well the
-    uniform-shift model describes real augmentation; agreement is reported,
-    not asserted.
-    """
-    if draws < 100:
-        raise ValueError("draws must be >= 100")
-    first = seed * 100003
-    spectra = round_spectra(net, data.features, spec, range(first, first + draws))
-    p_hat = (spectra.sigma_aug < spectra.sigma).mean(axis=0)
-    lam = spectra.sigma_aug**2
-    se = lam.std(axis=0, ddof=1) / math.sqrt(draws)
-    return _shift_report(spectra.sigma, p_hat, float(spectra.e_norms.mean()),
-                         lam.mean(axis=0), se, draws)
+    predicted = _shift_prediction(sigma, p, e_norm)
+    records = [
+        ShiftRecord(index=i, sigma=float(sigma[i]), p_hat=float(p[i]),
+                    predicted=float(predicted[i]), empirical=float(empirical[i]),
+                    standard_error=float(se[i]))
+        for i in range(sigma.size)
+    ]
+    return ShiftReport(records=records, e_norm_mean=float(e_norm), draws=draws)
 
 
 @dataclass
@@ -471,59 +379,6 @@ def residual_dynamics_check(net: MLP, data: Dataset, eta: float,
         rel[t] = float(np.linalg.norm(r_pred - r_actual) / max(actual[t], 1e-300))
     return DynamicsReport(predicted_norms=predicted, actual_norms=actual,
                           relative_deviation=rel)
-
-
-@dataclass
-class EnvelopeReport:
-    skipped: bool
-    reason: str
-    steps: np.ndarray | None = None
-    mean_actual: np.ndarray | None = None
-    bound: np.ndarray | None = None
-
-    @property
-    def passed(self) -> bool:
-        if self.skipped:
-            return False
-        return bool(np.all(self.mean_actual <= self.bound + 1e-9))
-
-
-def augmented_dynamics_envelope_check(net: MLP, data: Dataset,
-                                      spectra: RoundSpectra, eta: float,
-                                      steps: int) -> EnvelopeReport:
-    """Mean residual norm over the augmentation rounds of ``spectra``, which
-    ``round_spectra`` built at ``data.features``, versus the expected-shift
-    dynamics bound evaluated with their spectra, decrease probabilities, mean
-    perturbation norm and spectrum gap.
-
-    Meaningful when the stacked derivative matrix has full row rank (residual
-    mass outside its range never decays, and the bound carries no persistent
-    term). A degenerate gap is a reported skip, except when no round moved
-    the derivative matrix (zero budget), where the gap-dependent slack
-    vanishes.
-    """
-    if not spectra.features:
-        raise ValueError("spectra must hold at least one round")
-    sig = spectra.sigma
-    e_mean = float(spectra.e_norms.mean())
-    gap = eigengap(sig)
-    if gap <= 1e-12 and e_mean > 0.0:
-        return EnvelopeReport(skipped=True, reason=f"degenerate gap {gap:.3e}")
-    Y = data.one_hot_labels()
-    actual = np.array([
-        [float(np.linalg.norm(r)) for r in _descent_residuals(net, x_aug, Y, eta, steps)]
-        for x_aug in spectra.features
-    ])
-    p_hat = (spectra.sigma_aug < sig).mean(axis=0)
-    lam_expected = _shift_prediction(sig, p_hat, e_mean)
-    slack = 0.0 if e_mean == 0.0 else 2.0 * sig.size * math.sqrt(2.0) * e_mean / gap
-    terms = (svd(spectra.jacobian).U.T @ Y.ravel()) ** 2 + slack
-    t_axis = np.arange(steps + 1)
-    bound = np.sqrt(np.clip(
-        ((1.0 - eta * lam_expected[None, :]) ** (2 * t_axis[:, None]) * terms[None, :]).sum(axis=1),
-        0.0, None))
-    return EnvelopeReport(skipped=False, reason="", steps=t_axis,
-                          mean_actual=actual.mean(axis=0), bound=bound)
 
 
 @dataclass

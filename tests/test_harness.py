@@ -63,6 +63,8 @@ class TestGenerators:
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             gen_dataset("gaussian_blobs", 601, 8, 3, seed=0)
+        with pytest.raises(ValueError, match="invalid generator parameters"):
+            gen_dataset("gaussian_blobs", 600, 8, 0, seed=0)
         with pytest.raises(ValueError):
             gen_dataset("nope", 600, 8, 3, seed=0)
 
@@ -380,7 +382,7 @@ class TestCli:
         payload = json.loads((out / "bounds.json").read_text())
         assert payload["weyl_random"]["violations"] == 0
 
-    def test_bounds_reports_real_augmentation_audits(self, tmp_path):
+    def test_bounds_writes_the_six_verdict_batteries(self, tmp_path):
         outs = [tmp_path / "a", tmp_path / "b"]
         for out in outs:
             assert main(["bounds", *_SHORT_RUN_FLAGS["bounds"], "--out", str(out)]) == 0
@@ -388,39 +390,38 @@ class TestCli:
         assert written == (outs[1] / "bounds.json").read_bytes()
         payload = json.loads(written)
         assert {name: set(entry) for name, entry in payload.items()} == {
-            "weyl_random": {"trials", "violations", "max_violation"},
-            "weyl_augmentation": {"rounds", "violations", "max_violation"},
+            "weyl_random": {"trials", "violations", "max_violation", "passed"},
+            "weyl_augmentation": {"rounds", "violations", "max_violation",
+                                  "shift_over_e_norm", "passed"},
             "shift_model": {"draws", "indices", "all_within_3se", "worst_se_units",
                             "chi2", "chi2_critical", "passed"},
-            "vector_bound": {"trials", "checked", "skipped", "failures"},
-            "ntk_bound": {"instances", "failures", "min_margin"},
-            "linear_bounds": {"instances", "subset_failures", "combined_failures"},
-            "shift_empirical": {"draws", "indices", "within_3se", "all_within_3se",
-                                "worst_se_units", "e_norm_mean"},
-            "augmented_envelope": {"rounds", "steps", "eta", "skipped", "reason",
-                                   "passed", "max_excess"},
-            "perturbation_decomposition": {"numerical_rank", "pe_norm2", "perp_e_norm2",
-                                           "perp_e_sigma_min", "mu_feasible"},
+            "vector_bound": {"trials", "checked", "skipped", "failures", "passed"},
+            "ntk_bound": {"instances", "failures", "min_margin", "passed"},
+            "linear_bounds": {"instances", "subset_failures", "combined_failures",
+                              "passed"},
         }
-        assert payload["shift_empirical"]["draws"] == coreaug.audits.SHIFT_EMPIRICAL_DRAWS
-        assert payload["augmented_envelope"]["rounds"] == 2
-        assert payload["augmented_envelope"]["steps"] == coreaug.audits.ENVELOPE_STEPS
+        assert set(payload["weyl_augmentation"]["shift_over_e_norm"]) == {"median", "max"}
+        assert all(entry["passed"] is True for entry in payload.values())
 
-    def test_real_augmentation_audits_stay_out_of_the_verdict(self, tmp_path, monkeypatch):
-        failing = {
-            "shift_empirical": {"all_within_3se": False, "within_3se": 0},
-            "augmented_envelope": {"skipped": False, "passed": False, "max_excess": 1.0},
-            "perturbation_decomposition": {"mu_feasible": {"top": False, "bottom": False}},
-        }
-        monkeypatch.setattr(coreaug.audits, "audit_real_augmentation",
-                            lambda rounds, seed: failing)
+    @pytest.mark.parametrize("battery", ["weyl_random", "weyl_augmentation", "shift_model",
+                                         "vector_bound", "ntk_bound", "linear_bounds"])
+    def test_one_failed_battery_fails_the_suite(self, battery, tmp_path, monkeypatch,
+                                                capsys):
+        suite = coreaug.audits.run_bounds_suite
+
+        def one_failing(**kwargs):
+            entries = suite(**kwargs)
+            entries[battery]["passed"] = False
+            return entries
+
+        monkeypatch.setattr(coreaug.cli, "run_bounds_suite", one_failing)
         out = tmp_path / "bounds"
-        assert main(["bounds", *_SHORT_RUN_FLAGS["bounds"], "--out", str(out)]) == 0
-        payload = json.loads((out / "bounds.json").read_text())
-        assert {name: payload[name] for name in failing} == failing
+        assert main(["bounds", *_SHORT_RUN_FLAGS["bounds"], "--out", str(out)]) == 4
+        assert "bounds suite FAIL" in capsys.readouterr().out
+        assert not json.loads((out / "bounds.json").read_text())[battery]["passed"]
 
     def test_bounds_without_augmentation_rounds_is_config_error(self, tmp_path, capsys):
-        # zero rounds leave the envelope check nothing to average
+        # zero rounds would leave the Weyl battery on real augmentation vacuous
         out = tmp_path / "b"
         argv = ["bounds", *_SHORT_RUN_FLAGS["bounds"], "--augmentation-rounds", "0"]
         assert _exit_code(argv + ["--out", str(out)]) == 2
@@ -583,10 +584,13 @@ class TestCli:
         assert sorted(manifest["timings_ms"]) == sorted(timings)
 
     def test_failing_bounds_still_writes_its_manifest(self, tmp_path, monkeypatch, capsys):
-        suite = {"weyl_random": {"violations": 1}, "weyl_augmentation": {"violations": 0},
-                 "shift_model": {"passed": True}, "vector_bound": {"failures": 0},
-                 "ntk_bound": {"failures": 0},
-                 "linear_bounds": {"subset_failures": 0, "combined_failures": 0}}
+        suite = {"weyl_random": {"violations": 1, "passed": False},
+                 "weyl_augmentation": {"violations": 0, "passed": True},
+                 "shift_model": {"passed": True},
+                 "vector_bound": {"failures": 0, "passed": True},
+                 "ntk_bound": {"failures": 0, "passed": True},
+                 "linear_bounds": {"subset_failures": 0, "combined_failures": 0,
+                                   "passed": True}}
         monkeypatch.setattr(coreaug.cli, "run_bounds_suite", lambda **kwargs: suite)
         out = tmp_path / "b"
         assert main(["bounds", "--out", str(out)]) == 4
@@ -854,6 +858,16 @@ CLI_ERRORS = {
     "report non-numeric": (["report", "--runs", "{runs}"],
                            CSV_HEADER + "\n1,0.5,0.4,0.9,0.1,1,2.0,5\n2,0.5,x,0.9,0.1,0,0.0,5\n",
                            3, "{csv}: line 3: could not convert string to float: 'x'"),
+    "gen-data --classes 0": (["gen-data", "--classes", "0"], None,
+                             2, "argument --classes: must be >= 1, got 0"),
+    "gen-data --n 0": (["gen-data", "--n", "0"], None,
+                       2, "argument --n: must be >= 1, got 0"),
+    "gen-data --d 0": (["gen-data", "--d", "0"], None,
+                       2, "argument --d: must be >= 1, got 0"),
+    "gen-data --noise -0.1": (["gen-data", "--noise", "-0.1"], None,
+                              2, "argument --noise: must be >= 0, got -0.1"),
+    "gen-data --margin -1": (["gen-data", "--margin", "-1"], None,
+                             2, "argument --margin: must be >= 0, got -1.0"),
 }
 
 

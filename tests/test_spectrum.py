@@ -9,20 +9,16 @@ from coreaug.augment import TransformSpec, perturb
 from coreaug.linalg import spectral_norm, svd
 from coreaug.model import MLP, Dataset, jacobian, one_hot
 from coreaug.spectrum import (
-    augmented_dynamics_envelope_check,
     eigengap,
-    expected_shift_empirical,
     expected_shift_model_check,
     linear_transform_bound_check,
     linear_transform_sgd_envelope,
-    perturbation_decomposition,
     residual_dynamics_check,
     round_spectra,
     singular_vector_bound_check,
     spectrum_report,
     weyl_check,
 )
-from helpers import zero_mlp
 
 
 def random_matrix(seed, rows, cols, scale=1.0):
@@ -145,47 +141,6 @@ class TestSpectrumReport:
         assert len(lines) == 31
 
 
-class TestPerturbationDecomposition:
-    def test_in_space_perturbation(self):
-        j = random_matrix(8, 6, 12)  # J^T is 12x6, tall
-        mix = random_matrix(9, 6, 6)
-        e = mix @ j  # E^T = J^T mix^T lies in col(J^T)
-        report = perturbation_decomposition(j, e)
-        assert report.perp_e_norm2 <= 1e-8
-        assert report.perp_e_sigma_min <= 1e-8
-
-    def test_orthogonal_perturbation(self):
-        j = random_matrix(10, 5, 12)
-        u_full, _, _ = np.linalg.svd(j.T, full_matrices=True)
-        u_n = u_full[:, 5:]
-        e_t = u_n @ random_matrix(11, 7, 5)
-        report = perturbation_decomposition(j, e_t.T)
-        assert report.pe_norm2 <= 1e-8
-
-    def test_projector_identity_and_norm_oracle(self):
-        j = random_matrix(12, 7, 15)
-        e = 0.3 * random_matrix(13, 7, 15)
-        report = perturbation_decomposition(j, e)
-        # independent recomputation of the projected norms
-        u, s, _ = np.linalg.svd(j.T, full_matrices=False)
-        rank = int(np.sum(s > 1e-10 * s[0]))
-        p = u[:, :rank] @ u[:, :rank].T
-        pe = np.linalg.svd(p @ e.T, compute_uv=False)[0]
-        ppe = np.linalg.svd((np.eye(15) - p) @ e.T, compute_uv=False)
-        assert report.pe_norm2 == pytest.approx(pe, rel=1e-8)
-        assert report.perp_e_norm2 == pytest.approx(ppe[0], rel=1e-8)
-        assert report.perp_e_sigma_min == pytest.approx(ppe[-1], abs=1e-8)
-
-    @given(seed=st.integers(0, 100))
-    @settings(max_examples=20)
-    def test_extreme_index_feasibility(self, seed):
-        j = random_matrix(seed, 6, 14)
-        e = 0.2 * random_matrix(seed + 1000, 6, 14)
-        report = perturbation_decomposition(j, e)
-        assert report.mu_feasible["top"]
-        assert report.mu_feasible["bottom"]
-
-
 class TestRoundSpectra:
     def setup_method(self):
         rng = np.random.default_rng(25)
@@ -205,14 +160,29 @@ class TestRoundSpectra:
         one_copy = TransformSpec(epsilon0=0.1, r=1, seed=1)
         jac = jacobian(self.net, self.X)
         rounds = round_spectra(self.net, self.X, spec, [7, 3])
-        assert rounds.jacobian.tobytes() == jac.tobytes()
         assert rounds.sigma.tobytes() == np.linalg.svd(jac, compute_uv=False).tobytes()
         for row, rnd in enumerate([7, 3]):
             x_aug = perturb(one_copy, self.X, round_index=rnd).features
             j_aug = jacobian(self.net, x_aug)
-            assert rounds.features[row].tobytes() == x_aug.tobytes()
             assert rounds.sigma_aug[row].tobytes() == np.linalg.svd(j_aug, compute_uv=False).tobytes()
             assert rounds.e_norms[row] == spectral_norm(j_aug - jac)
+
+    def test_builds_each_matrix_and_round_once(self, monkeypatch):
+        calls = {"jacobian": 0, "perturb": 0}
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for name in calls:
+            monkeypatch.setattr(coreaug.spectrum, name,
+                                counting(name, getattr(coreaug.spectrum, name)))
+        rounds = 4
+        round_spectra(self.net, self.X, TransformSpec(epsilon0=0.05, r=2, seed=3),
+                      range(rounds))
+        assert calls == {"jacobian": 1 + rounds, "perturb": rounds}
 
 
 class TestExpectedShift:
@@ -230,17 +200,6 @@ class TestExpectedShift:
         p = rng.uniform(0.0, 1.0, size=10)
         report = expected_shift_model_check(sigma, p, e_norm=0.8, draws=2000, seed=2)
         assert report.all_within_3se
-
-    def test_zero_budget_empirical(self):
-        rng = np.random.default_rng(3)
-        data = Dataset(rng.uniform(0, 1, (8, 4)), rng.integers(0, 2, 8), 2)
-        net = MLP.init([4, 5, 2], seed=1)
-        spec = TransformSpec(epsilon0=0.0, r=1, seed=0)
-        report = expected_shift_empirical(net, data, spec, draws=100, seed=0)
-        for rec in report.records:
-            assert rec.p_hat == 0.0
-            assert rec.predicted == pytest.approx(rec.sigma**2)
-            assert rec.empirical == pytest.approx(rec.sigma**2)
 
     def test_draw_minimum_enforced(self):
         with pytest.raises(ValueError):
@@ -323,84 +282,6 @@ class TestResidualDynamics:
         net = MLP.init([3, 2], seed=4)
         with pytest.raises(ValueError):
             residual_dynamics_check(net, data, eta=1e6, steps=2)
-
-
-class TestAugmentedDynamicsEnvelope:
-    def test_builds_each_matrix_and_round_once(self, monkeypatch):
-        rng = np.random.default_rng(27)
-        data = Dataset(rng.uniform(0, 1, (8, 6)), rng.integers(0, 2, 8), 2)
-        net = MLP.init([6, 5, 2], activation="tanh", seed=7)
-        calls = {"jacobian": 0, "perturb": 0}
-
-        def counting(name, fn):
-            def wrapped(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapped
-
-        for name in calls:
-            monkeypatch.setattr(coreaug.spectrum, name,
-                                counting(name, getattr(coreaug.spectrum, name)))
-        rounds = 4
-        spectra = round_spectra(net, data.features, TransformSpec(epsilon0=0.05, r=2, seed=3),
-                                range(rounds))
-        report = augmented_dynamics_envelope_check(net, data, spectra, eta=0.01, steps=3)
-        assert not report.skipped
-        assert calls == {"jacobian": 1 + rounds, "perturb": rounds}
-
-    def test_rounds_are_required(self):
-        rng = np.random.default_rng(26)
-        data = Dataset(rng.uniform(0, 1, (6, 4)), rng.integers(0, 2, 6), 2)
-        net = MLP.init([4, 5, 2], activation="tanh", seed=2)
-        spectra = round_spectra(net, data.features, TransformSpec(epsilon0=0.05), [])
-        with pytest.raises(ValueError, match="at least one round"):
-            augmented_dynamics_envelope_check(net, data, spectra, eta=0.01, steps=2)
-
-    def test_zero_budget_collapses_to_plain_dynamics(self):
-        # full row rank: m = d + 1 > n, single output keeps the gap positive
-        rng = np.random.default_rng(22)
-        data = Dataset(rng.uniform(0, 1, (10, 12)), np.zeros(10, dtype=int), 1)
-        net = zero_mlp([12, 1])
-        from coreaug.model import jacobian
-
-        lam = np.linalg.svd(jacobian(net, data.features), compute_uv=False)[0] ** 2
-        spec = TransformSpec(epsilon0=0.0, r=1, seed=0)
-        report = augmented_dynamics_envelope_check(
-            net, data, round_spectra(net, data.features, spec, range(3)),
-            eta=0.4 / lam, steps=15)
-        assert not report.skipped
-        assert report.passed
-        assert report.mean_actual[0] == pytest.approx(report.bound[0], rel=1e-9)
-
-    def test_linear_with_synthetic_rounds(self):
-        rng = np.random.default_rng(23)
-        data = Dataset(rng.uniform(0, 1, (12, 14)), np.zeros(12, dtype=int), 1)
-        net = zero_mlp([14, 1])
-        from coreaug.model import jacobian
-
-        lam = np.linalg.svd(jacobian(net, data.features), compute_uv=False)[0] ** 2
-        spec = TransformSpec(epsilon0=0.03, r=1, seed=1)
-        report = augmented_dynamics_envelope_check(
-            net, data, round_spectra(net, data.features, spec, range(10)),
-            eta=0.3 / lam, steps=10)
-        assert not report.skipped
-        assert report.passed
-
-    def test_bound_monotone_in_budget_at_start(self):
-        rng = np.random.default_rng(24)
-        data = Dataset(rng.uniform(0, 1, (10, 12)), np.zeros(10, dtype=int), 1)
-        net = zero_mlp([12, 1])
-        from coreaug.model import jacobian
-
-        lam = np.linalg.svd(jacobian(net, data.features), compute_uv=False)[0] ** 2
-        starts = []
-        for eps in (8.0 / 255.0, 16.0 / 255.0):
-            spec = TransformSpec(epsilon0=eps, r=1, seed=2)
-            report = augmented_dynamics_envelope_check(
-                net, data, round_spectra(net, data.features, spec, range(5)),
-                eta=0.2 / lam, steps=3)
-            starts.append(report.bound[0])
-        assert starts[1] >= starts[0]
 
 
 class TestLinearTransformBounds:
