@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix
+from .linalg import AT_LEAST_0, AT_LEAST_1, as_matrix, one_of
 
 __all__ = [
     "TransformSpec",
@@ -40,12 +40,9 @@ class TransformSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in TRANSFORM_KINDS:
-            raise ValueError(f"kind must be one of {TRANSFORM_KINDS}, got {self.kind!r}")
-        if self.epsilon0 < 0.0:
-            raise ValueError("epsilon0 must be >= 0")
-        if self.r < 1:
-            raise ValueError("r must be >= 1")
+        one_of(TRANSFORM_KINDS).check("kind", self.kind)
+        AT_LEAST_0.check("epsilon0", self.epsilon0)
+        AT_LEAST_1.check("r", self.r)
 
 
 @dataclass(frozen=True)

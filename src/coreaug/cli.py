@@ -44,7 +44,8 @@ from .data import (
     save_dataset_csv,
     split_dataset,
 )
-from .linalg import NumericalError
+from .linalg import (ABOVE_0, AT_LEAST_0, AT_LEAST_1, AT_LEAST_100, LEFT_OPEN_UNIT, OPEN_UNIT,
+                     RIGHT_OPEN_UNIT, Domain, NumericalError)
 from .model import MLP, PROXY_MODES, Dataset, class_rows, gradient_proxy
 from .trainer import (
     BASELINES,
@@ -131,36 +132,34 @@ def _recorded(handler):
     return frame
 
 
-def _hidden_sizes(text: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in text.split(",") if v.strip())
-
-
-def _seed_list(text: str) -> list[int]:
-    seeds = [int(v) for v in text.split(",") if v.strip()]
-    if not seeds:
-        raise argparse.ArgumentTypeError("needs at least one seed")
-    return seeds
-
-
-def _checked(kind, ok, bound: str):
-    """An argparse type: ``kind(text)``, rejected unless ``ok`` holds, so the
-    error names the flag."""
+def _checked(kind, domain: Domain):
+    """An argparse type: ``kind(text)``, rejected with the domain's text
+    unless it lies in ``domain``, so the error names the flag."""
     def parse(text: str):
         value = kind(text)
-        if not ok(value):
-            raise argparse.ArgumentTypeError(f"must {bound}, got {value}")
+        if (breach := domain.breach(value)) is not None:
+            raise argparse.ArgumentTypeError(breach)
         return value
     parse.__name__ = kind.__name__
     return parse
 
 
-_positive_int = _checked(int, lambda v: v >= 1, "be >= 1")
-_nonnegative_int = _checked(int, lambda v: v >= 0, "be >= 0")
-_positive_float = _checked(float, lambda v: v > 0.0, "be > 0")
-_nonnegative_float = _checked(float, lambda v: v >= 0.0, "be >= 0")
-_fraction = _checked(float, lambda v: 0.0 < v <= 1.0, "lie in (0, 1]")
-_holdout = _checked(float, lambda v: 0.0 < v < 1.0, "lie in (0, 1)")
-_label_noise = _checked(float, lambda v: 0.0 <= v < 1.0, "lie in [0, 1)")
+_positive_int = _checked(int, AT_LEAST_1)
+_nonnegative_int = _checked(int, AT_LEAST_0)
+_positive_float = _checked(float, ABOVE_0)
+_nonnegative_float = _checked(float, AT_LEAST_0)
+_fraction = _checked(float, LEFT_OPEN_UNIT)
+
+
+def _hidden_sizes(text: str) -> tuple[int, ...]:
+    return tuple(_positive_int(v) for v in text.split(",") if v.strip())
+
+
+def _seed_list(text: str) -> list[int]:
+    seeds = [_nonnegative_int(v) for v in text.split(",") if v.strip()]
+    if not seeds:
+        raise argparse.ArgumentTypeError("needs at least one seed")
+    return seeds
 
 
 def _load_data(path: Path) -> Dataset:
@@ -186,8 +185,12 @@ def _selection_config(args) -> SelectionConfig:
 
 
 def cmd_gen_data(args) -> int:
-    data = gen_dataset(args.kind, args.n, args.d, args.classes, seed=args.seed,
-                       noise=args.noise, margin=args.margin)
+    try:
+        data = gen_dataset(args.kind, args.n, args.d, args.classes, seed=args.seed,
+                           noise=args.noise, margin=args.margin)
+    except ValueError as exc:
+        raise ConfigError(f"--kind {args.kind} --n {args.n} --d {args.d} --classes {args.classes} "
+                          f"--seed {args.seed} --margin {args.margin}: {exc}") from None
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_dataset_csv(data, out)
@@ -203,9 +206,9 @@ def cmd_select(args, run: _Run) -> int:
         sgd_warmup(net, data, args.warmup_epochs, args.lr, seed=args.net_seed)
     with run.timed("selection_ms"):
         proxies = gradient_proxy(net, data, args.proxy_mode)
-        coreset = select_all_classes(proxies, _selection_config(args), r=args.r)
+        coreset = select_all_classes(proxies, _selection_config(args))
     out = run.path("coreset.json")
-    _write_json(out, coreset.to_json_dict())
+    _write_json(out, coreset.to_json_dict(args.r))
     print(f"selected {coreset.indices.size} points -> {out}")
     return 0
 
@@ -408,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_positive_int, default=600)
     p.add_argument("--d", type=_positive_int, default=16)
     p.add_argument("--classes", type=_positive_int, default=3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--noise", type=_nonnegative_float, default=0.05)
     p.add_argument("--margin", type=_nonnegative_float, default=0.25)
     p.set_defaults(fn=cmd_gen_data)
@@ -421,13 +424,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--stochastic-sample", type=_positive_int, default=None)
         p.add_argument("--proxy-mode", default="last_layer", choices=PROXY_MODES)
         p.add_argument("--r", type=_positive_int, default=1)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_nonnegative_int, default=0)
 
     p = sub.add_parser("select", parents=[common], help="extract a weighted per-class coreset")
     p.add_argument("--data", required=True)
     add_selection_flags(p)
     p.add_argument("--hidden", type=_hidden_sizes, default=(32,))
-    p.add_argument("--net-seed", type=int, default=0)
+    p.add_argument("--net-seed", type=_nonnegative_int, default=0)
     p.add_argument("--warmup-epochs", type=_nonnegative_int, default=0)
     p.add_argument("--lr", type=_positive_float, default=0.005)
     p.set_defaults(fn=cmd_select)
@@ -435,20 +438,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", parents=[common], help="weighted SGD over a training regime")
     p.add_argument("--data", required=True)
     p.add_argument("--test-data", default=None)
-    p.add_argument("--holdout", type=_holdout, default=0.25)
-    p.add_argument("--split-seed", type=int, default=0)
+    p.add_argument("--holdout", type=_checked(float, OPEN_UNIT), default=0.25)
+    p.add_argument("--split-seed", type=_nonnegative_int, default=0)
     p.add_argument("--regime", default="full_plus_coreset_aug", choices=REGIMES)
     p.add_argument("--baseline", default="ours", choices=BASELINES)
     add_selection_flags(p)
     p.add_argument("--refresh-r", type=_positive_int, default=1)
     p.add_argument("--epochs", type=_positive_int, default=20)
     p.add_argument("--lr", type=_positive_float, default=0.005)
-    p.add_argument("--lr-decay-epochs", type=int, nargs="*", default=None)
+    p.add_argument("--lr-decay-epochs", type=_nonnegative_int, nargs="*", default=None)
     p.add_argument("--lr-decay-factor", type=_positive_float, default=0.1)
     p.add_argument("--batch-size", type=_positive_int, default=32)
     p.add_argument("--epsilon0", type=_nonnegative_float, default=16.0 / 255.0)
     p.add_argument("--transform-kind", default="uniform_ball", choices=TRANSFORM_KINDS)
-    p.add_argument("--label-noise", type=_label_noise, default=0.0)
+    p.add_argument("--label-noise", type=_checked(float, RIGHT_OPEN_UNIT), default=0.0)
     p.add_argument("--random-fraction", type=_fraction, default=0.5)
     p.add_argument("--hidden", type=_hidden_sizes, default=(32,))
     p.add_argument("--seeds", type=_seed_list, default=[0])
@@ -466,14 +469,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--per-class-cap", type=_positive_int, default=300)
     p.add_argument("--untrained", action="store_true",
                    help="also report the spectrum at initialization")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.set_defaults(fn=cmd_spectrum)
 
     p = sub.add_parser("bounds", parents=[common], help="run the randomized bound-audit suite")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     # an empty battery would pass vacuously
     p.add_argument("--weyl-trials", type=_positive_int, default=1000)
-    p.add_argument("--shift-draws", type=_positive_int, default=1000)
+    p.add_argument("--shift-draws", type=_checked(int, AT_LEAST_100), default=1000)
     p.add_argument("--vector-trials", type=_positive_int, default=200)
     p.add_argument("--ntk-instances", type=_positive_int, default=100)
     p.add_argument("--linear-instances", type=_positive_int, default=100)

@@ -29,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import NumericalError, as_matrix, frobenius_norm
+from .linalg import (ABOVE_0, AT_LEAST_1, LEFT_OPEN_UNIT, NumericalError, as_matrix,
+                     frobenius_norm, one_of)
 from .model import (
     MLP,
     Dataset,
@@ -94,19 +95,16 @@ class SelectionConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.stop not in STOP_MODES:
-            raise ValueError(f"stop must be one of {STOP_MODES}")
-        if self.engine not in ENGINES:
-            raise ValueError(f"engine must be one of {ENGINES}")
-        if self.stop == "xi_threshold":
-            if self.xi is None or self.xi <= 0.0:
-                raise ValueError("xi_threshold mode needs xi > 0")
-        elif self.k_per_class is None and self.fraction is None:
+        one_of(STOP_MODES).check("stop", self.stop)
+        one_of(ENGINES).check("engine", self.engine)
+        for name, domain in (("xi", ABOVE_0), ("k_per_class", AT_LEAST_1),
+                             ("fraction", LEFT_OPEN_UNIT), ("stochastic_sample", AT_LEAST_1)):
+            if getattr(self, name) is not None:
+                domain.check(name, getattr(self, name))
+        if self.stop == "xi_threshold" and self.xi is None:
+            raise ValueError("xi_threshold mode needs xi")
+        if self.stop == "fixed_size" and self.k_per_class is None and self.fraction is None:
             raise ValueError("fixed_size mode needs k_per_class or fraction")
-        if self.k_per_class is not None and self.k_per_class < 1:
-            raise ValueError("k_per_class must be >= 1")
-        if self.fraction is not None and not (0.0 < self.fraction <= 1.0):
-            raise ValueError("fraction must lie in (0, 1]")
 
 
 @dataclass
@@ -344,8 +342,6 @@ def stochastic_greedy_select(D, config: SelectionConfig) -> SelectionResult:
         sample_size = int(np.ceil((state.n_c / state.k) * np.log(100.0)))
     else:
         sample_size = int(np.ceil(state.n_c / 8.0))
-    if sample_size < 1:
-        raise ValueError("stochastic_sample must be >= 1")
     rng = np.random.default_rng(config.seed)
     while True:
         cand = np.flatnonzero(state.remaining)
@@ -414,13 +410,11 @@ class ClassCoreset:
 
 @dataclass
 class WeightedCoreset:
-    """Per-class selections with integer weights gamma; each of a pick's r
-    augmented copies weighs rho = gamma / r."""
+    """Per-class selections with integer weights gamma."""
 
     classes: list[ClassCoreset]
     engine: str
     seed: int
-    r: int = 1
 
     @property
     def indices(self) -> np.ndarray:
@@ -443,14 +437,15 @@ class WeightedCoreset:
             if np.any(np.diff(c.trace) >= 0.0):
                 raise ValueError("objective trace is not strictly decreasing")
 
-    def to_json_dict(self) -> dict:
+    def to_json_dict(self, r: int = 1) -> dict:
+        """The selections; each of a pick's ``r`` augmented copies weighs gamma / r."""
         return {
             "classes": [
                 {
                     "class": int(c.label),
                     "indices": [int(i) for i in c.indices],
                     "gamma": [int(g) for g in c.gamma],
-                    "rho": [float(x) for x in c.gamma / self.r],
+                    "rho": [float(x) for x in c.gamma / r],
                     "g_frobenius": float(c.g_frobenius),
                     "trace": [float(t) for t in c.trace],
                 }
@@ -461,8 +456,7 @@ class WeightedCoreset:
         }
 
 
-def select_all_classes(proxies: GradientProxySet, config: SelectionConfig,
-                       r: int = 1) -> WeightedCoreset:
+def select_all_classes(proxies: GradientProxySet, config: SelectionConfig) -> WeightedCoreset:
     """Run the configured engine on every class and merge the results.
 
     Classes are processed in label order; a class with no rows is skipped
@@ -473,8 +467,6 @@ def select_all_classes(proxies: GradientProxySet, config: SelectionConfig,
     that are not, or whose squares overflow, raise ``NumericalError`` naming
     the class.
     """
-    if r < 1:
-        raise ValueError("r must be >= 1")
     engine = _ENGINE_FNS[config.engine]
     classes: list[ClassCoreset] = []
     for label, idx in class_rows(proxies.labels):
@@ -492,8 +484,7 @@ def select_all_classes(proxies: GradientProxySet, config: SelectionConfig,
         ))
         # free this class's matrix before the next class builds its own
         del D
-    return WeightedCoreset(classes=classes, engine=config.engine,
-                           seed=config.seed, r=r)
+    return WeightedCoreset(classes=classes, engine=config.engine, seed=config.seed)
 
 
 @dataclass
@@ -547,8 +538,6 @@ class AlignmentReport:
 
     error_total: float
     bound_total: float
-    per_class_error: dict[int, float]
-    per_class_bound: dict[int, float]
 
     @property
     def passed(self) -> bool:
@@ -559,20 +548,14 @@ def alignment_error(proxies: GradientProxySet, coreset: WeightedCoreset) -> Alig
     """Each class's coverage norm comes from its selection, so no distance
     matrix is built."""
     rows = dict(class_rows(proxies.labels))
-    per_err: dict[int, float] = {}
-    per_bound: dict[int, float] = {}
+    errors, bounds = [], []
     for c in coreset.classes:
         idx = rows[c.label]
         total = proxies.proxies[idx].sum(axis=0)
         approx = (proxies.proxies[c.indices] * c.gamma[:, None]).sum(axis=0)
-        per_err[c.label] = float(np.linalg.norm(total - approx))
-        per_bound[c.label] = math.sqrt(idx.size) * c.g_frobenius
-    return AlignmentReport(
-        error_total=sum(per_err.values()),
-        bound_total=sum(per_bound.values()),
-        per_class_error=per_err,
-        per_class_bound=per_bound,
-    )
+        errors.append(float(np.linalg.norm(total - approx)))
+        bounds.append(math.sqrt(idx.size) * c.g_frobenius)
+    return AlignmentReport(error_total=sum(errors), bound_total=sum(bounds))
 
 
 @dataclass
@@ -588,8 +571,6 @@ class NtkBoundVerdict:
     lhs: float
     rhs: float
     xi: float
-    full_grad_norm: float
-    weighted_residual_norm: float
     passed: bool
 
     @property
@@ -615,7 +596,4 @@ def coreset_ntk_bound_check(net: MLP, data: Dataset,
     else:
         rhs = abs(full_norm - xi) / res_norm
         passed = lhs + 1e-9 >= rhs
-    return NtkBoundVerdict(
-        lhs=lhs, rhs=rhs, xi=xi, full_grad_norm=full_norm,
-        weighted_residual_norm=res_norm, passed=passed,
-    )
+    return NtkBoundVerdict(lhs=lhs, rhs=rhs, xi=xi, passed=passed)

@@ -11,6 +11,7 @@ from array import array
 
 import numpy as np
 
+from .linalg import AT_LEAST_0, AT_LEAST_1, OPEN_UNIT, one_of
 from .model import Dataset, class_rows
 
 __all__ = [
@@ -52,11 +53,12 @@ def gen_dataset(kind: str, n: int, d: int, num_classes: int, seed: int = 0,
     dimensions (requires num_classes == 2), the rest held near 0.5.
     ``grid_digits``: per-class binary pixel templates plus noise.
     """
-    if kind not in GENERATOR_KINDS:
-        raise ValueError(f"kind must be one of {GENERATOR_KINDS}")
-    if d < 1 or num_classes < 1 or noise < 0.0:
-        raise ValueError("invalid generator parameters")
-    if n < num_classes or n % num_classes != 0:
+    one_of(GENERATOR_KINDS).check("kind", kind)
+    for name, value in (("n", n), ("d", d), ("num_classes", num_classes)):
+        AT_LEAST_1.check(name, value)
+    AT_LEAST_0.check("noise", noise)
+    AT_LEAST_0.check("margin", margin)
+    if n % num_classes != 0:
         raise ValueError("n must be a positive multiple of num_classes")
     rng = np.random.default_rng(seed)
     per = n // num_classes
@@ -171,8 +173,7 @@ def split_dataset(data: Dataset, test_fraction: float, seed: int = 0):
     """Stratified deterministic split into (train, test): each class with
     rows gives at least one of them to the test side. Raises
     ``DataFormatError`` when that leaves no training rows."""
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError("test_fraction must lie in (0, 1)")
+    OPEN_UNIT.check("test_fraction", test_fraction)
     rng = np.random.default_rng(seed)
     test_idx = []
     for _, idx in class_rows(data.labels):

@@ -1,15 +1,20 @@
-"""Dense linear algebra kernels shared by every other module.
+"""Dense linear algebra kernels and value domains shared by every other module.
 
 All routines operate on float64 numpy arrays, validate their inputs, and are
 deterministic: identical inputs produce bit-identical outputs. The signs of
 singular vectors are LAPACK's: every caller reads them through sign-invariant
 quantities (principal angles, projectors, squared coefficients).
+
+Each knob's domain is defined once, as a ``Domain``: >= 1, >= 0, > 0, (0, 1],
+(0, 1), [0, 1), >= 100 (shift-model draws) or ``one_of`` a tuple. A field
+outside its domain raises ``ValueError("<field> must <text>, got <value>")``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -27,6 +32,38 @@ __all__ = [
 class NumericalError(RuntimeError):
     """A numerical routine failed: no convergence, or training reached a
     non-finite loss."""
+
+
+class Domain(NamedTuple):
+    """A value domain: a predicate, and the text that completes "must ..."."""
+
+    ok: Callable[[object], bool]
+    text: str
+
+    def breach(self, value) -> str | None:
+        """``must <text>, got <value>`` when ``value`` lies outside, else None."""
+        if self.ok(value):
+            return None
+        return f"must {self.text}, got {repr(value) if isinstance(value, str) else value}"
+
+    def check(self, name: str, value) -> None:
+        """Raise ``ValueError`` naming ``name`` when ``value`` lies outside."""
+        if (breach := self.breach(value)) is not None:
+            raise ValueError(f"{name} {breach}")
+
+
+AT_LEAST_1 = Domain(lambda v: v >= 1, "be >= 1")
+AT_LEAST_0 = Domain(lambda v: v >= 0, "be >= 0")
+ABOVE_0 = Domain(lambda v: v > 0, "be > 0")
+LEFT_OPEN_UNIT = Domain(lambda v: 0 < v <= 1, "lie in (0, 1]")
+OPEN_UNIT = Domain(lambda v: 0 < v < 1, "lie in (0, 1)")
+RIGHT_OPEN_UNIT = Domain(lambda v: 0 <= v < 1, "lie in [0, 1)")
+AT_LEAST_100 = Domain(lambda v: v >= 100, "be >= 100")
+
+
+def one_of(choices: tuple) -> Domain:
+    """Membership in ``choices``."""
+    return Domain(lambda v: v in choices, f"be one of {choices}")
 
 
 def as_matrix(a, name: str = "matrix", finite: bool = True) -> np.ndarray:

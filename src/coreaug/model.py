@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import NumericalError, as_matrix
+from .linalg import AT_LEAST_1, NumericalError, as_matrix, one_of
 
 __all__ = [
     "MemoryCapError",
@@ -78,8 +78,7 @@ class Dataset:
         labels = np.asarray(self.labels, dtype=np.int64)
         if labels.ndim != 1 or labels.shape[0] != feats.shape[0]:
             raise ValueError("labels must be 1-D with one entry per row")
-        if self.num_classes < 1:
-            raise ValueError("num_classes must be >= 1")
+        AT_LEAST_1.check("num_classes", self.num_classes)
         if labels.size and (labels.min() < 0 or labels.max() >= self.num_classes):
             raise ValueError("labels out of range for num_classes")
         object.__setattr__(self, "features", feats)
@@ -329,8 +328,7 @@ def gradient_proxy(net: MLP, data: Dataset, mode: str = "last_layer") -> Gradien
     Both parts are written into one (n, h + 1, C) buffer, the residual as
     each example's first row, so the proxies are the only n x hC array.
     """
-    if mode not in PROXY_MODES:
-        raise ValueError(f"mode must be one of {PROXY_MODES}, got {mode!r}")
+    one_of(PROXY_MODES).check("mode", mode)
     acts = _forward_trace(net, data.features)
     if mode == "residual":
         proxies = acts[-1] - data.one_hot_labels()
@@ -358,8 +356,7 @@ def estimate_lipschitz(net: MLP, data: Dataset, trials: int = 100,
     skipped so duplicated points never divide by zero. Deterministic given the
     seed, and nondecreasing in ``trials`` (the pair stream is a prefix).
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    AT_LEAST_1.check("trials", trials)
     n = data.n
     if n < 2:
         raise ValueError("need at least two data points")

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .augment import TransformSpec, perturb
-from .linalg import SvdResult, as_matrix, principal_angles, spectral_norm, svd
+from .linalg import AT_LEAST_100, SvdResult, as_matrix, principal_angles, spectral_norm, svd
 from .model import MLP, Dataset, checked_rows, jacobian, residual_and_gradients
 
 __all__ = [
@@ -211,9 +211,7 @@ def spectrum_report(J_clean, J_aug, clean: SvdResult | None = None) -> SpectrumR
 
 @dataclass
 class ShiftRecord:
-    index: int
     sigma: float
-    p_hat: float
     predicted: float
     empirical: float
     standard_error: float
@@ -226,8 +224,6 @@ class ShiftRecord:
 @dataclass
 class ShiftReport:
     records: list[ShiftRecord]
-    e_norm_mean: float
-    draws: int
 
     @property
     def all_within_3se(self) -> bool:
@@ -252,8 +248,7 @@ def expected_shift_model_check(sigma, p, e_norm: float, draws: int,
     [0, e_norm] otherwise. The empirical mean of the squared shifted values
     must match sigma^2 + sigma (1 - 2 p) e + e^2/3 within sampling error.
     """
-    if draws < 100:
-        raise ValueError("draws must be >= 100")
+    AT_LEAST_100.check("draws", draws)
     sigma = np.asarray(sigma, dtype=np.float64)
     p = np.asarray(p, dtype=np.float64)
     if np.any(p < 0.0) or np.any(p > 1.0):
@@ -267,13 +262,10 @@ def expected_shift_model_check(sigma, p, e_norm: float, draws: int,
     empirical = lam.mean(axis=1)
     se = lam.std(axis=1, ddof=1) / math.sqrt(draws)
     predicted = _shift_prediction(sigma, p, e_norm)
-    records = [
-        ShiftRecord(index=i, sigma=float(sigma[i]), p_hat=float(p[i]),
-                    predicted=float(predicted[i]), empirical=float(empirical[i]),
-                    standard_error=float(se[i]))
-        for i in range(sigma.size)
-    ]
-    return ShiftReport(records=records, e_norm_mean=float(e_norm), draws=draws)
+    return ShiftReport(records=[
+        ShiftRecord(sigma=float(sigma[i]), predicted=float(predicted[i]),
+                    empirical=float(empirical[i]), standard_error=float(se[i]))
+        for i in range(sigma.size)])
 
 
 @dataclass

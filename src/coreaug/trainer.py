@@ -31,7 +31,7 @@ from .coreset import (
     random_subset,
     select_all_classes,
 )
-from .linalg import NumericalError
+from .linalg import AT_LEAST_1, LEFT_OPEN_UNIT, RIGHT_OPEN_UNIT, NumericalError, one_of
 from .model import (
     MLP,
     Dataset,
@@ -103,16 +103,12 @@ class TrainConfig:
     activation: str = "tanh"
 
     def __post_init__(self):
-        if self.regime not in REGIMES:
-            raise ValueError(f"regime must be one of {REGIMES}")
-        if self.baseline not in BASELINES:
-            raise ValueError(f"baseline must be one of {BASELINES}")
-        if self.refresh_r < 1 or self.epochs < 1:
-            raise ValueError("refresh_r and epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not 0.0 <= self.label_noise_frac < 1.0:
-            raise ValueError("label_noise_frac must lie in [0, 1)")
+        one_of(REGIMES).check("regime", self.regime)
+        one_of(BASELINES).check("baseline", self.baseline)
+        for name in ("refresh_r", "epochs", "batch_size"):
+            AT_LEAST_1.check(name, getattr(self, name))
+        RIGHT_OPEN_UNIT.check("label_noise_frac", self.label_noise_frac)
+        LEFT_OPEN_UNIT.check("random_fraction", self.random_fraction)
 
 
 @dataclass
@@ -152,8 +148,7 @@ class TrainRecord:
 def inject_label_noise(data: Dataset, frac: float, seed: int = 0):
     """Flip floor(frac * n) uniformly chosen labels to a uniformly chosen
     different class. Returns the noisy dataset and the boolean flip mask."""
-    if not 0.0 <= frac < 1.0:
-        raise ValueError("frac must lie in [0, 1)")
+    RIGHT_OPEN_UNIT.check("frac", frac)
     mask = np.zeros(data.n, dtype=bool)
     if frac == 0.0:
         return data, mask
@@ -244,7 +239,7 @@ def _select_subset(config: TrainConfig, net: MLP, data: Dataset,
     sel = config.selection
     if config.baseline == "ours":
         proxies = gradient_proxy(net, data, config.proxy_mode)
-        coreset = select_all_classes(proxies, sel, r=config.transform.r)
+        coreset = select_all_classes(proxies, sel)
         return coreset.indices, coreset.gamma.astype(np.float64)
     if config.baseline == "random":
         bs = random_subset(sel.k_per_class, data.labels,

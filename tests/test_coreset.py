@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import coreaug.coreset
+from coreaug.augment import TransformSpec
 from coreaug.coreset import (
     _ENGINE_FNS,
     _SCORE_BLOCK,
@@ -657,23 +658,21 @@ class TestSelectAllClasses:
     def test_validate_passes_on_engine_output(self):
         pts = random_points(22, 40)
         labels = np.repeat([0, 1], 20)
-        coreset = select_all_classes(proxy_set(pts, labels),
-                                     SelectionConfig(fraction=0.3), r=2)
+        coreset = select_all_classes(proxy_set(pts, labels), SelectionConfig(fraction=0.3))
         coreset.validate({0: 20, 1: 20})
 
     def test_rho_is_gamma_over_r(self):
-        """Each of a pick's r augmented copies weighs gamma / r, in the
-        coreset and in its JSON."""
+        """Each of a pick's r augmented copies weighs gamma / r in the
+        coreset's JSON."""
         labels = np.repeat([0, 1, 2], 10)
         coreset = select_all_classes(proxy_set(random_points(24, 30), labels),
-                                     SelectionConfig(fraction=0.3), r=3)
-        for c, entry in zip(coreset.classes, coreset.to_json_dict()["classes"]):
+                                     SelectionConfig(fraction=0.3))
+        for c, entry in zip(coreset.classes, coreset.to_json_dict(3)["classes"]):
             assert entry["rho"] == (c.gamma / 3).tolist()
 
     def test_zero_copies_rejected(self):
-        with pytest.raises(ValueError, match="r must be >= 1"):
-            select_all_classes(proxy_set(random_points(25, 6)),
-                               SelectionConfig(fraction=0.5), r=0)
+        with pytest.raises(ValueError, match="r must be >= 1, got 0"):
+            TransformSpec(r=0)
 
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("stop", STOP_MODES)
@@ -700,9 +699,8 @@ class TestSelectAllClasses:
     def test_json_schema(self):
         pts = random_points(23, 10)
         labels = np.repeat([0, 1], 5)
-        coreset = select_all_classes(proxy_set(pts, labels),
-                                     SelectionConfig(fraction=0.4), r=2)
-        payload = coreset.to_json_dict()
+        coreset = select_all_classes(proxy_set(pts, labels), SelectionConfig(fraction=0.4))
+        payload = coreset.to_json_dict(2)
         assert set(payload) == {"classes", "engine", "seed"}
         for entry in payload["classes"]:
             assert set(entry) == {"class", "indices", "gamma", "rho",

@@ -30,8 +30,11 @@ from coreaug.data import (
     save_dataset_csv,
     split_dataset,
 )
+from coreaug.augment import TransformSpec
+from coreaug.coreset import SelectionConfig
 from coreaug.model import class_rows
-from coreaug.trainer import CSV_HEADER
+from coreaug.spectrum import expected_shift_model_check
+from coreaug.trainer import CSV_HEADER, TrainConfig
 
 
 class TestGenerators:
@@ -63,7 +66,7 @@ class TestGenerators:
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             gen_dataset("gaussian_blobs", 601, 8, 3, seed=0)
-        with pytest.raises(ValueError, match="invalid generator parameters"):
+        with pytest.raises(ValueError, match="num_classes must be >= 1, got 0"):
             gen_dataset("gaussian_blobs", 600, 8, 0, seed=0)
         with pytest.raises(ValueError):
             gen_dataset("nope", 600, 8, 3, seed=0)
@@ -436,8 +439,22 @@ class TestCli:
         out = tmp_path / "b"
         argv = ["bounds", *_SHORT_RUN_FLAGS["bounds"], flag, "0", "--out", str(out)]
         assert _exit_code(argv) == 2
-        assert f"argument {flag}: must be >= 1, got 0" in capsys.readouterr().err
+        least = 100 if flag == "--shift-draws" else 1
+        assert f"argument {flag}: must be >= {least}, got 0" in capsys.readouterr().err
         assert not (out / "bounds.json").exists()
+
+    def test_bounds_that_checked_no_vector_bound_fails(self, tmp_path, capsys):
+        """At seed 12 the one vector-bound trial misses the gap condition and
+        is skipped, so the battery asserted nothing: it fails, and only it."""
+        assert coreaug.audits.audit_vector_bound(1, 12) == {
+            "trials": 1, "checked": 0, "skipped": 1, "failures": 0, "passed": False}
+        out = tmp_path / "b"
+        argv = ["bounds", *_SHORT_RUN_FLAGS["bounds"], "--seed", "12", "--vector-trials", "1"]
+        assert main(argv + ["--out", str(out)]) == 4
+        assert "bounds suite FAIL" in capsys.readouterr().out
+        payload = json.loads((out / "bounds.json").read_text())
+        assert [name for name, entry in payload.items() if not entry["passed"]] == [
+            "vector_bound"]
 
     def test_bounds_shift_model_false_alarm_passes(self, tmp_path):
         """At seed 6 one of the ten shift-model indices lies 3.25 SE out,
@@ -868,6 +885,40 @@ CLI_ERRORS = {
                               2, "argument --noise: must be >= 0, got -0.1"),
     "gen-data --margin -1": (["gen-data", "--margin", "-1"], None,
                              2, "argument --margin: must be >= 0, got -1.0"),
+    "bounds --shift-draws 50": (["bounds", "--shift-draws", "50"], None,
+                                2, "argument --shift-draws: must be >= 100, got 50"),
+    "select --seed -1": (["select", "--data", "{data}", "--seed", "-1"], None,
+                         2, "argument --seed: must be >= 0, got -1"),
+    "select --net-seed -1": (["select", "--data", "{data}", "--net-seed", "-1"], None,
+                             2, "argument --net-seed: must be >= 0, got -1"),
+    "train --seeds 0,-1": (["train", "--data", "{data}", "--seeds", "0,-1"], None,
+                           2, "argument --seeds: must be >= 0, got -1"),
+    "train --split-seed -1": (["train", "--data", "{data}", "--split-seed", "-1"], None,
+                              2, "argument --split-seed: must be >= 0, got -1"),
+    "spectrum --seed -1": (["spectrum", "--data", "{data}", "--seed", "-1"], None,
+                           2, "argument --seed: must be >= 0, got -1"),
+    "bounds --seed -1": (["bounds", "--seed", "-1"], None,
+                         2, "argument --seed: must be >= 0, got -1"),
+    "gen-data --seed -1": (["gen-data", "--seed", "-1"], None,
+                           2, "argument --seed: must be >= 0, got -1"),
+    "train --hidden 0": (["train", "--data", "{data}", "--hidden", "0"], None,
+                         2, "argument --hidden: must be >= 1, got 0"),
+    "spectrum --hidden 8,0": (["spectrum", "--data", "{data}", "--hidden", "8,0"], None,
+                              2, "argument --hidden: must be >= 1, got 0"),
+    "train --lr-decay-epochs 2 -1": (["train", "--data", "{data}", "--lr-decay-epochs", "2",
+                                      "-1"], None,
+                                     2, "argument --lr-decay-epochs: must be >= 0, got -1"),
+    "gen-data --n 7 --classes 3": (["gen-data", "--n", "7", "--classes", "3"], None,
+                                   2, "--n 7 --d 16 --classes 3 --seed 0 --margin 0.25: "
+                                      "n must be a positive multiple of num_classes"),
+    "gen-data two moons, 3 classes": (["gen-data", "--kind", "two_moons_embedded", "--n", "6",
+                                       "--classes", "3"], None,
+                                      2, "--kind two_moons_embedded --n 6 --d 16 --classes 3 "
+                                         "--seed 0 --margin 0.25: two_moons_embedded "
+                                         "requires num_classes == 2"),
+    "gen-data --d 1 --margin 5": (["gen-data", "--d", "1", "--classes", "3", "--margin", "5"],
+                                  None, 2, "--d 1 --classes 3 --seed 0 --margin 5.0: could not "
+                                           "place 3 means with margin 5.0 in 1 dims"),
 }
 
 
@@ -880,6 +931,65 @@ def test_cli_error_names_its_flag_or_file(case, dataset_csv, tmp_path, capsys):
     argv = [a.format(data=dataset_csv, csv=csv, runs=tmp_path) for a in argv]
     assert _exit_code(argv + ["--out", str(tmp_path / "out")]) == code
     assert message.format(csv=csv) in capsys.readouterr().err
+
+
+# Per flag: a command line giving it one value outside its domain, the
+# library field the flag fills, and a call giving that field the same value.
+FLAG_FIELDS = {
+    "--fraction": (["select", "--data", "{data}", "--fraction", "1.5"], "fraction",
+                   lambda: SelectionConfig(fraction=1.5)),
+    "--k-per-class": (["select", "--data", "{data}", "--k-per-class", "0"], "k_per_class",
+                      lambda: SelectionConfig(k_per_class=0)),
+    "--xi": (["select", "--data", "{data}", "--xi", "-1"], "xi",
+             lambda: SelectionConfig(stop="xi_threshold", xi=-1.0)),
+    "--stochastic-sample": (["select", "--data", "{data}", "--stochastic-sample", "0"],
+                            "stochastic_sample",
+                            lambda: SelectionConfig(fraction=0.1, stochastic_sample=0)),
+    "--batch-size": (["train", "--data", "{data}", "--batch-size", "0"], "batch_size",
+                     lambda: TrainConfig(batch_size=0)),
+    "--epochs": (["train", "--data", "{data}", "--epochs", "0"], "epochs",
+                 lambda: TrainConfig(epochs=0)),
+    "--refresh-r": (["train", "--data", "{data}", "--refresh-r", "0"], "refresh_r",
+                    lambda: TrainConfig(refresh_r=0)),
+    "--label-noise": (["train", "--data", "{data}", "--label-noise", "1.5"],
+                      "label_noise_frac", lambda: TrainConfig(label_noise_frac=1.5)),
+    "--random-fraction": (["train", "--data", "{data}", "--random-fraction", "0"],
+                          "random_fraction",
+                          lambda: TrainConfig(regime="random_plus_coreset_aug",
+                                              random_fraction=0.0)),
+    "--epsilon0": (["train", "--data", "{data}", "--epsilon0", "-0.1"], "epsilon0",
+                   lambda: TransformSpec(epsilon0=-0.1)),
+    "--r": (["select", "--data", "{data}", "--r", "0"], "r", lambda: TransformSpec(r=0)),
+    "--holdout": (["train", "--data", "{data}", "--holdout", "1"], "test_fraction",
+                  lambda: split_dataset(gen_dataset("gaussian_blobs", 30, 2, 3), 1.0)),
+    "--shift-draws": (["bounds", "--shift-draws", "50"], "draws",
+                      lambda: expected_shift_model_check([1.0], [0.5], 0.1, draws=50)),
+    "--n": (["gen-data", "--n", "0"], "n",
+            lambda: gen_dataset("gaussian_blobs", 0, 16, 3)),
+    "--d": (["gen-data", "--d", "0"], "d",
+            lambda: gen_dataset("gaussian_blobs", 600, 0, 3)),
+    "--classes": (["gen-data", "--classes", "0"], "num_classes",
+                  lambda: gen_dataset("gaussian_blobs", 600, 16, 0)),
+    "--noise": (["gen-data", "--noise", "-0.1"], "noise",
+                lambda: gen_dataset("gaussian_blobs", 600, 16, 3, noise=-0.1)),
+    "--margin": (["gen-data", "--margin", "-1"], "margin",
+                 lambda: gen_dataset("gaussian_blobs", 600, 16, 3, margin=-1.0)),
+}
+
+
+@pytest.mark.parametrize("flag", FLAG_FIELDS)
+def test_flag_and_field_share_one_rule(flag, dataset_csv, tmp_path, capsys):
+    """A flag's parse error and its field's ``ValueError`` complete
+    "must ..." with the same text; the one names the flag, the other the
+    field."""
+    argv, field, call = FLAG_FIELDS[flag]
+    argv = [a.format(data=dataset_csv) for a in argv]
+    assert _exit_code(argv + ["--out", str(tmp_path / "out")]) == 2
+    cli_text = capsys.readouterr().err.partition(f"argument {flag}: ")[2].strip()
+    assert cli_text.startswith("must ")
+    with pytest.raises(ValueError) as raised:
+        call()
+    assert str(raised.value) == f"{field} {cli_text}"
 
 
 @settings(max_examples=40)
