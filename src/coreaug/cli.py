@@ -159,6 +159,9 @@ def _seed_list(text: str) -> list[int]:
     seeds = [_nonnegative_int(v) for v in text.split(",") if v.strip()]
     if not seeds:
         raise argparse.ArgumentTypeError("needs at least one seed")
+    for i, seed in enumerate(seeds):
+        if seed in seeds[:i]:
+            raise argparse.ArgumentTypeError(f"seed {seed} repeated")
     return seeds
 
 
@@ -275,6 +278,12 @@ def cmd_train(args, run: _Run) -> int:
 
 @_recorded
 def cmd_spectrum(args, run: _Run) -> int:
+    # each budget names its files by its value to six decimals
+    names = [f"eps{eps:.6f}" for eps in args.epsilon0]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ConfigError(f"--epsilon0 {args.epsilon0[names.index(name)]!r} and "
+                              f"{args.epsilon0[i]!r} both name their files {name}")
     data_path = Path(args.data)
     data = _load_data(data_path)
     classes_used = min(args.classes_used, data.num_classes)
@@ -294,8 +303,8 @@ def cmd_spectrum(args, run: _Run) -> int:
     for tag, model in variants:
         reports = budget_spectra(model, data.features, args.epsilon0,
                                  args.transform_kind, args.seed)
-        for eps in args.epsilon0:
-            stem = f"spectrum_{tag}_eps{eps:.6f}"
+        for eps, name in zip(args.epsilon0, names):
+            stem = f"spectrum_{tag}_{name}"
             with run.timed(f"{stem}_ms"):
                 _, report = next(reports)
             _write_json(run.path(f"{stem}.json"), report.to_json_dict())

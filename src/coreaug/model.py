@@ -33,7 +33,6 @@ __all__ = [
     "jacobian",
     "per_example_gradients",
     "gradient_proxy",
-    "estimate_lipschitz",
 ]
 
 JACOBIAN_ENTRY_CAP = 2**28
@@ -343,46 +342,3 @@ def gradient_proxy(net: MLP, data: Dataset, mode: str = "last_layer") -> Gradien
         np.einsum("nh,nc->nhc", h, r, out=out[:, 1:])
         proxies = out.reshape(n, -1)
     return GradientProxySet(proxies, data.labels, mode, data.num_classes)
-
-
-def estimate_lipschitz(net: MLP, data: Dataset, trials: int = 100,
-                       seed: int = 0) -> tuple[float, float]:
-    """Empirical lower bounds on the input-Lipschitz constants of J and f.
-
-    Samples ``trials`` index pairs and maximizes the finite ratios
-    ``||J(x_i) - J(x_j)||_F / ||x_i - x_j||`` (constant for the derivative) and
-    ``||f(x_i) - f(x_j)|| / ||x_i - x_j||`` (constant for the outputs), where
-    J(x) is the per-example parameter derivative. Pairs closer than 1e-12 are
-    skipped so duplicated points never divide by zero. Deterministic given the
-    seed, and nondecreasing in ``trials`` (the pair stream is a prefix).
-    """
-    AT_LEAST_1.check("trials", trials)
-    n = data.n
-    if n < 2:
-        raise ValueError("need at least two data points")
-    rng = np.random.default_rng(seed)
-    outputs = forward(net, data.features)
-    jac_cache: dict[int, np.ndarray] = {}
-
-    def jac_of(i: int) -> np.ndarray:
-        if i not in jac_cache:
-            jac_cache[i] = jacobian(net, data.features[i:i + 1])
-        return jac_cache[i]
-
-    best_j = 0.0
-    best_f = 0.0
-    any_valid = False
-    for _ in range(trials):
-        i = int(rng.integers(0, n))
-        j = int(rng.integers(0, n))
-        dx = float(np.linalg.norm(data.features[i] - data.features[j]))
-        if i == j or dx < 1e-12:
-            continue
-        any_valid = True
-        dj = float(np.linalg.norm(jac_of(i) - jac_of(j)))
-        df = float(np.linalg.norm(outputs[i] - outputs[j]))
-        best_j = max(best_j, dj / dx)
-        best_f = max(best_f, df / dx)
-    if not any_valid:
-        raise ValueError("all sampled pairs were identical points; dataset is degenerate")
-    return best_j, best_f

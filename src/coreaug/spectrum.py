@@ -2,13 +2,15 @@
 
 Given a clean stacked derivative matrix J and its augmented counterpart
 J + E, this module pairs the two singular spectra by rank, summarizes the
-shifts and subspace rotations in 30 equal-count bins, and measures both
+shifts and subspace rotations in up to 30 equal-count bins, and measures both
 spectra over augmentation rounds. It checks the classical bounds that govern
 them: the Weyl singular-value bound, the Wedin-style singular-vector bound,
 the closed form of the expected eigenvalue shift under a piecewise-uniform
 shift model (against a Monte Carlo of that model), constant-kernel residual
 dynamics, and the gradient bounds and descent envelope for a common linear
-transform applied to a weighted subset.
+transform applied to a weighted subset. The convergence envelope and the
+gradient-domination (PL) constants it uses are defined here once, for both
+that linear analog and a trained linear network.
 """
 
 from __future__ import annotations
@@ -42,6 +44,9 @@ __all__ = [
     "residual_dynamics_check",
     "linear_transform_bound_check",
     "linear_transform_sgd_envelope",
+    "pl_constants",
+    "measure_pl_constants",
+    "pl_convergence_envelope",
 ]
 
 NUM_BINS = 30
@@ -120,9 +125,10 @@ class SpectrumBin:
 class SpectrumReport:
     """Rank-paired spectra, their perturbation norms, and binned summaries.
 
-    Bin 0 covers the smallest singular values and bin 29 the largest; bin
-    populations differ by at most one, with remainders pushed to the lowest
-    bins.
+    There are ``min(NUM_BINS, k)`` bins for k paired values, so none is
+    empty. Bin 0 covers the smallest singular values and the last bin the
+    largest; bin populations differ by at most one, with remainders pushed to
+    the lowest bins.
     """
 
     sigma_clean: np.ndarray
@@ -184,10 +190,7 @@ def spectrum_report(J_clean, J_aug, clean: SvdResult | None = None) -> SpectrumR
     delta = s_a - s_c
     bins: list[SpectrumBin] = []
     # equal-count bins, the remainder spread one each to the lowest bins
-    for b, ids in enumerate(np.array_split(np.arange(k), NUM_BINS)):
-        if ids.size == 0:
-            bins.append(SpectrumBin(b, math.nan, math.nan, math.nan, math.nan, 0))
-            continue
+    for b, ids in enumerate(np.array_split(np.arange(k), min(NUM_BINS, k))):
         cols = asc[ids]
         angles = principal_angles(dec_c.U[:, cols], dec_a.U[:, cols])
         bins.append(SpectrumBin(
@@ -314,10 +317,9 @@ def singular_vector_bound_check(J, E) -> VectorBoundReport:
 
 @dataclass
 class DynamicsReport:
-    """Residual norms predicted by the initial-kernel eigendecomposition
-    versus the norms measured along plain full-batch gradient descent."""
+    """Residual norms measured along plain full-batch gradient descent, and
+    how far the initial-kernel prediction of each residual lies from it."""
 
-    predicted_norms: np.ndarray
     actual_norms: np.ndarray
     relative_deviation: np.ndarray
 
@@ -356,7 +358,6 @@ def residual_dynamics_check(net: MLP, data: Dataset, eta: float,
     lam = dec.sigma**2
     if eta * lam[0] >= 2.0:
         raise ValueError("eta * lambda_max must stay below 2 for stable dynamics")
-    predicted = np.empty(steps + 1)
     actual = np.empty(steps + 1)
     rel = np.empty(steps + 1)
     residuals = _descent_residuals(net, data.features, data.one_hot_labels(), eta, steps)
@@ -366,11 +367,9 @@ def residual_dynamics_check(net: MLP, data: Dataset, eta: float,
             coeffs = dec.U.T @ r0
         decay = (1.0 - eta * lam) ** t
         r_pred = r0 + dec.U @ ((decay - 1.0) * coeffs)
-        predicted[t] = float(np.linalg.norm(r_pred))
         actual[t] = float(np.linalg.norm(r_actual))
         rel[t] = float(np.linalg.norm(r_pred - r_actual) / max(actual[t], 1e-300))
-    return DynamicsReport(predicted_norms=predicted, actual_norms=actual,
-                          relative_deviation=rel)
+    return DynamicsReport(actual_norms=actual, relative_deviation=rel)
 
 
 @dataclass
@@ -385,7 +384,6 @@ class LinearBoundReport:
 
     xi: float
     omega: float
-    f_norm2: float
     subset_lhs: float
     subset_bound: float
     combined_lhs: float
@@ -426,7 +424,7 @@ def linear_transform_bound_check(W_lin, X, Y, F, indices, gamma) -> LinearBoundR
     subset_bound = f2 * (xi + math.sqrt(d) * n * omega)
     combined_lhs = float(np.linalg.norm((full_plain + full_aug) - (sub_plain + sub_aug)))
     combined_bound = (f2 + 1.0) * xi + math.sqrt(d) * f2 * n * omega
-    return LinearBoundReport(xi=xi, omega=omega, f_norm2=f2,
+    return LinearBoundReport(xi=xi, omega=omega,
                              subset_lhs=subset_lhs, subset_bound=subset_bound,
                              combined_lhs=combined_lhs, combined_bound=combined_bound)
 
@@ -435,8 +433,6 @@ def linear_transform_bound_check(W_lin, X, Y, F, indices, gamma) -> LinearBoundR
 class LinearSgdEnvelopeReport:
     alpha: float
     eta: float
-    g0_full: float
-    envelope_constant: float
     grad_norms: np.ndarray
     envelope: np.ndarray
 
@@ -449,7 +445,8 @@ def linear_transform_sgd_envelope(W0, X, Y, F, indices, gamma,
                                   steps: int) -> LinearSgdEnvelopeReport:
     """Run full-batch descent on the weighted subset plus its F-augmentation
     and compare the gradient-norm trajectory with the measured convergence
-    envelope (1/sqrt(alpha)) (1 - alpha eta / 2)^(t/2) (G0' + combined bound).
+    envelope, whose constant is G0' + combined bound: G0' is the gradient norm
+    of the full F-augmented set at W0.
     """
     report = linear_transform_bound_check(W0, X, Y, F, indices, gamma)
     W = as_matrix(W0, "W0").copy()
@@ -461,25 +458,56 @@ def linear_transform_sgd_envelope(W0, X, Y, F, indices, gamma,
     pool_X = np.concatenate([X[idx], X[idx] @ F.T])
     pool_Y = np.concatenate([Y[idx], Y[idx]])
     pool_w = np.concatenate([gam, gam])
-    scaled = pool_X * np.sqrt(pool_w)[:, None]
-    svals = np.linalg.svd(scaled, compute_uv=False)
-    positive = svals[svals > 1e-10 * max(svals[0], 1e-300)]
-    alpha = 2.0 * float(positive[-1] ** 2)
-    lam = float(svals[0] ** 2)
+    alpha, lam = pl_constants(pool_X * np.sqrt(pool_w)[:, None])
     beta = float(np.max(pool_w * np.sum(pool_X * pool_X, axis=1)))
     eta = alpha / (lam * beta)
     full_aug_X = np.concatenate([X, X @ F.T])
     full_aug_Y = np.concatenate([Y, Y])
-    g0_full = float(np.linalg.norm(
-        _linear_grad_sum(W, full_aug_X, full_aug_Y, np.ones(2 * X.shape[0]))))
-    constant = g0_full + report.combined_bound
+    constant = float(np.linalg.norm(_linear_grad_sum(
+        W, full_aug_X, full_aug_Y, np.ones(2 * X.shape[0])))) + report.combined_bound
     grad_norms = np.empty(steps + 1)
     envelope = np.empty(steps + 1)
     for t in range(steps + 1):
         grad = _linear_grad_sum(W, pool_X, pool_Y, pool_w)
         grad_norms[t] = float(np.linalg.norm(grad))
-        envelope[t] = constant * (1.0 - alpha * eta / 2.0) ** (t / 2.0) / math.sqrt(alpha)
+        envelope[t] = pl_convergence_envelope(alpha, eta, constant, t)
         W = W - eta * grad
-    return LinearSgdEnvelopeReport(alpha=alpha, eta=eta, g0_full=g0_full,
-                                   envelope_constant=constant,
-                                   grad_norms=grad_norms, envelope=envelope)
+    return LinearSgdEnvelopeReport(alpha=alpha, eta=eta, grad_norms=grad_norms,
+                                   envelope=envelope)
+
+
+def pl_constants(scaled) -> tuple[float, float]:
+    """(alpha, lambda) of a weighted squared loss whose derivative matrix,
+    each row scaled by the square root of its weight, is ``scaled``.
+
+    alpha is twice the smallest positive eigenvalue of the Gauss Hessian
+    ``scaled.T @ scaled`` (the gradient-domination constant) and lambda its
+    largest (the smoothness of the total loss). A singular value counts as
+    positive above 1e-10 times the largest.
+    """
+    svals = np.linalg.svd(scaled, compute_uv=False)
+    positive = svals[svals > 1e-10 * max(svals[0], 1e-300)]
+    return 2.0 * float(positive[-1] ** 2), float(svals[0] ** 2)
+
+
+def measure_pl_constants(net: MLP, X, weights) -> tuple[float, float, float]:
+    """Measured (alpha, lambda, beta) for a single-layer (linear) model:
+    ``pl_constants`` of its weighted derivative matrix at X, and beta the
+    largest per-example smoothness w_i * (||x_i||^2 + 1)."""
+    if len(net.weights) != 1:
+        raise ValueError("PL constants are measured on linear (single-layer) models")
+    X = np.asarray(X, dtype=np.float64)
+    w = np.asarray(weights, dtype=np.float64)
+    row_scale = np.repeat(np.sqrt(w), net.num_outputs)
+    alpha, lam = pl_constants(jacobian(net, X) * row_scale[:, None])
+    beta = float(np.max(w * (np.sum(X * X, axis=1) + 1.0)))
+    return alpha, lam, beta
+
+
+def pl_convergence_envelope(alpha: float, eta: float, constant: float, t: int) -> float:
+    """Gradient-norm envelope (1/sqrt(alpha)) (1 - alpha eta / 2)^(t/2)
+    ``constant`` of gradient-dominated training after t steps."""
+    base = 1.0 - alpha * eta / 2.0
+    if base <= 0.0:
+        raise ValueError("alpha * eta / 2 must stay below 1")
+    return constant * base ** (t / 2.0) / math.sqrt(alpha)

@@ -40,7 +40,6 @@ from .model import (
     flatten_layers,
     forward,
     gradient_proxy,
-    jacobian,
     one_hot,
     residual_and_gradients,
     weighted_gradient,
@@ -57,8 +56,6 @@ __all__ = [
     "initial_pool",
     "sgd_warmup",
     "noisy_selection_audit",
-    "pl_convergence_envelope",
-    "measure_pl_constants",
 ]
 
 REGIMES = ("coreset_only", "full_plus_coreset_aug", "random_plus_coreset_aug")
@@ -379,37 +376,3 @@ def noisy_selection_audit(indices, noisy_mask: np.ndarray) -> float:
     if idx.size == 0:
         raise ValueError("empty selection")
     return float(np.mean(noisy_mask[idx]))
-
-
-def pl_convergence_envelope(alpha: float, eta: float, g0: float, xi: float,
-                            slack: float, t: int) -> float:
-    """Gradient-norm envelope (1/sqrt(alpha)) (1 - alpha eta / 2)^(t/2)
-    (2 G0 + xi + slack) for gradient-dominated training."""
-    base = 1.0 - alpha * eta / 2.0
-    if base <= 0.0:
-        raise ValueError("alpha * eta / 2 must stay below 1")
-    return (2.0 * g0 + xi + slack) * base ** (t / 2.0) / math.sqrt(alpha)
-
-
-def measure_pl_constants(net: MLP, X, Y, weights) -> tuple[float, float, float]:
-    """Measured (alpha, lambda, beta) for a single-layer (linear) model.
-
-    alpha is twice the smallest positive eigenvalue of the weighted Gauss
-    Hessian (gradient domination constant of the weighted squared loss),
-    lambda its largest eigenvalue (smoothness of the total loss), and beta the
-    largest per-example smoothness w_i * (||x_i||^2 + 1).
-    """
-    if len(net.weights) != 1:
-        raise ValueError("PL constants are measured on linear (single-layer) models")
-    X = np.asarray(X, dtype=np.float64)
-    w = np.asarray(weights, dtype=np.float64)
-    jac = jacobian(net, X)
-    C = net.num_outputs
-    row_scale = np.repeat(np.sqrt(w), C)
-    weighted_jac = jac * row_scale[:, None]
-    svals = np.linalg.svd(weighted_jac, compute_uv=False)
-    positive = svals[svals > 1e-10 * svals[0]]
-    alpha = 2.0 * float(positive[-1] ** 2)
-    lam = float(svals[0] ** 2)
-    beta = float(np.max(w * (np.sum(X * X, axis=1) + 1.0)))
-    return alpha, lam, beta

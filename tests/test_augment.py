@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from coreaug.augment import TransformSpec, perturb
 from coreaug.linalg import frobenius_norm, spectral_norm
-from coreaug.model import MLP, Dataset, estimate_lipschitz, jacobian
+from coreaug.model import MLP, jacobian
 
 ALL_KINDS = ("uniform_ball", "gaussian_clipped", "pixel_jitter")
 
@@ -125,18 +125,17 @@ class TestPerturbationMatrix:
         with pytest.raises(ValueError):
             shift_matrix(net, X, out.features)
 
-    def test_frobenius_bound_with_estimated_lipschitz(self):
+    def test_frobenius_bound_with_exact_lipschitz(self):
+        # a linear net's derivative has the exact input-Lipschitz constant
+        # sqrt(C), so each of the n rows, moved at most eps, adds at most
+        # C eps^2 to ||E||_F^2
         eps = 16.0 / 255.0
-        rng = np.random.default_rng(11)
-        X = rng.uniform(0.0, 1.0, (20, 6))
-        data = Dataset(X, rng.integers(0, 2, 20), 2)
-        net = MLP.init([6, 8, 2], activation="tanh", seed=2)
-        l_hat, _ = estimate_lipschitz(net, data, trials=400, seed=0)
+        X = np.random.default_rng(11).uniform(0.0, 1.0, (20, 6))
+        net = MLP.init([6, 2], seed=2)
         spec = TransformSpec(kind="uniform_ball", epsilon0=eps, r=1, seed=5)
-        bound = np.sqrt(20) * l_hat * eps
         for rnd in range(20):
             out = perturb(spec, X, round_index=rnd)
-            assert frobenius_norm(shift_matrix(net, X, out.features)) <= bound * 1.05
+            assert frobenius_norm(shift_matrix(net, X, out.features)) <= np.sqrt(20 * 2) * eps
 
     def test_larger_budget_larger_shift(self):
         X = source_rows(12, k=15, d=6)

@@ -219,6 +219,13 @@ def test_split_dataset_stratified():
     assert np.bincount(test.labels, minlength=3) == pytest.approx([8, 8, 8], abs=1)
 
 
+def strict_json(path: Path):
+    """``path`` parsed as strict JSON: a bare NaN or Infinity fails."""
+    def reject(token):
+        raise ValueError(f"{path}: non-standard JSON constant {token}")
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
 @pytest.fixture()
 def dataset_csv(tmp_path):
     path = tmp_path / "data.csv"
@@ -238,6 +245,8 @@ CONFIG_ERRORS = {
                           ("key 'k_per_class': must be >= 1, got 0",)),
     "train seeds": (["train", "--config", "{cfg}"], {"seeds": []},
                     ("key 'seeds': needs at least one seed",)),
+    "train repeated seed": (["train", "--config", "{cfg}"], {"seeds": [3, 3]},
+                            ("key 'seeds': seed 3 repeated",)),
     "train hidden": (["train", "--config", "{cfg}"], {"hidden": ["a"]},
                      ("key 'hidden': invalid literal for int()",)),
     "train lr_decay_epochs": (["train", "--config", "{cfg}"], {"lr_decay_epochs": [1, 2.5]},
@@ -785,6 +794,18 @@ class TestCli:
         assert main(["gen-data", "--n", "7", "--classes", "3",
                      "--out", str(tmp_path / "bad.csv")]) == 2
 
+    def test_small_spectrum_writes_strict_json(self, dataset_csv, tmp_path):
+        """A pair with fewer than 30 singular values (here 27 x 19) gets one
+        bin per value, so no bin is empty and no NaN is written."""
+        out = tmp_path / "spec"
+        assert main(["spectrum", "--data", str(dataset_csv), "--per-class-cap", "3",
+                     "--hidden", "2", "--train-epochs", "1", "--out", str(out)]) == 0
+        reports = sorted(out.glob("spectrum_*.json"))
+        assert len(reports) == 2
+        for path in reports:
+            bins = strict_json(path)["bins"]
+            assert len(bins) == 19 and all(b["count"] == 1 for b in bins)
+
     def test_entrypoint_subprocess(self, tmp_path):
         result = subprocess.run(
             [sys.executable, "-m", "coreaug.cli", "gen-data", "--n", "12",
@@ -825,6 +846,8 @@ CLI_ERRORS = {
                                   None, 2, "argument --warmup-epochs: must be >= 0, got -3"),
     "train --seeds ''": (["train", "--data", "{data}", "--seeds", ""], None,
                          2, "argument --seeds: needs at least one seed"),
+    "train --seeds 3,3": (["train", "--data", "{data}", "--seeds", "3,3"], None,
+                          2, "argument --seeds: seed 3 repeated"),
     "spectrum --classes-used 0": (["spectrum", "--data", "{data}", "--classes-used", "0"],
                                   None, 2, "argument --classes-used: must be >= 1, got 0"),
     "spectrum --per-class-cap 0": (["spectrum", "--data", "{data}", "--per-class-cap", "0"],
@@ -866,6 +889,14 @@ CLI_ERRORS = {
     "spectrum --epsilon0 0.03 -0.1": (["spectrum", "--data", "{data}", "--epsilon0", "0.03",
                                        "-0.1"], None,
                                       2, "argument --epsilon0: must be >= 0, got -0.1"),
+    "spectrum --epsilon0 0.0300001 0.0300004": (["spectrum", "--data", "{data}", "--epsilon0",
+                                                 "0.0300001", "0.0300004"], None, 2,
+                                                "--epsilon0 0.0300001 and 0.0300004 both "
+                                                "name their files eps0.030000"),
+    "spectrum --epsilon0 0.05 0.1 0.05": (["spectrum", "--data", "{data}", "--epsilon0", "0.05",
+                                           "0.1", "0.05"], None, 2,
+                                          "--epsilon0 0.05 and 0.05 both name their files "
+                                          "eps0.050000"),
     "select --xi 0": (["select", "--data", "{data}", "--xi", "0"], None,
                       2, "argument --xi: must be > 0, got 0.0"),
     "report header only": (["report", "--runs", "{runs}"], CSV_HEADER + "\n",
@@ -1045,7 +1076,8 @@ _SHORT_RUN_FLAGS = {
 
 def test_readme_commands_parse(tmp_path, monkeypatch, capsys):
     """Every README command parses, and then runs, in order, to exit 0;
-    ``bounds`` runs small batteries and the experiments one protocol seed."""
+    ``bounds`` runs small batteries and the experiments one protocol seed.
+    Every JSON artifact the runs write is strict JSON."""
     argvs = [shlex.split(c, comments=True)[1:] for c in _readme_commands()]
     assert {argv[0] for argv in argvs} == {"gen-data", "select", "train", "spectrum",
                                            "bounds", "experiment", "report"}
@@ -1057,6 +1089,10 @@ def test_readme_commands_parse(tmp_path, monkeypatch, capsys):
     for argv in argvs:
         assert main(argv + _SHORT_RUN_FLAGS.get(argv[0], [])) == 0, \
             f"{argv}: {capsys.readouterr().err}"
+    artifacts = sorted(tmp_path.rglob("*.json"))
+    assert artifacts
+    for path in artifacts:
+        strict_json(path)
 
 
 def test_bench_trace_targets_exist():

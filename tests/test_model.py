@@ -3,14 +3,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import coreaug.model
-from coreaug.linalg import NumericalError
+from coreaug.linalg import NumericalError, spectral_norm
 from coreaug.model import (
     Dataset,
     MLP,
     MemoryCapError,
     _activation_pair,
     class_rows,
-    estimate_lipschitz,
     example_losses,
     flatten_layers,
     forward,
@@ -395,35 +394,24 @@ class TestGradientProxy:
             gradient_proxy(net, data, "everything")
 
 
-class TestLipschitzEstimate:
-    def test_linear_model_closed_form(self):
-        # per-example derivative rows copy x, so the ratio is exactly sqrt(C)
-        data = make_dataset(14, n=10, d=3, C=2)
-        net = MLP.init([3, 2], seed=14)
-        L, L_prime = estimate_lipschitz(net, data, trials=60, seed=1)
-        assert L == pytest.approx(np.sqrt(2.0), rel=1e-9)
-        w_norm = np.linalg.svd(net.weights[0], compute_uv=False)[0]
-        assert 0.0 < L_prime <= w_norm + 1e-9
+class TestLinearLipschitzConstants:
+    """A linear net's input-Lipschitz constants are exact, so the
+    convergence envelope needs no estimate of them."""
 
-    def test_duplicate_points_skipped(self):
-        X = np.array([[0.5, 0.5], [0.5, 0.5], [0.2, 0.8]])
-        data = Dataset(X, np.array([0, 0, 1]), 2)
-        net = MLP.init([2, 3, 2], seed=15)
-        L, _ = estimate_lipschitz(net, data, trials=50, seed=2)
-        assert np.isfinite(L)
+    @staticmethod
+    def random_pairs(seed, d, count=50):
+        return np.random.default_rng(seed).uniform(0.0, 1.0, (count, 2, d))
 
-    def test_degenerate_dataset_errors(self):
-        X = np.tile(np.array([[0.4, 0.6]]), (4, 1))
-        data = Dataset(X, np.array([0, 0, 1, 1]), 2)
-        net = MLP.init([2, 3, 2], seed=16)
-        with pytest.raises(ValueError):
-            estimate_lipschitz(net, data, trials=30, seed=3)
+    def test_derivative_constant_is_sqrt_outputs(self):
+        # each example's derivative rows copy x, once per output
+        net = MLP.init([4, 3], seed=14)
+        for x, x2 in self.random_pairs(14, 4):
+            dj = np.linalg.norm(jacobian(net, x[None]) - jacobian(net, x2[None]))
+            assert dj == pytest.approx(np.sqrt(3.0) * np.linalg.norm(x - x2), rel=1e-12)
 
-    @given(t1=st.integers(1, 40))
-    @settings(max_examples=20)
-    def test_monotone_in_trials(self, t1):
-        data = make_dataset(17, n=14, d=4, C=3)
-        net = MLP.init([4, 6, 3], activation="tanh", seed=17)
-        l_small = estimate_lipschitz(net, data, trials=t1, seed=4)[0]
-        l_big = estimate_lipschitz(net, data, trials=t1 + 25, seed=4)[0]
-        assert l_big >= l_small
+    def test_output_constant_is_spectral_norm(self):
+        net = MLP.init([4, 3], seed=15)
+        w_norm = spectral_norm(net.weights[0])
+        for x, x2 in self.random_pairs(15, 4):
+            df = np.linalg.norm(forward(net, x[None]) - forward(net, x2[None]))
+            assert df <= w_norm * np.linalg.norm(x - x2)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -59,9 +61,8 @@ class TestSpectrumReport:
         assert report.e_norm2 == 0.0
         assert report.weyl.passed
         for b in report.bins:
-            if b.count:
-                assert b.mean_delta_sigma == 0.0
-                assert b.mean_angle_rad <= 1e-7
+            assert b.mean_delta_sigma == 0.0
+            assert b.mean_angle_rad <= 1e-7
 
     def test_given_clean_decomposition_is_used_as_is(self):
         j = random_matrix(3, 40, 32)
@@ -130,15 +131,18 @@ class TestSpectrumReport:
             spectrum_report(np.zeros((3, 3)) + 1, np.ones((4, 3)))
 
     def test_json_and_csv_outputs(self, tmp_path):
+        # 20 singular values: one per bin, and no empty bin to write as NaN
         report = spectrum_report(random_matrix(7, 35, 20),
                                  random_matrix(7, 35, 20) * 1.1)
         payload = report.to_json_dict()
-        assert len(payload["bins"]) == 30
+        assert len(payload["bins"]) == 20
+        assert all(b["count"] >= 1 for b in payload["bins"])
+        json.dumps(payload, allow_nan=False)
         csv_path = tmp_path / "bins.csv"
         report.write_bins_csv(csv_path)
         lines = csv_path.read_text().splitlines()
         assert lines[0] == "bin,sigma_lo,sigma_hi,mean_delta_sigma,mean_angle_rad"
-        assert len(lines) == 31
+        assert len(lines) == 21
 
 
 class TestRoundSpectra:

@@ -8,15 +8,14 @@ from coreaug.augment import TransformSpec
 from coreaug.coreset import SelectionConfig, random_subset
 from coreaug.linalg import NumericalError
 from coreaug.model import MLP, Dataset, jacobian, one_hot, residuals
+from coreaug.spectrum import measure_pl_constants, pl_constants, pl_convergence_envelope
 from coreaug.trainer import (
     LrSchedule,
     TrainConfig,
     evaluate,
     initial_pool,
     inject_label_noise,
-    measure_pl_constants,
     noisy_selection_audit,
-    pl_convergence_envelope,
     sgd_warmup,
     train,
     weighted_gradient_step,
@@ -344,20 +343,20 @@ class TestAudit:
 
 class TestEnvelope:
     def test_envelope_decreases(self):
-        values = [pl_convergence_envelope(0.5, 0.1, 1.0, 0.2, 0.1, t)
+        values = [pl_convergence_envelope(0.5, 0.1, 2.3, t)
                   for t in range(10)]
         assert all(b < a for a, b in zip(values, values[1:]))
 
     def test_unstable_step_rejected(self):
         with pytest.raises(ValueError):
-            pl_convergence_envelope(4.0, 1.0, 1.0, 0.0, 0.0, 1)
+            pl_convergence_envelope(4.0, 1.0, 2.0, 1)
 
     def test_measured_constants_linear_model(self):
         rng = np.random.default_rng(18)
         X = rng.uniform(0.0, 1.0, (30, 4))
         Y = one_hot(rng.integers(0, 2, 30), 2)
         net = MLP.init([4, 2], seed=7)
-        alpha, lam, beta = measure_pl_constants(net, X, Y, np.ones(30))
+        alpha, lam, beta = measure_pl_constants(net, X, np.ones(30))
         assert 0.0 < alpha <= 2.0 * lam
         assert beta >= np.max(np.sum(X * X, axis=1))
         # gradient domination with the measured constant at random weights
@@ -374,10 +373,20 @@ class TestEnvelope:
             loss_val = 0.5 * float(np.sum(r * r))
             assert np.sum(g * g) >= alpha * (loss_val - floor) - 1e-8
 
+    def test_measured_constants_match_design_oracle(self):
+        # a linear net's derivative matrix is the design [X, 1] with each
+        # row repeated once per output, so both share their singular values
+        rng = np.random.default_rng(21)
+        X = rng.uniform(0.0, 1.0, (25, 4))
+        w = rng.uniform(0.5, 3.0, 25)
+        alpha, lam, _ = measure_pl_constants(MLP.init([4, 3], seed=21), X, w)
+        design = np.hstack([X, np.ones((25, 1))]) * np.sqrt(w)[:, None]
+        assert (alpha, lam) == pytest.approx(pl_constants(design), rel=1e-9)
+
     def test_rejects_deep_net(self):
         net = MLP.init([3, 4, 2], seed=0)
         with pytest.raises(ValueError):
-            measure_pl_constants(net, np.zeros((2, 3)), np.zeros((2, 2)), np.ones(2))
+            measure_pl_constants(net, np.zeros((2, 3)), np.ones(2))
 
 
 def test_sgd_warmup_deterministic():
