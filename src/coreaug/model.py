@@ -1,10 +1,11 @@
 """Small dense feed-forward networks with explicit forward and backward passes.
 
 Hidden layers use tanh (default) or relu; the output layer is always linear,
-matching the squared-loss training objective. Parameters follow one fixed
-vectorization: for each layer, the (fan_in, fan_out) weight matrix flattened
-row-major, then the bias vector. Every gradient routine and the stacked
-derivative matrix use that layout, so they can be cross-checked coordinate by
+matching the squared-loss training objective. Parameters are stored in one
+fixed vectorization, ``MLP.params``: for each layer, the (fan_in, fan_out)
+weight matrix flattened row-major, then the bias vector. Weights, biases and
+every gradient routine's output are per-layer views of that layout, so a step
+is one update of the flat vector and rows can be checked coordinate by
 coordinate.
 """
 
@@ -26,7 +27,6 @@ __all__ = [
     "forward",
     "residuals",
     "example_losses",
-    "flatten_layers",
     "checked_rows",
     "residual_and_gradients",
     "weighted_gradient",
@@ -136,61 +136,79 @@ def _activation_pair(name: str):
     raise ValueError(f"unknown activation {name!r}")
 
 
+def _layer_views(sizes, flat: np.ndarray):
+    """(weights, biases): per-layer views of the last axis of ``flat`` in the
+    parameter layout. A vector gives (fan_in, fan_out) weights and (fan_out,)
+    biases; an (n, m) block of rows gives (n, fan_in, fan_out) and
+    (n, fan_out) views. The one place that computes a layer's offset."""
+    lead, weights, biases, pos = flat.shape[:-1], [], [], 0
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        k = fan_in * fan_out
+        weights.append(flat[..., pos:pos + k].reshape(*lead, fan_in, fan_out, copy=False))
+        biases.append(flat[..., pos + k:pos + k + fan_out])
+        pos += k + fan_out
+    return tuple(weights), tuple(biases)
+
+
+def _num_params(sizes) -> int:
+    return sum((i + 1) * o for i, o in zip(sizes[:-1], sizes[1:]))
+
+
 @dataclass
 class MLP:
-    """Feed-forward network: explicit weight matrices, linear output layer."""
+    """Feed-forward network, linear output layer; ``weights`` and ``biases``
+    are views of ``params``, so a write to either moves the other."""
 
     layer_sizes: tuple[int, ...]
     activation: str
-    weights: list = field(repr=False)
-    biases: list = field(repr=False)
+    params: np.ndarray = field(repr=False)
+    weights: tuple = field(init=False, repr=False)
+    biases: tuple = field(init=False, repr=False)
+
+    def __post_init__(self):
+        p = self.params
+        if not (isinstance(p, np.ndarray) and p.dtype == np.float64
+                and p.shape == (self.num_params,)):
+            raise ValueError(f"params must be a float64 vector of {self.num_params} entries, "
+                             f"got {getattr(p, 'dtype', type(p).__name__)} {np.shape(p)}")
+        self.weights, self.biases = _layer_views(self.layer_sizes, p)
 
     @classmethod
     def init(cls, layer_sizes, activation: str = "tanh", seed: int = 0) -> "MLP":
         """Seeded init: per-layer uniform in [-1/sqrt(fan_in), +1/sqrt(fan_in)]."""
         sizes = tuple(int(s) for s in layer_sizes)
-        if len(sizes) < 2 or any(s < 1 for s in sizes):
-            raise ValueError("layer_sizes needs at least input and output sizes >= 1")
+        if len(sizes) < 2:
+            raise ValueError("layer_sizes needs at least input and output sizes")
+        for s in sizes:
+            AT_LEAST_1.check("layer_sizes", s)
         _activation_pair(activation)
+        net = cls(sizes, activation, np.empty(_num_params(sizes)))
         rng = np.random.default_rng(seed)
-        weights, biases = [], []
-        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-            bound = 1.0 / np.sqrt(fan_in)
-            weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-            biases.append(rng.uniform(-bound, bound, size=fan_out))
-        return cls(sizes, activation, weights, biases)
+        for w, b in zip(net.weights, net.biases):
+            bound = 1.0 / np.sqrt(w.shape[0])
+            w[...] = rng.uniform(-bound, bound, size=w.shape)
+            b[...] = rng.uniform(-bound, bound, size=b.shape)
+        return net
 
     @property
     def num_params(self) -> int:
-        return sum((i + 1) * o for i, o in zip(self.layer_sizes[:-1], self.layer_sizes[1:]))
+        return _num_params(self.layer_sizes)
 
     @property
     def num_outputs(self) -> int:
         return self.layer_sizes[-1]
 
     def get_params(self) -> np.ndarray:
-        return flatten_layers(zip(self.weights, self.biases))
+        return self.params.copy()
 
     def set_params(self, flat: np.ndarray) -> None:
         flat = np.asarray(flat, dtype=np.float64)
-        if flat.shape != (self.num_params,):
+        if flat.shape != self.params.shape:
             raise ValueError(f"expected {self.num_params} parameters, got {flat.shape}")
-        pos = 0
-        for l, (fan_in, fan_out) in enumerate(zip(self.layer_sizes[:-1], self.layer_sizes[1:])):
-            k = fan_in * fan_out
-            self.weights[l] = flat[pos:pos + k].reshape(fan_in, fan_out).copy()
-            pos += k
-            self.biases[l] = flat[pos:pos + fan_out].copy()
-            pos += fan_out
+        self.params[...] = flat
 
     def copy(self) -> "MLP":
-        return MLP(self.layer_sizes, self.activation,
-                   [w.copy() for w in self.weights], [b.copy() for b in self.biases])
-
-
-def flatten_layers(pairs) -> np.ndarray:
-    """Per-layer (weight, bias) pairs in the flat parameter layout."""
-    return np.concatenate([g.ravel() for pair in pairs for g in pair])
+        return MLP(self.layer_sizes, self.activation, self.params.copy())
 
 
 def _forward_trace(net: MLP, X: np.ndarray) -> list:
@@ -258,31 +276,35 @@ def checked_rows(net: MLP, X, Y, weights):
 
 
 def residual_and_gradients(net: MLP, X: np.ndarray, Y: np.ndarray, weights: np.ndarray):
-    """From one forward trace: the residual ``f(X) - Y`` and, per layer in
-    forward order, the (weight, bias) gradients of
-    ``sum_i w_i * 0.5 * ||f(x_i) - y_i||^2``. The residual is a fresh array
+    """From one forward trace: the residual ``f(X) - Y`` and the flat
+    gradient of ``sum_i w_i * 0.5 * ||f(x_i) - y_i||^2``, each a fresh array
     the caller owns. The rows are not checked (see ``checked_rows``)."""
     acts = _forward_trace(net, X)
     r = acts[-1]
     r -= Y
     delta = r * weights[:, None]
-    return r, [(a.T @ d, d.sum(axis=0)) for a, d in _backward(net, acts, delta)][::-1]
+    grad = np.empty(net.num_params)
+    gws, gbs = _layer_views(net.layer_sizes, grad)
+    for (a, d), gw, gb in zip(_backward(net, acts, delta), gws[::-1], gbs[::-1]):
+        np.matmul(a.T, d, out=gw)
+        np.add.reduce(d, axis=0, out=gb)
+    return r, grad
 
 
 def weighted_gradient(net: MLP, X: np.ndarray, Y: np.ndarray,
                       weights: np.ndarray) -> np.ndarray:
     """Flat gradient of ``sum_i w_i * 0.5 * ||f(x_i) - y_i||^2``."""
-    return flatten_layers(residual_and_gradients(net, *checked_rows(net, X, Y, weights))[1])
+    return residual_and_gradients(net, *checked_rows(net, X, Y, weights))[1]
 
 
-def _row_gradients(net: MLP, acts, delta: np.ndarray) -> np.ndarray:
-    """Row i: the flat parameter gradient that ``delta[i]`` backpropagates
-    from example i alone."""
-    n = delta.shape[0]
-    blocks = []
-    for a, d in reversed(_backward(net, acts, delta)):
-        blocks += [np.einsum("ni,nj->nij", a, d).reshape(n, -1), d]
-    return np.concatenate(blocks, axis=1)
+def _row_gradients(net: MLP, acts, delta: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write into row i of ``out``, an (n, m) block, the flat parameter
+    gradient that ``delta[i]`` backpropagates from example i alone."""
+    ws, bs = _layer_views(net.layer_sizes, out)
+    for (a, d), w, b in zip(_backward(net, acts, delta), ws[::-1], bs[::-1]):
+        np.einsum("ni,nj->nij", a, d, out=w)
+        b[...] = d
+    return out
 
 
 def jacobian(net: MLP, X) -> np.ndarray:
@@ -304,7 +326,7 @@ def jacobian(net: MLP, X) -> np.ndarray:
     for c in range(C):
         delta = np.zeros((n, C))
         delta[:, c] = 1.0
-        out[c::C] = _row_gradients(net, acts, delta)
+        _row_gradients(net, acts, delta, out[c::C])
     if not (np.isfinite(out.max()) and np.isfinite(out.min())):
         raise NumericalError(f"stacked derivative matrix ({n * C} x {m}) has "
                              "non-finite entries")
@@ -314,7 +336,8 @@ def jacobian(net: MLP, X) -> np.ndarray:
 def per_example_gradients(net: MLP, data: Dataset) -> np.ndarray:
     """Exact loss gradients, one row per example, shape (n, m)."""
     acts = _forward_trace(net, data.features)
-    return _row_gradients(net, acts, acts[-1] - data.one_hot_labels())
+    return _row_gradients(net, acts, acts[-1] - data.one_hot_labels(),
+                          np.empty((data.n, net.num_params)))
 
 
 def gradient_proxy(net: MLP, data: Dataset, mode: str = "last_layer") -> GradientProxySet:

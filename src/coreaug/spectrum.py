@@ -285,9 +285,7 @@ class VectorBoundReport:
 
     @property
     def passed(self) -> bool:
-        if self.skipped:
-            return False
-        return bool(np.all(self.deviations <= self.bound + 1e-9))
+        return not self.skipped and bool(np.all(self.deviations <= self.bound + 1e-9))
 
 
 def singular_vector_bound_check(J, E) -> VectorBoundReport:
@@ -303,13 +301,9 @@ def singular_vector_bound_check(J, E) -> VectorBoundReport:
                                  reason=f"gap {gap:.3e} < 2 ||E||_2 {2 * e2:.3e}",
                                  gap=gap, e_norm2=e2)
     dec_t = svd(j + e)
-    devs = np.empty(dec.sigma.size)
-    for i in range(dec.sigma.size):
-        u = dec.U[:, i]
-        ut = dec_t.U[:, i]
-        if float(u @ ut) < 0.0:
-            ut = -ut
-        devs[i] = float(np.linalg.norm(u - ut))
+    # each vector of J + E is compared up to sign: u - (-ut) is u + ut exactly
+    devs = np.array([np.linalg.norm(u - ut if u @ ut >= 0.0 else u + ut)
+                     for u, ut in zip(dec.U.T, dec_t.U.T)])
     bound = 2.0 * math.sqrt(2.0) * e2 / gap if gap > 0.0 else math.inf
     return VectorBoundReport(skipped=False, reason="", gap=gap, e_norm2=e2,
                              deviations=devs, bound=bound)
@@ -337,12 +331,10 @@ def _descent_residuals(net: MLP, X: np.ndarray, Y: np.ndarray, eta: float,
     work = net.copy()
     X, Y, ones = checked_rows(work, X, Y, np.ones(X.shape[0]))
     for t in range(steps + 1):
-        r, grads = residual_and_gradients(work, X, Y, ones)
+        r, grad = residual_and_gradients(work, X, Y, ones)
         yield r.ravel()
         if t < steps:
-            for l, (gw, gb) in enumerate(grads):
-                work.weights[l] -= eta * gw
-                work.biases[l] -= eta * gb
+            work.params -= eta * grad
 
 
 def residual_dynamics_check(net: MLP, data: Dataset, eta: float,
@@ -401,15 +393,18 @@ def _linear_grad_sum(W: np.ndarray, X: np.ndarray, Y: np.ndarray,
     return X.T @ (residual * weights[:, None])
 
 
+def _linear_inputs(W, X, Y, F, indices, gamma):
+    """The linear-transform audits' inputs: W, X and F as checked matrices,
+    Y and the subset weights as float64, the subset indices as int64."""
+    return (as_matrix(W, "W"), as_matrix(X, "X"), np.asarray(Y, dtype=np.float64),
+            as_matrix(F, "F"), np.asarray(indices, dtype=np.int64),
+            np.asarray(gamma, dtype=np.float64))
+
+
 def linear_transform_bound_check(W_lin, X, Y, F, indices, gamma) -> LinearBoundReport:
     """Audit the weighted-subset gradient bounds for f(x) = W^T x augmented by
     the common linear map x -> F x, with every quantity measured."""
-    W = as_matrix(W_lin, "W_lin")
-    X = as_matrix(X, "X")
-    Y = np.asarray(Y, dtype=np.float64)
-    F = as_matrix(F, "F")
-    idx = np.asarray(indices, dtype=np.int64)
-    gam = np.asarray(gamma, dtype=np.float64)
+    W, X, Y, F, idx, gam = _linear_inputs(W_lin, X, Y, F, indices, gamma)
     n, d = X.shape
     Xa = X @ F.T
     omega = float(np.max(np.linalg.norm(Xa @ W - X @ W, axis=1)))
@@ -449,12 +444,7 @@ def linear_transform_sgd_envelope(W0, X, Y, F, indices, gamma,
     of the full F-augmented set at W0.
     """
     report = linear_transform_bound_check(W0, X, Y, F, indices, gamma)
-    W = as_matrix(W0, "W0").copy()
-    X = as_matrix(X, "X")
-    Y = np.asarray(Y, dtype=np.float64)
-    F = as_matrix(F, "F")
-    idx = np.asarray(indices, dtype=np.int64)
-    gam = np.asarray(gamma, dtype=np.float64)
+    W, X, Y, F, idx, gam = _linear_inputs(W0, X, Y, F, indices, gamma)
     pool_X = np.concatenate([X[idx], X[idx] @ F.T])
     pool_Y = np.concatenate([Y[idx], Y[idx]])
     pool_w = np.concatenate([gam, gam])
@@ -483,10 +473,13 @@ def pl_constants(scaled) -> tuple[float, float]:
     alpha is twice the smallest positive eigenvalue of the Gauss Hessian
     ``scaled.T @ scaled`` (the gradient-domination constant) and lambda its
     largest (the smoothness of the total loss). A singular value counts as
-    positive above 1e-10 times the largest.
+    positive above 1e-10 times the largest; when none does, the design has
+    rank zero and no gradient-domination constant, a ``ValueError``.
     """
     svals = np.linalg.svd(scaled, compute_uv=False)
     positive = svals[svals > 1e-10 * max(svals[0], 1e-300)]
+    if positive.size == 0:
+        raise ValueError("a rank-zero design has no gradient-domination (PL) constant")
     return 2.0 * float(positive[-1] ** 2), float(svals[0] ** 2)
 
 

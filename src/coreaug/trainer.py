@@ -31,13 +31,13 @@ from .coreset import (
     random_subset,
     select_all_classes,
 )
-from .linalg import AT_LEAST_1, LEFT_OPEN_UNIT, RIGHT_OPEN_UNIT, NumericalError, one_of
+from .linalg import (ABOVE_0, AT_LEAST_0, AT_LEAST_1, LEFT_OPEN_UNIT, RIGHT_OPEN_UNIT,
+                     NumericalError, one_of)
 from .model import (
     MLP,
     Dataset,
     checked_rows,
     example_losses,
-    flatten_layers,
     forward,
     gradient_proxy,
     one_hot,
@@ -76,6 +76,12 @@ class LrSchedule:
     initial: float
     decay_epochs: tuple[int, ...] = ()
     factor: float = 0.1
+
+    def __post_init__(self):
+        ABOVE_0.check("initial", self.initial)
+        ABOVE_0.check("factor", self.factor)
+        for e in self.decay_epochs:
+            AT_LEAST_0.check("decay_epochs", e)
 
     def value(self, epoch: int) -> float:
         drops = sum(1 for e in self.decay_epochs if epoch >= e)
@@ -174,10 +180,8 @@ def _checked_sgd_rows(net: MLP, X, Y, rho):
 def weighted_gradient_step(net: MLP, X_batch, y_batch, rho, eta: float) -> MLP:
     """W <- W - eta * sum_i rho_i * grad_i over the flat parameter vector.
     Updates the network in place. The training loops and the descent runs of
-    ``spectrum`` take the same step layer by layer on rows checked once; this
-    flat-vector form is the reference their replay tests compare against."""
-    grad = weighted_gradient(net, *_checked_sgd_rows(net, X_batch, y_batch, rho))
-    net.set_params(net.get_params() - eta * grad)
+    ``spectrum`` take the same step on rows checked once."""
+    net.params -= eta * weighted_gradient(net, *_checked_sgd_rows(net, X_batch, y_batch, rho))
     return net
 
 
@@ -185,15 +189,13 @@ def _sgd_epoch(net: MLP, X: np.ndarray, Y: np.ndarray, w: np.ndarray,
                order: np.ndarray, batch_size: int, eta: float) -> None:
     """One epoch of weighted mini-batch SGD over checked rows, in ``order``:
     each batch is the next ``batch_size`` of them. The rows are gathered
-    once, so every batch is a contiguous slice; each step computes every
-    layer's gradient before it updates any layer."""
+    once, so every batch is a contiguous slice; each step computes the whole
+    flat gradient before it updates the flat parameters."""
     X, Y, w = X[order], Y[order], w[order]
     for start in range(0, order.size, batch_size):
         stop = start + batch_size
-        _, grads = residual_and_gradients(net, X[start:stop], Y[start:stop], w[start:stop])
-        for l, (gw, gb) in enumerate(grads):
-            net.weights[l] -= eta * gw
-            net.biases[l] -= eta * gb
+        net.params -= eta * residual_and_gradients(net, X[start:stop], Y[start:stop],
+                                                   w[start:stop])[1]
 
 
 def _check_epoch(what: str, epoch: int, loss: float, initial_loss: float,
@@ -269,10 +271,10 @@ def _build_pool(config: TrainConfig, data: Dataset, Y_all: np.ndarray, indices,
 def _pool_metrics(net: MLP, pool: _Pool) -> tuple[float, float]:
     """(weighted pool loss, norm of its flat gradient), from one forward
     trace."""
-    r, grads = residual_and_gradients(net, pool.X, pool.Y, pool.w)
+    r, grad = residual_and_gradients(net, pool.X, pool.Y, pool.w)
     r *= r
     train_loss = 0.5 * float(np.sum(pool.w * np.sum(r, axis=1)))
-    return train_loss, float(np.linalg.norm(flatten_layers(grads)))
+    return train_loss, float(np.linalg.norm(grad))
 
 
 def _setup(config: TrainConfig, data: Dataset):

@@ -855,7 +855,7 @@ class TestNtkBound:
 
     def test_zero_residual(self):
         net = zero_mlp([3, 2])
-        net.biases[-1] = np.array([1.0, 0.0])
+        net.biases[-1][:] = [1.0, 0.0]
         rng = np.random.default_rng(28)
         data = Dataset(rng.uniform(0, 1, (6, 3)), np.zeros(6, dtype=int), 2)
         proxies = gradient_proxy(net, data, "residual")

@@ -32,9 +32,9 @@ from coreaug.data import (
 )
 from coreaug.augment import TransformSpec
 from coreaug.coreset import SelectionConfig
-from coreaug.model import class_rows
+from coreaug.model import MLP, class_rows
 from coreaug.spectrum import expected_shift_model_check
-from coreaug.trainer import CSV_HEADER, TrainConfig
+from coreaug.trainer import CSV_HEADER, LrSchedule, TrainConfig
 
 
 class TestGenerators:
@@ -988,6 +988,14 @@ FLAG_FIELDS = {
                           "random_fraction",
                           lambda: TrainConfig(regime="random_plus_coreset_aug",
                                               random_fraction=0.0)),
+    "--lr": (["train", "--data", "{data}", "--lr", "-1"], "initial",
+             lambda: LrSchedule(-1.0)),
+    "--lr-decay-factor": (["train", "--data", "{data}", "--lr-decay-factor", "0"], "factor",
+                          lambda: LrSchedule(0.005, (), 0.0)),
+    "--lr-decay-epochs": (["train", "--data", "{data}", "--lr-decay-epochs", "-1"],
+                          "decay_epochs", lambda: LrSchedule(0.005, (-1,))),
+    "--hidden": (["train", "--data", "{data}", "--hidden", "0"], "layer_sizes",
+                 lambda: MLP.init([2, 0, 3])),
     "--epsilon0": (["train", "--data", "{data}", "--epsilon0", "-0.1"], "epsilon0",
                    lambda: TransformSpec(epsilon0=-0.1)),
     "--r": (["select", "--data", "{data}", "--r", "0"], "r", lambda: TransformSpec(r=0)),
@@ -1112,12 +1120,14 @@ def test_bench_trace_targets_exist():
 # does; each goes when perfbench/ stops naming it.
 PERFBENCH_ONLY = {
     "trainer.weighted_gradient_step":
-        "perfbench/tracing.py traces it by name; the replay tests take it as "
-        "the flat-vector reference for the layer-by-layer SGD step",
+        "perfbench/tracing.py traces it by name; the warm-up replay test takes "
+        "it as the public one-batch step",
     "model.weighted_gradient":
-        "the flat-vector reference step's gradient; perfbench/tracing.py "
-        "traces it by name",
-    "model.MLP.set_params": "the flat-vector reference step writes its update through it",
+        "the public one-batch step's gradient; perfbench/tracing.py traces it "
+        "by name",
+    "model.MLP.set_params":
+        "the checked way to write a whole flat vector; the finite-difference "
+        "tests probe shifted parameters through it",
     "coreset.WeightedCoreset.validate":
         "perfbench/workloads.py checks every selection it observes with it",
 }
@@ -1245,3 +1255,36 @@ def test_wall_clock_is_read_in_two_places():
     for path in sorted(src.glob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
     assert sorted(users) == ["cli._Run.timed"] * 2 + ["trainer.train"] * 2
+
+
+def test_parameter_layout_lives_in_model():
+    """Parameters move only through the flat vector: outside ``model.py`` no
+    statement assigns to or augments a subscript of ``.weights`` or
+    ``.biases``, and only ``model.py`` names ``_layer_views``, the one
+    place that computes a layer's offset."""
+    src = Path(__file__).resolve().parents[1] / "src" / "coreaug"
+    writes, namers = [], []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            else:
+                targets = []
+            for target in targets:
+                while isinstance(target, ast.Subscript):
+                    target = target.value
+                    if isinstance(target, ast.Attribute) and target.attr in ("weights", "biases"):
+                        writes.append(f"{path.stem}:{node.lineno}")
+            if isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            else:
+                names = []
+            namers.extend([path.stem] * names.count("_layer_views"))
+    assert [w for w in writes if not w.startswith("model:")] == []
+    assert set(namers) == {"model"}

@@ -9,9 +9,10 @@ from coreaug.model import (
     MLP,
     MemoryCapError,
     _activation_pair,
+    _backward,
+    _forward_trace,
     class_rows,
     example_losses,
-    flatten_layers,
     forward,
     gradient_proxy,
     jacobian,
@@ -21,7 +22,7 @@ from coreaug.model import (
     residuals,
     weighted_gradient,
 )
-from helpers import zero_mlp
+from helpers import layer_gradients, zero_mlp
 
 
 def make_dataset(seed=0, n=12, d=4, C=3):
@@ -99,10 +100,72 @@ class TestForward:
         assert np.array_equal(forward(net, X), forward(net.copy(), X.copy()))
 
 
+class TestParameterLayout:
+    """``params`` is the network's only parameter storage; ``weights`` and
+    ``biases`` are views of it in the documented layout."""
+
+    def test_views_share_the_flat_vector(self):
+        net = MLP.init([4, 5, 3, 2], seed=11)
+        for view in (*net.weights, *net.biases):
+            assert np.shares_memory(view, net.params)
+        net.params[:] = np.arange(net.num_params)
+        assert net.weights[0][0, 1] == 1.0
+        assert net.biases[0][0] == 4 * 5
+        assert net.weights[1][0, 0] == 4 * 5 + 5
+        assert net.biases[-1][-1] == net.num_params - 1
+
+    def test_copy_shares_no_memory(self):
+        net = MLP.init([3, 4, 2], seed=12)
+        twin = net.copy()
+        for a in (twin.params, *twin.weights, *twin.biases):
+            assert not np.shares_memory(a, net.params)
+        assert np.array_equal(twin.params, net.params)
+
+    def test_set_params_writes_in_place(self):
+        net = MLP.init([3, 4, 2], seed=13)
+        storage = net.params
+        net.set_params(np.ones(net.num_params))
+        assert net.params is storage
+        assert np.all(net.weights[0] == 1.0) and np.all(net.biases[1] == 1.0)
+        with pytest.raises(ValueError, match="expected 26 parameters"):
+            net.set_params(np.ones(net.num_params + 1))
+
+    def test_layer_views_cannot_be_rebound(self):
+        net = MLP.init([3, 2], seed=0)
+        with pytest.raises(TypeError):
+            net.weights[0] = np.zeros((3, 2))
+        with pytest.raises(TypeError):
+            net.biases[0] = np.zeros(2)
+
+    @pytest.mark.parametrize("params", [np.zeros(9), np.zeros(8, dtype=np.float32),
+                                        np.zeros((1, 8)), [0.0] * 8])
+    def test_rejects_params_off_the_layout(self, params):
+        with pytest.raises(ValueError, match="params must be a float64 vector of 8 entries"):
+            MLP((3, 2), "tanh", params)
+
+    @pytest.mark.parametrize("sizes", [(4, 3), (4, 5, 3), (4, 6, 5, 3)])
+    def test_init_equals_per_layer_draws(self, sizes):
+        net = MLP.init(sizes, seed=[3, 5])
+        rng = np.random.default_rng([3, 5])
+        blocks = []
+        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+            bound = 1.0 / np.sqrt(fan_in)
+            blocks += [rng.uniform(-bound, bound, size=(fan_in, fan_out)).ravel(),
+                       rng.uniform(-bound, bound, size=fan_out)]
+        assert np.array_equal(bits(net.params), bits(np.concatenate(blocks)))
+
+    def test_init_checks_each_layer_size(self):
+        with pytest.raises(ValueError) as raised:
+            MLP.init([2, 0, 3])
+        assert str(raised.value) == "layer_sizes must be >= 1, got 0"
+        with pytest.raises(ValueError, match="at least input and output"):
+            MLP.init([2])
+
+
 class TestLoss:
     def test_perfect_predictions(self):
         net = zero_mlp([2, 2])
-        net.biases[0] = np.array([1.0, 0.0])
+        net.biases[0][:] = [1.0, 0.0]
         data = Dataset(np.random.default_rng(0).uniform(0, 1, (8, 2)),
                        np.zeros(8, dtype=int), 2)
         assert np.array_equal(example_losses(net, data), np.zeros(8))
@@ -123,7 +186,7 @@ class TestLoss:
 class TestGradients:
     def test_zero_residual_zero_gradient(self):
         net = zero_mlp([2, 2])
-        net.biases[0] = np.array([1.0, 0.0])
+        net.biases[0][:] = [1.0, 0.0]
         g = per_example_gradient(net, np.array([0.3, 0.4]), np.array([1.0, 0.0]))
         assert np.array_equal(g, np.zeros(net.num_params))
 
@@ -207,17 +270,20 @@ class TestResidualAndGradients:
     @pytest.mark.parametrize("hidden", [(5,), (6, 4)])
     @pytest.mark.parametrize("act", ["tanh", "relu"])
     def test_one_trace_equals_forward_and_weighted_gradient(self, hidden, act):
+        """The flat gradient, written through the layer views, holds the
+        per-layer ``a.T @ d`` and ``d.sum(axis=0)`` of the reference bit for
+        bit, in the parameter layout."""
         data = make_dataset(21, n=17, d=4, C=3)
         net = MLP.init([data.dim, *hidden, data.num_classes], activation=act, seed=9)
         X, Y = data.features, data.one_hot_labels()
         X_before = X.copy()
         w = np.random.default_rng(22).uniform(0.0, 2.0, data.n)
-        r, grads = residual_and_gradients(net, X, Y, w)
+        r, grad = residual_and_gradients(net, X, Y, w)
         assert np.array_equal(bits(r), bits(forward(net, X) - Y))
-        assert np.array_equal(bits(flatten_layers(grads)),
-                              bits(weighted_gradient(net, X, Y, w)))
-        assert [(gw.shape, gb.shape) for gw, gb in grads] == \
-            [(w_.shape, b_.shape) for w_, b_ in zip(net.weights, net.biases)]
+        reference = np.concatenate([g.ravel() for pair in layer_gradients(net, X, Y, w)
+                                    for g in pair])
+        assert np.array_equal(bits(grad), bits(reference))
+        assert grad.shape == (net.num_params,)
         assert np.array_equal(bits(X), bits(X_before))
 
     def test_residual_is_owned_by_the_caller(self):
@@ -226,9 +292,9 @@ class TestResidualAndGradients:
         X, Y, w = data.features, data.one_hot_labels(), np.ones(data.n)
         r, _ = residual_and_gradients(net, X, Y, w)
         r[:] = np.nan
-        again, grads = residual_and_gradients(net, X, Y, w)
+        again, grad = residual_and_gradients(net, X, Y, w)
         assert np.array_equal(again, forward(net, X) - Y)
-        assert np.all(np.isfinite(flatten_layers(grads)))
+        assert np.all(np.isfinite(grad))
 
 
 class TestJacobian:
@@ -277,6 +343,24 @@ class TestJacobian:
             f_minus = forward(probe, X[i:i + 1])[0, c]
             fd = (f_plus - f_minus) / (2 * step)
             assert abs(jac[i * 2 + c, p] - fd) <= 1e-5 * max(abs(fd), 1e-4)
+
+    @pytest.mark.parametrize("act", ["tanh", "relu"])
+    def test_rows_equal_per_class_blocks(self, act):
+        """Rows written through the layer views equal the per-class blocks
+        of ``einsum`` outer products and deltas, concatenated."""
+        data = make_dataset(25, n=6)
+        net = MLP.init([data.dim, 5, 4, data.num_classes], activation=act, seed=25)
+        acts = _forward_trace(net, data.features)
+        n, C = data.n, data.num_classes
+        expected = np.empty((n * C, net.num_params))
+        for c in range(C):
+            delta = np.zeros((n, C))
+            delta[:, c] = 1.0
+            blocks = []
+            for a, d in reversed(_backward(net, acts, delta)):
+                blocks += [np.einsum("ni,nj->nij", a, d).reshape(n, -1), d]
+            expected[c::C] = np.concatenate(blocks, axis=1)
+        assert np.array_equal(bits(jacobian(net, data.features)), bits(expected))
 
     def test_memory_cap(self, monkeypatch):
         monkeypatch.setattr(coreaug.model, "JACOBIAN_ENTRY_CAP", 10)
@@ -332,7 +416,7 @@ class TestGradientProxy:
         net = zero_mlp([2, 3, 2])
         data = Dataset(np.random.default_rng(0).uniform(0, 1, (5, 2)),
                        np.zeros(5, dtype=int), 2)
-        net.biases[-1] = np.array([1.0, 0.0])
+        net.biases[-1][:] = [1.0, 0.0]
         for mode in ("residual", "last_layer"):
             proxies = gradient_proxy(net, data, mode)
             assert np.allclose(proxies.proxies, 0.0)

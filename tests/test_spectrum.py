@@ -343,3 +343,10 @@ class TestLinearTransformBounds:
         report = linear_transform_sgd_envelope(W0, X, Y, F, idx, gamma, steps=100)
         assert report.alpha < 1.0
         assert report.passed
+
+    def test_sgd_envelope_rejects_an_all_zero_pool(self):
+        """Zero rows give a rank-zero design, which has no PL constant."""
+        W, _, Y, idx, gamma = self._instance(28)
+        X = np.zeros((Y.shape[0], 4))
+        with pytest.raises(ValueError, match="rank-zero design"):
+            linear_transform_sgd_envelope(W, X, Y, np.eye(4), idx, gamma, steps=3)

@@ -12,6 +12,7 @@ from coreaug.spectrum import measure_pl_constants, pl_constants, pl_convergence_
 from coreaug.trainer import (
     LrSchedule,
     TrainConfig,
+    _sgd_epoch,
     evaluate,
     initial_pool,
     inject_label_noise,
@@ -20,7 +21,7 @@ from coreaug.trainer import (
     train,
     weighted_gradient_step,
 )
-from helpers import zero_mlp
+from helpers import layerwise_sgd_epoch, zero_mlp
 
 
 def blob_pair(seed=0, n=60, d=4, C=3, n_test=30):
@@ -129,7 +130,7 @@ class TestWeightedStep:
 class TestEvaluate:
     def test_perfect_predictions(self):
         net = zero_mlp([2, 2])
-        net.biases[0] = np.array([1.0, 0.0])
+        net.biases[0][:] = [1.0, 0.0]
         data = Dataset(np.random.default_rng(0).uniform(0, 1, (6, 2)),
                        np.zeros(6, dtype=int), 2)
         loss, acc = evaluate(net, data)
@@ -317,6 +318,17 @@ class TestSchedule:
         assert values[3] == pytest.approx(0.2)
         assert values[7] == pytest.approx(0.1)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"initial": -1.0}, "initial must be > 0, got -1.0"),
+        ({"initial": 0.0}, "initial must be > 0, got 0.0"),
+        ({"initial": 0.1, "factor": 0.0}, "factor must be > 0, got 0.0"),
+        ({"initial": 0.1, "decay_epochs": (3, -5)}, "decay_epochs must be >= 0, got -5"),
+    ])
+    def test_rejects_fields_outside_their_domains(self, kwargs, message):
+        with pytest.raises(ValueError) as raised:
+            LrSchedule(**kwargs)
+        assert str(raised.value) == message
+
 
 class TestAudit:
     def test_empty_mask(self):
@@ -383,6 +395,15 @@ class TestEnvelope:
         design = np.hstack([X, np.ones((25, 1))]) * np.sqrt(w)[:, None]
         assert (alpha, lam) == pytest.approx(pl_constants(design), rel=1e-9)
 
+    def test_rank_zero_design_has_no_pl_constant(self):
+        with pytest.raises(ValueError, match="rank-zero design"):
+            pl_constants(np.zeros((3, 2)))
+
+    def test_measured_constants_reject_all_zero_weights(self):
+        X = np.random.default_rng(22).uniform(0.0, 1.0, (6, 3))
+        with pytest.raises(ValueError, match="rank-zero design"):
+            measure_pl_constants(MLP.init([3, 2], seed=22), X, np.zeros(6))
+
     def test_rejects_deep_net(self):
         net = MLP.init([3, 4, 2], seed=0)
         with pytest.raises(ValueError):
@@ -398,10 +419,29 @@ def test_sgd_warmup_deterministic():
     assert np.array_equal(a.get_params(), b.get_params())
 
 
+@pytest.mark.parametrize("hidden", [(), (6,), (6, 5)])
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+def test_flat_sgd_epoch_equals_layerwise_steps(hidden, activation):
+    """One update of the flat parameters per batch moves every weight and
+    bias exactly as the per-layer ``w -= eta * gw`` steps do, epoch after
+    epoch."""
+    data, _ = blob_pair(21, n=45)
+    net = MLP.init([data.dim, *hidden, data.num_classes], activation=activation, seed=6)
+    reference = net.copy()
+    X, Y = data.features, data.one_hot_labels()
+    w = np.random.default_rng(21).uniform(0.0, 2.0, data.n)
+    rng = np.random.default_rng(22)
+    for _ in range(4):
+        order = rng.permutation(data.n)
+        _sgd_epoch(net, X, Y, w, order, 8, 0.05)
+        layerwise_sgd_epoch(reference, X, Y, w, order, 8, 0.05)
+        assert net.params.tobytes() == reference.params.tobytes()
+
+
 @pytest.mark.parametrize("activation", ["tanh", "relu"])
 def test_sgd_warmup_replays_weighted_gradient_steps(activation):
-    """The warm-up's epoch loop (rows gathered once per epoch, per-layer
-    updates) takes exactly the public flat-vector step on each batch."""
+    """The warm-up's epoch loop (rows gathered once per epoch, sliced per
+    batch) takes exactly the public step on each batch."""
     data, _ = blob_pair(20, n=45)
     net = MLP.init([data.dim, 6, 5, data.num_classes], activation=activation, seed=3)
     replay = net.copy()
