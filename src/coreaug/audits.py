@@ -82,7 +82,8 @@ def audit_weyl_random(trials: int, seed: int) -> dict:
         s1 = np.linalg.svd(J + E, compute_uv=False)
         verdict = weyl_check(s0, s1, spectral_norm(E))
         worst = max(worst, verdict.max_violation)
-        violations += not verdict.passed
+        if not verdict.passed:
+            violations += 1
     return {"trials": trials, "violations": violations, "max_violation": worst,
             "passed": violations == 0}
 
@@ -150,7 +151,7 @@ def audit_vector_bound(trials: int, seed: int) -> dict:
     vector deviation bound must hold whenever the gap condition does. Unmet
     preconditions are skips, never asserted; a battery of skips fails."""
     rng = np.random.default_rng(seed)
-    skipped = failures = 0
+    checked = skipped = failures = 0
     for _ in range(trials):
         rows = int(rng.integers(6, 16))
         cols = int(rng.integers(rows, 25))
@@ -162,10 +163,14 @@ def audit_vector_bound(trials: int, seed: int) -> dict:
         target = float(rng.uniform(0.05, 1.3)) * gap / 2.0
         E *= target / spectral_norm(E)
         report = singular_vector_bound_check(J, E)
-        skipped += report.skipped
-        failures += not (report.skipped or report.passed)
-    return {"trials": trials, "checked": trials - skipped, "skipped": skipped,
-            "failures": failures, "passed": failures == 0 and skipped < trials}
+        if report.skipped:
+            skipped += 1
+            continue
+        checked += 1
+        if not report.passed:
+            failures += 1
+    return {"trials": trials, "checked": checked, "skipped": skipped,
+            "failures": failures, "passed": failures == 0 and checked >= 1}
 
 
 def audit_ntk_bound(instances: int, seed: int) -> dict:
@@ -188,7 +193,8 @@ def audit_ntk_bound(instances: int, seed: int) -> dict:
         coreset = select_all_classes(proxies, config)
         verdict = coreset_ntk_bound_check(net, data, coreset)
         min_margin = min(min_margin, verdict.margin)
-        failures += not verdict.passed
+        if not verdict.passed:
+            failures += 1
     return {"instances": instances, "failures": failures, "min_margin": min_margin,
             "passed": failures == 0}
 
@@ -211,8 +217,10 @@ def audit_linear_bounds(instances: int, seed: int) -> dict:
         D = pairwise_distances(grads)
         gamma = compute_weights(D, list(idx))
         report = linear_transform_bound_check(W, X, Y, F, idx, gamma)
-        subset_failures += report.subset_lhs > report.subset_bound + 1e-9
-        combined_failures += report.combined_lhs > report.combined_bound + 1e-9
+        if report.subset_lhs > report.subset_bound + 1e-9:
+            subset_failures += 1
+        if report.combined_lhs > report.combined_bound + 1e-9:
+            combined_failures += 1
     return {"instances": instances, "subset_failures": subset_failures,
             "combined_failures": combined_failures,
             "passed": subset_failures == 0 and combined_failures == 0}

@@ -156,7 +156,9 @@ def pairwise_distances(points: np.ndarray) -> np.ndarray:
 def _resolve_k(config: SelectionConfig, n_c: int) -> int | None:
     if config.stop != "fixed_size":
         return None
-    k = config.k_per_class or max(1, int(round(config.fraction * n_c)))
+    k = config.k_per_class
+    if k is None:
+        k = max(1, int(round(config.fraction * n_c)))
     if k > n_c:
         raise ValueError(f"k={k} exceeds class population {n_c}")
     return k

@@ -34,8 +34,12 @@ def _blob_means(rng: np.random.Generator, num_classes: int, d: int,
                 margin: float) -> np.ndarray:
     for _ in range(1000):
         means = rng.uniform(0.25, 0.75, size=(num_classes, d))
-        if all(np.linalg.norm(means[a] - means[b]) >= margin
-               for a in range(num_classes) for b in range(a + 1, num_classes)):
+        ok = True
+        for a in range(num_classes):
+            for b in range(a + 1, num_classes):
+                if np.linalg.norm(means[a] - means[b]) < margin:
+                    ok = False
+        if ok:
             return means
     raise ValueError(f"could not place {num_classes} means with margin {margin} in {d} dims")
 
@@ -178,4 +182,6 @@ def split_dataset(data: Dataset, test_fraction: float, seed: int = 0):
     test_idx = np.sort(np.concatenate(test_idx))
     if test_idx.size == data.n:
         raise DataFormatError("the split left no training rows")
-    return data.subset(np.delete(np.arange(data.n), test_idx)), data.subset(test_idx)
+    mask = np.zeros(data.n, dtype=bool)
+    mask[test_idx] = True
+    return data.subset(np.flatnonzero(~mask)), data.subset(test_idx)

@@ -132,4 +132,6 @@ def principal_angles(U1, U2) -> np.ndarray:
         gram = u.T @ u
         if not np.allclose(gram, np.eye(u.shape[1]), atol=1e-6):
             raise ValueError(f"{name} does not have orthonormal columns")
-    return np.sort(np.arccos(np.clip(svd(u1.T @ u2).sigma, 0.0, 1.0)))
+    s = svd(u1.T @ u2).sigma
+    angles = np.arccos(np.clip(s, 0.0, 1.0))
+    return np.sort(angles)

@@ -144,7 +144,7 @@ def _layer_views(sizes, flat: np.ndarray):
     lead, weights, biases, pos = flat.shape[:-1], [], [], 0
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
         k = fan_in * fan_out
-        weights.append(flat[..., pos:pos + k].reshape(*lead, fan_in, fan_out, copy=False))
+        weights.append(flat[..., pos:pos + k].reshape(*lead, fan_in, fan_out))
         biases.append(flat[..., pos + k:pos + k + fan_out])
         pos += k + fan_out
     return tuple(weights), tuple(biases)

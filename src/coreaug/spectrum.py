@@ -285,7 +285,9 @@ class VectorBoundReport:
 
     @property
     def passed(self) -> bool:
-        return not self.skipped and bool(np.all(self.deviations <= self.bound + 1e-9))
+        if self.skipped:
+            return False
+        return bool(np.all(self.deviations <= self.bound + 1e-9))
 
 
 def singular_vector_bound_check(J, E) -> VectorBoundReport:
@@ -301,9 +303,13 @@ def singular_vector_bound_check(J, E) -> VectorBoundReport:
                                  reason=f"gap {gap:.3e} < 2 ||E||_2 {2 * e2:.3e}",
                                  gap=gap, e_norm2=e2)
     dec_t = svd(j + e)
-    # each vector of J + E is compared up to sign: u - (-ut) is u + ut exactly
-    devs = np.array([np.linalg.norm(u - ut if u @ ut >= 0.0 else u + ut)
-                     for u, ut in zip(dec.U.T, dec_t.U.T)])
+    devs = np.empty(dec.sigma.size)
+    for i in range(dec.sigma.size):
+        u = dec.U[:, i]
+        ut = dec_t.U[:, i]
+        if float(u @ ut) < 0.0:
+            ut = -ut
+        devs[i] = float(np.linalg.norm(u - ut))
     bound = 2.0 * math.sqrt(2.0) * e2 / gap if gap > 0.0 else math.inf
     return VectorBoundReport(skipped=False, reason="", gap=gap, e_norm2=e2,
                              deviations=devs, bound=bound)
@@ -393,18 +399,15 @@ def _linear_grad_sum(W: np.ndarray, X: np.ndarray, Y: np.ndarray,
     return X.T @ (residual * weights[:, None])
 
 
-def _linear_inputs(W, X, Y, F, indices, gamma):
-    """The linear-transform audits' inputs: W, X and F as checked matrices,
-    Y and the subset weights as float64, the subset indices as int64."""
-    return (as_matrix(W, "W"), as_matrix(X, "X"), np.asarray(Y, dtype=np.float64),
-            as_matrix(F, "F"), np.asarray(indices, dtype=np.int64),
-            np.asarray(gamma, dtype=np.float64))
-
-
 def linear_transform_bound_check(W_lin, X, Y, F, indices, gamma) -> LinearBoundReport:
     """Audit the weighted-subset gradient bounds for f(x) = W^T x augmented by
     the common linear map x -> F x, with every quantity measured."""
-    W, X, Y, F, idx, gam = _linear_inputs(W_lin, X, Y, F, indices, gamma)
+    W = as_matrix(W_lin, "W_lin")
+    X = as_matrix(X, "X")
+    Y = np.asarray(Y, dtype=np.float64)
+    F = as_matrix(F, "F")
+    idx = np.asarray(indices, dtype=np.int64)
+    gam = np.asarray(gamma, dtype=np.float64)
     n, d = X.shape
     Xa = X @ F.T
     omega = float(np.max(np.linalg.norm(Xa @ W - X @ W, axis=1)))
@@ -444,7 +447,12 @@ def linear_transform_sgd_envelope(W0, X, Y, F, indices, gamma,
     of the full F-augmented set at W0.
     """
     report = linear_transform_bound_check(W0, X, Y, F, indices, gamma)
-    W, X, Y, F, idx, gam = _linear_inputs(W0, X, Y, F, indices, gamma)
+    W = as_matrix(W0, "W0").copy()
+    X = as_matrix(X, "X")
+    Y = np.asarray(Y, dtype=np.float64)
+    F = as_matrix(F, "F")
+    idx = np.asarray(indices, dtype=np.int64)
+    gam = np.asarray(gamma, dtype=np.float64)
     pool_X = np.concatenate([X[idx], X[idx] @ F.T])
     pool_Y = np.concatenate([Y[idx], Y[idx]])
     pool_w = np.concatenate([gam, gam])

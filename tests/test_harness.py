@@ -1260,8 +1260,10 @@ def test_wall_clock_is_read_in_two_places():
 def test_parameter_layout_lives_in_model():
     """Parameters move only through the flat vector: outside ``model.py`` no
     statement assigns to or augments a subscript of ``.weights`` or
-    ``.biases``, and only ``model.py`` names ``_layer_views``, the one
-    place that computes a layer's offset."""
+    ``.biases``, none rebinds ``.params``, ``.weights`` or ``.biases`` (a
+    new ``params`` array would leave the views on the old one; ``-=`` writes
+    in place and keeps them), and only ``model.py`` names ``_layer_views``,
+    the one place that computes a layer's offset."""
     src = Path(__file__).resolve().parents[1] / "src" / "coreaug"
     writes, namers = [], []
     for path in sorted(src.glob("*.py")):
@@ -1272,7 +1274,12 @@ def test_parameter_layout_lives_in_model():
                 targets = [node.target]
             else:
                 targets = []
+            targets = [t for target in targets
+                       for t in (target.elts if isinstance(target, ast.Tuple) else [target])]
             for target in targets:
+                if (not isinstance(node, ast.AugAssign) and isinstance(target, ast.Attribute)
+                        and target.attr in ("params", "weights", "biases")):
+                    writes.append(f"{path.stem}:{node.lineno}")
                 while isinstance(target, ast.Subscript):
                     target = target.value
                     if isinstance(target, ast.Attribute) and target.attr in ("weights", "biases"):
