@@ -9,6 +9,8 @@ consume these, so the checked quantities are measured in exactly one place.
 
 from __future__ import annotations
 
+from typing import Callable, NamedTuple
+
 import numpy as np
 
 from .augment import TransformSpec, perturb
@@ -22,7 +24,7 @@ from .coreset import (
     select_all_classes,
 )
 from .data import gen_dataset, split_dataset
-from .linalg import spectral_norm, svd
+from .linalg import AT_LEAST_1, AT_LEAST_100, Domain, spectral_norm, svd
 from .model import MLP, Dataset, example_losses, gradient_proxy, jacobian, one_hot
 from .spectrum import (
     eigengap,
@@ -49,6 +51,8 @@ __all__ = [
     "audit_vector_bound",
     "audit_ntk_bound",
     "audit_linear_bounds",
+    "Battery",
+    "BATTERIES",
     "run_bounds_suite",
     "budget_spectra",
     "PROTOCOL_SEEDS",
@@ -226,20 +230,45 @@ def audit_linear_bounds(instances: int, seed: int) -> dict:
             "passed": subset_failures == 0 and combined_failures == 0}
 
 
-def run_bounds_suite(seed: int, weyl_trials: int, shift_draws: int,
-                     vector_trials: int, ntk_instances: int,
-                     linear_instances: int, augmentation_rounds: int) -> dict:
-    """Every audit battery, keyed by name; each carries its verdict as
-    ``passed``. Every count must be >= 1, as the ``bounds`` parser checks: an
-    empty battery would pass vacuously."""
-    return {
-        "weyl_random": audit_weyl_random(weyl_trials, seed),
-        "weyl_augmentation": audit_weyl_augmentation(augmentation_rounds, seed),
-        "shift_model": audit_shift_model(shift_draws, seed),
-        "vector_bound": audit_vector_bound(vector_trials, seed),
-        "ntk_bound": audit_ntk_bound(ntk_instances, seed),
-        "linear_bounds": audit_linear_bounds(linear_instances, seed),
-    }
+class Battery(NamedTuple):
+    """One ``bounds`` battery: its audit ``(size, seed) -> dict``, the flag
+    that sets its size, that flag's default, and the size's domain. An
+    empty battery would pass vacuously and write infinite or NaN extremes,
+    so every size is at least 1; the shift model's draws take
+    ``expected_shift_model_check``'s own floor of 100."""
+
+    audit: Callable[[int, int], dict]
+    flag: str
+    default: int
+    domain: Domain
+
+
+# Every battery ``bounds`` runs, keyed by its ``bounds.json`` name, in the
+# order of its flags. Each audit is called through its module name, so a
+# wrapper installed on that name (a tracer) sees the call.
+BATTERIES = {
+    "weyl_random": Battery(lambda n, seed: audit_weyl_random(n, seed),
+                           "--weyl-trials", 1000, AT_LEAST_1),
+    "shift_model": Battery(lambda n, seed: audit_shift_model(n, seed),
+                           "--shift-draws", 1000, AT_LEAST_100),
+    "vector_bound": Battery(lambda n, seed: audit_vector_bound(n, seed),
+                            "--vector-trials", 200, AT_LEAST_1),
+    "ntk_bound": Battery(lambda n, seed: audit_ntk_bound(n, seed),
+                         "--ntk-instances", 100, AT_LEAST_1),
+    "linear_bounds": Battery(lambda n, seed: audit_linear_bounds(n, seed),
+                             "--linear-instances", 100, AT_LEAST_1),
+    "weyl_augmentation": Battery(lambda n, seed: audit_weyl_augmentation(n, seed),
+                                 "--augmentation-rounds", 20, AT_LEAST_1),
+}
+
+
+def run_bounds_suite(seed: int, sizes: dict) -> dict:
+    """Every battery of ``BATTERIES`` at ``sizes[name]``, keyed by name;
+    each carries its verdict as ``passed``. A size outside its battery's
+    domain raises ``ValueError`` naming the battery before any audit runs."""
+    for name, battery in BATTERIES.items():
+        battery.domain.check(name, sizes[name])
+    return {name: battery.audit(sizes[name], seed) for name, battery in BATTERIES.items()}
 
 
 def budget_spectra(net: MLP, features, epsilons, kind: str = "uniform_ball",

@@ -27,6 +27,7 @@ import numpy as np
 
 from . import __version__
 from .audits import (
+    BATTERIES,
     PROTOCOL_SEEDS,
     budget_spectra,
     noise_robustness,
@@ -44,7 +45,7 @@ from .data import (
     save_dataset_csv,
     split_dataset,
 )
-from .linalg import (ABOVE_0, AT_LEAST_0, AT_LEAST_1, AT_LEAST_100, LEFT_OPEN_UNIT, OPEN_UNIT,
+from .linalg import (ABOVE_0, AT_LEAST_0, AT_LEAST_1, LEFT_OPEN_UNIT, OPEN_UNIT,
                      RIGHT_OPEN_UNIT, Domain, NumericalError)
 from .model import MLP, PROXY_MODES, Dataset, class_rows, gradient_proxy
 from .trainer import (
@@ -99,15 +100,19 @@ def _recorded(handler):
     none. The config holds every parsed argument but the handler, ``--out``
     (re-runs elsewhere match) and ``--config`` (its values are among them);
     the inputs are the ``--data``/``--test-data`` files; the versions name the
-    BLAS build and thread variables (null when unset), since re-runs match
-    bit for bit only under the same build and settings."""
+    BLAS build (null fields where NumPy cannot report it as data) and thread
+    variables (null when unset), since re-runs match bit for bit only under
+    the same build and settings."""
     def frame(args) -> int:
         run = _Run(args)
         run.out_dir.mkdir(parents=True, exist_ok=True)
         code = handler(args, run)
         inputs = [Path(p) for p in (getattr(args, "data", None),
                                     getattr(args, "test_data", None)) if p]
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        try:
+            blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        except TypeError:  # NumPy 1.24's show_config only prints, and takes no mode
+            blas = {}
         _write_json(run.out_dir / "manifest.json", {
             "schema_version": SCHEMA_VERSION,
             "command": args.command,
@@ -316,16 +321,11 @@ def cmd_spectrum(args, run: _Run) -> int:
 
 @_recorded
 def cmd_bounds(args, run: _Run) -> int:
+    # each flag's value sits under the dest argparse derives from the flag
+    sizes = {name: getattr(args, battery.flag[2:].replace("-", "_"))
+             for name, battery in BATTERIES.items()}
     with run.timed("bounds_ms"):
-        suite = run_bounds_suite(
-            seed=args.seed,
-            weyl_trials=args.weyl_trials,
-            shift_draws=args.shift_draws,
-            vector_trials=args.vector_trials,
-            ntk_instances=args.ntk_instances,
-            linear_instances=args.linear_instances,
-            augmentation_rounds=args.augmentation_rounds,
-        )
+        suite = run_bounds_suite(args.seed, sizes)
     out = run.path("bounds.json")
     _write_json(out, suite)
     ok = all(entry["passed"] for entry in suite.values())
@@ -483,13 +483,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", parents=[common], help="run the randomized bound-audit suite")
     p.add_argument("--seed", type=_nonnegative_int, default=0)
-    # an empty battery would pass vacuously
-    p.add_argument("--weyl-trials", type=_positive_int, default=1000)
-    p.add_argument("--shift-draws", type=_checked(int, AT_LEAST_100), default=1000)
-    p.add_argument("--vector-trials", type=_positive_int, default=200)
-    p.add_argument("--ntk-instances", type=_positive_int, default=100)
-    p.add_argument("--linear-instances", type=_positive_int, default=100)
-    p.add_argument("--augmentation-rounds", type=_positive_int, default=20)
+    for battery in BATTERIES.values():
+        p.add_argument(battery.flag, type=_checked(int, battery.domain), default=battery.default)
     p.set_defaults(fn=cmd_bounds)
 
     p = sub.add_parser("experiment", parents=[common],

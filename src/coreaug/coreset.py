@@ -153,14 +153,19 @@ def pairwise_distances(points: np.ndarray) -> np.ndarray:
     return g
 
 
-def _resolve_k(config: SelectionConfig, n_c: int) -> int | None:
+def _resolve_k(config: SelectionConfig, n_c: int, label: int | None = None) -> int | None:
+    """The class's fixed size: ``k_per_class``, else the rounded fraction of
+    its ``n_c`` rows (at least 1); None for a threshold run. A
+    ``k_per_class`` above ``n_c`` raises ``ValueError`` naming the class's
+    ``label`` when the caller knows it."""
     if config.stop != "fixed_size":
         return None
     k = config.k_per_class
     if k is None:
         k = max(1, int(round(config.fraction * n_c)))
     if k > n_c:
-        raise ValueError(f"k={k} exceeds class population {n_c}")
+        of = "" if label is None else f" of class {label}"
+        raise ValueError(f"k_per_class {k} exceeds the {n_c} rows{of}")
     return k
 
 
@@ -470,6 +475,7 @@ def select_all_classes(proxies: GradientProxySet, config: SelectionConfig) -> We
     engine = _ENGINE_FNS[config.engine]
     classes: list[ClassCoreset] = []
     for label, idx in class_rows(proxies.labels):
+        _resolve_k(config, idx.size, label)  # the engine sees D alone, not the label
         D = pairwise_distances(proxies.proxies[idx])
         try:
             result = engine(D, config)
@@ -501,8 +507,8 @@ def _per_class_subset(labels, k: int | None, fraction: float | None,
     the fraction); ``choose(class rows, k_c)`` picks the rows."""
     size = SelectionConfig(k_per_class=k, fraction=fraction)
     indices, weights = [], []
-    for _, idx in class_rows(labels):
-        kc = _resolve_k(size, idx.size)
+    for label, idx in class_rows(labels):
+        kc = _resolve_k(size, idx.size, label)
         indices.append(choose(idx, kc))
         weights.append(np.full(kc, idx.size / kc))
     return BaselineSubset(np.concatenate(indices), np.concatenate(weights))

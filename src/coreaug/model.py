@@ -210,6 +210,11 @@ class MLP:
     def copy(self) -> "MLP":
         return MLP(self.layer_sizes, self.activation, self.params.copy())
 
+    def __reduce__(self):
+        """Pickle and ``copy.deepcopy`` rebuild from ``params`` alone, so the
+        copy's ``weights`` and ``biases`` are views of its own ``params``."""
+        return MLP, (self.layer_sizes, self.activation, self.params)
+
 
 def _forward_trace(net: MLP, X: np.ndarray) -> list:
     """Activations per layer; ``acts[0]`` is the input, ``acts[-1]`` the output.

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import contextlib
 import dataclasses
@@ -21,7 +22,7 @@ import coreaug.cli
 import coreaug.coreset
 import coreaug.model
 import coreaug.spectrum
-from coreaug.audits import noise_robustness
+from coreaug.audits import BATTERIES, noise_robustness, run_bounds_suite
 from coreaug.cli import build_parser, main
 from coreaug.data import (
     DataFormatError,
@@ -31,10 +32,10 @@ from coreaug.data import (
     split_dataset,
 )
 from coreaug.augment import TransformSpec
-from coreaug.coreset import SelectionConfig
-from coreaug.model import MLP, class_rows
+from coreaug.coreset import SelectionConfig, select_all_classes
+from coreaug.model import MLP, class_rows, gradient_proxy
 from coreaug.spectrum import expected_shift_model_check
-from coreaug.trainer import CSV_HEADER, LrSchedule, TrainConfig
+from coreaug.trainer import CSV_HEADER, LrSchedule, TrainConfig, sgd_warmup
 
 
 class TestGenerators:
@@ -307,6 +308,34 @@ class TestCli:
                                             "OMP_NUM_THREADS": None,
                                             "MKL_NUM_THREADS": "2"}
 
+    def test_manifest_blas_is_null_where_numpy_cannot_report_it(self, dataset_csv,
+                                                                 tmp_path, monkeypatch):
+        """NumPy 1.24, the declared floor, has a ``show_config`` that only
+        prints and takes no ``mode``: the run still succeeds, with null BLAS
+        fields."""
+        monkeypatch.setattr(np, "show_config", lambda: None)
+        out = tmp_path / "sel"
+        assert main(["select", "--data", str(dataset_csv), "--out", str(out)]) == 0
+        versions = json.loads((out / "manifest.json").read_text())["versions"]
+        assert versions["blas"] == {"name": None, "version": None, "build": None}
+
+    def test_select_warmup_selects_as_the_library_does(self, dataset_csv, tmp_path):
+        """``select --warmup-epochs 3`` writes the coreset of ``sgd_warmup``
+        followed by ``select_all_classes``, which differs from no warm-up."""
+        outs = {w: tmp_path / f"w{w}" for w in (0, 3)}
+        for w, out in outs.items():
+            assert main(["select", "--data", str(dataset_csv), "--warmup-epochs", str(w),
+                         "--fraction", "0.2", "--out", str(out)]) == 0
+        written = {w: json.loads((out / "coreset.json").read_text())
+                   for w, out in outs.items()}
+        data = load_dataset_csv(dataset_csv)
+        net = MLP.init([data.dim, 32, data.num_classes], seed=0)
+        sgd_warmup(net, data, 3, 0.005, seed=0)
+        coreset = select_all_classes(gradient_proxy(net, data, "last_layer"),
+                                     SelectionConfig(fraction=0.2))
+        assert written[3] == coreset.to_json_dict(1)
+        assert written[3] != written[0]
+
     def test_train_multi_seed_aggregate(self, dataset_csv, tmp_path):
         out = tmp_path / "train"
         code = main(["train", "--data", str(dataset_csv), "--epochs", "2",
@@ -384,6 +413,32 @@ class TestCli:
         assert code == 4
         assert re.search(r"epoch \d+", capsys.readouterr().err)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("argv,message", [
+        (["train", "--epochs", "3"],
+         "numerical failure: training diverged at epoch 0: loss nan, gradient norm nan"),
+        (["spectrum"], "numerical failure: warm-up diverged at epoch 0: loss nan"),
+    ], ids=["train", "spectrum"])
+    def test_non_finite_loss_is_numerical_failure(self, argv, message, dataset_csv,
+                                                  tmp_path, capsys):
+        assert main([*argv, "--data", str(dataset_csv), "--lr", "1e300",
+                     "--out", str(tmp_path / "o")]) == 4
+        assert message in capsys.readouterr().err
+
+    def test_spectrum_svd_nonconvergence_names_the_shape(self, dataset_csv, tmp_path,
+                                                         monkeypatch, capsys):
+        """``linalg.svd`` turns LAPACK's ``LinAlgError`` into a
+        ``NumericalError`` naming the stacked matrix's shape: 60 rows x 3
+        classes by the 51 parameters of a 4-6-3 net."""
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", no_convergence)
+        assert main(["spectrum", "--data", str(dataset_csv), "--train-epochs", "1",
+                     "--hidden", "6", "--out", str(tmp_path / "s")]) == 4
+        assert "numerical failure: SVD did not converge for shape (180, 51)" \
+            in capsys.readouterr().err
+
     def test_bounds_small_suite(self, tmp_path):
         out = tmp_path / "bounds"
         code = main(["bounds", "--weyl-trials", "20", "--shift-draws", "200",
@@ -421,8 +476,8 @@ class TestCli:
                                                 capsys):
         suite = coreaug.audits.run_bounds_suite
 
-        def one_failing(**kwargs):
-            entries = suite(**kwargs)
+        def one_failing(seed, sizes):
+            entries = suite(seed, sizes)
             entries[battery]["passed"] = False
             return entries
 
@@ -617,7 +672,7 @@ class TestCli:
                  "ntk_bound": {"failures": 0, "passed": True},
                  "linear_bounds": {"subset_failures": 0, "combined_failures": 0,
                                    "passed": True}}
-        monkeypatch.setattr(coreaug.cli, "run_bounds_suite", lambda **kwargs: suite)
+        monkeypatch.setattr(coreaug.cli, "run_bounds_suite", lambda seed, sizes: suite)
         out = tmp_path / "b"
         assert main(["bounds", "--out", str(out)]) == 4
         assert "bounds suite FAIL" in capsys.readouterr().out
@@ -831,7 +886,7 @@ _NO_LABEL_1 = "f0,f1,label\n" + "".join(f"{i / 10},{1 - i / 10},{2 * (i % 2)}\n"
 # valid 60-row CSV, {csv} holds the row's own CSV text and {runs} is the
 # directory that holds {csv}; that text, or None;
 # the exit code; and what stderr must hold, naming the flag, or the file and
-# the line.
+# the line ({csv} and {runs} as in the argv).
 CLI_ERRORS = {
     "train --batch-size 0": (["train", "--data", "{data}", "--batch-size", "0"], None,
                              2, "argument --batch-size: must be >= 1, got 0"),
@@ -947,6 +1002,29 @@ CLI_ERRORS = {
                                       2, "--kind two_moons_embedded --n 6 --d 16 --classes 3 "
                                          "--seed 0 --margin 0.25: two_moons_embedded "
                                          "requires num_classes == 2"),
+    "select --k-per-class 50": (["select", "--data", "{data}", "--k-per-class", "50"], None,
+                                2, "config error: k_per_class 50 exceeds the 20 rows of class 0"),
+    # the holdout split leaves 15 rows per class
+    "train --k-per-class 50": (["train", "--data", "{data}", "--epochs", "1",
+                                "--k-per-class", "50"], None,
+                               2, "config error: k_per_class 50 exceeds the 15 rows of class 0"),
+    "train --baseline random --k-per-class 50": (["train", "--data", "{data}", "--epochs", "1",
+                                                  "--baseline", "random", "--k-per-class", "50"],
+                                                 None, 2, "config error: k_per_class 50 exceeds "
+                                                          "the 15 rows of class 0"),
+    "train --baseline max_loss --k-per-class 50": (["train", "--data", "{data}", "--epochs", "1",
+                                                    "--baseline", "max_loss", "--k-per-class",
+                                                    "50"], None,
+                                                   2, "config error: k_per_class 50 exceeds the "
+                                                      "15 rows of class 0"),
+    "select malformed header": (["select", "--data", "{csv}"], "f0,label,f1\n0.5,0,0.5\n",
+                                3, "data error: {csv}: line 1: malformed header"),
+    "report no run CSVs": (["report", "--runs", "{runs}"], None,
+                           3, "data error: {runs}: no run CSVs found"),
+    "config file missing": (["--config", "{csv}", "gen-data"], None,
+                            2, "config error: config file not found: {csv}"),
+    "config file not JSON": (["--config", "{csv}", "gen-data"], "n: 30\n",
+                             2, "config error: config file is not valid JSON"),
     "gen-data --d 1 --margin 5": (["gen-data", "--d", "1", "--classes", "3", "--margin", "5"],
                                   None, 2, "--d 1 --classes 3 --seed 0 --margin 5.0: could not "
                                            "place 3 means with margin 5.0 in 1 dims"),
@@ -961,11 +1039,20 @@ def test_cli_error_names_its_flag_or_file(case, dataset_csv, tmp_path, capsys):
         csv.write_text(text)
     argv = [a.format(data=dataset_csv, csv=csv, runs=tmp_path) for a in argv]
     assert _exit_code(argv + ["--out", str(tmp_path / "out")]) == code
-    assert message.format(csv=csv) in capsys.readouterr().err
+    assert message.format(csv=csv, runs=tmp_path) in capsys.readouterr().err
+
+
+def _suite_sized(battery: str, size: int):
+    """``run_bounds_suite`` at the flags' defaults but ``battery``'s size."""
+    return run_bounds_suite(0, {"weyl_random": 1000, "shift_model": 1000,
+                                "vector_bound": 200, "ntk_bound": 100,
+                                "linear_bounds": 100, "weyl_augmentation": 20,
+                                battery: size})
 
 
 # Per flag: a command line giving it one value outside its domain, the
 # library field the flag fills, and a call giving that field the same value.
+# The flag is the command line's last but one word.
 FLAG_FIELDS = {
     "--fraction": (["select", "--data", "{data}", "--fraction", "1.5"], "fraction",
                    lambda: SelectionConfig(fraction=1.5)),
@@ -1013,22 +1100,81 @@ FLAG_FIELDS = {
                 lambda: gen_dataset("gaussian_blobs", 600, 16, 3, noise=-0.1)),
     "--margin": (["gen-data", "--margin", "-1"], "margin",
                  lambda: gen_dataset("gaussian_blobs", 600, 16, 3, margin=-1.0)),
+    "bounds --weyl-trials": (["bounds", "--weyl-trials", "0"], "weyl_random",
+                             lambda: _suite_sized("weyl_random", 0)),
+    "bounds --shift-draws": (["bounds", "--shift-draws", "99"], "shift_model",
+                             lambda: _suite_sized("shift_model", 99)),
+    "bounds --vector-trials": (["bounds", "--vector-trials", "0"], "vector_bound",
+                               lambda: _suite_sized("vector_bound", 0)),
+    "bounds --ntk-instances": (["bounds", "--ntk-instances", "0"], "ntk_bound",
+                               lambda: _suite_sized("ntk_bound", 0)),
+    "bounds --linear-instances": (["bounds", "--linear-instances", "0"], "linear_bounds",
+                                  lambda: _suite_sized("linear_bounds", 0)),
+    "bounds --augmentation-rounds": (["bounds", "--augmentation-rounds", "0"],
+                                     "weyl_augmentation",
+                                     lambda: _suite_sized("weyl_augmentation", 0)),
 }
 
 
-@pytest.mark.parametrize("flag", FLAG_FIELDS)
-def test_flag_and_field_share_one_rule(flag, dataset_csv, tmp_path, capsys):
+@pytest.mark.parametrize("case", FLAG_FIELDS)
+def test_flag_and_field_share_one_rule(case, dataset_csv, tmp_path, capsys):
     """A flag's parse error and its field's ``ValueError`` complete
     "must ..." with the same text; the one names the flag, the other the
     field."""
-    argv, field, call = FLAG_FIELDS[flag]
+    argv, field, call = FLAG_FIELDS[case]
     argv = [a.format(data=dataset_csv) for a in argv]
     assert _exit_code(argv + ["--out", str(tmp_path / "out")]) == 2
-    cli_text = capsys.readouterr().err.partition(f"argument {flag}: ")[2].strip()
+    cli_text = capsys.readouterr().err.partition(f"argument {argv[-2]}: ")[2].strip()
     assert cli_text.startswith("must ")
     with pytest.raises(ValueError) as raised:
         call()
     assert str(raised.value) == f"{field} {cli_text}"
+
+
+def test_bounds_options_are_the_battery_table():
+    """``bounds`` takes ``--seed`` and one option per battery, in the
+    table's order, each with its row's default and its row's rule: both
+    accept the same probe values and reject the others with one text."""
+    actions = [a for a in build_parser().subcommands["bounds"]._actions
+               if a.dest not in ("help", "config", "out", "seed")]
+    assert [(a.option_strings, a.default) for a in actions] == [
+        ([battery.flag], battery.default) for battery in BATTERIES.values()]
+    for action, battery in zip(actions, BATTERIES.values()):
+        for value in (-1, 0, 1, 99, 100):
+            breach = battery.domain.breach(value)
+            if breach is None:
+                assert action.type(str(value)) == value
+            else:
+                with pytest.raises(argparse.ArgumentTypeError, match=re.escape(breach)):
+                    action.type(str(value))
+
+
+def test_suite_calls_each_audit_through_its_module_name(monkeypatch):
+    """A wrapper set on an audit's name in ``coreaug.audits`` (as the
+    benchmark's tracer sets one) sees the suite's call."""
+    for name in BATTERIES:
+        monkeypatch.setattr(coreaug.audits, f"audit_{name}",
+                            lambda size, seed, name=name: {"stub": name, "size": size,
+                                                           "seed": seed})
+    sizes = {name: battery.default for name, battery in BATTERIES.items()}
+    assert run_bounds_suite(3, sizes) == {
+        name: {"stub": name, "size": size, "seed": 3} for name, size in sizes.items()}
+
+
+def test_cli_names_no_battery():
+    """The battery table in ``coreaug.audits`` is the one listing: no string
+    in ``cli.py`` names a battery, its flag or the flag's dest, and no
+    attribute there is a dest."""
+    dests = {b.flag[2:].replace("-", "_") for b in BATTERIES.values()}
+    words = set(BATTERIES) | {b.flag for b in BATTERIES.values()} | dests
+    path = Path(__file__).resolve().parents[1] / "src" / "coreaug" / "cli.py"
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found += [w for w in words if w in node.value]
+        elif isinstance(node, ast.Attribute) and node.attr in dests:
+            found.append(node.attr)
+    assert found == []
 
 
 @settings(max_examples=40)

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -120,6 +123,22 @@ class TestParameterLayout:
         for a in (twin.params, *twin.weights, *twin.biases):
             assert not np.shares_memory(a, net.params)
         assert np.array_equal(twin.params, net.params)
+
+    @pytest.mark.parametrize("duplicate", [copy.deepcopy,
+                                           lambda net: pickle.loads(pickle.dumps(net))],
+                             ids=["deepcopy", "pickle"])
+    def test_deep_copies_rebuild_their_views(self, duplicate):
+        net = MLP.init([3, 4, 2], seed=14)
+        twin = duplicate(net)
+        assert (twin.layer_sizes, twin.activation) == (net.layer_sizes, net.activation)
+        assert np.array_equal(twin.params, net.params)
+        for view in (*twin.weights, *twin.biases):
+            assert np.shares_memory(view, twin.params)
+        for a in (twin.params, *twin.weights, *twin.biases):
+            assert not np.shares_memory(a, net.params)
+        twin.params[:] = 0.0
+        assert not np.any(twin.weights[0]) and not np.any(twin.biases[-1])
+        assert np.any(net.weights[0])
 
     def test_set_params_writes_in_place(self):
         net = MLP.init([3, 4, 2], seed=13)
