@@ -59,6 +59,7 @@ from .trainer import (
 )
 
 SCHEMA_VERSION = 1
+_NAME_MAX = 255  # bytes in one file name on common file systems
 
 
 class ConfigError(ValueError):
@@ -283,12 +284,16 @@ def cmd_train(args, run: _Run) -> int:
 
 @_recorded
 def cmd_spectrum(args, run: _Run) -> int:
-    # each budget names its files by its value to six decimals
+    # each budget names its files by its value to six decimals; the longest
+    # is spectrum_untrained_<name>_bins.csv
     names = [f"eps{eps:.6f}" for eps in args.epsilon0]
     for i, name in enumerate(names):
         if name in names[:i]:
             raise ConfigError(f"--epsilon0 {args.epsilon0[names.index(name)]!r} and "
                               f"{args.epsilon0[i]!r} both name their files {name}")
+        if (longest := len(f"spectrum_untrained_{name}_bins.csv")) > _NAME_MAX:
+            raise ConfigError(f"--epsilon0 {args.epsilon0[i]!r} names a {longest}-byte file, "
+                              f"past the {_NAME_MAX}-byte limit")
     data_path = Path(args.data)
     data = _load_data(data_path)
     classes_used = min(args.classes_used, data.num_classes)
@@ -579,7 +584,7 @@ def main(argv: list[str] | None = None) -> int:
         _apply_config_file(argv, parser)
         args = parser.parse_args(argv)
         return args.fn(args)
-    except (NumericalError, np.linalg.LinAlgError) as exc:
+    except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
     except (DataFormatError, FileNotFoundError) as exc:

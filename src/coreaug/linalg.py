@@ -5,6 +5,12 @@ deterministic: identical inputs produce bit-identical outputs. The signs of
 singular vectors are LAPACK's: every caller reads them through sign-invariant
 quantities (principal angles, projectors, squared coefficients).
 
+This is the one module that calls LAPACK's SVD. ``svd`` returns U and the
+singular values, ``singular_values`` the values alone, and ``spectral_norm``
+the largest of those. A non-convergence raises ``NumericalError`` naming the
+matrix's shape and input norm. The two forms stay apart because LAPACK's
+values computed with U and without it can differ in their last bits.
+
 Each knob's domain is defined once, as a ``Domain``: >= 1, >= 0, > 0, (0, 1],
 (0, 1), [0, 1), >= 100 (shift-model draws) or ``one_of`` a tuple. A field
 outside its domain raises ``ValueError("<field> must <text>, got <value>")``.
@@ -23,6 +29,7 @@ __all__ = [
     "SvdResult",
     "as_matrix",
     "svd",
+    "singular_values",
     "spectral_norm",
     "frobenius_norm",
     "principal_angles",
@@ -93,22 +100,31 @@ class SvdResult:
     sigma: np.ndarray
 
 
-def svd(A) -> SvdResult:
-    """Thin SVD with ``k = min(rows, cols)`` columns."""
+def _lapack_svd(A, **kwargs):
+    """``np.linalg.svd`` of ``as_matrix(A)``; a non-convergence becomes a
+    ``NumericalError`` naming the shape and the input's Frobenius norm."""
     m = as_matrix(A, "A")
     try:
-        u, s, _ = np.linalg.svd(m, full_matrices=False)
+        return np.linalg.svd(m, **kwargs)
     except np.linalg.LinAlgError as exc:
-        residual = float(np.linalg.norm(m))
-        raise NumericalError(
-            f"SVD did not converge for shape {m.shape} (input norm {residual:.3e})"
-        ) from exc
+        raise NumericalError(f"SVD did not converge for shape {m.shape} "
+                             f"(input norm {float(np.linalg.norm(m)):.3e})") from exc
+
+
+def svd(A) -> SvdResult:
+    """Thin SVD with ``k = min(rows, cols)`` columns."""
+    u, s, _ = _lapack_svd(A, full_matrices=False)
     return SvdResult(U=u, sigma=s)
 
 
+def singular_values(A) -> np.ndarray:
+    """LAPACK's singular values of ``A`` computed without U, nonincreasing."""
+    return _lapack_svd(A, compute_uv=False)
+
+
 def spectral_norm(A) -> float:
-    """Largest singular value, from LAPACK's singular values of ``A``."""
-    return float(np.linalg.norm(as_matrix(A, "A"), 2))
+    """Largest singular value: ``np.linalg.norm(A, 2)`` to the bit."""
+    return float(singular_values(A)[0])
 
 
 def frobenius_norm(A) -> float:

@@ -21,7 +21,8 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .augment import TransformSpec, perturb
-from .linalg import AT_LEAST_100, SvdResult, as_matrix, principal_angles, spectral_norm, svd
+from .linalg import (AT_LEAST_100, SvdResult, as_matrix, principal_angles, singular_values,
+                     spectral_norm, svd)
 from .model import MLP, Dataset, checked_rows, jacobian, residual_and_gradients
 
 __all__ = [
@@ -101,12 +102,12 @@ def round_spectra(net: MLP, X, spec: TransformSpec, round_indices) -> RoundSpect
     """
     one_copy = replace(spec, r=1)
     jac = jacobian(net, X)
-    sigma = np.linalg.svd(jac, compute_uv=False)
+    sigma = singular_values(jac)
     sigma_aug = np.empty((len(round_indices), sigma.size))
     e_norms = np.empty(len(round_indices))
     for row, rnd in enumerate(round_indices):
         j_aug = jacobian(net, perturb(one_copy, X, round_index=rnd).features)
-        sigma_aug[row] = np.linalg.svd(j_aug, compute_uv=False)
+        sigma_aug[row] = singular_values(j_aug)
         e_norms[row] = spectral_norm(j_aug - jac)
     return RoundSpectra(sigma=sigma, sigma_aug=sigma_aug, e_norms=e_norms)
 
@@ -278,7 +279,6 @@ class VectorBoundReport:
 
     skipped: bool
     reason: str
-    gap: float
     e_norm2: float
     deviations: np.ndarray | None = None
     bound: float = math.nan
@@ -301,7 +301,7 @@ def singular_vector_bound_check(J, E) -> VectorBoundReport:
     if gap < 2.0 * e2:
         return VectorBoundReport(skipped=True,
                                  reason=f"gap {gap:.3e} < 2 ||E||_2 {2 * e2:.3e}",
-                                 gap=gap, e_norm2=e2)
+                                 e_norm2=e2)
     dec_t = svd(j + e)
     devs = np.empty(dec.sigma.size)
     for i in range(dec.sigma.size):
@@ -311,8 +311,8 @@ def singular_vector_bound_check(J, E) -> VectorBoundReport:
             ut = -ut
         devs[i] = float(np.linalg.norm(u - ut))
     bound = 2.0 * math.sqrt(2.0) * e2 / gap if gap > 0.0 else math.inf
-    return VectorBoundReport(skipped=False, reason="", gap=gap, e_norm2=e2,
-                             deviations=devs, bound=bound)
+    return VectorBoundReport(skipped=False, reason="", e_norm2=e2, deviations=devs,
+                             bound=bound)
 
 
 @dataclass
@@ -430,7 +430,6 @@ def linear_transform_bound_check(W_lin, X, Y, F, indices, gamma) -> LinearBoundR
 @dataclass
 class LinearSgdEnvelopeReport:
     alpha: float
-    eta: float
     grad_norms: np.ndarray
     envelope: np.ndarray
 
@@ -470,8 +469,7 @@ def linear_transform_sgd_envelope(W0, X, Y, F, indices, gamma,
         grad_norms[t] = float(np.linalg.norm(grad))
         envelope[t] = pl_convergence_envelope(alpha, eta, constant, t)
         W = W - eta * grad
-    return LinearSgdEnvelopeReport(alpha=alpha, eta=eta, grad_norms=grad_norms,
-                                   envelope=envelope)
+    return LinearSgdEnvelopeReport(alpha=alpha, grad_norms=grad_norms, envelope=envelope)
 
 
 def pl_constants(scaled) -> tuple[float, float]:
@@ -484,7 +482,7 @@ def pl_constants(scaled) -> tuple[float, float]:
     positive above 1e-10 times the largest; when none does, the design has
     rank zero and no gradient-domination constant, a ``ValueError``.
     """
-    svals = np.linalg.svd(scaled, compute_uv=False)
+    svals = singular_values(scaled)
     positive = svals[svals > 1e-10 * max(svals[0], 1e-300)]
     if positive.size == 0:
         raise ValueError("a rank-zero design has no gradient-domination (PL) constant")

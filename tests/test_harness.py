@@ -556,7 +556,7 @@ class TestCli:
         monkeypatch.setattr(np.linalg, "svd", no_convergence)
         argv = ["bounds", *_SHORT_RUN_FLAGS["bounds"], "--out", str(tmp_path / "b")]
         assert main(argv) == 4
-        assert "numerical failure: SVD did not converge" in capsys.readouterr().err
+        assert "numerical failure: SVD did not converge for shape (" in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_select_distance_overflow_is_numerical_failure(self, dataset_csv, tmp_path,
@@ -952,6 +952,11 @@ CLI_ERRORS = {
                                            "0.1", "0.05"], None, 2,
                                           "--epsilon0 0.05 and 0.05 both name their files "
                                           "eps0.050000"),
+    # a missing data file would exit 3: the check comes before any data is read
+    "spectrum --epsilon0 1e300": (["spectrum", "--data", "{csv}", "--epsilon0", "1e300",
+                                   "--untrained"], None, 2,
+                                  "config error: --epsilon0 1e+300 names a 339-byte file, "
+                                  "past the 255-byte limit"),
     "select --xi 0": (["select", "--data", "{data}", "--xi", "0"], None,
                       2, "argument --xi: must be > 0, got 0.0"),
     "report header only": (["report", "--runs", "{runs}"], CSV_HEADER + "\n",
@@ -1375,32 +1380,61 @@ def test_every_definition_is_reachable():
         f"reachable, so not exempt: {', '.join(sorted(set(PERFBENCH_ONLY) - unreached))}"
 
 
+def scoped_nodes(src: Path):
+    """Every AST node of each module in ``src``, with its scope: the module's
+    stem, then the enclosing classes and functions, dotted (``cli._Run.timed``)."""
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                yield from walk(child, f"{scope}.{child.name}")
+            else:
+                yield scope, child
+                yield from walk(child, scope)
+
+    for path in sorted(src.glob("*.py")):
+        yield from walk(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+
+
+def spelled_names(node) -> list[str]:
+    """The names a node spells: an attribute's, a name's, or those it imports."""
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.ImportFrom):
+        return [alias.name for alias in node.names]
+    return []
+
+
 def test_wall_clock_is_read_in_two_places():
     """``perf_counter`` is named only in the CLI frame's timer and in
     ``trainer.train``, which times each refresh for the ``selection_ms``
     column; every other phase is timed through the frame."""
     src = Path(__file__).resolve().parents[1] / "src" / "coreaug"
-    users = []
-
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
-                visit(child, f"{scope}.{child.name}")
-                continue
-            if isinstance(child, ast.Attribute):
-                names = [child.attr]
-            elif isinstance(child, ast.Name):
-                names = [child.id]
-            elif isinstance(child, ast.ImportFrom):
-                names = [alias.name for alias in child.names]
-            else:
-                names = []
-            users.extend([scope] * names.count("perf_counter"))
-            visit(child, scope)
-
-    for path in sorted(src.glob("*.py")):
-        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    users = [scope for scope, node in scoped_nodes(src)
+             for name in spelled_names(node) if name == "perf_counter"]
     assert sorted(users) == ["cli._Run.timed"] * 2 + ["trainer.train"] * 2
+
+
+def test_lapack_svd_has_one_door():
+    """Only ``linalg._lapack_svd`` names ``np.linalg.svd`` or ``LinAlgError``,
+    and no module calls ``np.linalg.norm`` with an ``ord`` (2, -2 and 'nuc'
+    run an SVD). So every singular value comes through its wrap, and a
+    non-convergence has one error path: ``cli.main`` has one handler for
+    ``NumericalError``."""
+    src = Path(__file__).resolve().parents[1] / "src" / "coreaug"
+    users, handlers = [], []
+    for scope, node in scoped_nodes(src):
+        if ((isinstance(node, ast.Attribute) and ast.unparse(node) == "np.linalg.svd")
+                or "LinAlgError" in spelled_names(node)):
+            users.append(scope)
+        if (isinstance(node, ast.Call) and ast.unparse(node.func) == "np.linalg.norm"
+                and (len(node.args) > 1 or any(k.arg == "ord" for k in node.keywords))):
+            users.append(scope)
+        if isinstance(node, ast.ExceptHandler) and scope == "cli.main":
+            handlers.append(ast.unparse(node.type))
+    assert users == ["linalg._lapack_svd"] * 2
+    assert [h for h in handlers if "NumericalError" in h] == ["NumericalError"]
 
 
 def test_parameter_layout_lives_in_model():
@@ -1430,14 +1464,6 @@ def test_parameter_layout_lives_in_model():
                     target = target.value
                     if isinstance(target, ast.Attribute) and target.attr in ("weights", "biases"):
                         writes.append(f"{path.stem}:{node.lineno}")
-            if isinstance(node, ast.Name):
-                names = [node.id]
-            elif isinstance(node, ast.Attribute):
-                names = [node.attr]
-            elif isinstance(node, ast.ImportFrom):
-                names = [alias.name for alias in node.names]
-            else:
-                names = []
-            namers.extend([path.stem] * names.count("_layer_views"))
+            namers.extend([path.stem] * spelled_names(node).count("_layer_views"))
     assert [w for w in writes if not w.startswith("model:")] == []
     assert set(namers) == {"model"}

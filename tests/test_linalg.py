@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from coreaug.linalg import (
+    NumericalError,
     as_matrix,
     frobenius_norm,
     principal_angles,
+    singular_values,
     spectral_norm,
     svd,
 )
@@ -103,6 +105,29 @@ class TestSpectralNorm:
     def test_never_exceeds_frobenius(self, seed, rows, cols):
         a = random_matrix(seed, rows, cols)
         assert spectral_norm(a) <= frobenius_norm(a) + 1e-12
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (15, 8), (8, 15), (40, 60), (180, 51)])
+def test_singular_values_are_lapacks_bytes(shape):
+    """``singular_values`` is NumPy's ``svd(A, compute_uv=False)`` byte for
+    byte, and ``spectral_norm`` its first entry, which is
+    ``np.linalg.norm(A, 2)``."""
+    a = random_matrix(sum(shape), *shape)
+    s = singular_values(a)
+    assert s.tobytes() == np.linalg.svd(a, compute_uv=False).tobytes()
+    assert np.float64(spectral_norm(a)).tobytes() == s[0].tobytes()
+    assert np.float64(spectral_norm(a)).tobytes() == np.linalg.norm(a, 2).tobytes()
+
+
+@pytest.mark.parametrize("routine", [svd, singular_values, spectral_norm])
+def test_svd_nonconvergence_names_shape_and_norm(routine, monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", no_convergence)
+    with pytest.raises(NumericalError, match=r"^SVD did not converge for shape \(4, 3\) "
+                                             r"\(input norm 3\.464e\+00\)$"):
+        routine(np.ones((4, 3)))
 
 
 class TestFrobenius:
