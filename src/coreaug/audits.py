@@ -44,24 +44,6 @@ from .trainer import (
     train,
 )
 
-__all__ = [
-    "audit_weyl_random",
-    "audit_weyl_augmentation",
-    "audit_shift_model",
-    "audit_vector_bound",
-    "audit_ntk_bound",
-    "audit_linear_bounds",
-    "Battery",
-    "BATTERIES",
-    "run_bounds_suite",
-    "budget_spectra",
-    "PROTOCOL_SEEDS",
-    "subset_split",
-    "subset_benchmark",
-    "spectrum_protocol",
-    "noise_robustness",
-]
-
 PROTOCOL_SEEDS = tuple(range(5))
 
 # The shift-model verdict's cut: the upper 1% point of the chi-square law

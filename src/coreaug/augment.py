@@ -14,13 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import AT_LEAST_0, AT_LEAST_1, as_matrix, one_of
-
-__all__ = [
-    "TransformSpec",
-    "AugmentedSet",
-    "perturb",
-]
+from .linalg import AT_LEAST_1, FINITE_AT_LEAST_0, as_matrix, one_of
 
 TRANSFORM_KINDS = ("uniform_ball", "gaussian_clipped", "pixel_jitter")
 
@@ -41,7 +35,7 @@ class TransformSpec:
 
     def __post_init__(self):
         one_of(TRANSFORM_KINDS).check("kind", self.kind)
-        AT_LEAST_0.check("epsilon0", self.epsilon0)
+        FINITE_AT_LEAST_0.check("epsilon0", self.epsilon0)
         AT_LEAST_1.check("r", self.r)
 
 
@@ -68,7 +62,9 @@ def _raw_displacements(spec: TransformSpec, k: int, d: int,
     scores = rng.uniform(size=(k, d))
     cut = np.sort(scores, axis=1)[:, n_coords - 1:n_coords]
     mask = scores <= cut
-    values = rng.uniform(-eps, eps, size=(k, d))
+    # half-width draws, doubled: the same bits as uniform(-eps, eps), whose
+    # width 2 eps overflows for budgets near the float64 maximum
+    values = 2.0 * rng.uniform(-eps / 2.0, eps / 2.0, size=(k, d))
     return values * mask
 
 
@@ -89,10 +85,18 @@ def perturb(spec: TransformSpec, X, round_index: int = 0) -> AugmentedSet:
     for copy in range(spec.r):
         rng = np.random.default_rng([spec.seed, round_index, copy])
         delta = _raw_displacements(spec, k, d, rng)
-        norms = np.linalg.norm(delta, axis=1)
+        with np.errstate(over="ignore"):  # an overflowed norm is redone below
+            norms = np.linalg.norm(delta, axis=1)
         scale = np.ones(k)
         over = norms > eps
         if np.any(over):
             scale[over] = eps / norms[over]
+        huge = np.isinf(norms)
+        if np.any(huge):
+            # the squares overflowed: divide each row by its largest |entry|
+            # first, and keep the norm, peak * unit, factored
+            peak = np.max(np.abs(delta[huge]), axis=1)
+            unit = np.linalg.norm(delta[huge] / peak[:, None], axis=1)
+            scale[huge] = np.minimum(1.0, eps / unit / peak)
         out[copy::spec.r] = np.clip(X + delta * scale[:, None], 0.0, 1.0)
     return AugmentedSet(features=out)

@@ -45,8 +45,8 @@ from .data import (
     save_dataset_csv,
     split_dataset,
 )
-from .linalg import (ABOVE_0, AT_LEAST_0, AT_LEAST_1, LEFT_OPEN_UNIT, OPEN_UNIT,
-                     RIGHT_OPEN_UNIT, Domain, NumericalError)
+from .linalg import (ABOVE_0, AT_LEAST_0, AT_LEAST_1, FINITE_AT_LEAST_0, LEFT_OPEN_UNIT,
+                     OPEN_UNIT, RIGHT_OPEN_UNIT, Domain, NumericalError)
 from .model import MLP, PROXY_MODES, Dataset, class_rows, gradient_proxy
 from .trainer import (
     BASELINES,
@@ -154,6 +154,7 @@ _positive_int = _checked(int, AT_LEAST_1)
 _nonnegative_int = _checked(int, AT_LEAST_0)
 _positive_float = _checked(float, ABOVE_0)
 _nonnegative_float = _checked(float, AT_LEAST_0)
+_budget = _checked(float, FINITE_AT_LEAST_0)
 _fraction = _checked(float, LEFT_OPEN_UNIT)
 
 
@@ -463,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr-decay-epochs", type=_nonnegative_int, nargs="*", default=None)
     p.add_argument("--lr-decay-factor", type=_positive_float, default=0.1)
     p.add_argument("--batch-size", type=_positive_int, default=32)
-    p.add_argument("--epsilon0", type=_nonnegative_float, default=16.0 / 255.0)
+    p.add_argument("--epsilon0", type=_budget, default=16.0 / 255.0)
     p.add_argument("--transform-kind", default="uniform_ball", choices=TRANSFORM_KINDS)
     p.add_argument("--label-noise", type=_checked(float, RIGHT_OPEN_UNIT), default=0.0)
     p.add_argument("--random-fraction", type=_fraction, default=0.5)
@@ -474,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", parents=[common],
                        help="paired clean/augmented spectrum reports")
     p.add_argument("--data", required=True)
-    p.add_argument("--epsilon0", type=_nonnegative_float, nargs="+", default=[8.0 / 255.0, 16.0 / 255.0])
+    p.add_argument("--epsilon0", type=_budget, nargs="+", default=[8.0 / 255.0, 16.0 / 255.0])
     p.add_argument("--transform-kind", default="uniform_ball", choices=TRANSFORM_KINDS)
     p.add_argument("--train-epochs", type=_nonnegative_int, default=15)
     p.add_argument("--lr", type=_positive_float, default=0.005)

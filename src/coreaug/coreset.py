@@ -41,28 +41,6 @@ from .model import (
     residuals,
 )
 
-__all__ = [
-    "SelectionConfig",
-    "SelectionResult",
-    "ClassCoreset",
-    "WeightedCoreset",
-    "BaselineSubset",
-    "AlignmentReport",
-    "NtkBoundVerdict",
-    "pairwise_distances",
-    "g_frobenius",
-    "facility_location_objective",
-    "greedy_select",
-    "lazy_greedy_select",
-    "stochastic_greedy_select",
-    "compute_weights",
-    "alignment_error",
-    "select_all_classes",
-    "max_loss_subset",
-    "random_subset",
-    "coreset_ntk_bound_check",
-]
-
 ENGINES = ("naive", "lazy", "stochastic")
 STOP_MODES = ("xi_threshold", "fixed_size")
 

@@ -14,14 +14,6 @@ import numpy as np
 from .linalg import AT_LEAST_0, AT_LEAST_1, OPEN_UNIT, one_of
 from .model import Dataset, class_rows
 
-__all__ = [
-    "DataFormatError",
-    "gen_dataset",
-    "save_dataset_csv",
-    "load_dataset_csv",
-    "split_dataset",
-]
-
 GENERATOR_KINDS = ("gaussian_blobs", "two_moons_embedded", "grid_digits")
 
 

@@ -11,8 +11,9 @@ the largest of those. A non-convergence raises ``NumericalError`` naming the
 matrix's shape and input norm. The two forms stay apart because LAPACK's
 values computed with U and without it can differ in their last bits.
 
-Each knob's domain is defined once, as a ``Domain``: >= 1, >= 0, > 0, (0, 1],
-(0, 1), [0, 1), >= 100 (shift-model draws) or ``one_of`` a tuple. A field
+Each knob's domain is defined once, as a ``Domain``: >= 1, >= 0, finite and
+>= 0 (augmentation budgets), > 0, (0, 1], (0, 1), [0, 1), >= 100 (shift-model
+draws) or ``one_of`` a tuple. A field
 outside its domain raises ``ValueError("<field> must <text>, got <value>")``.
 """
 
@@ -23,17 +24,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-
-__all__ = [
-    "NumericalError",
-    "SvdResult",
-    "as_matrix",
-    "svd",
-    "singular_values",
-    "spectral_norm",
-    "frobenius_norm",
-    "principal_angles",
-]
 
 
 class NumericalError(RuntimeError):
@@ -61,6 +51,7 @@ class Domain(NamedTuple):
 
 AT_LEAST_1 = Domain(lambda v: v >= 1, "be >= 1")
 AT_LEAST_0 = Domain(lambda v: v >= 0, "be >= 0")
+FINITE_AT_LEAST_0 = Domain(lambda v: math.isfinite(v) and v >= 0, "be finite and >= 0")
 ABOVE_0 = Domain(lambda v: v > 0, "be > 0")
 LEFT_OPEN_UNIT = Domain(lambda v: 0 < v <= 1, "lie in (0, 1]")
 OPEN_UNIT = Domain(lambda v: 0 < v < 1, "lie in (0, 1)")

@@ -17,24 +17,6 @@ import numpy as np
 
 from .linalg import AT_LEAST_1, NumericalError, as_matrix, one_of
 
-__all__ = [
-    "MemoryCapError",
-    "Dataset",
-    "GradientProxySet",
-    "MLP",
-    "one_hot",
-    "class_rows",
-    "forward",
-    "residuals",
-    "example_losses",
-    "checked_rows",
-    "residual_and_gradients",
-    "weighted_gradient",
-    "jacobian",
-    "per_example_gradients",
-    "gradient_proxy",
-]
-
 JACOBIAN_ENTRY_CAP = 2**28
 
 PROXY_MODES = ("residual", "last_layer")
@@ -108,7 +90,6 @@ class GradientProxySet:
 
     proxies: np.ndarray
     labels: np.ndarray
-    mode: str
     num_classes: int
 
     def __post_init__(self):
@@ -197,9 +178,6 @@ class MLP:
     @property
     def num_outputs(self) -> int:
         return self.layer_sizes[-1]
-
-    def get_params(self) -> np.ndarray:
-        return self.params.copy()
 
     def set_params(self, flat: np.ndarray) -> None:
         flat = np.asarray(flat, dtype=np.float64)
@@ -369,4 +347,4 @@ def gradient_proxy(net: MLP, data: Dataset, mode: str = "last_layer") -> Gradien
         # multiply gives -0.0
         np.einsum("nh,nc->nhc", h, r, out=out[:, 1:])
         proxies = out.reshape(n, -1)
-    return GradientProxySet(proxies, data.labels, mode, data.num_classes)
+    return GradientProxySet(proxies, data.labels, data.num_classes)

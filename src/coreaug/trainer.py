@@ -45,19 +45,6 @@ from .model import (
     weighted_gradient,
 )
 
-__all__ = [
-    "LrSchedule",
-    "TrainConfig",
-    "EpochRow",
-    "TrainRecord",
-    "inject_label_noise",
-    "evaluate",
-    "train",
-    "initial_pool",
-    "sgd_warmup",
-    "noisy_selection_audit",
-]
-
 REGIMES = ("coreset_only", "full_plus_coreset_aug", "random_plus_coreset_aug")
 BASELINES = ("ours", "random", "max_loss")
 
@@ -134,9 +121,7 @@ CSV_HEADER = ",".join(f.name for f in fields(EpochRow))
 class TrainRecord:
     rows: list[EpochRow]
     initial_grad_norm: float
-    noisy_mask: np.ndarray | None = None
     selection_events: list[tuple[int, np.ndarray]] = field(default_factory=list)
-    final_params: np.ndarray | None = None
 
     def to_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -278,11 +263,10 @@ def _pool_metrics(net: MLP, pool: _Pool) -> tuple[float, float]:
 
 
 def _setup(config: TrainConfig, data: Dataset):
-    """(noisy data, flip mask, initial net, the pool's base rows): the seeded
-    set-up that ``train`` and ``initial_pool`` share. The base rows are every
-    row, a fixed random fraction of them, or None for the selection itself."""
-    data, noisy_mask = inject_label_noise(data, config.label_noise_frac,
-                                          seed=[config.seed, 11])
+    """(noisy data, initial net, the pool's base rows): the seeded set-up that
+    ``train`` and ``initial_pool`` share. The base rows are every row, a fixed
+    random fraction of them, or None for the selection itself."""
+    data = inject_label_noise(data, config.label_noise_frac, seed=[config.seed, 11])[0]
     net = MLP.init([data.dim, *config.hidden_sizes, data.num_classes],
                    activation=config.activation, seed=[config.seed, 5])
     base = None
@@ -291,7 +275,7 @@ def _setup(config: TrainConfig, data: Dataset):
     elif config.regime == "random_plus_coreset_aug":
         base = random_subset(None, data.labels, seed=[config.seed, 13],
                              fraction=config.random_fraction).indices
-    return data, noisy_mask, net, base
+    return data, net, base
 
 
 def train(config: TrainConfig, data: Dataset, test_data: Dataset) -> TrainRecord:
@@ -305,7 +289,7 @@ def train(config: TrainConfig, data: Dataset, test_data: Dataset) -> TrainRecord
     finite, or whose loss exceeds ``_DIVERGENCE_FACTOR`` times the pool loss
     before the first step.
     """
-    data, noisy_mask, net, base = _setup(config, data)
+    data, net, base = _setup(config, data)
     Y_all = one_hot(data.labels, data.num_classes)
     batch_rng = np.random.default_rng([config.seed, 7])
     rows: list[EpochRow] = []
@@ -340,15 +324,14 @@ def train(config: TrainConfig, data: Dataset, test_data: Dataset) -> TrainRecord
             points_touched=int(np.count_nonzero(touched)),
         ))
     return TrainRecord(rows=rows, initial_grad_norm=float(initial_grad_norm),
-                       noisy_mask=noisy_mask, selection_events=events,
-                       final_params=net.get_params())
+                       selection_events=events)
 
 
 def initial_pool(config: TrainConfig, data: Dataset):
     """Reconstruct the epoch-0 training pool exactly as ``train`` builds it:
     same net init, same selection streams. Returns (net, X, Y, weights,
     selected indices, gamma-style original-row weights)."""
-    data, _, net, base = _setup(config, data)
+    data, net, base = _setup(config, data)
     indices, orig_w = _select_subset(config, net, data, 0)
     pool = _build_pool(config, data, one_hot(data.labels, data.num_classes),
                        indices, orig_w, 0, base)

@@ -186,7 +186,7 @@ def test_criterion_07_alignment_audit():
         rng = np.random.default_rng(seed + 11_000)
         n = int(rng.integers(12, 60))
         pts = rng.standard_normal((n, int(rng.integers(2, 6))))
-        proxies = GradientProxySet(pts, np.zeros(n, dtype=int), "residual", 1)
+        proxies = GradientProxySet(pts, np.zeros(n, dtype=int), 1)
         errors, bounds = [], []
         for k in (max(1, n // 8), max(2, n // 4), max(4, n // 2)):
             coreset = select_all_classes(

@@ -41,7 +41,7 @@ def random_points(seed, n, p=3, scale=1.0):
 def proxy_set(points, labels=None, C=None):
     labels = np.zeros(points.shape[0], dtype=int) if labels is None else labels
     C = int(labels.max()) + 1 if C is None else C
-    return GradientProxySet(points, labels, "residual", C)
+    return GradientProxySet(points, labels, C)
 
 
 def integer_grid_points(seed, n):
@@ -651,7 +651,7 @@ class TestSelectAllClasses:
         pts = random_points(21, 6)
         labels = np.array([0, 2, 0, 2, 0, 2])
         coreset = select_all_classes(
-            GradientProxySet(pts, labels, "residual", 3),
+            GradientProxySet(pts, labels, 3),
             SelectionConfig(fraction=0.5))
         assert [c.label for c in coreset.classes] == [0, 2]
 

@@ -940,10 +940,17 @@ CLI_ERRORS = {
                                     "--lr-decay-factor", "-1"], None,
                                    2, "argument --lr-decay-factor: must be > 0, got -1.0"),
     "train --epsilon0 -0.1": (["train", "--data", "{data}", "--epsilon0", "-0.1"], None,
-                              2, "argument --epsilon0: must be >= 0, got -0.1"),
+                              2, "argument --epsilon0: must be finite and >= 0, got -0.1"),
     "spectrum --epsilon0 0.03 -0.1": (["spectrum", "--data", "{data}", "--epsilon0", "0.03",
                                        "-0.1"], None,
-                                      2, "argument --epsilon0: must be >= 0, got -0.1"),
+                                      2, "argument --epsilon0: must be finite and >= 0, "
+                                         "got -0.1"),
+    "train --epsilon0 inf": (["train", "--data", "{data}", "--epsilon0", "inf",
+                              "--transform-kind", "pixel_jitter"], None,
+                             2, "argument --epsilon0: must be finite and >= 0, got inf"),
+    "spectrum --epsilon0 0.03 inf": (["spectrum", "--data", "{data}", "--epsilon0", "0.03",
+                                      "inf"], None,
+                                     2, "argument --epsilon0: must be finite and >= 0, got inf"),
     "spectrum --epsilon0 0.0300001 0.0300004": (["spectrum", "--data", "{data}", "--epsilon0",
                                                  "0.0300001", "0.0300004"], None, 2,
                                                 "--epsilon0 0.0300001 and 0.0300004 both "
@@ -1281,27 +1288,35 @@ PERFBENCH_ONLY = {
         "tests probe shifted parameters through it",
     "coreset.WeightedCoreset.validate":
         "perfbench/workloads.py checks every selection it observes with it",
+    "trainer.TrainRecord.selection_events":
+        "perfbench/workloads.py's _check_record reads each refresh's indices "
+        "from it",
 }
 
 
 def unreached_definitions(src: Path, acceptance: Path) -> set[str]:
-    """Functions, classes and methods of the modules in ``src``, as
-    ``module.name`` or ``module.Class.method``, that no call path reaches
-    from ``cli.main``, from a module-level statement or from the names
-    ``acceptance`` reads.
+    """Functions, classes, methods and fields of the modules in ``src``, as
+    ``module.name``, ``module.Class.method`` or ``module.Class.field``, that
+    no call path reaches from ``cli.main``, from a module-level statement or
+    from the names ``acceptance`` reads.
 
     A bare name resolves through its module's definitions and imports, so a
     local variable never stands for a definition elsewhere. ``Cls.attr``
     resolves to that class's member; an attribute of an imported name that
     is not a class (``np.zeros``) resolves to nothing; any other attribute
-    reaches every method of that name. Reaching a class reaches its dunder
-    methods, which Python calls implicitly.
+    that is read reaches every method and field of that name. Reaching a
+    class reaches its dunder methods, which Python calls implicitly, but not
+    its fields (the annotated names of its body): a field is reached when it
+    is read as an attribute, or when its class is serialised whole by
+    ``fields(Cls)`` or ``asdict(self)``. ``asdict`` recurses, so it also
+    serialises every class that a serialised field's annotation names.
     """
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(src.glob("*.py"))}
     roots = ast.parse(acceptance.read_text(encoding="utf-8"))
     defs: dict[str, ast.AST] = {}
-    methods: dict[str, list[str]] = {}
+    members: dict[str, list[str]] = {}
+    fields_of: dict[str, list[str]] = {}
     imports: dict[str, dict[str, tuple]] = {}
     for mod, tree in [*trees.items(), ("<acceptance>", roots)]:
         imports[mod] = {}
@@ -1317,9 +1332,15 @@ def unreached_definitions(src: Path, acceptance: Path) -> set[str]:
                 defs[f"{mod}.{node.name}"] = node
                 for item in node.body if isinstance(node, ast.ClassDef) else ():
                     if isinstance(item, ast.FunctionDef):
-                        member = f"{mod}.{node.name}.{item.name}"
-                        defs[member] = item
-                        methods.setdefault(item.name, []).append(member)
+                        name = item.name
+                    elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                        name = item.target.id
+                        fields_of.setdefault(f"{mod}.{node.name}", []).append(
+                            f"{mod}.{node.name}.{name}")
+                    else:
+                        continue
+                    defs[f"{mod}.{node.name}.{name}"] = item
+                    members.setdefault(name, []).append(f"{mod}.{node.name}.{name}")
 
     def resolve(mod, name):
         if f"{mod}.{name}" in defs:
@@ -1327,31 +1348,59 @@ def unreached_definitions(src: Path, acceptance: Path) -> set[str]:
         source, original = imports.get(mod, {}).get(name, (None, None))
         return resolve(source, original) if source in trees else None
 
-    def references(mod, nodes):
+    def serialised(cls, nested):
+        """The fields of ``cls`` and, when ``nested``, of every class that a
+        serialised field's annotation names."""
+        todo, seen = [cls], set()
+        while todo:
+            cls = todo.pop()
+            if cls in seen:
+                continue
+            seen.add(cls)
+            for field in fields_of.get(cls, ()):
+                yield field
+                if nested:
+                    todo += [resolve(cls.partition(".")[0], sub.id)
+                             for sub in ast.walk(defs[field].annotation)
+                             if isinstance(sub, ast.Name)]
+
+    serialisers = (("dataclasses", "asdict"), ("dataclasses", "fields"))
+
+    def references(mod, nodes, owner=None):
         for node in nodes:
             for sub in ast.walk(node):
                 if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
                     yield resolve(mod, sub.id)
-                elif isinstance(sub, ast.Attribute):
+                elif isinstance(sub, ast.Attribute) and not isinstance(sub.ctx, ast.Store):
                     base = sub.value
                     if isinstance(base, ast.Name) and (
                             f"{mod}.{base.id}" in defs or base.id in imports[mod]):
-                        owner = resolve(mod, base.id)
-                        if isinstance(defs.get(owner), ast.ClassDef):
-                            yield f"{owner}.{sub.attr}"
+                        owner_cls = resolve(mod, base.id)
+                        if isinstance(defs.get(owner_cls), ast.ClassDef):
+                            yield f"{owner_cls}.{sub.attr}"
                     else:
-                        yield from methods.get(sub.attr, ())
+                        yield from members.get(sub.attr, ())
+                elif isinstance(sub, ast.AugAssign) and isinstance(sub.target, ast.Attribute):
+                    yield from members.get(sub.target.attr, ())
+                elif (isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)
+                      and imports[mod].get(sub.func.id) in serialisers
+                      and sub.args and isinstance(sub.args[0], ast.Name)):
+                    arg = sub.args[0].id
+                    cls = owner if arg == "self" else resolve(mod, arg)
+                    yield from serialised(cls, imports[mod][sub.func.id][1] == "asdict")
 
     def edges(qualified):
         mod = qualified.partition(".")[0]
         node = defs[qualified]
+        if isinstance(node, ast.AnnAssign):
+            return ()
         if isinstance(node, ast.FunctionDef):
-            return references(mod, [node])
-        members = [item for item in node.body if not isinstance(item, ast.FunctionDef)]
+            return references(mod, [node], owner=qualified.rpartition(".")[0])
+        body = [item for item in node.body if not isinstance(item, ast.FunctionDef)]
         dunders = [f"{qualified}.{item.name}" for item in node.body
                    if isinstance(item, ast.FunctionDef) and item.name.startswith("__")]
         return [*references(mod, [*node.bases, *node.keywords, *node.decorator_list,
-                                  *members]), *dunders]
+                                  *body]), *dunders]
 
     frontier = ["cli.main", *references("<acceptance>", [roots])]
     for mod, tree in trees.items():
@@ -1369,8 +1418,9 @@ def unreached_definitions(src: Path, acceptance: Path) -> set[str]:
 def test_every_definition_is_reachable():
     """Every function, class and method in src/coreaug runs on some path from
     the CLI entry point, a module-level statement or the acceptance
-    criteria, so no library code runs only under unit tests; the only
-    exceptions are the definitions in ``PERFBENCH_ONLY``."""
+    criteria, and every field is read on such a path, so no library code
+    runs, and no field is filled, only for unit tests; the only exceptions
+    are the definitions in ``PERFBENCH_ONLY``."""
     root = Path(__file__).resolve().parents[1]
     unreached = unreached_definitions(root / "src" / "coreaug",
                                       root / "tests" / "test_acceptance.py")
@@ -1378,6 +1428,37 @@ def test_every_definition_is_reachable():
         f"only tests reach: {', '.join(sorted(unreached - set(PERFBENCH_ONLY)))}"
     assert set(PERFBENCH_ONLY) <= unreached, \
         f"reachable, so not exempt: {', '.join(sorted(set(PERFBENCH_ONLY) - unreached))}"
+
+
+def test_field_reachability_rule(tmp_path):
+    """A field read as an attribute is reached, and so is one that only a
+    nested ``asdict`` serialises; a field nothing reads is not."""
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "cli.py").write_text(
+        "from dataclasses import asdict, dataclass\n"
+        "\n"
+        "@dataclass\n"
+        "class Inner:\n"
+        "    nested: float\n"
+        "\n"
+        "@dataclass\n"
+        "class Wrapper:\n"
+        "    inner: Inner\n"
+        "\n"
+        "    def to_dict(self):\n"
+        "        return asdict(self)\n"
+        "\n"
+        "@dataclass\n"
+        "class Report:\n"
+        "    read: float\n"
+        "    unread: float\n"
+        "\n"
+        "def main(report: Report, wrapper: Wrapper):\n"
+        "    return report.read, wrapper.to_dict()\n", encoding="utf-8")
+    acceptance = tmp_path / "test_acceptance.py"
+    acceptance.write_text("", encoding="utf-8")
+    assert unreached_definitions(src, acceptance) == {"cli.Report.unread"}
 
 
 def scoped_nodes(src: Path):

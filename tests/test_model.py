@@ -42,7 +42,7 @@ def per_example_gradient(net, x, y_onehot):
 
 def finite_difference_gradient(net, x, y, coords, step=1e-5):
     """Central-difference oracle for d/dW of 0.5 ||f(x) - y||^2."""
-    params = net.get_params()
+    params = net.params.copy()
     out = {}
     for c in coords:
         for sign in (+1.0, -1.0):
@@ -346,7 +346,7 @@ class TestJacobian:
         X = np.random.default_rng(8).uniform(0, 1, (3, 3))
         jac = jacobian(net, X)
         step = 1e-5
-        params = net.get_params()
+        params = net.params.copy()
         rng = np.random.default_rng(9)
         for _ in range(40):
             i = int(rng.integers(0, 3))

@@ -1,9 +1,11 @@
+import dataclasses
 import math
 import re
 
 import numpy as np
 import pytest
 
+import coreaug.trainer
 from coreaug.augment import TransformSpec
 from coreaug.coreset import SelectionConfig, random_subset
 from coreaug.linalg import NumericalError
@@ -45,6 +47,22 @@ def quick_config(**overrides):
     )
     base.update(overrides)
     return TrainConfig(**base)
+
+
+def train_to_final_params(monkeypatch, config, data, test):
+    """``train``'s record and the parameters of the net that its
+    ``evaluate`` receives after the last epoch."""
+    seen = []
+    real = coreaug.trainer.evaluate
+
+    def spy(net, data):
+        seen.append(net.params.copy())
+        return real(net, data)
+
+    monkeypatch.setattr(coreaug.trainer, "evaluate", spy)
+    record = train(config, data, test)
+    assert len(seen) == config.epochs
+    return record, seen[-1]
 
 
 class TestLabelNoise:
@@ -96,16 +114,16 @@ class TestWeightedStep:
         from coreaug.model import weighted_gradient
 
         grad = weighted_gradient(net_b, data.features, Y, np.ones(data.n))
-        net_b.set_params(net_b.get_params() - 0.1 * grad)
-        assert np.array_equal(net_a.get_params(), net_b.get_params())
+        net_b.set_params(net_b.params.copy() - 0.1 * grad)
+        assert np.array_equal(net_a.params.copy(), net_b.params.copy())
 
     def test_zero_weights_no_update(self):
         data, _ = blob_pair(4, n=9)
         net = MLP.init([data.dim, 4, data.num_classes], seed=3)
-        before = net.get_params()
+        before = net.params.copy()
         weighted_gradient_step(net, data.features, data.one_hot_labels(),
                                np.zeros(data.n), 0.5)
-        assert np.array_equal(net.get_params(), before)
+        assert np.array_equal(net.params.copy(), before)
 
     def test_matches_weighted_jacobian_form(self):
         # oracle: step = eta * J^T (row-weighted residual vector)
@@ -115,9 +133,9 @@ class TestWeightedStep:
         jac = jacobian(net, data.features)
         r = residuals(net, data)
         weighted_vec = (r * rho[:, None]).ravel()
-        expected = net.get_params() - 0.2 * (jac.T @ weighted_vec)
+        expected = net.params.copy() - 0.2 * (jac.T @ weighted_vec)
         weighted_gradient_step(net, data.features, data.one_hot_labels(), rho, 0.2)
-        assert np.max(np.abs(net.get_params() - expected)) <= 1e-8
+        assert np.max(np.abs(net.params.copy() - expected)) <= 1e-8
 
     def test_rejects_negative_weights(self):
         data, _ = blob_pair(6, n=6)
@@ -165,18 +183,18 @@ class TestTrain:
         assert record.selection_events[0][0] == 0
         assert [r.refreshed for r in record.rows] == [True, False, False]
 
-    def test_seed_determinism(self):
+    def test_seed_determinism(self, monkeypatch):
         data, test = blob_pair(10)
         cfg = quick_config(baseline="ours", epochs=3)
-        a = train(cfg, data, test)
-        b = train(cfg, data, test)
-        assert np.array_equal(a.final_params, b.final_params)
+        a, a_params = train_to_final_params(monkeypatch, cfg, data, test)
+        b, b_params = train_to_final_params(monkeypatch, cfg, data, test)
+        assert np.array_equal(a_params, b_params)
         for ra, rb in zip(a.rows, b.rows):
             assert ra.train_loss == rb.train_loss
             assert ra.test_acc == rb.test_acc
             assert ra.grad_norm == rb.grad_norm
 
-    def test_degenerate_configs_equal_across_regimes(self):
+    def test_degenerate_configs_equal_across_regimes(self, monkeypatch):
         data, test = blob_pair(11, n=30)
         common = dict(
             selection=SelectionConfig(stop="fixed_size", fraction=1.0),
@@ -187,23 +205,24 @@ class TestTrain:
             refresh_r=1,
         )
         records = {
-            regime: train(quick_config(regime=regime, **common), data, test)
+            regime: train_to_final_params(monkeypatch, quick_config(regime=regime, **common),
+                                          data, test)
             for regime in ("coreset_only", "full_plus_coreset_aug",
                            "random_plus_coreset_aug")
         }
-        base = records["coreset_only"]
-        for other in records.values():
-            assert np.array_equal(base.final_params, other.final_params)
+        base, base_params = records["coreset_only"]
+        for other, other_params in records.values():
+            assert np.array_equal(base_params, other_params)
             assert [r.train_loss for r in base.rows] == [r.train_loss for r in other.rows]
 
-    def test_degenerate_matches_plain_sgd_on_duplicated_data(self):
+    def test_degenerate_matches_plain_sgd_on_duplicated_data(self, monkeypatch):
         data, test = blob_pair(12, n=24)
         cfg = quick_config(
             regime="full_plus_coreset_aug",
             selection=SelectionConfig(stop="fixed_size", fraction=1.0),
             transform=TransformSpec(epsilon0=0.0, r=1, seed=4),
             baseline="random", epochs=2, refresh_r=1, batch_size=8)
-        record = train(cfg, data, test)
+        final_params = train_to_final_params(monkeypatch, cfg, data, test)[1]
         # replay: same init, same batch stream, duplicated rows, unit weights
         net = MLP.init([data.dim, *cfg.hidden_sizes, data.num_classes],
                        seed=[cfg.seed, 5])
@@ -216,7 +235,7 @@ class TestTrain:
                 batch = order[start:start + cfg.batch_size]
                 weighted_gradient_step(net, X[batch], Y[batch],
                                        np.ones(batch.size), cfg.lr.initial)
-        assert np.array_equal(record.final_params, net.get_params())
+        assert np.array_equal(final_params, net.params.copy())
 
     def test_points_touched_nondecreasing_and_bounded(self):
         data, test = blob_pair(13, n=30)
@@ -286,9 +305,17 @@ class TestTrain:
         assert np.array_equal(Y[k:], one_hot(data.labels[sources], data.num_classes))
 
     def test_label_noise_recorded(self):
+        """A noisy run is a clean run on the labels that
+        ``inject_label_noise`` flips under the run's noise stream."""
         data, test = blob_pair(15, n=42)
-        record = train(quick_config(label_noise_frac=0.3, epochs=2), data, test)
-        assert record.noisy_mask.sum() == 12
+        cfg = quick_config(label_noise_frac=0.3, epochs=2)
+        noisy, mask = inject_label_noise(data, 0.3, seed=[cfg.seed, 11])
+        assert mask.sum() == 12
+        record = train(cfg, data, test)
+        clean = train(dataclasses.replace(cfg, label_noise_frac=0.0), noisy, test)
+        for a, b in zip(record.rows, clean.rows, strict=True):
+            assert (a.train_loss, a.test_loss, a.test_acc, a.grad_norm) == \
+                (b.train_loss, b.test_loss, b.test_acc, b.grad_norm)
 
     def test_default_quick_config_pool_loss_does_not_grow(self):
         """The unit-test config trains at a step that converges: its pool
@@ -416,7 +443,7 @@ def test_sgd_warmup_deterministic():
     b = a.copy()
     sgd_warmup(a, data, epochs=3, lr=0.05, seed=1)
     sgd_warmup(b, data, epochs=3, lr=0.05, seed=1)
-    assert np.array_equal(a.get_params(), b.get_params())
+    assert np.array_equal(a.params.copy(), b.params.copy())
 
 
 @pytest.mark.parametrize("hidden", [(), (6,), (6, 5)])
@@ -454,7 +481,7 @@ def test_sgd_warmup_replays_weighted_gradient_steps(activation):
             batch = order[start:start + 8]
             weighted_gradient_step(replay, data.features[batch], Y[batch],
                                    np.ones(batch.size), 0.01)
-    assert np.array_equal(net.get_params(), replay.get_params())
+    assert np.array_equal(net.params.copy(), replay.params.copy())
 
 
 def failing_epoch(exc_info) -> int:
