@@ -3,7 +3,8 @@
 Every transform draws an additive displacement, rescales it onto the l2 budget
 ``epsilon0`` when it exceeds it, and clamps the result back into [0, 1].
 Clamping only shrinks the distance to the source row, so the budget invariant
-holds exactly. Randomness is counter-based: the draw for a given
+holds exactly. Budgets lie in [0, 1e150] (``linalg.BUDGET``), where no squared
+row norm overflows float64. Randomness is counter-based: the draw for a given
 (seed, round, copy) block is an independent stream, so outputs are bit-stable
 and rows never share RNG state.
 """
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import AT_LEAST_1, FINITE_AT_LEAST_0, as_matrix, one_of
+from .linalg import AT_LEAST_1, BUDGET, as_matrix, one_of
 
 TRANSFORM_KINDS = ("uniform_ball", "gaussian_clipped", "pixel_jitter")
 
@@ -23,9 +24,10 @@ TRANSFORM_KINDS = ("uniform_ball", "gaussian_clipped", "pixel_jitter")
 class TransformSpec:
     """Bounded additive transform family.
 
-    ``epsilon0`` is the l2 budget in feature units (pixel-scale values like 8
-    and 16 correspond to 8/255 and 16/255 on [0, 1] features); ``r`` is the
-    number of augmented copies per source row.
+    ``epsilon0`` is the l2 budget in feature units, in [0, 1e150]
+    (pixel-scale values like 8 and 16 correspond to 8/255 and 16/255 on
+    [0, 1] features; a budget of sqrt(d) already reaches every corner of the
+    unit box); ``r`` is the number of augmented copies per source row.
     """
 
     kind: str = "uniform_ball"
@@ -35,7 +37,7 @@ class TransformSpec:
 
     def __post_init__(self):
         one_of(TRANSFORM_KINDS).check("kind", self.kind)
-        FINITE_AT_LEAST_0.check("epsilon0", self.epsilon0)
+        BUDGET.check("epsilon0", self.epsilon0)
         AT_LEAST_1.check("r", self.r)
 
 
@@ -62,10 +64,7 @@ def _raw_displacements(spec: TransformSpec, k: int, d: int,
     scores = rng.uniform(size=(k, d))
     cut = np.sort(scores, axis=1)[:, n_coords - 1:n_coords]
     mask = scores <= cut
-    # half-width draws, doubled: the same bits as uniform(-eps, eps), whose
-    # width 2 eps overflows for budgets near the float64 maximum
-    values = 2.0 * rng.uniform(-eps / 2.0, eps / 2.0, size=(k, d))
-    return values * mask
+    return rng.uniform(-eps, eps, size=(k, d)) * mask
 
 
 def perturb(spec: TransformSpec, X, round_index: int = 0) -> AugmentedSet:
@@ -85,18 +84,10 @@ def perturb(spec: TransformSpec, X, round_index: int = 0) -> AugmentedSet:
     for copy in range(spec.r):
         rng = np.random.default_rng([spec.seed, round_index, copy])
         delta = _raw_displacements(spec, k, d, rng)
-        with np.errstate(over="ignore"):  # an overflowed norm is redone below
-            norms = np.linalg.norm(delta, axis=1)
+        norms = np.linalg.norm(delta, axis=1)
         scale = np.ones(k)
         over = norms > eps
         if np.any(over):
             scale[over] = eps / norms[over]
-        huge = np.isinf(norms)
-        if np.any(huge):
-            # the squares overflowed: divide each row by its largest |entry|
-            # first, and keep the norm, peak * unit, factored
-            peak = np.max(np.abs(delta[huge]), axis=1)
-            unit = np.linalg.norm(delta[huge] / peak[:, None], axis=1)
-            scale[huge] = np.minimum(1.0, eps / unit / peak)
         out[copy::spec.r] = np.clip(X + delta * scale[:, None], 0.0, 1.0)
     return AugmentedSet(features=out)

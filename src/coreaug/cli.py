@@ -18,6 +18,7 @@ import argparse
 import contextlib
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -45,8 +46,8 @@ from .data import (
     save_dataset_csv,
     split_dataset,
 )
-from .linalg import (ABOVE_0, AT_LEAST_0, AT_LEAST_1, FINITE_AT_LEAST_0, LEFT_OPEN_UNIT,
-                     OPEN_UNIT, RIGHT_OPEN_UNIT, Domain, NumericalError)
+from .linalg import (ABOVE_0, AT_LEAST_0, AT_LEAST_1, BUDGET, LEFT_OPEN_UNIT, OPEN_UNIT,
+                     RIGHT_OPEN_UNIT, Domain, NumericalError)
 from .model import MLP, PROXY_MODES, Dataset, class_rows, gradient_proxy
 from .trainer import (
     BASELINES,
@@ -59,7 +60,6 @@ from .trainer import (
 )
 
 SCHEMA_VERSION = 1
-_NAME_MAX = 255  # bytes in one file name on common file systems
 
 
 class ConfigError(ValueError):
@@ -67,7 +67,8 @@ class ConfigError(ValueError):
 
 
 def _write_json(path: Path, payload: dict | list) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
+    """Strict JSON: a NaN or an infinity raises ``ValueError``, writing nothing."""
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n",
                     encoding="utf-8")
 
 
@@ -154,7 +155,7 @@ _positive_int = _checked(int, AT_LEAST_1)
 _nonnegative_int = _checked(int, AT_LEAST_0)
 _positive_float = _checked(float, ABOVE_0)
 _nonnegative_float = _checked(float, AT_LEAST_0)
-_budget = _checked(float, FINITE_AT_LEAST_0)
+_budget = _checked(float, BUDGET)
 _fraction = _checked(float, LEFT_OPEN_UNIT)
 
 
@@ -285,16 +286,12 @@ def cmd_train(args, run: _Run) -> int:
 
 @_recorded
 def cmd_spectrum(args, run: _Run) -> int:
-    # each budget names its files by its value to six decimals; the longest
-    # is spectrum_untrained_<name>_bins.csv
+    # each budget names its files by its value to six decimals
     names = [f"eps{eps:.6f}" for eps in args.epsilon0]
     for i, name in enumerate(names):
         if name in names[:i]:
             raise ConfigError(f"--epsilon0 {args.epsilon0[names.index(name)]!r} and "
                               f"{args.epsilon0[i]!r} both name their files {name}")
-        if (longest := len(f"spectrum_untrained_{name}_bins.csv")) > _NAME_MAX:
-            raise ConfigError(f"--epsilon0 {args.epsilon0[i]!r} names a {longest}-byte file, "
-                              f"past the {_NAME_MAX}-byte limit")
     data_path = Path(args.data)
     data = _load_data(data_path)
     classes_used = min(args.classes_used, data.num_classes)
@@ -382,9 +379,14 @@ def cmd_report(args) -> int:
                     raise DataFormatError(f"{csv_path}: line {line_no}: {len(fields)} "
                                           f"columns, the run header has {len(columns)}")
                 try:
-                    rows.append([float(v) for v in fields])
+                    row = [float(v) for v in fields]
                 except ValueError as exc:
                     raise DataFormatError(f"{csv_path}: line {line_no}: {exc}") from None
+                for c, v in zip(columns, row):
+                    if not math.isfinite(v):
+                        raise DataFormatError(f"{csv_path}: line {line_no}: {c}={v} "
+                                              "is not finite")
+                rows.append(row)
         if not rows:
             raise DataFormatError(f"{csv_path}: no rows below the run header")
         last = dict(zip(columns, rows[-1]))

@@ -15,6 +15,7 @@ from .linalg import AT_LEAST_0, AT_LEAST_1, OPEN_UNIT, one_of
 from .model import Dataset, class_rows
 
 GENERATOR_KINDS = ("gaussian_blobs", "two_moons_embedded", "grid_digits")
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 class DataFormatError(ValueError):
@@ -106,11 +107,11 @@ def load_dataset_csv(path) -> Dataset:
     Each fully parsed row's features are appended as raw doubles to one
     growing buffer, which becomes the feature matrix without a copy. Parsing
     stops at the first line with a wrong column count, a non-numeric value,
-    a label that is not an integer or a negative label; the reported line is
-    the first offending one, a range error on that line coming before its
-    negative label. The range check is two reductions, and only a failing
-    file builds the mask ``~((X >= 0) & (X <= 1))`` to name the entry; NaN
-    and infinities fail both.
+    a label that is not an integer, a negative label or one past the int64
+    maximum; the reported line is the first offending one, a range error on
+    that line coming before its label. The range check is two reductions,
+    and only a failing file builds the mask ``~((X >= 0) & (X <= 1))`` to
+    name the entry; NaN and infinities fail both.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = (line for physical in fh for line in physical.splitlines())
@@ -141,6 +142,9 @@ def load_dataset_csv(path) -> Dataset:
             labels.append(label)
             if label < 0:
                 failure = f"line {lineno}: negative label"
+                break
+            if label > _INT64_MAX:
+                failure = f"line {lineno}: label {label} does not fit int64"
                 break
     X = np.frombuffer(feats, dtype=np.float64).reshape(len(labels), d)
     if X.size and not (X.min() >= 0.0 and X.max() <= 1.0):

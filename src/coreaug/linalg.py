@@ -11,10 +11,11 @@ the largest of those. A non-convergence raises ``NumericalError`` naming the
 matrix's shape and input norm. The two forms stay apart because LAPACK's
 values computed with U and without it can differ in their last bits.
 
-Each knob's domain is defined once, as a ``Domain``: >= 1, >= 0, finite and
->= 0 (augmentation budgets), > 0, (0, 1], (0, 1), [0, 1), >= 100 (shift-model
-draws) or ``one_of`` a tuple. A field
-outside its domain raises ``ValueError("<field> must <text>, got <value>")``.
+Each knob's domain is defined once, as a ``Domain``: >= 1, >= 0, > 0,
+(0, 1], (0, 1), [0, 1), [0, 1e150] (augmentation budgets), >= 100
+(shift-model draws) or ``one_of`` a tuple. No domain holds a non-finite
+float. A field outside its domain raises
+``ValueError("<field> must <text>, got <value>")``.
 """
 
 from __future__ import annotations
@@ -38,7 +39,10 @@ class Domain(NamedTuple):
     text: str
 
     def breach(self, value) -> str | None:
-        """``must <text>, got <value>`` when ``value`` lies outside, else None."""
+        """``must <text>, got <value>`` when ``value`` lies outside, else None;
+        a non-finite float lies outside every domain (``must be finite``)."""
+        if isinstance(value, float) and not math.isfinite(value):
+            return f"must be finite, got {value}"
         if self.ok(value):
             return None
         return f"must {self.text}, got {repr(value) if isinstance(value, str) else value}"
@@ -51,12 +55,14 @@ class Domain(NamedTuple):
 
 AT_LEAST_1 = Domain(lambda v: v >= 1, "be >= 1")
 AT_LEAST_0 = Domain(lambda v: v >= 0, "be >= 0")
-FINITE_AT_LEAST_0 = Domain(lambda v: math.isfinite(v) and v >= 0, "be finite and >= 0")
 ABOVE_0 = Domain(lambda v: v > 0, "be > 0")
 LEFT_OPEN_UNIT = Domain(lambda v: 0 < v <= 1, "lie in (0, 1]")
 OPEN_UNIT = Domain(lambda v: 0 < v < 1, "lie in (0, 1)")
 RIGHT_OPEN_UNIT = Domain(lambda v: 0 <= v < 1, "lie in [0, 1)")
 AT_LEAST_100 = Domain(lambda v: v >= 100, "be >= 100")
+# up to 1e150 no displacement's squared row norm overflows float64 (for up to
+# 10^8 features); a budget of sqrt(d) already reaches every corner of [0, 1]^d
+BUDGET = Domain(lambda v: 0 <= v <= 1e150, "lie in [0, 1e150]")
 
 
 def one_of(choices: tuple) -> Domain:

@@ -179,12 +179,6 @@ class MLP:
     def num_outputs(self) -> int:
         return self.layer_sizes[-1]
 
-    def set_params(self, flat: np.ndarray) -> None:
-        flat = np.asarray(flat, dtype=np.float64)
-        if flat.shape != self.params.shape:
-            raise ValueError(f"expected {self.num_params} parameters, got {flat.shape}")
-        self.params[...] = flat
-
     def copy(self) -> "MLP":
         return MLP(self.layer_sizes, self.activation, self.params.copy())
 

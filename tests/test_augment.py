@@ -72,17 +72,13 @@ class TestPerturb:
         dists = np.linalg.norm(out.features - np.repeat(X, 2, axis=0), axis=1)
         assert float(dists.max()) <= 0.07 + 1e-12
 
-    @pytest.mark.parametrize("kind, eps", [
-        *((kind, eps) for kind in ALL_KINDS for eps in (1e160, 1e200, 1e300)),
-        *((kind, eps) for kind in ("uniform_ball", "pixel_jitter")
-          for eps in (9e307, np.finfo(np.float64).max)),
-    ])
-    def test_huge_budget_moves_every_row(self, kind, eps):
-        """A budget whose squared displacement overflows float64 still
-        perturbs every row. Each displacement dwarfs the unit box, so every
-        coordinate it touches lands on 0 or 1."""
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_largest_budget_moves_every_row(self, kind):
+        """At the top of the budget range every row moves, with no overflow
+        warning. Each displacement dwarfs the unit box, so every coordinate
+        it touches lands on 0 or 1."""
         X = source_rows(8, k=10, d=8)
-        out = perturb(TransformSpec(kind=kind, epsilon0=eps, r=2, seed=6), X, 0).features
+        out = perturb(TransformSpec(kind=kind, epsilon0=1e150, r=2, seed=6), X, 0).features
         moved = out != np.repeat(X, 2, axis=0)
         assert moved.any(axis=1).all()
         assert np.isin(out[moved], (0.0, 1.0)).all()
@@ -95,7 +91,12 @@ class TestSpecValidation:
 
     @pytest.mark.parametrize("eps", [np.inf, np.nan])
     def test_non_finite_budget(self, eps):
-        with pytest.raises(ValueError, match="epsilon0 must be finite and >= 0"):
+        with pytest.raises(ValueError, match="epsilon0 must be finite, got"):
+            TransformSpec(epsilon0=eps)
+
+    @pytest.mark.parametrize("eps", [1.0000001e150, 1e160, 1e300, np.finfo(np.float64).max])
+    def test_budget_above_range(self, eps):
+        with pytest.raises(ValueError, match=r"epsilon0 must lie in \[0, 1e150\], got"):
             TransformSpec(epsilon0=eps)
 
     def test_zero_copies(self):

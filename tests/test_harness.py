@@ -7,6 +7,7 @@ import importlib.util
 import io
 import json
 import math
+import os
 import re
 import shlex
 import subprocess
@@ -170,7 +171,7 @@ class TestCsvFormat:
 
     # (data rows after the header "f0,f1,label", the message after the path);
     # the first offending line wins, and within a line the order is columns,
-    # numbers, an integer label, feature range, label sign
+    # numbers, an integer label, feature range, label sign, label size
     PRECEDENCE = {
         "range_before_columns": (["0.5,0.5,0", "0.5,1.5,0", "0.5,0", "0.5,0.5,0"],
                                  "line 3: feature f1=1.5 outside [0, 1]"),
@@ -201,6 +202,12 @@ class TestCsvFormat:
                                  "line 4: negative label"),
         "label_not_an_integer_before_range": (["0.5,0.5,0", "0.5,2,1.5"],
                                               "line 3: label '1.5' is not an integer"),
+        "label_beyond_int64": (["0.5,0.5,0", "0.5,0.5,100000000000000000000", "0.5,2,0"],
+                               "line 3: label 100000000000000000000 does not fit int64"),
+        "range_before_label_beyond_int64": (["0.5,2,9223372036854775808"],
+                                            "line 2: feature f1=2.0 outside [0, 1]"),
+        "largest_int64_label_parses": (["0.5,0.5,9223372036854775807", "0.5,0.5,-1"],
+                                       "line 3: negative label"),
     }
 
     @pytest.mark.parametrize("case", PRECEDENCE)
@@ -254,6 +261,8 @@ CONFIG_ERRORS = {
                               ("key 'lr_decay_epochs': invalid literal for int()",)),
     "train regime": (["train", "--config", "{cfg}"], {"regime": "all"},
                      ("key 'regime': invalid choice 'all'",)),
+    "train lr Infinity": (["train", "--config", "{cfg}"], {"lr": math.inf},
+                          ("key 'lr': must be finite, got inf",)),
     "train false epochs": (["train", "--config", "{cfg}"], {"epochs": False},
                            ("key 'epochs': invalid literal for int()",)),
     "train null data": (["train", "--config", "{cfg}"], {"data": None, "epochs": 1},
@@ -862,10 +871,15 @@ class TestCli:
             assert len(bins) == 19 and all(b["count"] == 1 for b in bins)
 
     def test_entrypoint_subprocess(self, tmp_path):
+        """``python -m coreaug.cli`` runs from this checkout's ``src``,
+        installed or not."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         result = subprocess.run(
             [sys.executable, "-m", "coreaug.cli", "gen-data", "--n", "12",
              "--d", "3", "--classes", "3", "--out", str(tmp_path / "p.csv")],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert result.returncode == 0, result.stderr
 
 
@@ -926,6 +940,8 @@ CLI_ERRORS = {
                            3, "{csv}: --holdout 0.25: the split left no training rows"),
     "select label 1.5": (["select", "--data", "{csv}"], "f0,label\n0.5,1.5\n",
                          3, "{csv}: line 2: label '1.5' is not an integer"),
+    "select label 1e20": (["select", "--data", "{csv}"], "f0,label\n0.5,100000000000000000000\n",
+                          3, "{csv}: line 2: label 100000000000000000000 does not fit int64"),
     "train empty class": (["train", "--data", "{csv}", "--epochs", "1"], _NO_LABEL_1,
                           0, "warning: {csv}: label 1 has no rows"),
     "select empty class": (["select", "--data", "{csv}"], _NO_LABEL_1,
@@ -940,17 +956,17 @@ CLI_ERRORS = {
                                     "--lr-decay-factor", "-1"], None,
                                    2, "argument --lr-decay-factor: must be > 0, got -1.0"),
     "train --epsilon0 -0.1": (["train", "--data", "{data}", "--epsilon0", "-0.1"], None,
-                              2, "argument --epsilon0: must be finite and >= 0, got -0.1"),
+                              2, "argument --epsilon0: must lie in [0, 1e150], got -0.1"),
     "spectrum --epsilon0 0.03 -0.1": (["spectrum", "--data", "{data}", "--epsilon0", "0.03",
                                        "-0.1"], None,
-                                      2, "argument --epsilon0: must be finite and >= 0, "
+                                      2, "argument --epsilon0: must lie in [0, 1e150], "
                                          "got -0.1"),
     "train --epsilon0 inf": (["train", "--data", "{data}", "--epsilon0", "inf",
                               "--transform-kind", "pixel_jitter"], None,
-                             2, "argument --epsilon0: must be finite and >= 0, got inf"),
+                             2, "argument --epsilon0: must be finite, got inf"),
     "spectrum --epsilon0 0.03 inf": (["spectrum", "--data", "{data}", "--epsilon0", "0.03",
                                       "inf"], None,
-                                     2, "argument --epsilon0: must be finite and >= 0, got inf"),
+                                     2, "argument --epsilon0: must be finite, got inf"),
     "spectrum --epsilon0 0.0300001 0.0300004": (["spectrum", "--data", "{data}", "--epsilon0",
                                                  "0.0300001", "0.0300004"], None, 2,
                                                 "--epsilon0 0.0300001 and 0.0300004 both "
@@ -962,10 +978,17 @@ CLI_ERRORS = {
     # a missing data file would exit 3: the check comes before any data is read
     "spectrum --epsilon0 1e300": (["spectrum", "--data", "{csv}", "--epsilon0", "1e300",
                                    "--untrained"], None, 2,
-                                  "config error: --epsilon0 1e+300 names a 339-byte file, "
-                                  "past the 255-byte limit"),
+                                  "argument --epsilon0: must lie in [0, 1e150], got 1e+300"),
     "select --xi 0": (["select", "--data", "{data}", "--xi", "0"], None,
                       2, "argument --xi: must be > 0, got 0.0"),
+    "select --xi inf --lr inf": (["select", "--data", "{data}", "--xi", "inf", "--lr", "inf"],
+                                 None, 2, "argument --xi: must be finite, got inf"),
+    "select --lr inf": (["select", "--data", "{data}", "--lr", "inf"], None,
+                        2, "argument --lr: must be finite, got inf"),
+    "train --lr nan": (["train", "--data", "{data}", "--lr", "nan"], None,
+                       2, "argument --lr: must be finite, got nan"),
+    "gen-data --noise inf": (["gen-data", "--noise", "inf"], None,
+                             2, "argument --noise: must be finite, got inf"),
     "report header only": (["report", "--runs", "{runs}"], CSV_HEADER + "\n",
                            3, "{csv}: no rows below the run header"),
     "report short row": (["report", "--runs", "{runs}"], CSV_HEADER + "\n1,0.5,0.4\n",
@@ -973,6 +996,12 @@ CLI_ERRORS = {
     "report non-numeric": (["report", "--runs", "{runs}"],
                            CSV_HEADER + "\n1,0.5,0.4,0.9,0.1,1,2.0,5\n2,0.5,x,0.9,0.1,0,0.0,5\n",
                            3, "{csv}: line 3: could not convert string to float: 'x'"),
+    "report nan row": (["report", "--runs", "{runs}"],
+                       CSV_HEADER + "\n1,0.5,0.4,0.9,0.1,1,2.0,5\n2,nan,0.4,0.9,0.1,0,0.0,5\n",
+                       3, "{csv}: line 3: train_loss=nan is not finite"),
+    "report inf row": (["report", "--runs", "{runs}"],
+                       CSV_HEADER + "\n1,0.5,0.4,inf,0.1,1,2.0,5\n",
+                       3, "{csv}: line 2: test_acc=inf is not finite"),
     "gen-data --classes 0": (["gen-data", "--classes", "0"], None,
                              2, "argument --classes: must be >= 1, got 0"),
     "gen-data --n 0": (["gen-data", "--n", "0"], None,
@@ -1143,6 +1172,42 @@ def test_flag_and_field_share_one_rule(case, dataset_csv, tmp_path, capsys):
     assert str(raised.value) == f"{field} {cli_text}"
 
 
+@pytest.mark.parametrize("value", ["-0.1", "1.0000001e150", "1e160", "1e300",
+                                   repr(float(np.finfo(np.float64).max)), "inf", "nan"])
+@pytest.mark.parametrize("command", ["train", "spectrum"])
+def test_budget_range_is_one_rule(command, value, tmp_path, capsys):
+    """Every budget outside [0, 1e150] exits 2 from both ``--epsilon0``
+    flags before the (missing) data file is read, with the text
+    ``TransformSpec`` gives for the same value."""
+    argv = [command, "--data", str(tmp_path / "missing.csv"), "--epsilon0", value,
+            "--out", str(tmp_path / "out")]
+    assert _exit_code(argv) == 2
+    cli_text = capsys.readouterr().err.partition("argument --epsilon0: ")[2].strip()
+    with pytest.raises(ValueError) as raised:
+        TransformSpec(epsilon0=float(value))
+    assert str(raised.value) == f"epsilon0 {cli_text}"
+
+
+def test_largest_budget_runs_spectrum(dataset_csv, tmp_path):
+    """``spectrum --epsilon0 1e150`` writes its files, the longest name
+    188 bytes (the float 1e150 lies below 10**150, so its integer part has
+    150 digits), and the augmentation shifts the Jacobian."""
+    out = tmp_path / "spec"
+    assert main(["spectrum", "--data", str(dataset_csv), "--epsilon0", "1e150",
+                 "--untrained", "--train-epochs", "1", "--hidden", "6",
+                 "--per-class-cap", "15", "--out", str(out)]) == 0
+    longest = max(strict_json(out / "manifest.json")["outputs"], key=len)
+    assert len(longest.encode()) == 188
+    for tag in ("untrained", "trained"):
+        assert strict_json(out / f"spectrum_{tag}_eps{1e150:.6f}.json")["e_norm2"] > 0.0
+
+
+def test_json_artifacts_refuse_non_finite_floats(tmp_path):
+    with pytest.raises(ValueError):
+        coreaug.cli._write_json(tmp_path / "x.json", {"lr": math.inf})
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_bounds_options_are_the_battery_table():
     """``bounds`` takes ``--seed`` and one option per battery, in the
     table's order, each with its row's default and its row's rule: both
@@ -1283,9 +1348,6 @@ PERFBENCH_ONLY = {
     "model.weighted_gradient":
         "the public one-batch step's gradient; perfbench/tracing.py traces it "
         "by name",
-    "model.MLP.set_params":
-        "the checked way to write a whole flat vector; the finite-difference "
-        "tests probe shifted parameters through it",
     "coreset.WeightedCoreset.validate":
         "perfbench/workloads.py checks every selection it observes with it",
     "trainer.TrainRecord.selection_events":

@@ -3,6 +3,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from coreaug.linalg import (
+    ABOVE_0,
+    AT_LEAST_0,
+    AT_LEAST_1,
+    LEFT_OPEN_UNIT,
     NumericalError,
     as_matrix,
     frobenius_norm,
@@ -31,6 +35,15 @@ def assert_factorises(a, dec):
 def orthonormal_columns(seed, rows, cols):
     q, _ = np.linalg.qr(random_matrix(seed, rows, cols))
     return q[:, :cols]
+
+
+class TestDomain:
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("domain", [AT_LEAST_0, AT_LEAST_1, ABOVE_0, LEFT_OPEN_UNIT])
+    def test_non_finite_float_lies_outside_every_domain(self, domain, value):
+        """A non-finite float is rejected before the predicate runs, so
+        ``inf >= 0`` does not admit it and ``nan`` gets the same text."""
+        assert domain.breach(value) == f"must be finite, got {value}"
 
 
 class TestSvd:

@@ -49,7 +49,7 @@ def finite_difference_gradient(net, x, y, coords, step=1e-5):
             shifted = params.copy()
             shifted[c] += sign * step
             probe = net.copy()
-            probe.set_params(shifted)
+            probe.params[...] = shifted
             pred = forward(probe, x.reshape(1, -1))[0]
             val = 0.5 * float(np.sum((pred - y) ** 2))
             out.setdefault(c, 0.0)
@@ -139,15 +139,6 @@ class TestParameterLayout:
         twin.params[:] = 0.0
         assert not np.any(twin.weights[0]) and not np.any(twin.biases[-1])
         assert np.any(net.weights[0])
-
-    def test_set_params_writes_in_place(self):
-        net = MLP.init([3, 4, 2], seed=13)
-        storage = net.params
-        net.set_params(np.ones(net.num_params))
-        assert net.params is storage
-        assert np.all(net.weights[0] == 1.0) and np.all(net.biases[1] == 1.0)
-        with pytest.raises(ValueError, match="expected 26 parameters"):
-            net.set_params(np.ones(net.num_params + 1))
 
     def test_layer_views_cannot_be_rebound(self):
         net = MLP.init([3, 2], seed=0)
@@ -356,9 +347,9 @@ class TestJacobian:
             plus[p] += step
             minus[p] -= step
             probe = net.copy()
-            probe.set_params(plus)
+            probe.params[...] = plus
             f_plus = forward(probe, X[i:i + 1])[0, c]
-            probe.set_params(minus)
+            probe.params[...] = minus
             f_minus = forward(probe, X[i:i + 1])[0, c]
             fd = (f_plus - f_minus) / (2 * step)
             assert abs(jac[i * 2 + c, p] - fd) <= 1e-5 * max(abs(fd), 1e-4)

@@ -114,7 +114,7 @@ class TestWeightedStep:
         from coreaug.model import weighted_gradient
 
         grad = weighted_gradient(net_b, data.features, Y, np.ones(data.n))
-        net_b.set_params(net_b.params.copy() - 0.1 * grad)
+        net_b.params[...] = net_b.params - 0.1 * grad
         assert np.array_equal(net_a.params.copy(), net_b.params.copy())
 
     def test_zero_weights_no_update(self):
