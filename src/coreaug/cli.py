@@ -30,7 +30,6 @@ from . import __version__
 from .audits import (
     BATTERIES,
     PROTOCOL_SEEDS,
-    budget_spectra,
     noise_robustness,
     run_bounds_suite,
     spectrum_protocol,
@@ -43,12 +42,14 @@ from .data import (
     DataFormatError,
     gen_dataset,
     load_dataset_csv,
+    load_training_csv,
     save_dataset_csv,
     split_dataset,
 )
 from .linalg import (ABOVE_0, AT_LEAST_0, AT_LEAST_1, BUDGET, LEFT_OPEN_UNIT, OPEN_UNIT,
                      RIGHT_OPEN_UNIT, Domain, NumericalError)
 from .model import MLP, PROXY_MODES, Dataset, class_rows, gradient_proxy
+from .spectrum import budget_spectra
 from .trainer import (
     BASELINES,
     CSV_HEADER,
@@ -174,9 +175,9 @@ def _seed_list(text: str) -> list[int]:
 
 
 def _load_data(path: Path) -> Dataset:
-    """``load_dataset_csv``, naming on stderr each label below the largest
+    """``load_training_csv``, naming on stderr each label below the largest
     that has no rows: every command skips that class."""
-    data = load_dataset_csv(path)
+    data = load_training_csv(path)
     for label in np.flatnonzero(np.bincount(data.labels) == 0):
         print(f"warning: {path}: label {label} has no rows; its class is skipped",
               file=sys.stderr)

@@ -523,10 +523,6 @@ class AlignmentReport:
     error_total: float
     bound_total: float
 
-    @property
-    def passed(self) -> bool:
-        return self.error_total <= self.bound_total + 1e-9
-
 
 def alignment_error(proxies: GradientProxySet, coreset: WeightedCoreset) -> AlignmentReport:
     """Each class's coverage norm comes from its selection, so no distance
@@ -554,7 +550,6 @@ class NtkBoundVerdict:
 
     lhs: float
     rhs: float
-    xi: float
     passed: bool
 
     @property
@@ -580,4 +575,4 @@ def coreset_ntk_bound_check(net: MLP, data: Dataset,
     else:
         rhs = abs(full_norm - xi) / res_norm
         passed = lhs + 1e-9 >= rhs
-    return NtkBoundVerdict(lhs=lhs, rhs=rhs, xi=xi, passed=passed)
+    return NtkBoundVerdict(lhs=lhs, rhs=rhs, passed=passed)

@@ -97,7 +97,26 @@ def _parse_failure(parts: list[str]) -> str:
 
 
 def load_dataset_csv(path) -> Dataset:
+    """The dataset of a CSV file; see ``_parse_dataset_csv``."""
+    return _parse_dataset_csv(path)[0]
+
+
+def load_training_csv(path) -> Dataset:
+    """``load_dataset_csv`` for a file whose labels set the class count, which
+    sizes a network's output layer and every per-class count. The count is
+    the largest label plus one and may not exceed the data rows, so the
+    first line whose label is at or above the row count is reported."""
+    data, line_of = _parse_dataset_csv(path)
+    if data.num_classes > data.n:
+        i = int(np.argmax(data.labels >= data.n))
+        raise DataFormatError(f"{path}: line {line_of(i)}: label {data.labels[i]} names "
+                              f"more classes than the file's {data.n} data rows")
+    return data
+
+
+def _parse_dataset_csv(path):
     """Parse rows line by line, then range-check every feature at once.
+    Returns the dataset and the map from a data row's index to its line.
 
     The file is read one physical line at a time, and each is split by
     ``str.splitlines``, so lines (and their numbers) are those of the whole
@@ -146,23 +165,27 @@ def load_dataset_csv(path) -> Dataset:
             if label > _INT64_MAX:
                 failure = f"line {lineno}: label {label} does not fit int64"
                 break
+
+    def line_of(i: int) -> int:
+        # data row i sits on line i + 2 plus the blank lines up to it
+        lineno = i + 2
+        for blank in blanks:
+            lineno += blank <= lineno
+        return lineno
+
     X = np.frombuffer(feats, dtype=np.float64).reshape(len(labels), d)
     if X.size and not (X.min() >= 0.0 and X.max() <= 1.0):
         bad = ~((X >= 0.0) & (X <= 1.0))
         i = int(np.argmax(bad.any(axis=1)))
         j = int(np.argmax(bad[i]))
-        # data row i sits on line i + 2 plus the blank lines up to it
-        lineno = i + 2
-        for blank in blanks:
-            lineno += blank <= lineno
         raise DataFormatError(
-            f"{path}: line {lineno}: feature f{j}={float(X[i, j])} outside [0, 1]")
+            f"{path}: line {line_of(i)}: feature f{j}={float(X[i, j])} outside [0, 1]")
     if failure is not None:
         raise DataFormatError(f"{path}: {failure}") from cause
     if not labels:
         raise DataFormatError(f"{path}: no data rows")
     labels_arr = np.asarray(labels, dtype=np.int64)
-    return Dataset(X, labels_arr, int(labels_arr.max()) + 1)
+    return Dataset(X, labels_arr, int(labels_arr.max()) + 1), line_of
 
 
 def split_dataset(data: Dataset, test_fraction: float, seed: int = 0):

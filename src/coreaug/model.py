@@ -240,8 +240,8 @@ def _backward(net: MLP, acts, delta: np.ndarray) -> list:
 
 def checked_rows(net: MLP, X, Y, weights):
     """``(X, Y, weights)`` as float64 arrays, after the checks a gradient
-    needs: X finite and 2-D, Y of shape (n, C), one weight per row. A set of
-    rows checked once covers every batch drawn from it."""
+    step needs: X finite and 2-D, Y of shape (n, C), one nonnegative weight
+    per row. A set of rows checked once covers every batch drawn from it."""
     X = as_matrix(X, "X")
     Y = np.asarray(Y, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
@@ -249,6 +249,8 @@ def checked_rows(net: MLP, X, Y, weights):
         raise ValueError("Y must be one-hot targets with shape (n, C)")
     if weights.shape != (X.shape[0],):
         raise ValueError("weights must have one entry per row")
+    if np.any(weights < 0.0):
+        raise ValueError("weights must be nonnegative")
     return X, Y, weights
 
 

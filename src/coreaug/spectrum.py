@@ -56,35 +56,15 @@ def weyl_check(sigma_clean, sigma_aug, e_norm2: float) -> WeylVerdict:
                        e_norm2=float(e_norm2))
 
 
-@dataclass(frozen=True)
-class RoundSpectra:
-    """The singular values of the stacked derivative matrix J at X, and per
-    listed augmentation round the singular values of J at the augmented rows
-    and ||J_aug - J||_2."""
+def augmented_jacobian(net: MLP, X, spec: TransformSpec, round_index: int) -> np.ndarray:
+    """The stacked derivative matrix at round ``round_index`` of the one-copy
+    augmentation of X by ``spec``, whatever the spec's ``r``.
 
-    sigma: np.ndarray
-    sigma_aug: np.ndarray
-    e_norms: np.ndarray
-
-
-def round_spectra(net: MLP, X, spec: TransformSpec, round_indices) -> RoundSpectra:
-    """Singular values of the stacked derivative matrix J at X and at each
-    listed one-copy augmentation round of ``spec``.
-
-    Both spectra come from the same LAPACK routine, so a round that leaves X
-    unchanged, as every round at zero budget does, reproduces the clean
-    values bit for bit.
+    This is the one place an augmented derivative matrix is built. A round
+    that leaves X unchanged, as every round at zero budget does, gives
+    ``jacobian(net, X)`` bit for bit.
     """
-    one_copy = replace(spec, r=1)
-    jac = jacobian(net, X)
-    sigma = singular_values(jac)
-    sigma_aug = np.empty((len(round_indices), sigma.size))
-    e_norms = np.empty(len(round_indices))
-    for row, rnd in enumerate(round_indices):
-        j_aug = jacobian(net, perturb(one_copy, X, round_index=rnd).features)
-        sigma_aug[row] = singular_values(j_aug)
-        e_norms[row] = spectral_norm(j_aug - jac)
-    return RoundSpectra(sigma=sigma, sigma_aug=sigma_aug, e_norms=e_norms)
+    return jacobian(net, perturb(replace(spec, r=1), X, round_index=round_index).features)
 
 
 @dataclass
@@ -188,31 +168,37 @@ def spectrum_report(J_clean, J_aug, clean: SvdResult | None = None) -> SpectrumR
     )
 
 
-@dataclass
-class ShiftRecord:
-    sigma: float
-    predicted: float
-    empirical: float
-    standard_error: float
-
-    @property
-    def within_3se(self) -> bool:
-        return abs(self.empirical - self.predicted) <= 3.0 * self.standard_error
+def budget_spectra(net: MLP, features, epsilons, kind: str = "uniform_ball",
+                   seed: int = 0):
+    """Yield ``(epsilon0, SpectrumReport)`` per budget: round 0 of a one-copy
+    transform at that budget, paired with the clean derivative spectrum,
+    which is decomposed once for all budgets."""
+    jac = jacobian(net, features)
+    clean = svd(jac)
+    for eps in epsilons:
+        spec = TransformSpec(kind=kind, epsilon0=eps, r=1, seed=seed)
+        yield eps, spectrum_report(jac, augmented_jacobian(net, features, spec, 0),
+                                   clean=clean)
 
 
 @dataclass
 class ShiftReport:
-    records: list[ShiftRecord]
+    """Per index of the shift model: the closed-form expected squared
+    singular value, its Monte Carlo mean and that mean's standard error."""
+
+    predicted: np.ndarray
+    empirical: np.ndarray
+    standard_error: np.ndarray
 
     @property
     def all_within_3se(self) -> bool:
-        return all(r.within_3se for r in self.records)
+        return bool(np.all(np.abs(self.empirical - self.predicted)
+                           <= 3.0 * self.standard_error))
 
     @property
-    def z(self) -> list[float]:
+    def z(self) -> np.ndarray:
         """Per index, (empirical - closed form) / standard error."""
-        return [(r.empirical - r.predicted) / max(r.standard_error, 1e-300)
-                for r in self.records]
+        return (self.empirical - self.predicted) / np.maximum(self.standard_error, 1e-300)
 
 
 def _shift_prediction(sigma, p, e_norm: float):
@@ -240,11 +226,8 @@ def expected_shift_model_check(sigma, p, e_norm: float, draws: int,
         lam[i] = (sigma[i] + np.where(down, -mag, mag)) ** 2
     empirical = lam.mean(axis=1)
     se = lam.std(axis=1, ddof=1) / math.sqrt(draws)
-    predicted = _shift_prediction(sigma, p, e_norm)
-    return ShiftReport(records=[
-        ShiftRecord(sigma=float(sigma[i]), predicted=float(predicted[i]),
-                    empirical=float(empirical[i]), standard_error=float(se[i]))
-        for i in range(sigma.size)])
+    return ShiftReport(predicted=_shift_prediction(sigma, p, e_norm),
+                       empirical=empirical, standard_error=se)
 
 
 @dataclass
@@ -253,7 +236,6 @@ class VectorBoundReport:
     only when the spectrum gap is at least twice the perturbation norm."""
 
     skipped: bool
-    e_norm2: float
     deviations: np.ndarray | None = None
     bound: float = math.nan
 
@@ -273,7 +255,7 @@ def singular_vector_bound_check(J, E) -> VectorBoundReport:
     gap = eigengap(dec.sigma)
     e2 = spectral_norm(e)
     if gap < 2.0 * e2:
-        return VectorBoundReport(skipped=True, e_norm2=e2)
+        return VectorBoundReport(skipped=True)
     dec_t = svd(j + e)
     devs = np.empty(dec.sigma.size)
     for i in range(dec.sigma.size):
@@ -283,7 +265,7 @@ def singular_vector_bound_check(J, E) -> VectorBoundReport:
             ut = -ut
         devs[i] = float(np.linalg.norm(u - ut))
     bound = 2.0 * math.sqrt(2.0) * e2 / gap if gap > 0.0 else math.inf
-    return VectorBoundReport(skipped=False, e_norm2=e2, deviations=devs, bound=bound)
+    return VectorBoundReport(skipped=False, deviations=devs, bound=bound)
 
 
 @dataclass
@@ -348,19 +330,14 @@ class LinearBoundReport:
     the weighted subset's augmented gradient sum; bounded by ||F|| (xi +
     sqrt(d) n omega). ``combined_lhs``: same, with plain and augmented
     gradients pooled; bounded by (||F|| + 1) xi + sqrt(d) ||F|| n omega.
-    Here omega is the largest change that F makes to a row's prediction.
+    Here xi is the normed difference of the plain gradient sums and omega
+    the largest change that F makes to a row's prediction.
     """
 
-    xi: float
     subset_lhs: float
     subset_bound: float
     combined_lhs: float
     combined_bound: float
-
-    @property
-    def passed(self) -> bool:
-        return (self.subset_lhs <= self.subset_bound + 1e-9
-                and self.combined_lhs <= self.combined_bound + 1e-9)
 
 
 def _linear_grad_sum(W: np.ndarray, X: np.ndarray, Y: np.ndarray,
@@ -392,7 +369,7 @@ def linear_transform_bound_check(W_lin, X, Y, F, indices, gamma) -> LinearBoundR
     subset_bound = f2 * (xi + math.sqrt(d) * n * omega)
     combined_lhs = float(np.linalg.norm((full_plain + full_aug) - (sub_plain + sub_aug)))
     combined_bound = (f2 + 1.0) * xi + math.sqrt(d) * f2 * n * omega
-    return LinearBoundReport(xi=xi, subset_lhs=subset_lhs, subset_bound=subset_bound,
+    return LinearBoundReport(subset_lhs=subset_lhs, subset_bound=subset_bound,
                              combined_lhs=combined_lhs, combined_bound=combined_bound)
 
 

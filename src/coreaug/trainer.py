@@ -133,13 +133,13 @@ class TrainRecord:
                                   for v in (getattr(r, c) for c in columns)) + "\n")
 
 
-def inject_label_noise(data: Dataset, frac: float, seed: int = 0):
+def inject_label_noise(data: Dataset, frac: float, seed: int = 0) -> Dataset:
     """Flip floor(frac * n) uniformly chosen labels to a uniformly chosen
-    different class. Returns the noisy dataset and the boolean flip mask."""
+    different class. A flip always changes the label, so the flipped rows
+    are those whose labels differ from ``data``'s."""
     RIGHT_OPEN_UNIT.check("frac", frac)
-    mask = np.zeros(data.n, dtype=bool)
     if frac == 0.0:
-        return data, mask
+        return data
     if data.num_classes < 2:
         raise ValueError("cannot flip labels with a single class")
     rng = np.random.default_rng(seed)
@@ -149,33 +149,24 @@ def inject_label_noise(data: Dataset, frac: float, seed: int = 0):
     for i in chosen:
         draw = int(rng.integers(0, data.num_classes - 1))
         labels[i] = draw + (draw >= labels[i])
-        mask[i] = True
-    return data.with_labels(labels), mask
-
-
-def _checked_sgd_rows(net: MLP, X, Y, rho):
-    """``checked_rows`` plus nonnegative weights: every check an SGD step
-    needs, made once for all the batches drawn from these rows."""
-    X, Y, rho = checked_rows(net, X, Y, rho)
-    if np.any(rho < 0.0):
-        raise ValueError("weights must be nonnegative")
-    return X, Y, rho
+    return data.with_labels(labels)
 
 
 def weighted_gradient_step(net: MLP, X_batch, y_batch, rho, eta: float) -> MLP:
     """W <- W - eta * sum_i rho_i * grad_i over the flat parameter vector.
     Updates the network in place. The training loops and the descent runs of
     ``spectrum`` take the same step on rows checked once."""
-    net.params -= eta * weighted_gradient(net, *_checked_sgd_rows(net, X_batch, y_batch, rho))
+    net.params -= eta * weighted_gradient(net, X_batch, y_batch, rho)
     return net
 
 
 def _sgd_epoch(net: MLP, X: np.ndarray, Y: np.ndarray, w: np.ndarray,
                order: np.ndarray, batch_size: int, eta: float) -> None:
-    """One epoch of weighted mini-batch SGD over checked rows, in ``order``:
-    each batch is the next ``batch_size`` of them. The rows are gathered
-    once, so every batch is a contiguous slice; each step computes the whole
-    flat gradient before it updates the flat parameters."""
+    """One epoch of weighted mini-batch SGD over rows that ``checked_rows``
+    accepts, in ``order``: each batch is the next ``batch_size`` of them.
+    The rows are gathered once, so every batch is a contiguous slice; each
+    step computes the whole flat gradient before it updates the flat
+    parameters."""
     X, Y, w = X[order], Y[order], w[order]
     for start in range(0, order.size, batch_size):
         stop = start + batch_size
@@ -240,7 +231,11 @@ def _build_pool(config: TrainConfig, data: Dataset, Y_all: np.ndarray, indices,
     """The base rows at weight 1 (the selection at its own weights when
     ``base`` is None), then the selection's augmented copies: each of a
     row's r copies weighs its row's weight / r. ``Y_all`` holds the one-hot
-    targets of every row of ``data``."""
+    targets of every row of ``data``.
+
+    The pool meets ``checked_rows`` by construction, so it is not checked:
+    its rows are rows of ``data`` or ``perturb`` output clipped to [0, 1],
+    and its weights are 1, or gamma or n_c / k, divided by r for a copy."""
     aug = perturb(config.transform, data.features[indices], round_index=refresh_idx)
     r = config.transform.r
     base, base_w = (indices, orig_w) if base is None else (base, np.ones(base.size))
@@ -266,7 +261,7 @@ def _setup(config: TrainConfig, data: Dataset):
     """(noisy data, initial net, the pool's base rows): the seeded set-up that
     ``train`` and ``initial_pool`` share. The base rows are every row, a fixed
     random fraction of them, or None for the selection itself."""
-    data = inject_label_noise(data, config.label_noise_frac, seed=[config.seed, 11])[0]
+    data = inject_label_noise(data, config.label_noise_frac, seed=[config.seed, 11])
     net = MLP.init([data.dim, *config.hidden_sizes, data.num_classes],
                    activation=config.activation, seed=[config.seed, 5])
     base = None
@@ -306,7 +301,6 @@ def train(config: TrainConfig, data: Dataset, test_data: Dataset) -> TrainRecord
             t0 = time.perf_counter()
             indices, orig_w = _select_subset(config, net, data, refresh_idx)
             pool = _build_pool(config, data, Y_all, indices, orig_w, refresh_idx, base)
-            _checked_sgd_rows(net, pool.X, pool.Y, pool.w)
             selection_ms = (time.perf_counter() - t0) * 1000.0
             events.append((epoch, np.asarray(indices)))
             touched[pool.origins] = True
@@ -345,19 +339,11 @@ def sgd_warmup(net: MLP, data: Dataset, epochs: int, lr: float,
     loss-based selection. Raises ``NumericalError`` naming the epoch at the
     end of the first epoch whose loss is not finite or exceeds
     ``_DIVERGENCE_FACTOR`` times the loss before the first step."""
-    X, Y, w = _checked_sgd_rows(net, data.features,
-                                one_hot(data.labels, data.num_classes), np.ones(data.n))
+    X, Y, w = checked_rows(net, data.features, one_hot(data.labels, data.num_classes),
+                           np.ones(data.n))
     rng = np.random.default_rng(seed)
     initial_loss = evaluate(net, data)[0]
     for epoch in range(epochs):
         _sgd_epoch(net, X, Y, w, rng.permutation(data.n), batch_size, lr)
         _check_epoch("warm-up", epoch, evaluate(net, data)[0], initial_loss)
     return net
-
-
-def noisy_selection_audit(indices, noisy_mask: np.ndarray) -> float:
-    """Fraction of selected points whose label was flipped."""
-    idx = np.asarray(indices, dtype=np.int64)
-    if idx.size == 0:
-        raise ValueError("empty selection")
-    return float(np.mean(noisy_mask[idx]))

@@ -30,7 +30,8 @@ from coreaug.coreset import (
     stochastic_greedy_select,
 )
 from coreaug.linalg import NumericalError
-from coreaug.model import Dataset, GradientProxySet, MLP, gradient_proxy
+from coreaug.model import (Dataset, GradientProxySet, MLP, gradient_proxy,
+                           per_example_gradients, residuals)
 from helpers import zero_mlp
 
 
@@ -767,7 +768,7 @@ class TestAlignmentError:
         coreset = select_all_classes(proxies, SelectionConfig(fraction=1.0))
         report = alignment_error(proxies, coreset)
         assert report.error_total == pytest.approx(0.0, abs=1e-9)
-        assert report.passed
+        assert report.error_total <= report.bound_total + 1e-9
 
     def test_duplicated_dataset_exact(self):
         base = random_points(26, 5)
@@ -844,13 +845,18 @@ class TestMonotoneCoverage:
 
 class TestNtkBound:
     def test_full_selection_cauchy_schwarz(self):
+        """Selecting every row at weight 1 leaves no alignment error, so the
+        bound's right side is the full gradient norm over the residual norm."""
         rng = np.random.default_rng(27)
         data = Dataset(rng.uniform(0, 1, (10, 4)), rng.integers(0, 2, 10), 2)
         net = MLP.init([4, 5, 2], seed=1)
         proxies = gradient_proxy(net, data, "last_layer")
         coreset = select_all_classes(proxies, SelectionConfig(fraction=1.0))
+        assert np.all(coreset.gamma == 1)
         verdict = coreset_ntk_bound_check(net, data, coreset)
-        assert verdict.xi == pytest.approx(0.0, abs=1e-9)
+        full_norm = np.linalg.norm(per_example_gradients(net, data).sum(axis=0))
+        assert verdict.rhs == pytest.approx(full_norm / np.linalg.norm(residuals(net, data)),
+                                            rel=1e-9)
         assert verdict.passed
 
     def test_zero_residual(self):

@@ -376,6 +376,19 @@ class TestCli:
         assert 0.0 <= float(last[3]) <= 1.0
         assert np.isfinite(float(last[2]))
 
+    def test_short_test_file_with_a_high_training_label_trains(self, dataset_csv,
+                                                                tmp_path):
+        """Only the training file sets the class count, so only it must hold
+        a row per class; a test file's labels need only be training classes."""
+        test_csv = tmp_path / "one_row.csv"
+        test_csv.write_text("f0,f1,f2,f3,label\n0.5,0.5,0.5,0.5,2\n")
+        out = tmp_path / "train"
+        code = main(["train", "--data", str(dataset_csv), "--test-data", str(test_csv),
+                     "--epochs", "1", "--hidden", "6", "--out", str(out)])
+        assert code == 0
+        last = (out / "run_seed0.csv").read_text().splitlines()[-1].split(",")
+        assert float(last[3]) in (0.0, 1.0)
+
     def test_test_label_outside_training_classes_is_data_error(self, tmp_path, capsys):
         train_csv = tmp_path / "train2.csv"
         save_dataset_csv(gen_dataset("gaussian_blobs", 40, 4, 2, seed=13), train_csv)
@@ -942,6 +955,18 @@ CLI_ERRORS = {
                          3, "{csv}: line 2: label '1.5' is not an integer"),
     "select label 1e20": (["select", "--data", "{csv}"], "f0,label\n0.5,100000000000000000000\n",
                           3, "{csv}: line 2: label 100000000000000000000 does not fit int64"),
+    # a label names a class, and a file cannot hold more classes than rows
+    "select label 1e18 of 2 rows": (["select", "--data", "{csv}"],
+                                    "f0,label\n0.5,0\n0.5,1000000000000000000\n",
+                                    3, "{csv}: line 3: label 1000000000000000000 names more "
+                                       "classes than the file's 2 data rows"),
+    "select label 5000 of 2 rows": (["select", "--data", "{csv}"],
+                                    "f0,label\n0.5,5000\n\n0.5,0\n",
+                                    3, "{csv}: line 2: label 5000 names more classes than "
+                                       "the file's 2 data rows"),
+    "train label 2 of 2 rows": (["train", "--data", "{csv}"], "f0,label\n0.5,0\n0.5,2\n",
+                                3, "{csv}: line 3: label 2 names more classes than the "
+                                   "file's 2 data rows"),
     "train empty class": (["train", "--data", "{csv}", "--epochs", "1"], _NO_LABEL_1,
                           0, "warning: {csv}: label 1 has no rows"),
     "select empty class": (["select", "--data", "{csv}"], _NO_LABEL_1,
@@ -1578,6 +1603,16 @@ def test_lapack_svd_has_one_door():
             handlers.append(ast.unparse(node.type))
     assert users == ["linalg._lapack_svd"] * 2
     assert [h for h in handlers if "NumericalError" in h] == ["NumericalError"]
+
+
+def test_perturb_has_one_caller_per_use():
+    """``augment.perturb`` is called only where a training pool is built and
+    in ``spectrum.augmented_jacobian``, the one place an augmented
+    derivative matrix is built."""
+    src = Path(__file__).resolve().parents[1] / "src" / "coreaug"
+    callers = [scope for scope, node in scoped_nodes(src)
+               if isinstance(node, ast.Call) and "perturb" in spelled_names(node.func)]
+    assert sorted(callers) == ["spectrum.augmented_jacobian", "trainer._build_pool"]
 
 
 def test_parameter_layout_lives_in_model():

@@ -306,6 +306,15 @@ class TestResidualAndGradients:
         assert np.array_equal(again, forward(net, X) - Y)
         assert np.all(np.isfinite(grad))
 
+    def test_checked_rows_reject_a_negative_weight(self):
+        """The one row rule: a weighted gradient takes nonnegative weights."""
+        data = make_dataset(24, n=6)
+        net = MLP.init([data.dim, 3, data.num_classes], seed=4)
+        w = np.ones(data.n)
+        w[2] = -1e-300
+        with pytest.raises(ValueError, match="weights must be nonnegative"):
+            weighted_gradient(net, data.features, data.one_hot_labels(), w)
+
 
 class TestJacobian:
     def test_contraction_identity(self):

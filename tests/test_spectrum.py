@@ -4,19 +4,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import coreaug.audits
 import coreaug.spectrum
-from coreaug.audits import budget_spectra
 from coreaug.augment import TransformSpec, perturb
-from coreaug.linalg import spectral_norm, svd
+from coreaug.audits import _protocol_net_and_data, audit_weyl_augmentation
+from coreaug.linalg import singular_values, spectral_norm, svd
 from coreaug.model import MLP, Dataset, jacobian, one_hot
 from coreaug.spectrum import (
+    WEYL_TOL,
+    augmented_jacobian,
+    budget_spectra,
     eigengap,
     expected_shift_model_check,
     linear_transform_bound_check,
     linear_transform_sgd_envelope,
     residual_dynamics_check,
-    round_spectra,
     singular_vector_bound_check,
     spectrum_report,
     weyl_check,
@@ -80,7 +81,6 @@ class TestSpectrumReport:
             return svd(A)
 
         monkeypatch.setattr(coreaug.spectrum, "svd", counting_svd)
-        monkeypatch.setattr(coreaug.audits, "svd", counting_svd)
         budgets = (0.02, 0.05, 0.1)
         reports = list(budget_spectra(net, X, budgets, seed=2))
         assert len(shapes) == 1 + len(budgets)
@@ -145,33 +145,14 @@ class TestSpectrumReport:
         assert len(lines) == 21
 
 
-class TestRoundSpectra:
+class TestAugmentedJacobian:
     def setup_method(self):
         rng = np.random.default_rng(25)
         self.X = rng.uniform(0, 1, (9, 4))
         self.net = MLP.init([4, 6, 3], seed=5)
 
-    def test_zero_budget_reproduces_clean_spectrum(self):
-        spec = TransformSpec(epsilon0=0.0, r=3, seed=1)
-        rounds = round_spectra(self.net, self.X, spec, range(4))
-        assert rounds.sigma_aug.shape == (4, rounds.sigma.size)
-        for row in rounds.sigma_aug:
-            assert row.tobytes() == rounds.sigma.tobytes()
-        assert np.all(rounds.e_norms == 0.0)
-
-    def test_rounds_match_direct_computation(self):
-        spec = TransformSpec(epsilon0=0.1, r=2, seed=1)
-        one_copy = TransformSpec(epsilon0=0.1, r=1, seed=1)
-        jac = jacobian(self.net, self.X)
-        rounds = round_spectra(self.net, self.X, spec, [7, 3])
-        assert rounds.sigma.tobytes() == np.linalg.svd(jac, compute_uv=False).tobytes()
-        for row, rnd in enumerate([7, 3]):
-            x_aug = perturb(one_copy, self.X, round_index=rnd).features
-            j_aug = jacobian(self.net, x_aug)
-            assert rounds.sigma_aug[row].tobytes() == np.linalg.svd(j_aug, compute_uv=False).tobytes()
-            assert rounds.e_norms[row] == spectral_norm(j_aug - jac)
-
-    def test_builds_each_matrix_and_round_once(self, monkeypatch):
+    def counted(self, monkeypatch):
+        """Count the ``jacobian`` and ``perturb`` calls made in ``spectrum``."""
         calls = {"jacobian": 0, "perturb": 0}
 
         def counting(name, fn):
@@ -183,10 +164,64 @@ class TestRoundSpectra:
         for name in calls:
             monkeypatch.setattr(coreaug.spectrum, name,
                                 counting(name, getattr(coreaug.spectrum, name)))
-        rounds = 4
-        round_spectra(self.net, self.X, TransformSpec(epsilon0=0.05, r=2, seed=3),
-                      range(rounds))
-        assert calls == {"jacobian": 1 + rounds, "perturb": rounds}
+        return calls
+
+    def test_zero_budget_reproduces_clean_matrix(self):
+        spec = TransformSpec(epsilon0=0.0, r=3, seed=1)
+        jac = jacobian(self.net, self.X)
+        for rnd in range(4):
+            assert augmented_jacobian(self.net, self.X, spec, rnd).tobytes() == jac.tobytes()
+
+    def test_rounds_match_direct_computation(self):
+        """Each round is one copy of the spec's stream at that round,
+        whatever the spec's ``r``."""
+        spec = TransformSpec(epsilon0=0.1, r=2, seed=1)
+        one_copy = TransformSpec(epsilon0=0.1, r=1, seed=1)
+        for rnd in [7, 3]:
+            x_aug = perturb(one_copy, self.X, round_index=rnd).features
+            assert (augmented_jacobian(self.net, self.X, spec, rnd).tobytes()
+                    == jacobian(self.net, x_aug).tobytes())
+
+    def test_builds_one_matrix_from_one_round(self, monkeypatch):
+        calls = self.counted(monkeypatch)
+        augmented_jacobian(self.net, self.X, TransformSpec(epsilon0=0.05, r=2, seed=3), 4)
+        assert calls == {"jacobian": 1, "perturb": 1}
+
+    def test_weyl_audit_matches_direct_computation(self):
+        """Each round's singular values, ||J_aug - J||_2 and Weyl verdict,
+        recomputed from ``perturb`` and the LAPACK door, give the audit's
+        entry bit for bit."""
+        rounds, seed = 3, 4
+        net, data = _protocol_net_and_data(seed)
+        one_copy = TransformSpec(kind="uniform_ball", epsilon0=16.0 / 255.0, r=1, seed=seed)
+        jac = jacobian(net, data.features)
+        sigma = singular_values(jac)
+        shifts, violations = [], []
+        for rnd in range(rounds):
+            j_aug = jacobian(net, perturb(one_copy, data.features, round_index=rnd).features)
+            e_norm = spectral_norm(j_aug - jac)
+            shift = np.abs(singular_values(j_aug) - sigma)
+            shifts.append(shift / e_norm)
+            violations.append(float(shift.max() - e_norm))
+        ratio = np.mean(shifts, axis=0)
+        assert audit_weyl_augmentation(rounds, seed) == {
+            "rounds": rounds,
+            "violations": sum(v > WEYL_TOL for v in violations),
+            "max_violation": max(violations),
+            "shift_over_e_norm": {"median": float(np.median(ratio)),
+                                  "max": float(ratio.max())},
+            "passed": max(violations) <= WEYL_TOL}
+
+    def test_budget_spectra_builds_each_matrix_when_asked(self, monkeypatch):
+        """``budget_spectra`` is lazy: each report's derivative matrices are
+        built when it is drawn, so timing each draw times its own work."""
+        calls = self.counted(monkeypatch)
+        reports = budget_spectra(self.net, self.X, (0.02, 0.05), seed=2)
+        assert calls == {"jacobian": 0, "perturb": 0}
+        next(reports)
+        assert calls == {"jacobian": 2, "perturb": 1}
+        next(reports)
+        assert calls == {"jacobian": 3, "perturb": 2}
 
 
 class TestExpectedShift:
@@ -194,9 +229,10 @@ class TestExpectedShift:
         sigma = np.array([2.0, 1.0])
         p = np.array([0.5, 0.5])
         report = expected_shift_model_check(sigma, p, e_norm=0.6, draws=5000, seed=0)
-        for rec in report.records:
-            assert rec.predicted == pytest.approx(rec.sigma**2 + 0.36 / 3.0)
-            assert rec.within_3se
+        assert report.predicted == pytest.approx(sigma**2 + 0.36 / 3.0)
+        assert report.all_within_3se
+        assert report.z.tobytes() == ((report.empirical - report.predicted)
+                                      / report.standard_error).tobytes()
 
     def test_model_consistent_agreement(self):
         rng = np.random.default_rng(1)
@@ -233,7 +269,7 @@ class TestSingularVectorBound:
         e *= 2.0 * gap / np.linalg.norm(e, 2)
         report = singular_vector_bound_check(j, e)
         assert report.skipped
-        assert gap < 2.0 * report.e_norm2
+        assert gap < 2.0 * spectral_norm(e)
         assert not report.passed
 
 
@@ -305,20 +341,31 @@ class TestLinearTransformBounds:
         gamma = compute_weights(pairwise_distances(grads), list(idx))
         return W, X, Y, idx, gamma
 
+    @staticmethod
+    def holds(report):
+        """Both bounds, compared as ``audit_linear_bounds`` compares them."""
+        return (report.subset_lhs <= report.subset_bound + 1e-9
+                and report.combined_lhs <= report.combined_bound + 1e-9)
+
     def test_identity_transform_is_tight(self):
+        """With F = I the augmented rows are the plain ones, so omega is 0 and
+        both sides of the subset bound equal xi, the plain-gradient error."""
         W, X, Y, idx, gamma = self._instance(25)
+        grad_sum = coreaug.spectrum._linear_grad_sum
+        xi = float(np.linalg.norm(grad_sum(W, X, Y, np.ones(X.shape[0]))
+                                  - grad_sum(W, X[idx], Y[idx], gamma)))
         report = linear_transform_bound_check(W, X, Y, np.eye(4), idx, gamma)
-        assert report.subset_bound == spectral_norm(np.eye(4)) * report.xi
-        assert report.subset_lhs == pytest.approx(report.xi, rel=1e-12)
-        assert report.subset_bound == pytest.approx(report.xi, rel=1e-12)
-        assert report.passed
+        assert report.subset_bound == spectral_norm(np.eye(4)) * xi
+        assert report.subset_lhs == pytest.approx(xi, rel=1e-12)
+        assert report.subset_bound == pytest.approx(xi, rel=1e-12)
+        assert self.holds(report)
 
     def test_zero_transform(self):
         W, X, Y, idx, gamma = self._instance(26)
         report = linear_transform_bound_check(W, X, Y, np.zeros((4, 4)), idx, gamma)
         assert report.subset_lhs == 0.0
         assert report.subset_bound == 0.0
-        assert report.passed
+        assert self.holds(report)
 
     @given(seed=st.integers(0, 300))
     @settings(max_examples=50)
@@ -327,7 +374,7 @@ class TestLinearTransformBounds:
         rng = np.random.default_rng(seed + 5000)
         F = np.eye(4) + 0.25 * rng.standard_normal((4, 4))
         report = linear_transform_bound_check(W, X, Y, F, idx, gamma)
-        assert report.passed
+        assert self.holds(report)
 
     def test_sgd_envelope_holds(self):
         rng = np.random.default_rng(27)

@@ -18,7 +18,6 @@ from coreaug.trainer import (
     evaluate,
     initial_pool,
     inject_label_noise,
-    noisy_selection_audit,
     sgd_warmup,
     train,
     weighted_gradient_step,
@@ -68,17 +67,15 @@ def train_to_final_params(monkeypatch, config, data, test):
 class TestLabelNoise:
     def test_zero_fraction_unchanged(self):
         data, _ = blob_pair(1)
-        noisy, mask = inject_label_noise(data, 0.0, seed=0)
-        assert noisy is data
-        assert not mask.any()
+        assert inject_label_noise(data, 0.0, seed=0) is data
 
     def test_exact_count_and_all_different(self):
+        """floor(0.5 * 99) labels change: since a flip always changes its
+        label, the changed labels are exactly the flipped ones."""
         data, _ = blob_pair(2, n=99)
-        noisy, mask = inject_label_noise(data, 0.5, seed=1)
-        assert mask.sum() == 49
-        flipped = np.flatnonzero(mask)
-        assert np.all(noisy.labels[flipped] != data.labels[flipped])
-        assert np.array_equal(noisy.labels[~mask], data.labels[~mask])
+        noisy = inject_label_noise(data, 0.5, seed=1)
+        assert np.count_nonzero(noisy.labels != data.labels) == 49
+        assert np.array_equal(noisy.features, data.features)
 
     def test_single_class_errors(self):
         data = Dataset(np.random.default_rng(0).uniform(0, 1, (10, 2)),
@@ -93,7 +90,8 @@ class TestLabelNoise:
         counts = np.zeros(C)
         total = 0
         for seed in range(300):
-            noisy, mask = inject_label_noise(data, 0.9, seed=seed)
+            noisy = inject_label_noise(data, 0.9, seed=seed)
+            mask = noisy.labels != data.labels
             flipped = noisy.labels[mask]
             for c in range(C):
                 counts[c] += np.sum(flipped == c)
@@ -309,8 +307,8 @@ class TestTrain:
         ``inject_label_noise`` flips under the run's noise stream."""
         data, test = blob_pair(15, n=42)
         cfg = quick_config(label_noise_frac=0.3, epochs=2)
-        noisy, mask = inject_label_noise(data, 0.3, seed=[cfg.seed, 11])
-        assert mask.sum() == 12
+        noisy = inject_label_noise(data, 0.3, seed=[cfg.seed, 11])
+        assert np.count_nonzero(noisy.labels != data.labels) == 12
         record = train(cfg, data, test)
         clean = train(dataclasses.replace(cfg, label_noise_frac=0.0), noisy, test)
         for a, b in zip(record.rows, clean.rows, strict=True):
@@ -357,24 +355,14 @@ class TestSchedule:
         assert str(raised.value) == message
 
 
-class TestAudit:
-    def test_empty_mask(self):
-        assert noisy_selection_audit([1, 2, 3], np.zeros(10, dtype=bool)) == 0.0
-
-    def test_fully_noisy_selection(self):
-        mask = np.ones(5, dtype=bool)
-        assert noisy_selection_audit([0, 4], mask) == 1.0
-
+class TestNoisySelection:
     def test_random_subsets_match_base_rate(self):
-        rng = np.random.default_rng(17)
-        n, frac = 200, 0.3
-        mask = np.zeros(n, dtype=bool)
-        mask[rng.choice(n, size=int(frac * n), replace=False)] = True
-        labels = np.zeros(n, dtype=int)
-        fractions = [
-            noisy_selection_audit(random_subset(40, labels, seed=s).indices, mask)
-            for s in range(20)
-        ]
+        """Random selections hold flipped labels, the rows whose labels
+        differ, at the noise rate, as the noise protocol's random arm does."""
+        data = Dataset(np.full((200, 2), 0.5), np.zeros(200, dtype=int), 2)
+        mask = inject_label_noise(data, 0.3, seed=17).labels != data.labels
+        fractions = [float(np.mean(mask[random_subset(40, data.labels, seed=s).indices]))
+                     for s in range(20)]
         p = mask.mean()
         sigma = math.sqrt(p * (1 - p) / 40)
         assert abs(np.mean(fractions) - p) <= 3 * sigma / math.sqrt(20)
