@@ -48,7 +48,7 @@ from .data import (
 )
 from .linalg import (ABOVE_0, AT_LEAST_0, AT_LEAST_1, BUDGET, LEFT_OPEN_UNIT, OPEN_UNIT,
                      RIGHT_OPEN_UNIT, Domain, NumericalError)
-from .model import MLP, PROXY_MODES, Dataset, class_rows, gradient_proxy
+from .model import MLP, PROXY_MODES, Dataset, MemoryCapError, class_rows, gradient_proxy
 from .spectrum import budget_spectra
 from .trainer import (
     BASELINES,
@@ -213,7 +213,10 @@ def cmd_gen_data(args) -> int:
 @_recorded
 def cmd_select(args, run: _Run) -> int:
     data = _load_data(Path(args.data))
-    net = MLP.init([data.dim, *args.hidden, data.num_classes], seed=args.net_seed)
+    try:
+        net = MLP.init([data.dim, *args.hidden, data.num_classes], seed=args.net_seed)
+    except MemoryCapError as exc:
+        raise ConfigError(f"--hidden: {exc}") from None
     if args.warmup_epochs > 0:
         sgd_warmup(net, data, args.warmup_epochs, args.lr, seed=args.net_seed)
     with run.timed("selection_ms"):
@@ -268,7 +271,10 @@ def cmd_train(args, run: _Run) -> int:
     final = {}
     for seed in args.seeds:
         with run.timed(f"train_seed{seed}_ms"):
-            record = train(_train_config(args, seed), data, test)
+            try:
+                record = train(_train_config(args, seed), data, test)
+            except MemoryCapError as exc:  # MLP.init refused the net before allocating
+                raise ConfigError(f"--hidden: {exc}") from None
         record.to_csv(run.path(f"run_seed{seed}.csv"))
         last = record.rows[-1]
         final[seed] = {"test_acc": last.test_acc, "test_loss": last.test_loss,
@@ -303,8 +309,11 @@ def cmd_spectrum(args, run: _Run) -> int:
                               f"--classes-used {classes_used}")
     keep = np.concatenate(keep)
     data = Dataset(data.features[keep], data.labels[keep], classes_used)
-    net = MLP.init([data.dim, *args.hidden, data.num_classes],
-                   activation="tanh", seed=args.seed)
+    try:
+        net = MLP.init([data.dim, *args.hidden, data.num_classes],
+                       activation="tanh", seed=args.seed)
+    except MemoryCapError as exc:
+        raise ConfigError(f"--hidden: {exc}") from None
     variants = [("untrained", net.copy())] if args.untrained else []
     with run.timed("train_ms"):
         sgd_warmup(net, data, args.train_epochs, args.lr, seed=args.seed)

@@ -23,7 +23,8 @@ PROXY_MODES = ("residual", "last_layer")
 
 
 class MemoryCapError(ValueError):
-    """The requested stacked derivative matrix would exceed the entry cap."""
+    """The requested parameter vector or stacked derivative matrix would
+    exceed the entry cap."""
 
 
 def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
@@ -156,14 +157,21 @@ class MLP:
 
     @classmethod
     def init(cls, layer_sizes, activation: str = "tanh", seed: int = 0) -> "MLP":
-        """Seeded init: per-layer uniform in [-1/sqrt(fan_in), +1/sqrt(fan_in)]."""
+        """Seeded init: per-layer uniform in [-1/sqrt(fan_in), +1/sqrt(fan_in)].
+        Raises MemoryCapError, before allocating, when the parameter count
+        exceeds ``JACOBIAN_ENTRY_CAP``."""
         sizes = tuple(int(s) for s in layer_sizes)
         if len(sizes) < 2:
             raise ValueError("layer_sizes needs at least input and output sizes")
         for s in sizes:
             AT_LEAST_1.check("layer_sizes", s)
         _activation_pair(activation)
-        net = cls(sizes, activation, np.empty(_num_params(sizes)))
+        # Python ints: the count cannot overflow
+        count = _num_params(sizes)
+        if count > JACOBIAN_ENTRY_CAP:
+            raise MemoryCapError(f"a network of layer sizes {sizes} would hold {count} "
+                                 f"parameters, cap is {JACOBIAN_ENTRY_CAP}")
+        net = cls(sizes, activation, np.empty(count))
         rng = np.random.default_rng(seed)
         for w, b in zip(net.weights, net.biases):
             bound = 1.0 / np.sqrt(w.shape[0])

@@ -120,8 +120,7 @@ CSV_HEADER = ",".join(f.name for f in fields(EpochRow))
 @dataclass
 class TrainRecord:
     rows: list[EpochRow]
-    initial_grad_norm: float
-    selection_events: list[tuple[int, np.ndarray]] = field(default_factory=list)
+    selection_events: list[tuple[int, np.ndarray]]
 
     def to_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -257,10 +256,29 @@ def _pool_metrics(net: MLP, pool: _Pool) -> tuple[float, float]:
     return train_loss, float(np.linalg.norm(grad))
 
 
-def _setup(config: TrainConfig, data: Dataset):
-    """(noisy data, initial net, the pool's base rows): the seeded set-up that
-    ``train`` and ``initial_pool`` share. The base rows are every row, a fixed
-    random fraction of them, or None for the selection itself."""
+@dataclass
+class Refresh:
+    """A refresh's state once its pool is built, before the epoch's first
+    step. ``net`` is the run's live net: it trains on when the stream resumes."""
+
+    epoch: int
+    net: MLP
+    indices: np.ndarray
+    weights: np.ndarray
+    pool: _Pool
+
+
+def training(config: TrainConfig, data: Dataset, test_data: Dataset):
+    """Run the configured regime as a stream of states: at each refresh, a
+    ``Refresh``; at the end of every epoch, its ``EpochRow``.
+
+    Subsets are re-selected every ``refresh_r`` epochs using the proxies (or
+    losses) at the current weights; the grad_norm column is the weighted-pool
+    gradient norm at the end of the epoch. Raises ``NumericalError`` naming
+    the seed and the epoch at the end of the first epoch whose loss or
+    gradient norm is not finite, or whose loss exceeds ``_DIVERGENCE_FACTOR``
+    times the pool loss before the first step.
+    """
     data = inject_label_noise(data, config.label_noise_frac, seed=[config.seed, 11])
     net = MLP.init([data.dim, *config.hidden_sizes, data.num_classes],
                    activation=config.activation, seed=[config.seed, 5])
@@ -270,29 +288,11 @@ def _setup(config: TrainConfig, data: Dataset):
     elif config.regime == "random_plus_coreset_aug":
         base = random_subset(None, data.labels, seed=[config.seed, 13],
                              fraction=config.random_fraction).indices
-    return data, net, base
-
-
-def train(config: TrainConfig, data: Dataset, test_data: Dataset) -> TrainRecord:
-    """Run the configured regime and return per-epoch metrics.
-
-    Subsets are re-selected every ``refresh_r`` epochs using the proxies (or
-    losses) at the current weights; the grad_norm column is the weighted-pool
-    gradient norm at the end of the epoch, and ``initial_grad_norm`` is the
-    same quantity at initialization. Raises ``NumericalError`` naming the
-    epoch at the end of the first epoch whose loss or gradient norm is not
-    finite, or whose loss exceeds ``_DIVERGENCE_FACTOR`` times the pool loss
-    before the first step.
-    """
-    data, net, base = _setup(config, data)
     Y_all = one_hot(data.labels, data.num_classes)
     batch_rng = np.random.default_rng([config.seed, 7])
-    rows: list[EpochRow] = []
-    events: list[tuple[int, np.ndarray]] = []
     # training rows that some pool has held, its own or augmented
     touched = np.zeros(data.n, dtype=bool)
-    initial_loss = initial_grad_norm = None
-    refresh_idx = -1
+    initial_loss, refresh_idx = None, -1
     for epoch in range(config.epochs):
         refreshed = epoch % config.refresh_r == 0
         selection_ms = 0.0
@@ -302,34 +302,35 @@ def train(config: TrainConfig, data: Dataset, test_data: Dataset) -> TrainRecord
             indices, orig_w = _select_subset(config, net, data, refresh_idx)
             pool = _build_pool(config, data, Y_all, indices, orig_w, refresh_idx, base)
             selection_ms = (time.perf_counter() - t0) * 1000.0
-            events.append((epoch, np.asarray(indices)))
             touched[pool.origins] = True
-        if initial_grad_norm is None:
-            initial_loss, initial_grad_norm = _pool_metrics(net, pool)
+            yield Refresh(epoch, net, np.asarray(indices), orig_w, pool)
+        if initial_loss is None:
+            initial_loss = _pool_metrics(net, pool)[0]
         _sgd_epoch(net, pool.X, pool.Y, pool.w, batch_rng.permutation(pool.X.shape[0]),
                    config.batch_size, config.lr.value(epoch))
         train_loss, grad_norm = _pool_metrics(net, pool)
-        _check_epoch("training", epoch, train_loss, initial_loss, grad_norm)
+        _check_epoch(f"training seed {config.seed}", epoch, train_loss, initial_loss,
+                     grad_norm)
         test_loss, test_acc = evaluate(net, test_data)
-        rows.append(EpochRow(
+        yield EpochRow(
             epoch=epoch, train_loss=train_loss, test_loss=test_loss,
             test_acc=test_acc, grad_norm=grad_norm, refreshed=refreshed,
             selection_ms=selection_ms,
             points_touched=int(np.count_nonzero(touched)),
-        ))
-    return TrainRecord(rows=rows, initial_grad_norm=float(initial_grad_norm),
-                       selection_events=events)
+        )
 
 
-def initial_pool(config: TrainConfig, data: Dataset):
-    """Reconstruct the epoch-0 training pool exactly as ``train`` builds it:
-    same net init, same selection streams. Returns (net, X, Y, weights,
-    selected indices, gamma-style original-row weights)."""
-    data, net, base = _setup(config, data)
-    indices, orig_w = _select_subset(config, net, data, 0)
-    pool = _build_pool(config, data, one_hot(data.labels, data.num_classes),
-                       indices, orig_w, 0, base)
-    return net, pool.X, pool.Y, pool.w, np.asarray(indices), orig_w
+def train(config: TrainConfig, data: Dataset, test_data: Dataset) -> TrainRecord:
+    """``training``'s epoch rows and each refresh's (epoch, indices); no
+    ``Refresh`` is kept, since each holds a whole pool."""
+    rows: list[EpochRow] = []
+    events: list[tuple[int, np.ndarray]] = []
+    for state in training(config, data, test_data):
+        if isinstance(state, Refresh):
+            events.append((state.epoch, state.indices))
+        else:
+            rows.append(state)
+    return TrainRecord(rows=rows, selection_events=events)
 
 
 def sgd_warmup(net: MLP, data: Dataset, epochs: int, lr: float,

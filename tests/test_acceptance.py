@@ -46,6 +46,7 @@ from coreaug.model import (
     MLP,
     jacobian,
     per_example_gradients,
+    weighted_gradient,
 )
 from coreaug.spectrum import (
     linear_transform_sgd_envelope,
@@ -56,8 +57,8 @@ from coreaug.spectrum import (
 from coreaug.trainer import (
     LrSchedule,
     TrainConfig,
-    initial_pool,
     train,
+    training,
 )
 
 
@@ -227,8 +228,10 @@ def test_criterion_08_pl_envelope():
         refresh_r=10_000, epochs=200,
         lr=LrSchedule(1.0), batch_size=4096, seed=7, hidden_sizes=(),
     )
-    net0, pool_X, _, pool_w, indices, gamma = initial_pool(cfg, data)
-    alpha, lam, beta = measure_pl_constants(net0, pool_X, pool_w)
+    # the first refresh of the run, before any step: it does not depend on the lr
+    first = next(training(cfg, data, data))
+    net0, pool, indices, gamma = first.net, first.pool, first.indices, first.weights
+    alpha, lam, beta = measure_pl_constants(net0, pool.X, pool.w)
     eta = alpha / (lam * beta)
     grads = per_example_gradients(net0, data)
     xi = float(np.linalg.norm(
@@ -240,8 +243,8 @@ def test_criterion_08_pl_envelope():
     slack = (sigma_max * l_bar * math.sqrt(n) * eps0
              + sigma_max * n * eps0**2
              + math.sqrt(2 * n) * l_bar * eps0)
+    g0 = float(np.linalg.norm(weighted_gradient(net0, pool.X, pool.Y, pool.w)))
     record = train(dataclasses.replace(cfg, lr=LrSchedule(eta)), data, data)
-    g0 = record.initial_grad_norm
     below = all(
         row.grad_norm <= pl_convergence_envelope(alpha, eta, 2.0 * g0 + xi + slack, t)
         for t, row in enumerate(record.rows, start=1))

@@ -438,7 +438,8 @@ class TestCli:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("argv,message", [
         (["train", "--epochs", "3"],
-         "numerical failure: training diverged at epoch 0: loss nan, gradient norm nan"),
+         "numerical failure: training seed 0 diverged at epoch 0: loss nan, "
+         "gradient norm nan"),
         (["spectrum"], "numerical failure: warm-up diverged at epoch 0: loss nan"),
     ], ids=["train", "spectrum"])
     def test_non_finite_loss_is_numerical_failure(self, argv, message, dataset_csv,
@@ -1057,6 +1058,24 @@ CLI_ERRORS = {
                          2, "argument --hidden: must be >= 1, got 0"),
     "spectrum --hidden 8,0": (["spectrum", "--data", "{data}", "--hidden", "8,0"], None,
                               2, "argument --hidden: must be >= 1, got 0"),
+    # MLP.init refuses a network over the entry cap before allocating it
+    "select --hidden 100000000000": (["select", "--data", "{data}", "--hidden",
+                                      "100000000000"], None,
+                                     2, "config error: --hidden: a network of "
+                                        "layer sizes (4, 100000000000, 3) would hold "
+                                        "800000000003 parameters, cap is 268435456"),
+    "train --hidden 3000000000": (["train", "--data", "{data}", "--hidden", "3000000000"],
+                                  None, 2, "config error: --hidden: a network of "
+                                           "layer sizes (4, 3000000000, 3) would hold "
+                                           "24000000003 parameters, cap is 268435456"),
+    "spectrum --hidden 100000000000": (["spectrum", "--data", "{data}", "--hidden",
+                                        "100000000000"], None,
+                                       2, "config error: --hidden: a network of "
+                                          "layer sizes (4, 100000000000, 3) would hold "
+                                          "800000000003 parameters, cap is 268435456"),
+    "train --seeds 1,2 --lr 50": (["train", "--data", "{data}", "--seeds", "1,2", "--lr", "50"],
+                                  None, 4, "numerical failure: training seed 1 diverged at "
+                                           "epoch 1: loss "),
     "train --lr-decay-epochs 2 -1": (["train", "--data", "{data}", "--lr-decay-epochs", "2",
                                       "-1"], None,
                                      2, "argument --lr-decay-epochs: must be >= 0, got -1"),
@@ -1370,9 +1389,6 @@ PERFBENCH_ONLY = {
     "trainer.weighted_gradient_step":
         "perfbench/tracing.py traces it by name; the warm-up replay test takes "
         "it as the public one-batch step",
-    "model.weighted_gradient":
-        "the public one-batch step's gradient; perfbench/tracing.py traces it "
-        "by name",
     "coreset.WeightedCoreset.validate":
         "perfbench/workloads.py checks every selection it observes with it",
     "trainer.TrainRecord.selection_events":
@@ -1576,12 +1592,12 @@ def spelled_names(node) -> list[str]:
 
 def test_wall_clock_is_read_in_two_places():
     """``perf_counter`` is named only in the CLI frame's timer and in
-    ``trainer.train``, which times each refresh for the ``selection_ms``
+    ``trainer.training``, which times each refresh for the ``selection_ms``
     column; every other phase is timed through the frame."""
     src = Path(__file__).resolve().parents[1] / "src" / "coreaug"
     users = [scope for scope, node in scoped_nodes(src)
              for name in spelled_names(node) if name == "perf_counter"]
-    assert sorted(users) == ["cli._Run.timed"] * 2 + ["trainer.train"] * 2
+    assert sorted(users) == ["cli._Run.timed"] * 2 + ["trainer.training"] * 2
 
 
 def test_lapack_svd_has_one_door():
@@ -1613,6 +1629,19 @@ def test_perturb_has_one_caller_per_use():
     callers = [scope for scope, node in scoped_nodes(src)
                if isinstance(node, ast.Call) and "perturb" in spelled_names(node.func)]
     assert sorted(callers) == ["spectrum.augmented_jacobian", "trainer._build_pool"]
+
+
+def test_training_pools_have_one_builder():
+    """``trainer._select_subset`` and ``trainer._build_pool`` are called only
+    from ``trainer.training``, so every pool a consumer reads, criterion 8's
+    included, is one a run trains on."""
+    src = Path(__file__).resolve().parents[1] / "src" / "coreaug"
+    callers = {name: sorted(scope for scope, node in scoped_nodes(src)
+                            if isinstance(node, ast.Call)
+                            and name in spelled_names(node.func))
+               for name in ("_select_subset", "_build_pool")}
+    assert callers == {"_select_subset": ["trainer.training"],
+                       "_build_pool": ["trainer.training"]}
 
 
 def test_parameter_layout_lives_in_model():

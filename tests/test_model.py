@@ -382,10 +382,20 @@ class TestJacobian:
         assert np.array_equal(bits(jacobian(net, data.features)), bits(expected))
 
     def test_memory_cap(self, monkeypatch):
-        monkeypatch.setattr(coreaug.model, "JACOBIAN_ENTRY_CAP", 10)
         net = MLP.init([4, 6, 3], seed=0)
+        monkeypatch.setattr(coreaug.model, "JACOBIAN_ENTRY_CAP", 10)
         with pytest.raises(MemoryCapError):
             jacobian(net, np.zeros((10, 4)))
+
+    def test_parameter_count_over_the_cap_is_refused(self, monkeypatch):
+        """A 4-6-3 net has 51 parameters: at a cap of 50 ``MLP.init``
+        refuses it, at 51 it builds it."""
+        monkeypatch.setattr(coreaug.model, "JACOBIAN_ENTRY_CAP", 50)
+        with pytest.raises(MemoryCapError, match=r"layer sizes \(4, 6, 3\) would hold "
+                                                 r"51 parameters, cap is 50"):
+            MLP.init([4, 6, 3], seed=0)
+        monkeypatch.setattr(coreaug.model, "JACOBIAN_ENTRY_CAP", 51)
+        assert MLP.init([4, 6, 3], seed=0).num_params == 51
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.inf, np.nan])

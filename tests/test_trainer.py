@@ -5,21 +5,21 @@ import re
 import numpy as np
 import pytest
 
-import coreaug.trainer
 from coreaug.augment import TransformSpec
 from coreaug.coreset import SelectionConfig, random_subset
 from coreaug.linalg import NumericalError
 from coreaug.model import MLP, Dataset, jacobian, one_hot, residuals
 from coreaug.spectrum import measure_pl_constants, pl_constants, pl_convergence_envelope
 from coreaug.trainer import (
+    EpochRow,
     LrSchedule,
     TrainConfig,
     _sgd_epoch,
     evaluate,
-    initial_pool,
     inject_label_noise,
     sgd_warmup,
     train,
+    training,
     weighted_gradient_step,
 )
 from helpers import layerwise_sgd_epoch, zero_mlp
@@ -48,20 +48,13 @@ def quick_config(**overrides):
     return TrainConfig(**base)
 
 
-def train_to_final_params(monkeypatch, config, data, test):
-    """``train``'s record and the parameters of the net that its
-    ``evaluate`` receives after the last epoch."""
-    seen = []
-    real = coreaug.trainer.evaluate
-
-    def spy(net, data):
-        seen.append(net.params.copy())
-        return real(net, data)
-
-    monkeypatch.setattr(coreaug.trainer, "evaluate", spy)
-    record = train(config, data, test)
-    assert len(seen) == config.epochs
-    return record, seen[-1]
+def train_to_final_params(config, data, test):
+    """The epoch rows of a run's stream and the parameters of its net once
+    the stream ends."""
+    states = list(training(config, data, test))
+    rows = [s for s in states if isinstance(s, EpochRow)]
+    assert len(rows) == config.epochs
+    return rows, states[0].net.params
 
 
 class TestLabelNoise:
@@ -181,18 +174,18 @@ class TestTrain:
         assert record.selection_events[0][0] == 0
         assert [r.refreshed for r in record.rows] == [True, False, False]
 
-    def test_seed_determinism(self, monkeypatch):
+    def test_seed_determinism(self):
         data, test = blob_pair(10)
         cfg = quick_config(baseline="ours", epochs=3)
-        a, a_params = train_to_final_params(monkeypatch, cfg, data, test)
-        b, b_params = train_to_final_params(monkeypatch, cfg, data, test)
+        a, a_params = train_to_final_params(cfg, data, test)
+        b, b_params = train_to_final_params(cfg, data, test)
         assert np.array_equal(a_params, b_params)
-        for ra, rb in zip(a.rows, b.rows):
+        for ra, rb in zip(a, b):
             assert ra.train_loss == rb.train_loss
             assert ra.test_acc == rb.test_acc
             assert ra.grad_norm == rb.grad_norm
 
-    def test_degenerate_configs_equal_across_regimes(self, monkeypatch):
+    def test_degenerate_configs_equal_across_regimes(self):
         data, test = blob_pair(11, n=30)
         common = dict(
             selection=SelectionConfig(stop="fixed_size", fraction=1.0),
@@ -203,24 +196,23 @@ class TestTrain:
             refresh_r=1,
         )
         records = {
-            regime: train_to_final_params(monkeypatch, quick_config(regime=regime, **common),
-                                          data, test)
+            regime: train_to_final_params(quick_config(regime=regime, **common), data, test)
             for regime in ("coreset_only", "full_plus_coreset_aug",
                            "random_plus_coreset_aug")
         }
         base, base_params = records["coreset_only"]
         for other, other_params in records.values():
             assert np.array_equal(base_params, other_params)
-            assert [r.train_loss for r in base.rows] == [r.train_loss for r in other.rows]
+            assert [r.train_loss for r in base] == [r.train_loss for r in other]
 
-    def test_degenerate_matches_plain_sgd_on_duplicated_data(self, monkeypatch):
+    def test_degenerate_matches_plain_sgd_on_duplicated_data(self):
         data, test = blob_pair(12, n=24)
         cfg = quick_config(
             regime="full_plus_coreset_aug",
             selection=SelectionConfig(stop="fixed_size", fraction=1.0),
             transform=TransformSpec(epsilon0=0.0, r=1, seed=4),
             baseline="random", epochs=2, refresh_r=1, batch_size=8)
-        final_params = train_to_final_params(monkeypatch, cfg, data, test)[1]
+        final_params = train_to_final_params(cfg, data, test)[1]
         # replay: same init, same batch stream, duplicated rows, unit weights
         net = MLP.init([data.dim, *cfg.hidden_sizes, data.num_classes],
                        seed=[cfg.seed, 5])
@@ -283,19 +275,20 @@ class TestTrain:
     def test_k_per_class_takes_precedence_over_fraction(self, baseline):
         """Every selector sizes its per-class subset alike: ``k_per_class``
         wins when a fraction is also given."""
-        data, _ = blob_pair(16, n=90)
+        data, test = blob_pair(16, n=90)
         selection = SelectionConfig(stop="fixed_size", k_per_class=3, fraction=0.5)
-        indices = initial_pool(quick_config(selection=selection, baseline=baseline),
-                               data)[4]
-        assert indices.size == 3 * data.num_classes
+        first = next(training(quick_config(selection=selection, baseline=baseline),
+                              data, test))
+        assert first.indices.size == 3 * data.num_classes
 
     def test_label_invariance(self):
         """Each augmented row of the pool is a bounded perturbation of its
         source row and carries that row's one-hot label."""
-        data, _ = blob_pair(17, n=30)
+        data, test = blob_pair(17, n=30)
         cfg = quick_config(regime="coreset_only",
                            transform=TransformSpec(epsilon0=0.1, r=2, seed=2))
-        _, X, Y, _, indices, _ = initial_pool(cfg, data)
+        first = next(training(cfg, data, test))
+        X, Y, indices = first.pool.X, first.pool.Y, first.indices
         k = indices.size
         sources = np.repeat(indices, 2)
         assert X.shape[0] == Y.shape[0] == 3 * k
