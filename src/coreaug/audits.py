@@ -16,10 +16,8 @@ import numpy as np
 from .augment import TransformSpec
 from .coreset import (
     SelectionConfig,
-    compute_weights,
     coreset_ntk_bound_check,
     max_loss_subset,
-    pairwise_distances,
     random_subset,
     select_all_classes,
 )
@@ -190,7 +188,7 @@ def audit_ntk_bound(instances: int, seed: int) -> dict:
 
 
 def audit_linear_bounds(instances: int, seed: int) -> dict:
-    """Common-linear-transform gradient bounds on random weighted subsets."""
+    """Common-linear-transform gradient bounds on random coverage-weighted picks."""
     rng = np.random.default_rng(seed)
     subset_failures = combined_failures = 0
     for _ in range(instances):
@@ -203,10 +201,7 @@ def audit_linear_bounds(instances: int, seed: int) -> dict:
         F = np.eye(d) + 0.2 * rng.standard_normal((d, d))
         k = int(rng.integers(1, max(2, n // 2)))
         idx = np.sort(rng.choice(n, size=k, replace=False))
-        grads = np.einsum("nd,nc->ndc", X, X @ W - Y).reshape(n, -1)
-        D = pairwise_distances(grads)
-        gamma = compute_weights(D, list(idx))
-        report = linear_transform_bound_check(W, X, Y, F, idx, gamma)
+        report = linear_transform_bound_check(W, X, Y, F, idx)
         if report.subset_lhs > report.subset_bound + 1e-9:
             subset_failures += 1
         if report.combined_lhs > report.combined_bound + 1e-9:

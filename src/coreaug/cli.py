@@ -253,15 +253,10 @@ def cmd_train(args, run: _Run) -> int:
     data = _load_data(data_path)
     if args.test_data:
         test_path = Path(args.test_data)
-        test = load_dataset_csv(test_path)
+        test = load_dataset_csv(test_path, data.num_classes)
         if test.dim != data.dim:
             raise DataFormatError(
                 f"{test_path}: {test.dim} features, the training data has {data.dim}")
-        if test.num_classes > data.num_classes:
-            raise DataFormatError(
-                f"{test_path}: test label {test.num_classes - 1} outside the training "
-                f"classes 0..{data.num_classes - 1}")
-        test = Dataset(test.features, test.labels, data.num_classes)
     else:
         try:
             data, test = split_dataset(data, args.holdout, seed=args.split_seed)
@@ -312,23 +307,23 @@ def cmd_spectrum(args, run: _Run) -> int:
     try:
         net = MLP.init([data.dim, *args.hidden, data.num_classes],
                        activation="tanh", seed=args.seed)
+        variants = [("untrained", net.copy())] if args.untrained else []
+        with run.timed("train_ms"):
+            sgd_warmup(net, data, args.train_epochs, args.lr, seed=args.seed)
+        variants.append(("trained", net))
+        for tag, model in variants:
+            reports = budget_spectra(model, data.features, args.epsilon0,
+                                     args.transform_kind, args.seed)
+            for eps, name in zip(args.epsilon0, names):
+                stem = f"spectrum_{tag}_{name}"
+                with run.timed(f"{stem}_ms"):
+                    _, report = next(reports)
+                _write_json(run.path(f"{stem}.json"), report.to_json_dict())
+                report.write_bins_csv(run.path(f"{stem}_bins.csv"))
+                print(f"{tag} eps={eps:.6f}: ||E||_2={report.e_norm2:.5f} "
+                      f"weyl_pass={report.weyl.passed}")
     except MemoryCapError as exc:
         raise ConfigError(f"--hidden: {exc}") from None
-    variants = [("untrained", net.copy())] if args.untrained else []
-    with run.timed("train_ms"):
-        sgd_warmup(net, data, args.train_epochs, args.lr, seed=args.seed)
-    variants.append(("trained", net))
-    for tag, model in variants:
-        reports = budget_spectra(model, data.features, args.epsilon0,
-                                 args.transform_kind, args.seed)
-        for eps, name in zip(args.epsilon0, names):
-            stem = f"spectrum_{tag}_{name}"
-            with run.timed(f"{stem}_ms"):
-                _, report = next(reports)
-            _write_json(run.path(f"{stem}.json"), report.to_json_dict())
-            report.write_bins_csv(run.path(f"{stem}_bins.csv"))
-            print(f"{tag} eps={eps:.6f}: ||E||_2={report.e_norm2:.5f} "
-                  f"weyl_pass={report.weyl.passed}")
     return 0
 
 

@@ -165,25 +165,23 @@ def _checked_max(D) -> tuple[np.ndarray, float]:
     return D, hi
 
 
-def g_frobenius(D, S, c1: float) -> float:
-    """Coverage norm sqrt(sum_i min_{j in S} D[i, j]^2); sqrt(n)*c1 when S is empty."""
-    D, _ = _checked_max(D)
+def g_frobenius(D, S) -> float:
+    """Coverage norm sqrt(sum_i min_{j in S} D[i, j]^2); sqrt(n) 2 max D if S is empty."""
+    D, hi = _checked_max(D)
     if len(S) == 0:
-        return math.sqrt(D.shape[0]) * c1
+        return math.sqrt(D.shape[0]) * (2.0 * hi)
     dmin = D[:, sorted(int(s) for s in S)].min(axis=1)
     return math.sqrt(float(np.sum(dmin * dmin)))
 
 
-def facility_location_objective(D, S, cap: float) -> float:
-    """Coverage sum ``sum_i (cap - min_{j in S} D[i, j])``.
-
-    The monotone submodular surrogate used for approximation-guarantee checks.
-    """
-    D, _ = _checked_max(D)
+def facility_location_objective(D, S) -> float:
+    """Coverage sum ``sum_i (max D - min_{j in S} D[i, j])``, the monotone
+    submodular surrogate of the approximation-guarantee checks."""
+    D, hi = _checked_max(D)
     if len(S) == 0:
         return 0.0
     dmin = D[:, sorted(int(s) for s in S)].min(axis=1)
-    return float(np.sum(cap - dmin))
+    return float(np.sum(hi - dmin))
 
 
 class _GreedyState:

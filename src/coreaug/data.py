@@ -96,22 +96,32 @@ def _parse_failure(parts: list[str]) -> str:
     return f"label {parts[-1]!r} is not an integer"
 
 
-def load_dataset_csv(path) -> Dataset:
-    """The dataset of a CSV file; see ``_parse_dataset_csv``."""
-    return _parse_dataset_csv(path)[0]
+def load_dataset_csv(path, num_classes: int | None = None) -> Dataset:
+    """The dataset of a CSV file; see ``_parse_dataset_csv``. A test file takes its
+    training data's ``num_classes``, and its first label outside them names its line."""
+    data, line_of = _parse_dataset_csv(path)
+    if num_classes is not None:
+        _check_labels_below(num_classes, path, data, line_of,
+                            f"outside the training classes 0..{num_classes - 1}")
+        data = Dataset(data.features, data.labels, num_classes)
+    return data
 
 
 def load_training_csv(path) -> Dataset:
-    """``load_dataset_csv`` for a file whose labels set the class count, which
-    sizes a network's output layer and every per-class count. The count is
-    the largest label plus one and may not exceed the data rows, so the
-    first line whose label is at or above the row count is reported."""
+    """``load_dataset_csv`` for a file whose labels set the class count (the
+    largest label plus one), which sizes a network's output layer and every
+    per-class count: its first line with a label at or above the row count
+    is reported."""
     data, line_of = _parse_dataset_csv(path)
-    if data.num_classes > data.n:
-        i = int(np.argmax(data.labels >= data.n))
-        raise DataFormatError(f"{path}: line {line_of(i)}: label {data.labels[i]} names "
-                              f"more classes than the file's {data.n} data rows")
+    _check_labels_below(data.n, path, data, line_of,
+                        f"names more classes than the file's {data.n} data rows")
     return data
+
+
+def _check_labels_below(bound: int, path, data: Dataset, line_of, why: str) -> None:
+    if data.num_classes > bound:
+        i = int(np.argmax(data.labels >= bound))
+        raise DataFormatError(f"{path}: line {line_of(i)}: label {data.labels[i]} {why}")
 
 
 def _parse_dataset_csv(path):

@@ -21,6 +21,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .augment import TransformSpec, perturb
+from .coreset import compute_weights, pairwise_distances
 from .linalg import (AT_LEAST_100, SvdResult, as_matrix, principal_angles, singular_values,
                      spectral_norm, svd)
 from .model import MLP, Dataset, checked_rows, jacobian, residual_and_gradients
@@ -296,10 +297,10 @@ def _descent_residuals(net: MLP, X: np.ndarray, Y: np.ndarray, eta: float,
             work.params -= eta * grad
 
 
-def residual_dynamics_check(net: MLP, data: Dataset, eta: float,
-                            steps: int) -> DynamicsReport:
+def residual_dynamics_check(net: MLP, data: Dataset, steps: int) -> DynamicsReport:
     """Predict r_t = sum_i (1 - eta lam_i)^t u_i (u_i . r_0) from the initial
-    kernel and compare with actual gradient descent, step by step.
+    kernel and compare with actual gradient descent, step by step, at the
+    stable step eta = 1 / (2 lam_max); lam_max >= 1 from the output biases.
 
     The sum runs over every kernel eigendirection including the zero
     eigenvalues: residual mass outside the range of the derivative matrix
@@ -307,8 +308,7 @@ def residual_dynamics_check(net: MLP, data: Dataset, eta: float,
     """
     dec = svd(jacobian(net, data.features))
     lam = dec.sigma**2
-    if eta * lam[0] >= 2.0:
-        raise ValueError("eta * lambda_max must stay below 2 for stable dynamics")
+    eta = 0.5 / lam[0]
     rel = np.empty(steps + 1)
     residuals = _descent_residuals(net, data.features, data.one_hot_labels(), eta, steps)
     for t, r_actual in enumerate(residuals):
@@ -334,6 +334,7 @@ class LinearBoundReport:
     the largest change that F makes to a row's prediction.
     """
 
+    gamma: np.ndarray
     subset_lhs: float
     subset_bound: float
     combined_lhs: float
@@ -346,16 +347,18 @@ def _linear_grad_sum(W: np.ndarray, X: np.ndarray, Y: np.ndarray,
     return X.T @ (residual * weights[:, None])
 
 
-def linear_transform_bound_check(W_lin, X, Y, F, indices, gamma) -> LinearBoundReport:
+def linear_transform_bound_check(W_lin, X, Y, F, indices) -> LinearBoundReport:
     """Audit the weighted-subset gradient bounds for f(x) = W^T x augmented by
-    the common linear map x -> F x, with every quantity measured."""
+    the common linear map x -> F x, with every quantity measured. ``gamma``
+    weighs each pick by its coverage of the per-example gradients x (x W - y)^T."""
     W = as_matrix(W_lin, "W_lin")
     X = as_matrix(X, "X")
     Y = np.asarray(Y, dtype=np.float64)
     F = as_matrix(F, "F")
     idx = np.asarray(indices, dtype=np.int64)
-    gam = np.asarray(gamma, dtype=np.float64)
     n, d = X.shape
+    grads = np.einsum("nd,nc->ndc", X, X @ W - Y).reshape(n, -1)
+    gam = compute_weights(pairwise_distances(grads), idx)
     Xa = X @ F.T
     omega = float(np.max(np.linalg.norm(Xa @ W - X @ W, axis=1)))
     f2 = spectral_norm(F)
@@ -369,7 +372,7 @@ def linear_transform_bound_check(W_lin, X, Y, F, indices, gamma) -> LinearBoundR
     subset_bound = f2 * (xi + math.sqrt(d) * n * omega)
     combined_lhs = float(np.linalg.norm((full_plain + full_aug) - (sub_plain + sub_aug)))
     combined_bound = (f2 + 1.0) * xi + math.sqrt(d) * f2 * n * omega
-    return LinearBoundReport(subset_lhs=subset_lhs, subset_bound=subset_bound,
+    return LinearBoundReport(gamma=gam, subset_lhs=subset_lhs, subset_bound=subset_bound,
                              combined_lhs=combined_lhs, combined_bound=combined_bound)
 
 
@@ -384,23 +387,22 @@ class LinearSgdEnvelopeReport:
         return bool(np.all(self.grad_norms <= self.envelope + 1e-9))
 
 
-def linear_transform_sgd_envelope(W0, X, Y, F, indices, gamma,
+def linear_transform_sgd_envelope(W0, X, Y, F, indices,
                                   steps: int) -> LinearSgdEnvelopeReport:
     """Run full-batch descent on the weighted subset plus its F-augmentation
     and compare the gradient-norm trajectory with the measured convergence
     envelope, whose constant is G0' + combined bound: G0' is the gradient norm
     of the full F-augmented set at W0.
     """
-    report = linear_transform_bound_check(W0, X, Y, F, indices, gamma)
+    report = linear_transform_bound_check(W0, X, Y, F, indices)
     W = as_matrix(W0, "W0").copy()
     X = as_matrix(X, "X")
     Y = np.asarray(Y, dtype=np.float64)
     F = as_matrix(F, "F")
     idx = np.asarray(indices, dtype=np.int64)
-    gam = np.asarray(gamma, dtype=np.float64)
     pool_X = np.concatenate([X[idx], X[idx] @ F.T])
     pool_Y = np.concatenate([Y[idx], Y[idx]])
-    pool_w = np.concatenate([gam, gam])
+    pool_w = np.concatenate([report.gamma, report.gamma])
     alpha, lam = pl_constants(pool_X * np.sqrt(pool_w)[:, None])
     beta = float(np.max(pool_w * np.sum(pool_X * pool_X, axis=1)))
     eta = alpha / (lam * beta)

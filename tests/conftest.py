@@ -3,6 +3,8 @@ import tracemalloc
 import hypothesis
 import pytest
 
+pytest_plugins = ["pytester"]
+
 hypothesis.settings.register_profile(
     "coreaug",
     deadline=None,

@@ -58,10 +58,8 @@ ENGINE_INPUTS = {
 }
 
 
-def brute_g(D, S, c1):
-    """Direct per-point minimum scan, summed by hand."""
-    if not S:
-        return math.sqrt(D.shape[0]) * c1
+def brute_g(D, S):
+    """Direct per-point minimum scan over a nonempty S, summed by hand."""
     total = 0.0
     for i in range(D.shape[0]):
         total += min(D[i, j] for j in S) ** 2
@@ -219,31 +217,33 @@ class TestPeakMemory:
 class TestGFrobenius:
     def test_full_set_is_zero(self):
         D = pairwise_distances(random_points(3, 6))
-        assert g_frobenius(D, list(range(6)), c1=10.0) == 0.0
+        assert g_frobenius(D, list(range(6))) == 0.0
 
     def test_empty_set_sentinel(self):
-        D = np.zeros((4, 4))
-        assert g_frobenius(D, [], c1=10.0) == pytest.approx(20.0)
+        """An empty selection leaves every row at the engines' sentinel c1."""
+        D = pairwise_distances(random_points(5, 6))
+        c1 = _GreedyState(D, SelectionConfig(stop="fixed_size", k_per_class=1)).c1
+        assert g_frobenius(D, []) == math.sqrt(6) * c1
 
     def test_brute_force_oracle(self):
         D = pairwise_distances(random_points(4, 5))
-        assert g_frobenius(D, [2], c1=1.0) == pytest.approx(brute_g(D, [2], 1.0))
+        assert g_frobenius(D, [2]) == pytest.approx(brute_g(D, [2]))
 
 
-def fl_optimum(D, k, cap):
+def fl_optimum(D, k):
     """Exhaustive search over all k-subsets."""
     best = -math.inf
     for S in itertools.combinations(range(D.shape[0]), k):
-        best = max(best, facility_location_objective(D, list(S), cap))
+        best = max(best, facility_location_objective(D, list(S)))
     return best
 
 
-def min_cover_size(D, xi, c1):
+def min_cover_size(D, xi):
     """Smallest subset with coverage norm <= xi, by full enumeration."""
     n = D.shape[0]
     for size in range(1, n + 1):
         for S in itertools.combinations(range(n), size):
-            if brute_g(D, list(S), c1) <= xi:
+            if brute_g(D, list(S)) <= xi:
                 return size
     return n
 
@@ -272,11 +272,10 @@ class TestGreedy:
             n = int(rng.integers(5, 13))
             k = int(rng.integers(1, 5))
             D = pairwise_distances(rng.standard_normal((n, 3)))
-            cap = float(D.max())
             res = greedy_select(D, SelectionConfig(stop="fixed_size",
                                                    k_per_class=min(k, n)))
-            achieved = facility_location_objective(D, res.indices[:k], cap)
-            opt = fl_optimum(D, min(k, n), cap)
+            achieved = facility_location_objective(D, res.indices[:k])
+            opt = fl_optimum(D, min(k, n))
             assert achieved >= (1.0 - 1.0 / math.e) * opt - 1e-9
 
     def test_cover_log_approximation(self):
@@ -285,11 +284,10 @@ class TestGreedy:
             n = int(rng.integers(5, 11))
             pts = rng.standard_normal((n, 2))
             D = pairwise_distances(pts)
-            c1 = 2.0 * float(D.max())
-            xi = 0.4 * brute_g(D, [0], c1)
+            xi = 0.4 * brute_g(D, [0])
             res = greedy_select(D, SelectionConfig(stop="xi_threshold", xi=xi))
             assert res.trace[-1] <= xi
-            opt = min_cover_size(D, xi, c1)
+            opt = min_cover_size(D, xi)
             assert len(res.indices) <= (1.0 + math.log(n)) * opt + 1e-9
 
     def test_trace_strictly_decreasing(self):
@@ -506,16 +504,14 @@ class TestStochasticGreedy:
 
     def test_objective_close_to_naive(self):
         D = pairwise_distances(random_points(14, 120, p=4))
-        cap = float(D.max())
         cfg_n = SelectionConfig(stop="fixed_size", k_per_class=12)
-        naive_obj = facility_location_objective(
-            D, greedy_select(D, cfg_n).indices, cap)
+        naive_obj = facility_location_objective(D, greedy_select(D, cfg_n).indices)
         objs = []
         for seed in range(10):
             cfg = SelectionConfig(stop="fixed_size", k_per_class=12,
                                   engine="stochastic", seed=seed)
             objs.append(facility_location_objective(
-                D, stochastic_greedy_select(D, cfg).indices, cap))
+                D, stochastic_greedy_select(D, cfg).indices))
         assert np.mean(objs) >= 0.95 * naive_obj
 
 
@@ -581,8 +577,8 @@ class TestWeights:
 TAKES_D = {
     **_ENGINE_FNS,
     "compute_weights": lambda D, config: compute_weights(D, [0, 1]),
-    "g_frobenius": lambda D, config: g_frobenius(D, [0, 1], 1.0),
-    "facility_location": lambda D, config: facility_location_objective(D, [0, 1], 1.0),
+    "g_frobenius": lambda D, config: g_frobenius(D, [0, 1]),
+    "facility_location": lambda D, config: facility_location_objective(D, [0, 1]),
 }
 
 
@@ -695,7 +691,7 @@ class TestSelectAllClasses:
             idx = np.flatnonzero(labels == c.label)
             D = pairwise_distances(pts[idx])
             local = list(np.searchsorted(idx, c.indices))
-            assert c.g_frobenius == g_frobenius(D, local, 2.0 * float(D.max()))
+            assert c.g_frobenius == g_frobenius(D, local)
 
     def test_json_schema(self):
         pts = random_points(23, 10)
@@ -803,11 +799,10 @@ class TestMonotoneCoverage:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(3, 25))
         D = pairwise_distances(rng.standard_normal((n, 3)))
-        c1 = 2.0 * float(D.max())
         order = list(rng.permutation(n))
-        prev = g_frobenius(D, [], c1)
+        prev = g_frobenius(D, [])
         for size in range(1, n + 1):
-            cur = g_frobenius(D, order[:size], c1)
+            cur = g_frobenius(D, order[:size])
             assert cur <= prev + 1e-12
             prev = cur
 
@@ -831,15 +826,14 @@ class TestMonotoneCoverage:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(4, 25))
         D = pairwise_distances(rng.standard_normal((n, 3)))
-        cap = float(D.max())
         perm = list(rng.permutation(n))
         small = perm[:int(rng.integers(1, n - 1))]
         big = perm[:int(rng.integers(len(small), n - 1)) + 1]
         e = perm[-1]
-        gain_small = (facility_location_objective(D, small + [e], cap)
-                      - facility_location_objective(D, small, cap))
-        gain_big = (facility_location_objective(D, big + [e], cap)
-                    - facility_location_objective(D, big, cap))
+        gain_small = (facility_location_objective(D, small + [e])
+                      - facility_location_objective(D, small))
+        gain_big = (facility_location_objective(D, big + [e])
+                    - facility_location_objective(D, big))
         assert gain_big <= gain_small + 1e-9
 
 

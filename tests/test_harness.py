@@ -614,7 +614,9 @@ class TestCli:
         monkeypatch.setattr(coreaug.model, "JACOBIAN_ENTRY_CAP", 1000)
         assert main(["spectrum", "--data", str(dataset_csv), "--train-epochs", "1",
                      "--hidden", "6", "--out", str(tmp_path / "s")]) == 2
-        assert "entries, cap is 1000" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error: --hidden: jacobian would hold " in err
+        assert "entries, cap is 1000" in err
 
     def test_select_rejects_a_bad_fraction_beside_k_per_class(self, dataset_csv, tmp_path,
                                                                capsys):
@@ -910,6 +912,11 @@ def _exit_code(argv) -> int:
 _NO_LABEL_1 = "f0,f1,label\n" + "".join(f"{i / 10},{1 - i / 10},{2 * (i % 2)}\n"
                                          for i in range(8))
 
+# Five rows labelled 0 to 4: the first label outside the 60-row file's
+# classes 0..2 is the 3 on line 5.
+_LABELS_0_TO_4 = "f0,f1,f2,f3,label\n" + "".join(f"0.5,0.5,0.5,0.5,{label}\n"
+                                                 for label in range(5))
+
 # One row per (command, flag or file, bad value): the argv, where {data} is a
 # valid 60-row CSV, {csv} holds the row's own CSV text and {runs} is the
 # directory that holds {csv}; that text, or None;
@@ -968,6 +975,9 @@ CLI_ERRORS = {
     "train label 2 of 2 rows": (["train", "--data", "{csv}"], "f0,label\n0.5,0\n0.5,2\n",
                                 3, "{csv}: line 3: label 2 names more classes than the "
                                    "file's 2 data rows"),
+    "train --test-data label 3": (["train", "--data", "{data}", "--test-data", "{csv}"],
+                                  _LABELS_0_TO_4, 3, "data error: {csv}: line 5: label 3 "
+                                                     "outside the training classes 0..2"),
     "train empty class": (["train", "--data", "{csv}", "--epochs", "1"], _NO_LABEL_1,
                           0, "warning: {csv}: label 1 has no rows"),
     "select empty class": (["select", "--data", "{csv}"], _NO_LABEL_1,
@@ -1600,25 +1610,57 @@ def test_wall_clock_is_read_in_two_places():
     assert sorted(users) == ["cli._Run.timed"] * 2 + ["trainer.training"] * 2
 
 
+def reaches_lapack_svd(node) -> bool:
+    """Whether a node names ``np.linalg.svd`` or calls ``np.linalg.norm`` with
+    an ``ord`` (2, -2 and 'nuc' run an SVD)."""
+    return ((isinstance(node, ast.Attribute) and ast.unparse(node) == "np.linalg.svd")
+            or (isinstance(node, ast.Call) and ast.unparse(node.func) == "np.linalg.norm"
+                and (len(node.args) > 1 or any(k.arg == "ord" for k in node.keywords))))
+
+
 def test_lapack_svd_has_one_door():
     """Only ``linalg._lapack_svd`` names ``np.linalg.svd`` or ``LinAlgError``,
-    and no module calls ``np.linalg.norm`` with an ``ord`` (2, -2 and 'nuc'
-    run an SVD). So every singular value comes through its wrap, and a
-    non-convergence has one error path: ``cli.main`` has one handler for
-    ``NumericalError``."""
+    and no module calls ``np.linalg.norm`` with an ``ord``. So every singular
+    value comes through its wrap, and a non-convergence has one error path:
+    ``cli.main`` has one handler for ``NumericalError``."""
     src = Path(__file__).resolve().parents[1] / "src" / "coreaug"
     users, handlers = [], []
     for scope, node in scoped_nodes(src):
-        if ((isinstance(node, ast.Attribute) and ast.unparse(node) == "np.linalg.svd")
-                or "LinAlgError" in spelled_names(node)):
-            users.append(scope)
-        if (isinstance(node, ast.Call) and ast.unparse(node.func) == "np.linalg.norm"
-                and (len(node.args) > 1 or any(k.arg == "ord" for k in node.keywords))):
+        if reaches_lapack_svd(node) or "LinAlgError" in spelled_names(node):
             users.append(scope)
         if isinstance(node, ast.ExceptHandler) and scope == "cli.main":
             handlers.append(ast.unparse(node.type))
     assert users == ["linalg._lapack_svd"] * 2
     assert [h for h in handlers if "NumericalError" in h] == ["NumericalError"]
+
+
+def test_acceptance_criteria_reach_lapack_through_linalg():
+    """``tests/test_acceptance.py`` takes every singular value from ``linalg``,
+    as the program does, so no criterion computes its own decomposition."""
+    tests = Path(__file__).resolve().parent
+    users = [scope for scope, node in scoped_nodes(tests)
+             if scope.partition(".")[0] == "test_acceptance" and reaches_lapack_svd(node)]
+    assert users == []
+
+
+def test_a_failing_given_test_does_not_stop_the_run(pytester):
+    """Under the suite's own warning filters a failing ``@given`` test is one
+    failure: the hypothesis report that imports libcst does not abort the
+    session, so the tests after it still run."""
+    root = Path(__file__).resolve().parents[1]
+    pytester.makepyprojecttoml((root / "pyproject.toml").read_text(encoding="utf-8"))
+    path = pytester.makepyfile(
+        "from hypothesis import given, strategies as st\n"
+        "\n"
+        "@given(st.integers(0, 3))\n"
+        "def test_fails(x):\n"
+        "    assert x < 0\n"
+        "\n"
+        "def test_passes():\n"
+        "    pass\n")
+    result = pytester.runpytest_subprocess(path, "-p", "no:cacheprovider")
+    result.assert_outcomes(failed=1, passed=1)
+    assert result.ret == pytest.ExitCode.TESTS_FAILED
 
 
 def test_perturb_has_one_caller_per_use():

@@ -274,24 +274,10 @@ class TestSingularVectorBound:
 
 
 class TestResidualDynamics:
-    def test_zero_step_size(self):
-        rng = np.random.default_rng(19)
-        data = Dataset(rng.uniform(0, 1, (10, 4)), rng.integers(0, 3, 10), 3)
-        net = MLP.init([4, 6, 3], seed=2)
-        report = residual_dynamics_check(net, data, eta=0.0, steps=5)
-        assert np.allclose(report.relative_deviation, 0.0, atol=1e-12)
-        actual_norms = [np.linalg.norm(r) for r in coreaug.spectrum._descent_residuals(
-            net, data.features, data.one_hot_labels(), 0.0, 5)]
-        assert np.allclose(actual_norms, actual_norms[0])
-
     def test_linear_model_exact(self):
         rng = np.random.default_rng(20)
         data = Dataset(rng.uniform(0, 1, (12, 5)), rng.integers(0, 2, 12), 2)
-        net = MLP.init([5, 2], seed=3)
-        from coreaug.model import jacobian
-
-        lam = np.linalg.svd(jacobian(net, data.features), compute_uv=False)[0] ** 2
-        report = residual_dynamics_check(net, data, eta=0.5 / lam, steps=30)
+        report = residual_dynamics_check(MLP.init([5, 2], seed=3), data, steps=30)
         assert report.max_relative_deviation <= 1e-8
 
     @pytest.mark.parametrize("activation", ["tanh", "relu"])
@@ -318,13 +304,6 @@ class TestResidualDynamics:
             assert r_got.tobytes() == r_ref.tobytes()
         assert net.params.copy().tobytes() == before.tobytes()
 
-    def test_unstable_step_rejected(self):
-        rng = np.random.default_rng(21)
-        data = Dataset(rng.uniform(0, 1, (8, 3)), rng.integers(0, 2, 8), 2)
-        net = MLP.init([3, 2], seed=4)
-        with pytest.raises(ValueError):
-            residual_dynamics_check(net, data, eta=1e6, steps=2)
-
 
 class TestLinearTransformBounds:
     def _instance(self, seed, n=20, d=4, C=2):
@@ -333,13 +312,7 @@ class TestLinearTransformBounds:
         W = rng.standard_normal((d, C))
         Y = one_hot(rng.integers(0, C, n), C)
         idx = np.sort(rng.choice(n, size=max(1, n // 4), replace=False))
-        gamma = np.zeros(idx.size)
-        # nearest-assignment weights over exact linear gradients
-        grads = np.einsum("nd,nc->ndc", X, X @ W - Y).reshape(n, -1)
-        from coreaug.coreset import compute_weights, pairwise_distances
-
-        gamma = compute_weights(pairwise_distances(grads), list(idx))
-        return W, X, Y, idx, gamma
+        return W, X, Y, idx
 
     @staticmethod
     def holds(report):
@@ -350,19 +323,19 @@ class TestLinearTransformBounds:
     def test_identity_transform_is_tight(self):
         """With F = I the augmented rows are the plain ones, so omega is 0 and
         both sides of the subset bound equal xi, the plain-gradient error."""
-        W, X, Y, idx, gamma = self._instance(25)
+        W, X, Y, idx = self._instance(25)
+        report = linear_transform_bound_check(W, X, Y, np.eye(4), idx)
         grad_sum = coreaug.spectrum._linear_grad_sum
         xi = float(np.linalg.norm(grad_sum(W, X, Y, np.ones(X.shape[0]))
-                                  - grad_sum(W, X[idx], Y[idx], gamma)))
-        report = linear_transform_bound_check(W, X, Y, np.eye(4), idx, gamma)
+                                  - grad_sum(W, X[idx], Y[idx], report.gamma)))
         assert report.subset_bound == spectral_norm(np.eye(4)) * xi
         assert report.subset_lhs == pytest.approx(xi, rel=1e-12)
         assert report.subset_bound == pytest.approx(xi, rel=1e-12)
         assert self.holds(report)
 
     def test_zero_transform(self):
-        W, X, Y, idx, gamma = self._instance(26)
-        report = linear_transform_bound_check(W, X, Y, np.zeros((4, 4)), idx, gamma)
+        W, X, Y, idx = self._instance(26)
+        report = linear_transform_bound_check(W, X, Y, np.zeros((4, 4)), idx)
         assert report.subset_lhs == 0.0
         assert report.subset_bound == 0.0
         assert self.holds(report)
@@ -370,10 +343,10 @@ class TestLinearTransformBounds:
     @given(seed=st.integers(0, 300))
     @settings(max_examples=50)
     def test_random_instances_pass(self, seed):
-        W, X, Y, idx, gamma = self._instance(seed)
+        W, X, Y, idx = self._instance(seed)
         rng = np.random.default_rng(seed + 5000)
         F = np.eye(4) + 0.25 * rng.standard_normal((4, 4))
-        report = linear_transform_bound_check(W, X, Y, F, idx, gamma)
+        report = linear_transform_bound_check(W, X, Y, F, idx)
         assert self.holds(report)
 
     def test_sgd_envelope_holds(self):
@@ -385,17 +358,13 @@ class TestLinearTransformBounds:
         Y = one_hot(rng.integers(0, C, n), C)
         F = np.eye(d) + 0.05 * rng.standard_normal((d, d))
         idx = np.sort(rng.choice(n, size=8, replace=False))
-        grads = np.einsum("nd,nc->ndc", X, X @ W0 - Y).reshape(n, -1)
-        from coreaug.coreset import compute_weights, pairwise_distances
-
-        gamma = compute_weights(pairwise_distances(grads), list(idx))
-        report = linear_transform_sgd_envelope(W0, X, Y, F, idx, gamma, steps=100)
+        report = linear_transform_sgd_envelope(W0, X, Y, F, idx, steps=100)
         assert report.alpha < 1.0
         assert report.passed
 
     def test_sgd_envelope_rejects_an_all_zero_pool(self):
         """Zero rows give a rank-zero design, which has no PL constant."""
-        W, _, Y, idx, gamma = self._instance(28)
+        W, _, Y, idx = self._instance(28)
         X = np.zeros((Y.shape[0], 4))
         with pytest.raises(ValueError, match="rank-zero design"):
-            linear_transform_sgd_envelope(W, X, Y, np.eye(4), idx, gamma, steps=3)
+            linear_transform_sgd_envelope(W, X, Y, np.eye(4), idx, steps=3)
