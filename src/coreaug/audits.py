@@ -22,7 +22,7 @@ from .coreset import (
     select_all_classes,
 )
 from .data import gen_dataset, split_dataset
-from .linalg import AT_LEAST_1, AT_LEAST_100, Domain, singular_values, spectral_norm
+from .linalg import AT_LEAST_1, AT_LEAST_100, Domain, check_entries, singular_values, spectral_norm
 from .model import MLP, Dataset, example_losses, gradient_proxy, jacobian, one_hot
 from .spectrum import (
     augmented_jacobian,
@@ -246,9 +246,11 @@ BATTERIES = {
 def run_bounds_suite(seed: int, sizes: dict) -> dict:
     """Every battery of ``BATTERIES`` at ``sizes[name]``, keyed by name;
     each carries its verdict as ``passed``. A size outside its battery's
-    domain raises ``ValueError`` naming the battery before any audit runs."""
+    domain, or draws over the entry cap, raise before any audit runs."""
     for name, battery in BATTERIES.items():
         battery.domain.check(name, sizes[name])
+    # audit_shift_model's 10 x 20 matrix has 10 singular values
+    check_entries("shift-model draws", (10, sizes["shift_model"]), "--shift-draws")
     return {name: battery.audit(sizes[name], seed) for name, battery in BATTERIES.items()}
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import AT_LEAST_1, BUDGET, as_matrix, one_of
+from .linalg import AT_LEAST_1, BUDGET, as_matrix, check_entries, one_of
 
 TRANSFORM_KINDS = ("uniform_ball", "gaussian_clipped", "pixel_jitter")
 
@@ -79,6 +79,7 @@ def perturb(spec: TransformSpec, X, round_index: int = 0) -> AugmentedSet:
     if X.min() < 0.0 or X.max() > 1.0:
         raise ValueError("X entries must lie in [0, 1]")
     k, d = X.shape
+    check_entries("augmented copies", (k * spec.r, d), "--r")
     eps = spec.epsilon0
     out = np.empty((k * spec.r, d))
     for copy in range(spec.r):

@@ -47,8 +47,8 @@ from .data import (
     split_dataset,
 )
 from .linalg import (ABOVE_0, AT_LEAST_0, AT_LEAST_1, BUDGET, LEFT_OPEN_UNIT, OPEN_UNIT,
-                     RIGHT_OPEN_UNIT, Domain, NumericalError)
-from .model import MLP, PROXY_MODES, Dataset, MemoryCapError, class_rows, gradient_proxy
+                     RIGHT_OPEN_UNIT, Domain, MemoryCapError, NumericalError, check_entries)
+from .model import MLP, PROXY_MODES, Dataset, class_rows, gradient_proxy
 from .spectrum import budget_spectra
 from .trainer import (
     BASELINES,
@@ -213,10 +213,7 @@ def cmd_gen_data(args) -> int:
 @_recorded
 def cmd_select(args, run: _Run) -> int:
     data = _load_data(Path(args.data))
-    try:
-        net = MLP.init([data.dim, *args.hidden, data.num_classes], seed=args.net_seed)
-    except MemoryCapError as exc:
-        raise ConfigError(f"--hidden: {exc}") from None
+    net = MLP.init([data.dim, *args.hidden, data.num_classes], seed=args.net_seed)
     if args.warmup_epochs > 0:
         sgd_warmup(net, data, args.warmup_epochs, args.lr, seed=args.net_seed)
     with run.timed("selection_ms"):
@@ -266,10 +263,7 @@ def cmd_train(args, run: _Run) -> int:
     final = {}
     for seed in args.seeds:
         with run.timed(f"train_seed{seed}_ms"):
-            try:
-                record = train(_train_config(args, seed), data, test)
-            except MemoryCapError as exc:  # MLP.init refused the net before allocating
-                raise ConfigError(f"--hidden: {exc}") from None
+            record = train(_train_config(args, seed), data, test)
         record.to_csv(run.path(f"run_seed{seed}.csv"))
         last = record.rows[-1]
         final[seed] = {"test_acc": last.test_acc, "test_loss": last.test_loss,
@@ -304,26 +298,24 @@ def cmd_spectrum(args, run: _Run) -> int:
                               f"--classes-used {classes_used}")
     keep = np.concatenate(keep)
     data = Dataset(data.features[keep], data.labels[keep], classes_used)
-    try:
-        net = MLP.init([data.dim, *args.hidden, data.num_classes],
-                       activation="tanh", seed=args.seed)
-        variants = [("untrained", net.copy())] if args.untrained else []
-        with run.timed("train_ms"):
-            sgd_warmup(net, data, args.train_epochs, args.lr, seed=args.seed)
-        variants.append(("trained", net))
-        for tag, model in variants:
-            reports = budget_spectra(model, data.features, args.epsilon0,
-                                     args.transform_kind, args.seed)
-            for eps, name in zip(args.epsilon0, names):
-                stem = f"spectrum_{tag}_{name}"
-                with run.timed(f"{stem}_ms"):
-                    _, report = next(reports)
-                _write_json(run.path(f"{stem}.json"), report.to_json_dict())
-                report.write_bins_csv(run.path(f"{stem}_bins.csv"))
-                print(f"{tag} eps={eps:.6f}: ||E||_2={report.e_norm2:.5f} "
-                      f"weyl_pass={report.weyl.passed}")
-    except MemoryCapError as exc:
-        raise ConfigError(f"--hidden: {exc}") from None
+    net = MLP.init([data.dim, *args.hidden, data.num_classes], activation="tanh", seed=args.seed)
+    # model.jacobian's own check, made before the warm-up rather than after it
+    check_entries("jacobian", (data.n * data.num_classes, net.num_params), "--hidden")
+    variants = [("untrained", net.copy())] if args.untrained else []
+    with run.timed("train_ms"):
+        sgd_warmup(net, data, args.train_epochs, args.lr, seed=args.seed)
+    variants.append(("trained", net))
+    for tag, model in variants:
+        reports = budget_spectra(model, data.features, args.epsilon0,
+                                 args.transform_kind, args.seed)
+        for eps, name in zip(args.epsilon0, names):
+            stem = f"spectrum_{tag}_{name}"
+            with run.timed(f"{stem}_ms"):
+                _, report = next(reports)
+            _write_json(run.path(f"{stem}.json"), report.to_json_dict())
+            report.write_bins_csv(run.path(f"{stem}_bins.csv"))
+            print(f"{tag} eps={eps:.6f}: ||E||_2={report.e_norm2:.5f} "
+                  f"weyl_pass={report.weyl.passed}")
     return 0
 
 
@@ -592,6 +584,12 @@ def main(argv: list[str] | None = None) -> int:
         _apply_config_file(argv, parser)
         args = parser.parse_args(argv)
         return args.fn(args)
+    except MemoryCapError as exc:
+        if exc.flag is None:  # a class of the --data file sized the array
+            print(f"data error: {args.data}: {exc}", file=sys.stderr)
+            return 3
+        print(f"config error: {exc.flag}: {exc}", file=sys.stderr)
+        return 2
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (ABOVE_0, AT_LEAST_1, LEFT_OPEN_UNIT, NumericalError, as_matrix,
-                     frobenius_norm, one_of)
+                     check_entries, frobenius_norm, one_of)
 from .model import (
     MLP,
     Dataset,
@@ -446,12 +446,13 @@ def select_all_classes(proxies: GradientProxySet, config: SelectionConfig) -> We
     coverage norm, so it is not recomputed, and the engine's check of D
     covers the weight assignment too. The proxies are finite, so distances
     that are not, or whose squares overflow, raise ``NumericalError`` naming
-    the class.
+    the class, and a D over the entry cap is refused before it is built.
     """
     engine = _ENGINE_FNS[config.engine]
     classes: list[ClassCoreset] = []
     for label, idx in class_rows(proxies.labels):
         _resolve_k(config, idx.size, label)  # the engine sees D alone, not the label
+        check_entries(f"class {label}: distance matrix", (idx.size, idx.size), None)
         D = pairwise_distances(proxies.proxies[idx])
         try:
             result = engine(D, config)

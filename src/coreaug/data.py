@@ -11,7 +11,7 @@ from array import array
 
 import numpy as np
 
-from .linalg import AT_LEAST_0, AT_LEAST_1, OPEN_UNIT, one_of
+from .linalg import AT_LEAST_0, AT_LEAST_1, OPEN_UNIT, check_entries, one_of
 from .model import Dataset, class_rows
 
 GENERATOR_KINDS = ("gaussian_blobs", "two_moons_embedded", "grid_digits")
@@ -53,6 +53,7 @@ def gen_dataset(kind: str, n: int, d: int, num_classes: int, seed: int = 0,
     AT_LEAST_0.check("margin", margin)
     if n % num_classes != 0:
         raise ValueError("n must be a positive multiple of num_classes")
+    check_entries("features", (n, d), "--n")
     rng = np.random.default_rng(seed)
     per = n // num_classes
     labels = np.repeat(np.arange(num_classes), per)

@@ -15,7 +15,8 @@ Each knob's domain is defined once, as a ``Domain``: >= 1, >= 0, > 0,
 (0, 1], (0, 1), [0, 1), [0, 1e150] (augmentation budgets), >= 100
 (shift-model draws) or ``one_of`` a tuple. No domain holds a non-finite
 float. A field outside its domain raises
-``ValueError("<field> must <text>, got <value>")``.
+``ValueError("<field> must <text>, got <value>")``. One entry cap,
+``ENTRY_CAP``, bounds every array whose size a flag or a data file sets.
 """
 
 from __future__ import annotations
@@ -30,6 +31,25 @@ import numpy as np
 class NumericalError(RuntimeError):
     """A numerical routine failed: no convergence, or training reached a
     non-finite loss."""
+
+
+ENTRY_CAP = 2**28
+
+
+class MemoryCapError(ValueError):
+    """An array would exceed ``ENTRY_CAP``: ``flag`` set its size (None: a data file)."""
+
+    def __init__(self, message: str, flag: str | None):
+        super().__init__(message)
+        self.flag = flag
+
+
+def check_entries(what: str, shape, flag: str | None, unit: str = "entries") -> None:
+    """Raise ``MemoryCapError`` before an array of ``shape`` exceeds the cap;
+    the count is a product of Python ints, so it cannot overflow."""
+    count = math.prod(map(int, shape))
+    if count > ENTRY_CAP:
+        raise MemoryCapError(f"{what} would hold {count} {unit}, cap is {ENTRY_CAP}", flag)
 
 
 class Domain(NamedTuple):

@@ -15,16 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import AT_LEAST_1, NumericalError, as_matrix, one_of
-
-JACOBIAN_ENTRY_CAP = 2**28
+from .linalg import AT_LEAST_1, NumericalError, as_matrix, check_entries, one_of
 
 PROXY_MODES = ("residual", "last_layer")
-
-
-class MemoryCapError(ValueError):
-    """The requested parameter vector or stacked derivative matrix would
-    exceed the entry cap."""
 
 
 def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
@@ -159,18 +152,15 @@ class MLP:
     def init(cls, layer_sizes, activation: str = "tanh", seed: int = 0) -> "MLP":
         """Seeded init: per-layer uniform in [-1/sqrt(fan_in), +1/sqrt(fan_in)].
         Raises MemoryCapError, before allocating, when the parameter count
-        exceeds ``JACOBIAN_ENTRY_CAP``."""
+        exceeds ``linalg.ENTRY_CAP``."""
         sizes = tuple(int(s) for s in layer_sizes)
         if len(sizes) < 2:
             raise ValueError("layer_sizes needs at least input and output sizes")
         for s in sizes:
             AT_LEAST_1.check("layer_sizes", s)
         _activation_pair(activation)
-        # Python ints: the count cannot overflow
         count = _num_params(sizes)
-        if count > JACOBIAN_ENTRY_CAP:
-            raise MemoryCapError(f"a network of layer sizes {sizes} would hold {count} "
-                                 f"parameters, cap is {JACOBIAN_ENTRY_CAP}")
+        check_entries(f"a network of layer sizes {sizes}", (count,), "--hidden", "parameters")
         net = cls(sizes, activation, np.empty(count))
         rng = np.random.default_rng(seed)
         for w, b in zip(net.weights, net.biases):
@@ -297,7 +287,7 @@ def _row_gradients(net: MLP, acts, delta: np.ndarray, out: np.ndarray) -> np.nda
 def jacobian(net: MLP, X) -> np.ndarray:
     """Stacked output derivatives, shape (n*C, m); row i*C + c is d f_c(x_i) / dW.
 
-    Raises MemoryCapError when n*C*m exceeds ``JACOBIAN_ENTRY_CAP``, and
+    Raises MemoryCapError when n*C*m exceeds ``linalg.ENTRY_CAP``, and
     NumericalError when an entry is not finite (the network's weights or
     outputs overflowed).
     """
@@ -305,9 +295,7 @@ def jacobian(net: MLP, X) -> np.ndarray:
     n = X.shape[0]
     C = net.num_outputs
     m = net.num_params
-    if n * C * m > JACOBIAN_ENTRY_CAP:
-        raise MemoryCapError(f"jacobian would hold {n * C * m} entries, "
-                             f"cap is {JACOBIAN_ENTRY_CAP}")
+    check_entries("jacobian", (n * C, m), "--hidden")
     acts = _forward_trace(net, X)
     out = np.empty((n * C, m))
     for c in range(C):
@@ -338,6 +326,9 @@ def gradient_proxy(net: MLP, data: Dataset, mode: str = "last_layer") -> Gradien
     each example's first row, so the proxies are the only n x hC array.
     """
     one_of(PROXY_MODES).check("mode", mode)
+    if mode == "last_layer":
+        check_entries("gradient proxies", (data.n, net.layer_sizes[-2] + 1, net.num_outputs),
+                      "--hidden")
     acts = _forward_trace(net, data.features)
     if mode == "residual":
         proxies = acts[-1] - data.one_hot_labels()

@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 import coreaug.audits
 import coreaug.cli
 import coreaug.coreset
-import coreaug.model
+import coreaug.linalg
 import coreaug.spectrum
 from coreaug.audits import BATTERIES, noise_robustness, run_bounds_suite
 from coreaug.cli import build_parser, main
@@ -611,7 +611,7 @@ class TestCli:
 
     def test_spectrum_jacobian_over_the_entry_cap_is_config_error(self, dataset_csv, tmp_path,
                                                                   monkeypatch, capsys):
-        monkeypatch.setattr(coreaug.model, "JACOBIAN_ENTRY_CAP", 1000)
+        monkeypatch.setattr(coreaug.linalg, "ENTRY_CAP", 1000)
         assert main(["spectrum", "--data", str(dataset_csv), "--train-epochs", "1",
                      "--hidden", "6", "--out", str(tmp_path / "s")]) == 2
         err = capsys.readouterr().err
@@ -1083,6 +1083,21 @@ CLI_ERRORS = {
                                        2, "config error: --hidden: a network of "
                                           "layer sizes (4, 100000000000, 3) would hold "
                                           "800000000003 parameters, cap is 268435456"),
+    # the other flag-sized arrays, refused at the real cap before allocation
+    "train --r 10000000000000000000": (["train", "--data", "{data}", "--epochs", "1", "--r",
+                                        "10000000000000000000"], None,
+                                       2, "config error: --r: augmented copies would hold "
+                                          "240000000000000000000 entries, cap is 268435456"),
+    "bounds --shift-draws 10000000000000000000": (["bounds", "--shift-draws",
+                                                   "10000000000000000000"], None,
+                                                  2, "config error: --shift-draws: shift-model "
+                                                     "draws would hold 100000000000000000000 "
+                                                     "entries, cap is 268435456"),
+    "gen-data --n 30000000000000000000": (["gen-data", "--n", "30000000000000000000",
+                                           "--classes", "3", "--d", "4"], None,
+                                          2, "--n 30000000000000000000 --d 4 --classes 3 "
+                                             "--seed 0 --margin 0.25: features would hold "
+                                             "120000000000000000000 entries, cap is 268435456"),
     "train --seeds 1,2 --lr 50": (["train", "--data", "{data}", "--seeds", "1,2", "--lr", "50"],
                                   None, 4, "numerical failure: training seed 1 diverged at "
                                            "epoch 1: loss "),
@@ -1135,6 +1150,69 @@ def test_cli_error_names_its_flag_or_file(case, dataset_csv, tmp_path, capsys):
     argv = [a.format(data=dataset_csv, csv=csv, runs=tmp_path) for a in argv]
     assert _exit_code(argv + ["--out", str(tmp_path / "out")]) == code
     assert message.format(csv=csv, runs=tmp_path) in capsys.readouterr().err
+
+
+# One row per input that sizes an array, at an entry cap of 2**16: the argv,
+# where {data} is a 60-row CSV of 4 features and 3 classes and {big} a CSV
+# of two 1,100-row classes of 2 features; the exit code; what stderr must
+# hold; and the functions the command must not call. Each input sizes its
+# array past 2**19 entries (4 MB), so a check made after the array is built,
+# or after a smaller array of the same input (the proxies' forward trace,
+# 1.9 MB), breaks the traced-peak bound.
+CAP_BREACHES = {
+    "select --hidden, parameters": (["select", "--data", "{data}", "--hidden", "200000"], 2,
+                                    "config error: --hidden: a network of layer sizes "
+                                    "(4, 200000, 3) would hold 1600003 parameters", ()),
+    "select --hidden, proxies": (["select", "--data", "{data}", "--hidden", "4000"], 2,
+                                 "config error: --hidden: gradient proxies would hold "
+                                 "720180 entries, cap is 65536", ()),
+    "spectrum --hidden, jacobian": (["spectrum", "--data", "{data}", "--hidden", "2000"], 2,
+                                    "config error: --hidden: jacobian would hold 2880540 "
+                                    "entries, cap is 65536", ("cli.sgd_warmup",)),
+    "select, a class's distances": (["select", "--data", "{big}", "--hidden", "1"], 3,
+                                    "data error: {big}: class 0: distance matrix would hold "
+                                    "1210000 entries, cap is 65536", ()),
+    # the holdout split leaves 825 training rows per class
+    "train, a class's distances": (["train", "--data", "{big}", "--hidden", "1"], 3,
+                                   "data error: {big}: class 0: distance matrix would hold "
+                                   "680625 entries, cap is 65536", ("trainer._build_pool",)),
+    "train --r": (["train", "--data", "{data}", "--r", "100000"], 2,
+                  "config error: --r: augmented copies would hold 2400000 entries, "
+                  "cap is 65536", ("trainer._sgd_epoch",)),
+    "bounds --shift-draws": (["bounds", "--shift-draws", "200000"], 2,
+                             "config error: --shift-draws: shift-model draws would hold "
+                             "2000000 entries, cap is 65536",
+                             tuple(f"audits.audit_{name}" for name in BATTERIES)),
+    "gen-data --n": (["gen-data", "--n", "300000", "--d", "4"], 2,
+                     "--n 300000 --d 4 --classes 3 --seed 0 --margin 0.25: features would "
+                     "hold 1200000 entries, cap is 65536", ("cli.save_dataset_csv",)),
+}
+
+
+@pytest.mark.parametrize("case", CAP_BREACHES)
+def test_over_cap_input_is_refused_before_its_array(case, dataset_csv, tmp_path, monkeypatch,
+                                                     capsys, traced_peak_bytes):
+    """Each input that would size an array past the entry cap exits with its
+    code and names its flag, or its file and class, having allocated under
+    1 MB (twice the cap) and called none of the functions its row names."""
+    argv, code, message, unreached = CAP_BREACHES[case]
+    big = tmp_path / "big.csv"
+    save_dataset_csv(gen_dataset("gaussian_blobs", 2200, 2, 2, seed=3), big)
+    monkeypatch.setattr(coreaug.linalg, "ENTRY_CAP", 2**16)
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("called after the cap was breached")
+
+    for name in unreached:
+        module, attr = name.split(".")
+        monkeypatch.setattr(getattr(coreaug, module), attr, unreachable)
+    argv = [a.format(data=dataset_csv, big=big) for a in argv]
+    codes = []
+    peak = traced_peak_bytes(lambda: codes.append(
+        _exit_code(argv + ["--out", str(tmp_path / "out")])))
+    assert codes == [code]
+    assert message.format(big=big) in capsys.readouterr().err
+    assert peak < 2**20
 
 
 def _suite_sized(battery: str, size: int):
@@ -1632,6 +1710,35 @@ def test_lapack_svd_has_one_door():
             handlers.append(ast.unparse(node.type))
     assert users == ["linalg._lapack_svd"] * 2
     assert [h for h in handlers if "NumericalError" in h] == ["NumericalError"]
+
+
+def test_entry_cap_has_one_door():
+    """Only ``linalg.check_entries`` raises ``MemoryCapError`` or reads the
+    entry cap, both defined in ``linalg`` alone, and only ``cli.main``
+    catches the error. So every size meets one cap, and a breach has one
+    mapping to its exit code."""
+    src = Path(__file__).resolve().parents[1] / "src" / "coreaug"
+
+    def names(node) -> list[str]:
+        return [name for sub in ast.walk(node) for name in spelled_names(sub)]
+
+    raisers, readers, writers, classes, handlers = [], [], [], [], []
+    for scope, node in scoped_nodes(src):
+        if scope.split(".")[1:2] == ["MemoryCapError"]:
+            classes.append(scope.split(".")[0])
+        if isinstance(node, ast.Raise) and "MemoryCapError" in names(node):
+            raisers.append(scope)
+        if isinstance(node, ast.ExceptHandler) and node.type is not None \
+                and "MemoryCapError" in names(node.type):
+            handlers.append(scope)
+        if isinstance(node, (ast.Name, ast.Attribute)) \
+                and spelled_names(node)[0].endswith("ENTRY_CAP"):
+            (writers if isinstance(node.ctx, ast.Store) else readers).append(scope)
+    assert raisers == ["linalg.check_entries"]
+    assert set(readers) == {"linalg.check_entries"}
+    assert writers == ["linalg"]
+    assert set(classes) == {"linalg"}
+    assert handlers == ["cli.main"]
 
 
 def test_acceptance_criteria_reach_lapack_through_linalg():

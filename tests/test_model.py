@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import coreaug.model
-from coreaug.linalg import NumericalError, spectral_norm
+import coreaug.linalg
+from coreaug.linalg import MemoryCapError, NumericalError, spectral_norm
 from coreaug.model import (
     Dataset,
     MLP,
-    MemoryCapError,
     _activation_pair,
     _backward,
     _forward_trace,
@@ -383,18 +382,18 @@ class TestJacobian:
 
     def test_memory_cap(self, monkeypatch):
         net = MLP.init([4, 6, 3], seed=0)
-        monkeypatch.setattr(coreaug.model, "JACOBIAN_ENTRY_CAP", 10)
+        monkeypatch.setattr(coreaug.linalg, "ENTRY_CAP", 10)
         with pytest.raises(MemoryCapError):
             jacobian(net, np.zeros((10, 4)))
 
     def test_parameter_count_over_the_cap_is_refused(self, monkeypatch):
         """A 4-6-3 net has 51 parameters: at a cap of 50 ``MLP.init``
         refuses it, at 51 it builds it."""
-        monkeypatch.setattr(coreaug.model, "JACOBIAN_ENTRY_CAP", 50)
+        monkeypatch.setattr(coreaug.linalg, "ENTRY_CAP", 50)
         with pytest.raises(MemoryCapError, match=r"layer sizes \(4, 6, 3\) would hold "
                                                  r"51 parameters, cap is 50"):
             MLP.init([4, 6, 3], seed=0)
-        monkeypatch.setattr(coreaug.model, "JACOBIAN_ENTRY_CAP", 51)
+        monkeypatch.setattr(coreaug.linalg, "ENTRY_CAP", 51)
         assert MLP.init([4, 6, 3], seed=0).num_params == 51
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
