@@ -1,14 +1,19 @@
 """Randomized audit batteries and experiment protocols.
 
 Each audit generates its own seeded instances, runs the corresponding check,
-and returns a JSON-ready summary. Each protocol runs one of the paper's
-experiments on its pinned desk-scale instance and returns the raw numbers.
-The CLI ``bounds`` and ``experiment`` commands and the acceptance tests all
-consume these, so the checked quantities are measured in exactly one place.
+and returns a JSON-ready summary; ``BATTERIES`` lists the ones ``bounds``
+runs. Each protocol takes no argument: it runs one acceptance criterion's
+pinned desk-scale instance and returns the numbers the criterion asserts on;
+``EXPERIMENTS`` lists the ones ``experiment`` runs. The CLI and the
+acceptance tests both call these, so the checked quantities are measured in
+exactly one place.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
+import math
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -16,20 +21,33 @@ import numpy as np
 from .augment import TransformSpec
 from .coreset import (
     SelectionConfig,
+    alignment_error,
+    compute_weights,
     coreset_ntk_bound_check,
+    facility_location_objective,
+    g_frobenius,
+    greedy_select,
+    lazy_greedy_select,
     max_loss_subset,
+    pairwise_distances,
     random_subset,
     select_all_classes,
+    stochastic_greedy_select,
 )
 from .data import gen_dataset, split_dataset
 from .linalg import AT_LEAST_1, AT_LEAST_100, Domain, check_entries, singular_values, spectral_norm
-from .model import MLP, Dataset, example_losses, gradient_proxy, jacobian, one_hot
+from .model import (MLP, Dataset, GradientProxySet, example_losses, gradient_proxy, jacobian,
+                    one_hot, per_example_gradients, weighted_gradient)
 from .spectrum import (
     augmented_jacobian,
     budget_spectra,
     eigengap,
     expected_shift_model_check,
     linear_transform_bound_check,
+    linear_transform_sgd_envelope,
+    measure_pl_constants,
+    pl_convergence_envelope,
+    residual_dynamics_check,
     singular_vector_bound_check,
     weyl_check,
 )
@@ -39,6 +57,7 @@ from .trainer import (
     inject_label_noise,
     sgd_warmup,
     train,
+    training,
 )
 
 PROTOCOL_SEEDS = tuple(range(5))
@@ -71,13 +90,18 @@ def audit_weyl_random(trials: int, seed: int) -> dict:
             "passed": violations == 0}
 
 
+def _warmed_tanh_net(data: Dataset, hidden: int, seed: int) -> MLP:
+    """A one-hidden-layer tanh net sized from ``data``, after 15 epochs of
+    warm-up SGD at lr 0.002 in batches of 32."""
+    net = MLP.init([data.dim, hidden, data.num_classes], activation="tanh", seed=seed)
+    # gradients are summed over the batch, so the step scales with its size
+    return sgd_warmup(net, data, epochs=15, lr=0.002, batch_size=32, seed=seed)
+
+
 def _protocol_net_and_data(seed: int, n_per_class: int = 60, hidden: int = 16):
     data = gen_dataset("gaussian_blobs", n=3 * n_per_class, d=16, num_classes=3,
                        seed=seed, noise=0.08)
-    net = MLP.init([16, hidden, 3], activation="tanh", seed=seed)
-    # gradients are summed over the batch, so the step scales with its size
-    sgd_warmup(net, data, epochs=15, lr=0.002, batch_size=32, seed=seed)
-    return net, data
+    return _warmed_tanh_net(data, hidden, seed), data
 
 
 def audit_weyl_augmentation(rounds: int, seed: int) -> dict:
@@ -254,16 +278,179 @@ def run_bounds_suite(seed: int, sizes: dict) -> dict:
     return {name: battery.audit(sizes[name], seed) for name, battery in BATTERIES.items()}
 
 
+def greedy_oracles() -> dict:
+    """Criterion 1: naive greedy against brute-force oracles. Counts the 50
+    instances where k picks reach less than (1 - 1/e) of the best k-subset's
+    facility-location value, and the 20 where the xi-threshold stop picks
+    more than (1 + ln n) times the smallest cover."""
+    rng = np.random.default_rng(1)
+    fl_violations = 0
+    for _ in range(50):
+        n = int(rng.integers(5, 13))
+        k = min(int(rng.integers(1, 5)), n)
+        D = pairwise_distances(rng.standard_normal((n, 3)))
+        res = greedy_select(D, SelectionConfig(stop="fixed_size", k_per_class=k))
+        achieved = facility_location_objective(D, res.indices[:k])
+        optimum = max(facility_location_objective(D, list(S))
+                      for S in itertools.combinations(range(n), k))
+        if achieved < (1.0 - 1.0 / math.e) * optimum - 1e-9:
+            fl_violations += 1
+    cover_violations = 0
+    for _ in range(20):
+        n = int(rng.integers(5, 11))
+        D = pairwise_distances(rng.standard_normal((n, 2)))
+        xi = 0.2 * math.sqrt(n) * (2.0 * float(D.max()))
+        res = greedy_select(D, SelectionConfig(stop="xi_threshold", xi=xi))
+        min_cover = next(size for size in range(1, n + 1)
+                         if any(g_frobenius(D, list(S)) <= xi
+                                for S in itertools.combinations(range(n), size)))
+        if len(res.indices) > (1.0 + math.log(n)) * min_cover + 1e-9:
+            cover_violations += 1
+    return {"fl_instances": 50, "fl_violations": fl_violations,
+            "cover_instances": 20, "cover_violations": cover_violations}
+
+
+def engine_equivalence() -> dict:
+    """Criterion 2: lazy greedy against naive greedy on 100 instances of 5-200
+    points (picks, trace and weights must match exactly), and the mean
+    facility-location value of 20 stochastic runs over the naive value on
+    500 points."""
+    mismatches = 0
+    for seed in range(7000, 7100):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(5, 201))
+        D = pairwise_distances(rng.standard_normal((n, 4)))
+        cfg = SelectionConfig(stop="fixed_size", k_per_class=max(1, int(round(0.15 * n))))
+        naive = greedy_select(D, cfg)
+        lazy = lazy_greedy_select(D, cfg)
+        if not (naive.indices == lazy.indices and naive.trace == lazy.trace
+                and np.array_equal(compute_weights(D, naive.indices),
+                                   compute_weights(D, lazy.indices))):
+            mismatches += 1
+    D = pairwise_distances(np.random.default_rng(2).standard_normal((500, 4)))
+    naive_obj = facility_location_objective(
+        D, greedy_select(D, SelectionConfig(stop="fixed_size", k_per_class=25)).indices)
+    objs = [facility_location_objective(D, stochastic_greedy_select(D, SelectionConfig(
+                stop="fixed_size", k_per_class=25, engine="stochastic", seed=seed)).indices)
+            for seed in range(20)]
+    return {"instances": 100, "lazy_mismatches": mismatches,
+            "stochastic_ratio": float(np.mean(objs) / naive_obj)}
+
+
 def spectrum_protocol() -> list:
-    """Per seed, a 16-20-3 tanh net warmed up on 300 blobs and paired with one
-    augmented round at 8/255 and at 16/255. Returns ``(seed, epsilon0,
-    SpectrumReport)`` triples in that order."""
-    triples = []
+    """Criterion 4: per seed, a 16-20-3 tanh net warmed up on 300 blobs and
+    paired with one augmented round at 8/255 and at 16/255. One entry per
+    seed and budget, in that order: the perturbation norms, the Weyl
+    verdict, the bottom- and top-decile relative shifts, the shape verdict
+    and the report's bins."""
+    entries = []
     for seed in PROTOCOL_SEEDS:
         net, data = _protocol_net_and_data(seed, n_per_class=100, hidden=20)
-        triples += [(seed, eps, report) for eps, report in budget_spectra(
-            net, data.features, (8.0 / 255.0, 16.0 / 255.0), seed=seed)]
-    return triples
+        for eps, report in budget_spectra(net, data.features, (8.0 / 255.0, 16.0 / 255.0),
+                                          seed=seed):
+            bottom, top = report.decile_relative_shifts()
+            entries.append({
+                "seed": seed, "epsilon0": eps, "e_norm2": report.e_norm2,
+                "e_norm_frobenius": report.e_norm_frobenius,
+                "weyl_passed": report.weyl.passed,
+                "bottom_decile_relative_shift": bottom,
+                "top_decile_relative_shift": top,
+                "shape_reproduced": report.shape_reproduced,
+                "bins": [dataclasses.asdict(b) for b in report.bins],
+            })
+    return entries
+
+
+def alignment_chains() -> dict:
+    """Criterion 7: on 100 one-class proxy sets, coresets of n/8, n/4 and n/2
+    picks form a chain. Counts the 300 coresets whose gradient-sum error
+    exceeds its coverage bound, the chains whose bound increases, and the
+    chains whose measured error itself never increases (informational)."""
+    bound_violations = chain_bound_violations = measured_monotone = 0
+    for seed in range(11_000, 11_100):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(12, 60))
+        proxies = GradientProxySet(rng.standard_normal((n, int(rng.integers(2, 6)))),
+                                   np.zeros(n, dtype=int), 1)
+        errors, bounds = [], []
+        for k in (max(1, n // 8), max(2, n // 4), max(4, n // 2)):
+            rep = alignment_error(proxies, select_all_classes(
+                proxies, SelectionConfig(stop="fixed_size", k_per_class=k)))
+            if rep.error_total > rep.bound_total + 1e-9:
+                bound_violations += 1
+            errors.append(rep.error_total)
+            bounds.append(rep.bound_total)
+        if not (bounds[1] <= bounds[0] + 1e-9 and bounds[2] <= bounds[1] + 1e-9):
+            chain_bound_violations += 1
+        if errors[1] <= errors[0] + 1e-9 and errors[2] <= errors[1] + 1e-9:
+            measured_monotone += 1
+    return {"chains": 100, "bound_checks": 300, "bound_violations": bound_violations,
+            "chain_bound_violations": chain_bound_violations,
+            "measured_monotone": measured_monotone}
+
+
+def pl_envelope() -> dict:
+    """Criterion 8: a linear net on 60 near-identical rows trains at the step
+    alpha / (lambda beta) that the PL constants of its first refresh's pool
+    set, and its gradient norm must stay below the convergence envelope
+    whose constant is 2 g0 + xi + the augmentation slack; the
+    linear-transform analog runs on its own 30-row instance."""
+    rng = np.random.default_rng(9)
+    n, d, C = 60, 6, 2
+    data = Dataset(np.clip(0.5 + 0.02 * rng.standard_normal((n, d)), 0.0, 1.0),
+                   np.arange(n) % C, C)
+    eps0 = 8.0 / 255.0
+    cfg = TrainConfig(
+        regime="full_plus_coreset_aug",
+        selection=SelectionConfig(stop="fixed_size", fraction=0.2),
+        transform=TransformSpec(kind="uniform_ball", epsilon0=eps0, r=1, seed=5),
+        refresh_r=10_000, epochs=200,
+        lr=LrSchedule(1.0), batch_size=4096, seed=7, hidden_sizes=(),
+    )
+    # the first refresh of the run, before any step: it does not depend on the lr
+    first = next(training(cfg, data, data))
+    net0, pool, indices, gamma = first.net, first.pool, first.indices, first.weights
+    alpha, lam, beta = measure_pl_constants(net0, pool.X, pool.w)
+    eta = alpha / (lam * beta)
+    grads = per_example_gradients(net0, data)
+    xi = float(np.linalg.norm(
+        grads.sum(axis=0) - (grads[indices] * gamma[:, None]).sum(axis=0)))
+    # linear net: exact constants sqrt(C) for J and ||W||_2 for f
+    l_bar = max(math.sqrt(C), spectral_norm(net0.weights[0]))
+    sigma_max = spectral_norm(jacobian(net0, data.features[indices]))
+    slack = (sigma_max * l_bar * math.sqrt(n) * eps0
+             + sigma_max * n * eps0**2
+             + math.sqrt(2 * n) * l_bar * eps0)
+    g0 = float(np.linalg.norm(weighted_gradient(net0, pool.X, pool.Y, pool.w)))
+    record = train(dataclasses.replace(cfg, lr=LrSchedule(eta)), data, data)
+    below = all(
+        row.grad_norm <= pl_convergence_envelope(alpha, eta, 2.0 * g0 + xi + slack, t)
+        for t, row in enumerate(record.rows, start=1))
+    rng = np.random.default_rng(27)
+    Xl = np.clip(0.5 + 0.02 * rng.standard_normal((30, 4)), 0.0, 1.0)
+    W0 = 0.1 * rng.standard_normal((4, 2))
+    Yl = np.zeros((30, 2))
+    Yl[np.arange(30), rng.integers(0, 2, 30)] = 1.0
+    F = np.eye(4) + 0.05 * rng.standard_normal((4, 4))
+    idx = np.sort(rng.choice(30, size=8, replace=False))
+    linear = linear_transform_sgd_envelope(W0, Xl, Yl, F, idx, steps=200)
+    return {"alpha": alpha, "eta": eta, "xi": xi, "slack": slack,
+            "below_envelope": below, "linear_passed": linear.passed,
+            "linear_alpha": linear.alpha}
+
+
+def kernel_dynamics() -> dict:
+    """Criterion 9: the initial-kernel prediction of the residuals against
+    gradient descent, as the largest relative deviation, for a linear net on
+    12 rows (30 steps) and a width-512 tanh net on 60 blobs (20 steps)."""
+    rng = np.random.default_rng(20)
+    lin_data = Dataset(rng.uniform(0, 1, (12, 5)), rng.integers(0, 2, 12), 2)
+    lin = residual_dynamics_check(MLP.init([5, 2], seed=3), lin_data, steps=30)
+    data = gen_dataset("gaussian_blobs", 60, 8, 3, seed=0, noise=0.08)
+    wide = residual_dynamics_check(MLP.init([8, 512, 3], activation="tanh", seed=0),
+                                   data, steps=20)
+    return {"linear_max_rel_dev": lin.max_relative_deviation,
+            "width512_max_rel_dev": wide.max_relative_deviation}
 
 
 def subset_split():
@@ -275,9 +462,10 @@ def subset_split():
 
 
 def subset_benchmark() -> dict:
-    """Train on 10% per-class subsets of ``subset_split()`` under three arms
-    (coreset + augmentation, random subset + augmentation, coreset without
-    augmentation). Returns, per arm, the final test accuracy of each seed."""
+    """Criterion 10: train on 10% per-class subsets of ``subset_split()``
+    under three arms (coreset + augmentation, random subset + augmentation,
+    coreset without augmentation). Returns, per arm, the final test accuracy
+    of each seed."""
     tr, te = subset_split()
     arms = {"coreset+aug": ("ours", 16.0 / 255.0),
             "random+aug": ("random", 16.0 / 255.0),
@@ -300,15 +488,15 @@ def subset_benchmark() -> dict:
 
 
 def noise_robustness() -> dict:
-    """Flip 30% of 600 blob labels, warm a tanh net up on the noisy data, and
-    select 10% per class by coreset, by largest loss and at random. Returns,
-    per selector, the flipped fraction of each seed's selection."""
+    """Criterion 11: flip 30% of 600 blob labels, warm a tanh net up on the
+    noisy data, and select 10% per class by coreset, by largest loss and at
+    random. Returns, per selector, the flipped fraction of each seed's
+    selection."""
     data = gen_dataset("gaussian_blobs", 600, 8, 3, seed=50, noise=0.10)
     fractions = {"coreset": [], "max_loss": [], "random": []}
     for seed in PROTOCOL_SEEDS:
         noisy = inject_label_noise(data, 0.30, seed=seed)
-        net = MLP.init([8, 16, 3], activation="tanh", seed=seed)
-        sgd_warmup(net, noisy, epochs=15, lr=0.002, batch_size=32, seed=seed)
+        net = _warmed_tanh_net(noisy, 16, seed)
         picks = {
             "coreset": select_all_classes(
                 gradient_proxy(net, noisy, "last_layer"),
@@ -324,3 +512,26 @@ def noise_robustness() -> dict:
             fractions[name].append(float(np.mean(noisy.labels[indices]
                                                  != data.labels[indices])))
     return fractions
+
+
+class Experiment(NamedTuple):
+    """One ``experiment`` protocol, which returns the payload of
+    ``<name>.json``, and the seeds its manifest records: the per-run seeds of
+    a protocol that repeats over seeds, else its instance generators' seeds."""
+
+    protocol: Callable[[], dict | list]
+    seeds: tuple[int, ...]
+
+
+# Every protocol ``experiment`` runs, keyed by its name, in the order of the
+# acceptance criteria that assert on it (1, 2, 4, 7, 8, 9, 10 and 11).
+EXPERIMENTS = {
+    "greedy": Experiment(greedy_oracles, (1,)),
+    "engines": Experiment(engine_equivalence, (*range(7000, 7100), 2)),
+    "spectrum": Experiment(spectrum_protocol, PROTOCOL_SEEDS),
+    "alignment": Experiment(alignment_chains, tuple(range(11_000, 11_100))),
+    "envelope": Experiment(pl_envelope, (9, 27)),
+    "dynamics": Experiment(kernel_dynamics, (20, 0)),
+    "subset": Experiment(subset_benchmark, PROTOCOL_SEEDS),
+    "noise": Experiment(noise_robustness, PROTOCOL_SEEDS),
+}

@@ -27,14 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .audits import (
-    BATTERIES,
-    PROTOCOL_SEEDS,
-    noise_robustness,
-    run_bounds_suite,
-    spectrum_protocol,
-    subset_benchmark,
-)
+from .audits import BATTERIES, EXPERIMENTS, run_bounds_suite
 from .augment import TRANSFORM_KINDS, TransformSpec
 from .coreset import ENGINES, SelectionConfig, select_all_classes
 from .data import (
@@ -335,24 +328,10 @@ def cmd_bounds(args, run: _Run) -> int:
 
 @_recorded
 def cmd_experiment(args, run: _Run) -> int:
-    run.seeds = list(PROTOCOL_SEEDS)
+    experiment = EXPERIMENTS[args.name]
+    run.seeds = list(experiment.seeds)
     with run.timed("experiment_ms"):
-        if args.name == "spectrum":
-            payload = []
-            for seed, eps, report in spectrum_protocol():
-                stem = f"spectrum_seed{seed}_eps{eps:.6f}"
-                report.write_bins_csv(run.path(f"{stem}_bins.csv"))
-                bottom, top = report.decile_relative_shifts()
-                payload.append({
-                    "seed": seed, "epsilon0": eps, "e_norm2": report.e_norm2,
-                    "e_norm_frobenius": report.e_norm_frobenius,
-                    "weyl_passed": report.weyl.passed,
-                    "bottom_decile_relative_shift": bottom,
-                    "top_decile_relative_shift": top,
-                    "shape_reproduced": report.shape_reproduced,
-                })
-        else:
-            payload = {"subset": subset_benchmark, "noise": noise_robustness}[args.name]()
+        payload = experiment.protocol()
     out = run.path(f"{args.name}.json")
     _write_json(out, payload)
     print(f"{args.name} experiment -> {out}")
@@ -494,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", parents=[common],
                        help="run one of the paper's experiment protocols")
-    p.add_argument("name", choices=("subset", "spectrum", "noise"))
+    p.add_argument("name", choices=tuple(EXPERIMENTS))
     p.set_defaults(fn=cmd_experiment)
 
     p = sub.add_parser("report", parents=[common], help="aggregate run CSVs into a summary JSON")

@@ -186,6 +186,14 @@ class MLP:
         return MLP, (self.layer_sizes, self.activation, self.params)
 
 
+def check_activations(net: MLP, rows: int, what: str) -> None:
+    """Raise MemoryCapError, naming ``--hidden``, before a forward trace of
+    ``rows`` rows would hold more than ``linalg.ENTRY_CAP`` activations in
+    its widest layer. Checked once where a row count is fixed, never per
+    mini-batch."""
+    check_entries(f"{what} activations", (rows, max(net.layer_sizes[1:])), "--hidden")
+
+
 def _forward_trace(net: MLP, X: np.ndarray) -> list:
     """Activations per layer; ``acts[0]`` is the input, ``acts[-1]`` the output.
 
@@ -329,6 +337,7 @@ def gradient_proxy(net: MLP, data: Dataset, mode: str = "last_layer") -> Gradien
     if mode == "last_layer":
         check_entries("gradient proxies", (data.n, net.layer_sizes[-2] + 1, net.num_outputs),
                       "--hidden")
+    check_activations(net, data.n, "proxy")
     acts = _forward_trace(net, data.features)
     if mode == "residual":
         proxies = acts[-1] - data.one_hot_labels()

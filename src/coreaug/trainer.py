@@ -36,6 +36,7 @@ from .linalg import (ABOVE_0, AT_LEAST_0, AT_LEAST_1, LEFT_OPEN_UNIT, RIGHT_OPEN
 from .model import (
     MLP,
     Dataset,
+    check_activations,
     checked_rows,
     example_losses,
     forward,
@@ -277,11 +278,14 @@ def training(config: TrainConfig, data: Dataset, test_data: Dataset):
     gradient norm at the end of the epoch. Raises ``NumericalError`` naming
     the seed and the epoch at the end of the first epoch whose loss or
     gradient norm is not finite, or whose loss exceeds ``_DIVERGENCE_FACTOR``
-    times the pool loss before the first step.
+    times the pool loss before the first step, and ``MemoryCapError`` before
+    a training, test or pool forward pass whose activations exceed the cap.
     """
     data = inject_label_noise(data, config.label_noise_frac, seed=[config.seed, 11])
     net = MLP.init([data.dim, *config.hidden_sizes, data.num_classes],
                    activation=config.activation, seed=[config.seed, 5])
+    check_activations(net, data.n, "training-set")
+    check_activations(net, test_data.n, "test-set")
     base = None
     if config.regime == "full_plus_coreset_aug":
         base = np.arange(data.n)
@@ -301,6 +305,7 @@ def training(config: TrainConfig, data: Dataset, test_data: Dataset):
             t0 = time.perf_counter()
             indices, orig_w = _select_subset(config, net, data, refresh_idx)
             pool = _build_pool(config, data, Y_all, indices, orig_w, refresh_idx, base)
+            check_activations(net, pool.X.shape[0], "pool")
             selection_ms = (time.perf_counter() - t0) * 1000.0
             touched[pool.origins] = True
             yield Refresh(epoch, net, np.asarray(indices), orig_w, pool)
@@ -340,6 +345,7 @@ def sgd_warmup(net: MLP, data: Dataset, epochs: int, lr: float,
     loss-based selection. Raises ``NumericalError`` naming the epoch at the
     end of the first epoch whose loss is not finite or exceeds
     ``_DIVERGENCE_FACTOR`` times the loss before the first step."""
+    check_activations(net, data.n, "warm-up")
     X, Y, w = checked_rows(net, data.features, one_hot(data.labels, data.num_classes),
                            np.ones(data.n))
     rng = np.random.default_rng(seed)

@@ -23,7 +23,7 @@ import coreaug.cli
 import coreaug.coreset
 import coreaug.linalg
 import coreaug.spectrum
-from coreaug.audits import BATTERIES, noise_robustness, run_bounds_suite
+from coreaug.audits import BATTERIES, EXPERIMENTS, noise_robustness, run_bounds_suite
 from coreaug.cli import build_parser, main
 from coreaug.data import (
     DataFormatError,
@@ -239,6 +239,12 @@ def dataset_csv(tmp_path):
     path = tmp_path / "data.csv"
     save_dataset_csv(gen_dataset("gaussian_blobs", 60, 4, 3, seed=11, noise=0.07), path)
     return path
+
+
+def _stub_experiment(monkeypatch, name: str, payload) -> None:
+    """Make ``experiment <name>`` write ``payload``; the row keeps its seeds."""
+    monkeypatch.setitem(EXPERIMENTS, name,
+                        EXPERIMENTS[name]._replace(protocol=lambda: payload))
 
 
 # One row per config value that must exit 2: the argv, where {cfg} is the
@@ -635,6 +641,21 @@ class TestCli:
         assert manifest["command"] == "experiment"
         assert manifest["outputs"] == ["noise.json"]
 
+    @pytest.mark.parametrize("name", EXPERIMENTS)
+    def test_experiment_is_its_table(self, name, tmp_path, monkeypatch):
+        """``experiment`` offers exactly the table's names, and each writes
+        its row's payload as ``<name>.json`` and records its row's seeds."""
+        parser = build_parser().subcommands["experiment"]
+        choices = next(a.choices for a in parser._actions if a.dest == "name")
+        assert list(choices) == list(EXPERIMENTS)
+        _stub_experiment(monkeypatch, name, {"protocol": [name]})
+        out = tmp_path / "e"
+        assert main(["experiment", name, "--out", str(out)]) == 0
+        assert json.loads((out / f"{name}.json").read_text()) == {"protocol": [name]}
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["outputs"] == [f"{name}.json"]
+        assert manifest["seeds"] == list(EXPERIMENTS[name].seeds)
+
     @pytest.mark.parametrize("argv", [
         ["select", "--data", "{data}", "--engine", "naive", "--lr", "0.01",
          "--stochastic-sample", "5"],
@@ -673,7 +694,7 @@ class TestCli:
         """The manifest lists exactly the files the run wrote under --out,
         hashes the --data and --test-data files, and names the seeds and the
         timed phases."""
-        monkeypatch.setattr(coreaug.cli, "noise_robustness", lambda: {"coreset": [0.0]})
+        _stub_experiment(monkeypatch, "noise", {"coreset": [0.0]})
         test_csv = tmp_path / "test.csv"
         save_dataset_csv(gen_dataset("gaussian_blobs", 30, 4, 3, seed=12), test_csv)
         out = tmp_path / "o"
@@ -764,8 +785,8 @@ class TestCli:
     def test_experiment_manifest_replays(self, tmp_path, monkeypatch):
         """An experiment manifest's positional ``name`` replays as a bare
         value, unless the command line names the experiment itself."""
-        monkeypatch.setattr(coreaug.cli, "noise_robustness", lambda: {"coreset": [0.0]})
-        monkeypatch.setattr(coreaug.cli, "subset_benchmark", lambda: {"coreset+aug": [1.0]})
+        _stub_experiment(monkeypatch, "noise", {"coreset": [0.0]})
+        _stub_experiment(monkeypatch, "subset", {"coreset+aug": [1.0]})
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"schema_version": 1, "command": "experiment",
                                    "name": "noise"}))
@@ -806,7 +827,7 @@ class TestCli:
 
     def test_config_after_the_subcommand_supplies_the_positional(self, tmp_path,
                                                                  monkeypatch):
-        monkeypatch.setattr(coreaug.cli, "noise_robustness", lambda: {"coreset": [0.0]})
+        _stub_experiment(monkeypatch, "noise", {"coreset": [0.0]})
         cfg = tmp_path / "e.json"
         cfg.write_text(json.dumps({"schema_version": 1, "name": "noise"}))
         out = tmp_path / "x"
@@ -1153,10 +1174,11 @@ def test_cli_error_names_its_flag_or_file(case, dataset_csv, tmp_path, capsys):
 
 
 # One row per input that sizes an array, at an entry cap of 2**16: the argv,
-# where {data} is a 60-row CSV of 4 features and 3 classes and {big} a CSV
-# of two 1,100-row classes of 2 features; the exit code; what stderr must
-# hold; and the functions the command must not call. Each input sizes its
-# array past 2**19 entries (4 MB), so a check made after the array is built,
+# where {data} is a 60-row CSV of 4 features and 3 classes, {big} a CSV of
+# two 1,100-row classes of 2 features and {tall} a 3,000-row CSV of 4
+# features and 3 classes; the exit code; what stderr must hold; and the
+# functions the command must not call. Each input sizes its array past
+# 2**18 entries (2 MB), so a check made after the array is built,
 # or after a smaller array of the same input (the proxies' forward trace,
 # 1.9 MB), breaks the traced-peak bound.
 CAP_BREACHES = {
@@ -1166,6 +1188,31 @@ CAP_BREACHES = {
     "select --hidden, proxies": (["select", "--data", "{data}", "--hidden", "4000"], 2,
                                  "config error: --hidden: gradient proxies would hold "
                                  "720180 entries, cap is 65536", ()),
+    # 60 x 9000 activations before the 60 x 3 x 3 proxies; 63,011 parameters
+    "select --hidden, proxy activations": (["select", "--data", "{data}", "--hidden",
+                                            "9000,2"], 2,
+                                           "config error: --hidden: proxy activations would "
+                                           "hold 540000 entries, cap is 65536", ()),
+    "select --warmup-epochs, warm-up activations": (["select", "--data", "{big}", "--hidden",
+                                                     "300", "--warmup-epochs", "1"], 2,
+                                                    "config error: --hidden: warm-up "
+                                                    "activations would hold 660000 entries, "
+                                                    "cap is 65536", ("trainer._sgd_epoch",)),
+    "train --hidden, training-set activations": (["train", "--data", "{data}", "--hidden",
+                                                  "9000,2"], 2,
+                                                 "config error: --hidden: training-set "
+                                                 "activations would hold 405000 entries, "
+                                                 "cap is 65536", ("trainer._select_subset",)),
+    "train --test-data, test-set activations": (["train", "--data", "{data}", "--test-data",
+                                                 "{tall}", "--hidden", "200"], 2,
+                                                "config error: --hidden: test-set activations "
+                                                "would hold 600000 entries, cap is 65536",
+                                                ("trainer._select_subset",)),
+    # a pool of 45 rows and 45 x 12 copies; residual proxies have no last-layer check
+    "train --r, pool activations": (["train", "--data", "{data}", "--hidden", "1000", "--r",
+                                     "12", "--fraction", "1", "--proxy-mode", "residual"], 2,
+                                    "config error: --hidden: pool activations would hold "
+                                    "585000 entries, cap is 65536", ("trainer._pool_metrics",)),
     "spectrum --hidden, jacobian": (["spectrum", "--data", "{data}", "--hidden", "2000"], 2,
                                     "config error: --hidden: jacobian would hold 2880540 "
                                     "entries, cap is 65536", ("cli.sgd_warmup",)),
@@ -1198,6 +1245,8 @@ def test_over_cap_input_is_refused_before_its_array(case, dataset_csv, tmp_path,
     argv, code, message, unreached = CAP_BREACHES[case]
     big = tmp_path / "big.csv"
     save_dataset_csv(gen_dataset("gaussian_blobs", 2200, 2, 2, seed=3), big)
+    tall = tmp_path / "tall.csv"
+    save_dataset_csv(gen_dataset("gaussian_blobs", 3000, 4, 3, seed=4), tall)
     monkeypatch.setattr(coreaug.linalg, "ENTRY_CAP", 2**16)
 
     def unreachable(*args, **kwargs):
@@ -1206,7 +1255,7 @@ def test_over_cap_input_is_refused_before_its_array(case, dataset_csv, tmp_path,
     for name in unreached:
         module, attr = name.split(".")
         monkeypatch.setattr(getattr(coreaug, module), attr, unreachable)
-    argv = [a.format(data=dataset_csv, big=big) for a in argv]
+    argv = [a.format(data=dataset_csv, big=big, tall=tall) for a in argv]
     codes = []
     peak = traced_peak_bytes(lambda: codes.append(
         _exit_code(argv + ["--out", str(tmp_path / "out")])))
@@ -1485,11 +1534,10 @@ PERFBENCH_ONLY = {
 }
 
 
-def unreached_definitions(src: Path, acceptance: Path) -> set[str]:
+def unreached_definitions(src: Path) -> set[str]:
     """Functions, classes, methods and fields of the modules in ``src``, as
     ``module.name``, ``module.Class.method`` or ``module.Class.field``, that
-    no call path reaches from ``cli.main``, from a module-level statement or
-    from the names ``acceptance`` reads.
+    no call path reaches from ``cli.main`` or from a module-level statement.
 
     A bare name resolves through its module's definitions and imports, so a
     local variable never stands for a definition elsewhere. ``Cls.attr``
@@ -1504,12 +1552,11 @@ def unreached_definitions(src: Path, acceptance: Path) -> set[str]:
     """
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(src.glob("*.py"))}
-    roots = ast.parse(acceptance.read_text(encoding="utf-8"))
     defs: dict[str, ast.AST] = {}
     members: dict[str, list[str]] = {}
     fields_of: dict[str, list[str]] = {}
     imports: dict[str, dict[str, tuple]] = {}
-    for mod, tree in [*trees.items(), ("<acceptance>", roots)]:
+    for mod, tree in trees.items():
         imports[mod] = {}
         for node in tree.body:
             if isinstance(node, ast.ImportFrom):
@@ -1519,7 +1566,7 @@ def unreached_definitions(src: Path, acceptance: Path) -> set[str]:
             elif isinstance(node, ast.Import):
                 for alias in node.names:
                     imports[mod][alias.asname or alias.name] = (None, None)
-            elif mod != "<acceptance>" and isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defs[f"{mod}.{node.name}"] = node
                 for item in node.body if isinstance(node, ast.ClassDef) else ():
                     if isinstance(item, ast.FunctionDef):
@@ -1593,7 +1640,7 @@ def unreached_definitions(src: Path, acceptance: Path) -> set[str]:
         return [*references(mod, [*node.bases, *node.keywords, *node.decorator_list,
                                   *body]), *dunders]
 
-    frontier = ["cli.main", *references("<acceptance>", [roots])]
+    frontier = ["cli.main"]
     for mod, tree in trees.items():
         frontier += references(mod, [node for node in tree.body
                                      if not isinstance(node, (ast.FunctionDef, ast.ClassDef))])
@@ -1608,13 +1655,11 @@ def unreached_definitions(src: Path, acceptance: Path) -> set[str]:
 
 def test_every_definition_is_reachable():
     """Every function, class and method in src/coreaug runs on some path from
-    the CLI entry point, a module-level statement or the acceptance
-    criteria, and every field is read on such a path, so no library code
-    runs, and no field is filled, only for unit tests; the only exceptions
-    are the definitions in ``PERFBENCH_ONLY``."""
-    root = Path(__file__).resolve().parents[1]
-    unreached = unreached_definitions(root / "src" / "coreaug",
-                                      root / "tests" / "test_acceptance.py")
+    the CLI entry point or a module-level statement, and every field is read
+    on such a path, so no library code runs, and no field is filled, only
+    for tests; the only exceptions are the definitions in
+    ``PERFBENCH_ONLY``."""
+    unreached = unreached_definitions(Path(__file__).resolve().parents[1] / "src" / "coreaug")
     assert not unreached - set(PERFBENCH_ONLY), \
         f"only tests reach: {', '.join(sorted(unreached - set(PERFBENCH_ONLY)))}"
     assert set(PERFBENCH_ONLY) <= unreached, \
@@ -1647,9 +1692,7 @@ def test_field_reachability_rule(tmp_path):
         "\n"
         "def main(report: Report, wrapper: Wrapper):\n"
         "    return report.read, wrapper.to_dict()\n", encoding="utf-8")
-    acceptance = tmp_path / "test_acceptance.py"
-    acceptance.write_text("", encoding="utf-8")
-    assert unreached_definitions(src, acceptance) == {"cli.Report.unread"}
+    assert unreached_definitions(src) == {"cli.Report.unread"}
 
 
 def scoped_nodes(src: Path):
@@ -1748,6 +1791,21 @@ def test_acceptance_criteria_reach_lapack_through_linalg():
     users = [scope for scope, node in scoped_nodes(tests)
              if scope.partition(".")[0] == "test_acceptance" and reaches_lapack_svd(node)]
     assert users == []
+
+
+def test_acceptance_criteria_call_audits():
+    """``tests/test_acceptance.py`` imports from ``coreaug`` only the audits,
+    the CLI and, for criterion 13's input file, the data module, so every
+    criterion runs a protocol that ``bounds`` or ``experiment`` runs too."""
+    path = Path(__file__).resolve().parent / "test_acceptance.py"
+    modules = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            modules.add(node.module)
+        elif isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+    assert {m for m in modules if m.partition(".")[0] == "coreaug"} <= \
+        {"coreaug.audits", "coreaug.cli", "coreaug.data"}
 
 
 def test_a_failing_given_test_does_not_stop_the_run(pytester):
