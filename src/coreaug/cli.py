@@ -306,7 +306,6 @@ def cmd_spectrum(args, run: _Run) -> int:
             with run.timed(f"{stem}_ms"):
                 _, report = next(reports)
             _write_json(run.path(f"{stem}.json"), report.to_json_dict())
-            report.write_bins_csv(run.path(f"{stem}_bins.csv"))
             print(f"{tag} eps={eps:.6f}: ||E||_2={report.e_norm2:.5f} "
                   f"weyl_pass={report.weyl.passed}")
     return 0

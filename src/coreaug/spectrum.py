@@ -116,13 +116,6 @@ class SpectrumReport:
         return {**asdict(self), "sigma_clean": self.sigma_clean.tolist(),
                 "sigma_aug": self.sigma_aug.tolist()}
 
-    def write_bins_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("bin,sigma_lo,sigma_hi,mean_delta_sigma,mean_angle_rad\n")
-            for b in self.bins:
-                fh.write(f"{b.bin},{b.sigma_lo!r},{b.sigma_hi!r},"
-                         f"{b.mean_delta_sigma!r},{b.mean_angle_rad!r}\n")
-
 
 def spectrum_report(J_clean, J_aug, clean: SvdResult | None = None) -> SpectrumReport:
     """Pair the two spectra by rank and summarize shift and rotation per bin.

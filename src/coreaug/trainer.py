@@ -73,7 +73,10 @@ class LrSchedule:
 
     def value(self, epoch: int) -> float:
         drops = sum(1 for e in self.decay_epochs if epoch >= e)
-        return self.initial * self.factor**drops
+        try:
+            return self.initial * self.factor**drops
+        except OverflowError:  # factor**drops alone passes float64's range
+            return math.prod([self.initial, *[self.factor] * drops])
 
 
 @dataclass(frozen=True)
@@ -311,9 +314,11 @@ def training(config: TrainConfig, data: Dataset, test_data: Dataset):
             yield Refresh(epoch, net, np.asarray(indices), orig_w, pool)
         if initial_loss is None:
             initial_loss = _pool_metrics(net, pool)[0]
-        _sgd_epoch(net, pool.X, pool.Y, pool.w, batch_rng.permutation(pool.X.shape[0]),
-                   config.batch_size, config.lr.value(epoch))
-        train_loss, grad_norm = _pool_metrics(net, pool)
+        # a divergent epoch overflows to inf or nan, which _check_epoch judges
+        with np.errstate(over="ignore", invalid="ignore"):
+            _sgd_epoch(net, pool.X, pool.Y, pool.w, batch_rng.permutation(pool.X.shape[0]),
+                       config.batch_size, config.lr.value(epoch))
+            train_loss, grad_norm = _pool_metrics(net, pool)
         _check_epoch(f"training seed {config.seed}", epoch, train_loss, initial_loss,
                      grad_norm)
         test_loss, test_acc = evaluate(net, test_data)
@@ -351,6 +356,8 @@ def sgd_warmup(net: MLP, data: Dataset, epochs: int, lr: float,
     rng = np.random.default_rng(seed)
     initial_loss = evaluate(net, data)[0]
     for epoch in range(epochs):
-        _sgd_epoch(net, X, Y, w, rng.permutation(data.n), batch_size, lr)
-        _check_epoch("warm-up", epoch, evaluate(net, data)[0], initial_loss)
+        with np.errstate(over="ignore", invalid="ignore"):  # as in ``training``
+            _sgd_epoch(net, X, Y, w, rng.permutation(data.n), batch_size, lr)
+            loss = evaluate(net, data)[0]
+        _check_epoch("warm-up", epoch, loss, initial_loss)
     return net

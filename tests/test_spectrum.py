@@ -130,7 +130,7 @@ class TestSpectrumReport:
         with pytest.raises(ValueError):
             spectrum_report(np.zeros((3, 3)) + 1, np.ones((4, 3)))
 
-    def test_json_and_csv_outputs(self, tmp_path):
+    def test_json_outputs(self):
         # 20 singular values: one per bin, and no empty bin to write as NaN
         report = spectrum_report(random_matrix(7, 35, 20),
                                  random_matrix(7, 35, 20) * 1.1)
@@ -138,11 +138,6 @@ class TestSpectrumReport:
         assert len(payload["bins"]) == 20
         assert all(b["count"] >= 1 for b in payload["bins"])
         json.dumps(payload, allow_nan=False)
-        csv_path = tmp_path / "bins.csv"
-        report.write_bins_csv(csv_path)
-        lines = csv_path.read_text().splitlines()
-        assert lines[0] == "bin,sigma_lo,sigma_hi,mean_delta_sigma,mean_angle_rad"
-        assert len(lines) == 21
 
 
 class TestAugmentedJacobian:
@@ -242,7 +237,7 @@ class TestExpectedShift:
         assert report.all_within_3se
 
     def test_draw_minimum_enforced(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^draws must be >= 100, got 10$"):
             expected_shift_model_check(np.array([1.0]), np.array([0.5]), 0.1, draws=10)
 
 

@@ -471,7 +471,6 @@ def failing_epoch(exc_info) -> int:
     return int(re.search(r"epoch (\d+)", message).group(1))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_train_divergence_raises_at_first_non_finite_epoch():
     data, test = blob_pair(4)
     with pytest.raises(NumericalError) as exc_info:
@@ -505,7 +504,6 @@ def test_sgd_warmup_divergence_to_huge_finite_losses_raises():
     assert 1e20 < evaluate(net, data)[0] / initial <= 1e30
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_sgd_warmup_divergence_raises_at_first_non_finite_epoch():
     data, _ = blob_pair(4)
     net = MLP.init([data.dim, 8, data.num_classes], seed=0)
