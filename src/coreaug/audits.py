@@ -514,24 +514,15 @@ def noise_robustness() -> dict:
     return fractions
 
 
-class Experiment(NamedTuple):
-    """One ``experiment`` protocol, which returns the payload of
-    ``<name>.json``, and the seeds its manifest records: the per-run seeds of
-    a protocol that repeats over seeds, else its instance generators' seeds."""
-
-    protocol: Callable[[], dict | list]
-    seeds: tuple[int, ...]
-
-
 # Every protocol ``experiment`` runs, keyed by its name, in the order of the
 # acceptance criteria that assert on it (1, 2, 4, 7, 8, 9, 10 and 11).
-EXPERIMENTS = {
-    "greedy": Experiment(greedy_oracles, (1,)),
-    "engines": Experiment(engine_equivalence, (*range(7000, 7100), 2)),
-    "spectrum": Experiment(spectrum_protocol, PROTOCOL_SEEDS),
-    "alignment": Experiment(alignment_chains, tuple(range(11_000, 11_100))),
-    "envelope": Experiment(pl_envelope, (9, 27)),
-    "dynamics": Experiment(kernel_dynamics, (20, 0)),
-    "subset": Experiment(subset_benchmark, PROTOCOL_SEEDS),
-    "noise": Experiment(noise_robustness, PROTOCOL_SEEDS),
+EXPERIMENTS: dict[str, Callable[[], dict | list]] = {
+    "greedy": greedy_oracles,
+    "engines": engine_equivalence,
+    "spectrum": spectrum_protocol,
+    "alignment": alignment_chains,
+    "envelope": pl_envelope,
+    "dynamics": kernel_dynamics,
+    "subset": subset_benchmark,
+    "noise": noise_robustness,
 }

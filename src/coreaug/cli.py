@@ -67,15 +67,13 @@ def _write_json(path: Path, payload: dict | list) -> None:
 
 
 class _Run:
-    """What a run records: the files it wrote under ``--out``, the ms of each
-    timed phase, and its seeds (``--seeds``, else ``--seed``)."""
+    """What a run records: the files it wrote under ``--out`` and the ms of
+    each timed phase."""
 
     def __init__(self, args):
         self.out_dir = Path(args.out)
         self.outputs: set[str] = set()
         self.timings_ms: dict[str, float] = {}
-        self.seeds = list(getattr(args, "seeds", None)
-                          or ([args.seed] if hasattr(args, "seed") else []))
 
     def path(self, name: str) -> Path:
         """``--out``/``name``, listed as one of the run's outputs."""
@@ -93,8 +91,9 @@ class _Run:
 def _recorded(handler):
     """Run ``handler(args, run)`` in ``--out``, made first, and write its
     ``manifest.json`` once it returns, whatever the exit code; a raise writes
-    none. The config holds every parsed argument but the handler, ``--out``
-    (re-runs elsewhere match) and ``--config`` (its values are among them);
+    none. The config holds every parsed argument, the subcommand and each
+    seed included, but the handler, ``--out`` (re-runs elsewhere match) and
+    ``--config`` (its values are among them);
     the inputs are the ``--data``/``--test-data`` files; the versions name the
     BLAS build (null fields where NumPy cannot report it as data) and thread
     variables (null when unset), since re-runs match bit for bit only under
@@ -111,10 +110,8 @@ def _recorded(handler):
             blas = {}
         _write_json(run.out_dir / "manifest.json", {
             "schema_version": SCHEMA_VERSION,
-            "command": args.command,
             "config": {k: v for k, v in vars(args).items()
                        if k not in ("fn", "out", "config")},
-            "seeds": run.seeds,
             "versions": {
                 "coreaug": __version__,
                 "numpy": np.__version__,
@@ -327,10 +324,8 @@ def cmd_bounds(args, run: _Run) -> int:
 
 @_recorded
 def cmd_experiment(args, run: _Run) -> int:
-    experiment = EXPERIMENTS[args.name]
-    run.seeds = list(experiment.seeds)
     with run.timed("experiment_ms"):
-        payload = experiment.protocol()
+        payload = EXPERIMENTS[args.name]()
     out = run.path(f"{args.name}.json")
     _write_json(out, payload)
     print(f"{args.name} experiment -> {out}")
@@ -342,7 +337,9 @@ def cmd_report(args) -> int:
     columns = CSV_HEADER.split(",")
     summary = {}
     for csv_path in sorted(runs_dir.glob("*.csv")):
-        with open(csv_path, "r", encoding="utf-8") as fh:
+        # an undecodable byte reads as its \xNN escape: the header check
+        # skips its file, and a row holding it fails to parse
+        with open(csv_path, "r", encoding="utf-8", errors="backslashreplace") as fh:
             if fh.readline().strip() != CSV_HEADER:
                 continue
             rows = []
@@ -527,8 +524,10 @@ def _apply_config_file(argv: list[str], parser: argparse.ArgumentParser) -> None
         payload = json.loads(Path(cfg_path).read_text(encoding="utf-8"))
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {cfg_path}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file is not UTF-8: {cfg_path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+        raise ConfigError(f"config file is not valid JSON: {cfg_path}: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("schema_version") != SCHEMA_VERSION:
         raise ConfigError(f"config schema_version must be {SCHEMA_VERSION}")
     command = next((a for a in rest if not a.startswith("-")), None)

@@ -2,7 +2,8 @@
 
 CSV layout: header ``f0,...,f{d-1},label``, UTF-8, no quoting, one example per
 row with features in [0, 1] and an integer class label. Loading validates
-every row and reports the first offending line by number.
+every row and reports the first offending line by number; a byte that is not
+UTF-8 is read as its ``\\xNN`` escape, which no header or number matches.
 """
 
 from __future__ import annotations
@@ -143,7 +144,7 @@ def _parse_dataset_csv(path):
     and only a failing file builds the mask ``~((X >= 0) & (X <= 1))`` to
     name the entry; NaN and infinities fail both.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="backslashreplace") as fh:
         lines = (line for physical in fh for line in physical.splitlines())
         header = next(lines, None)
         if header is None:

@@ -240,9 +240,8 @@ def dataset_csv(tmp_path):
 
 
 def _stub_experiment(monkeypatch, name: str, payload) -> None:
-    """Make ``experiment <name>`` write ``payload``; the row keeps its seeds."""
-    monkeypatch.setitem(EXPERIMENTS, name,
-                        EXPERIMENTS[name]._replace(protocol=lambda: payload))
+    """Make ``experiment <name>`` write ``payload``."""
+    monkeypatch.setitem(EXPERIMENTS, name, lambda: payload)
 
 
 # One row per config value that must exit 2: the argv, where {cfg} is the
@@ -300,7 +299,7 @@ class TestCli:
         assert indices == list(range(60))
         assert all(g == 1 for c in payload["classes"] for g in c["gamma"])
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["command"] == "select"
+        assert manifest["config"]["command"] == "select"
         assert "selection_ms" in manifest["timings_ms"]
 
     def test_manifest_records_blas_build_and_threads(self, dataset_csv, tmp_path,
@@ -633,13 +632,13 @@ class TestCli:
         assert json.loads(written) == noise_robustness()
         assert written == (out_b / "noise.json").read_bytes()
         manifest = json.loads((out_a / "manifest.json").read_text())
-        assert manifest["command"] == "experiment"
+        assert manifest["config"] == {"command": "experiment", "name": "noise"}
         assert manifest["outputs"] == ["noise.json"]
 
     @pytest.mark.parametrize("name", EXPERIMENTS)
     def test_experiment_is_its_table(self, name, tmp_path, monkeypatch):
         """``experiment`` offers exactly the table's names, and each writes
-        its row's payload as ``<name>.json`` and records its row's seeds."""
+        its protocol's payload as ``<name>.json``."""
         parser = build_parser().subcommands["experiment"]
         choices = next(a.choices for a in parser._actions if a.dest == "name")
         assert list(choices) == list(EXPERIMENTS)
@@ -649,7 +648,7 @@ class TestCli:
         assert json.loads((out / f"{name}.json").read_text()) == {"protocol": [name]}
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["outputs"] == [f"{name}.json"]
-        assert manifest["seeds"] == list(EXPERIMENTS[name].seeds)
+        assert manifest["config"] == {"command": "experiment", "name": name}
 
     @pytest.mark.parametrize("argv", [
         ["select", "--data", "{data}", "--engine", "naive", "--lr", "0.01",
@@ -670,25 +669,25 @@ class TestCli:
         manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
         assert manifest["config"] == json.loads(json.dumps(expected))
 
-    @pytest.mark.parametrize("argv,inputs,seeds,timings", [
-        (["select", "--data", "{data}", "--seed", "3"], ["{data}"], [3], ["selection_ms"]),
+    @pytest.mark.parametrize("argv,inputs,timings", [
+        (["select", "--data", "{data}", "--seed", "3"], ["{data}"], ["selection_ms"]),
         (["train", "--data", "{data}", "--test-data", "{test}", "--epochs", "1",
-          "--hidden", "6", "--seeds", "1,2"], ["{data}", "{test}"], [1, 2],
+          "--hidden", "6", "--seeds", "1,2"], ["{data}", "{test}"],
          ["train_seed1_ms", "train_seed2_ms"]),
         (["spectrum", "--data", "{data}", "--epsilon0", "0.03", "0.06", "--train-epochs", "1",
-          "--hidden", "6", "--per-class-cap", "15", "--untrained"], ["{data}"], [0],
+          "--hidden", "6", "--per-class-cap", "15", "--untrained"], ["{data}"],
          ["train_ms", "spectrum_untrained_eps0.030000_ms", "spectrum_untrained_eps0.060000_ms",
           "spectrum_trained_eps0.030000_ms", "spectrum_trained_eps0.060000_ms"]),
         (["bounds", "--weyl-trials", "5", "--shift-draws", "100", "--vector-trials", "5",
           "--ntk-instances", "2", "--linear-instances", "2", "--augmentation-rounds", "1"],
-         [], [0], ["bounds_ms"]),
-        (["experiment", "noise"], [], [0, 1, 2, 3, 4], ["experiment_ms"]),
+         [], ["bounds_ms"]),
+        (["experiment", "noise"], [], ["experiment_ms"]),
     ], ids=["select", "train", "spectrum", "bounds", "experiment"])
-    def test_manifest_records_the_run(self, argv, inputs, seeds, timings, dataset_csv,
+    def test_manifest_records_the_run(self, argv, inputs, timings, dataset_csv,
                                       tmp_path, monkeypatch):
-        """The manifest lists exactly the files the run wrote under --out,
-        hashes the --data and --test-data files, and names the seeds and the
-        timed phases."""
+        """The manifest holds six keys, the subcommand only within its
+        config; it lists exactly the files the run wrote under --out, hashes
+        the --data and --test-data files, and names the timed phases."""
         _stub_experiment(monkeypatch, "noise", {"coreset": [0.0]})
         test_csv = tmp_path / "test.csv"
         save_dataset_csv(gen_dataset("gaussian_blobs", 30, 4, 3, seed=12), test_csv)
@@ -702,7 +701,9 @@ class TestCli:
         assert manifest["inputs"] == [
             {"path": p, "sha256": hashlib.sha256(Path(p).read_bytes()).hexdigest()}
             for p in inputs]
-        assert manifest["seeds"] == seeds
+        assert sorted(manifest) == ["config", "inputs", "outputs", "schema_version",
+                                    "timings_ms", "versions"]
+        assert manifest["config"]["command"] == argv[0]
         assert sorted(manifest["timings_ms"]) == sorted(timings)
 
     def test_failing_bounds_still_writes_its_manifest(self, tmp_path, monkeypatch, capsys):
@@ -935,7 +936,7 @@ _LABELS_0_TO_4 = "f0,f1,f2,f3,label\n" + "".join(f"0.5,0.5,0.5,0.5,{label}\n"
 
 # One row per (command, flag or file, bad value): the argv, where {data} is a
 # valid 60-row CSV, {csv} holds the row's own CSV text and {runs} is the
-# directory that holds {csv}; that text, or None;
+# directory that holds {csv}; that text (bytes where it is not UTF-8), or None;
 # the exit code; and what stderr must hold, naming the flag, or the file and
 # the line ({csv} and {runs} as in the argv). One flag's value outside its
 # domain is tested from FLAG_RULES instead.
@@ -1035,6 +1036,12 @@ CLI_ERRORS = {
                                          "requires num_classes == 2"),
     "select --k-per-class 50": (["select", "--data", "{data}", "--k-per-class", "50"], None,
                                 2, "config error: k_per_class 50 exceeds the 20 rows of class 0"),
+    # one past a class's rows; CLASS_SIZE_EDGES runs the sizes at them
+    "select --k-per-class 21": (["select", "--data", "{data}", "--k-per-class", "21"], None,
+                                2, "config error: k_per_class 21 exceeds the 20 rows of class 0"),
+    "train --k-per-class 16": (["train", "--data", "{data}", "--epochs", "1",
+                                "--k-per-class", "16"], None,
+                               2, "config error: k_per_class 16 exceeds the 15 rows of class 0"),
     # the holdout split leaves 15 rows per class
     "train --k-per-class 50": (["train", "--data", "{data}", "--epochs", "1",
                                 "--k-per-class", "50"], None,
@@ -1055,7 +1062,28 @@ CLI_ERRORS = {
     "config file missing": (["--config", "{csv}", "gen-data"], None,
                             2, "config error: config file not found: {csv}"),
     "config file not JSON": (["--config", "{csv}", "gen-data"], "n: 30\n",
-                             2, "config error: config file is not valid JSON"),
+                             2, "config error: config file is not valid JSON: {csv}: "),
+    # a byte that is not UTF-8 fails its own line's parse, or names the config file
+    "select undecodable row": (["select", "--data", "{csv}"], b"f0,label\n0.5,0\n0.\xff5,1\n",
+                               3, "data error: {csv}: line 3: non-numeric value"),
+    "select undecodable header": (["select", "--data", "{csv}"], b"f0,lab\xffel\n0.5,0\n",
+                                  3, "data error: {csv}: line 1: malformed header"),
+    "train --test-data undecodable label": (["train", "--data", "{data}", "--test-data",
+                                             "{csv}"],
+                                            b"f0,f1,f2,f3,label\n0.5,0.5,0.5,0.5,0\n\n"
+                                            b"0.5,0.5,0.5,0.5,\xff\n",
+                                            3, "data error: {csv}: line 4: non-numeric value"),
+    "report undecodable row": (["report", "--runs", "{runs}"],
+                               CSV_HEADER.encode() + b"\n1,0.5,0.4,0.9,0.1,1,2.0,5\n"
+                                                     b"2,0.5,\xff,0.9,0.1,0,0.0,5\n",
+                               3, "data error: {csv}: line 3: could not convert string to "
+                                  "float: "),
+    # a first line that is not the run header skips its file, decodable or not
+    "report undecodable first line": (["report", "--runs", "{runs}"], b"\xff\n1,2\n",
+                                      3, "data error: {runs}: no run CSVs found"),
+    "config file not UTF-8": (["--config", "{csv}", "gen-data"],
+                              b'{"schema_version": 1, "n": "3\xff0"}',
+                              2, "config error: config file is not UTF-8: {csv}: "),
     "gen-data --d 1 --margin 5": (["gen-data", "--d", "1", "--classes", "3", "--margin", "5"],
                                   None, 2, "--d 1 --classes 3 --seed 0 --margin 5.0: could not "
                                            "place 3 means with margin 5.0 in 1 dims"),
@@ -1066,11 +1094,67 @@ CLI_ERRORS = {
 def test_cli_error_names_its_flag_or_file(case, dataset_csv, tmp_path, capsys):
     argv, text, code, message = CLI_ERRORS[case]
     csv = tmp_path / "case.csv"
-    if text is not None:
+    if isinstance(text, bytes):
+        csv.write_bytes(text)
+    elif text is not None:
         csv.write_text(text)
     argv = [a.format(data=dataset_csv, csv=csv, runs=tmp_path) for a in argv]
     assert _exit_code(argv + ["--out", str(tmp_path / "out")]) == code
     assert message.format(csv=csv, runs=tmp_path) in capsys.readouterr().err
+
+
+_SELECT = ["select", "--data", "{data}"]
+_TRAIN = ["train", "--data", "{data}", "--epochs", "2", "--hidden", "6"]
+_SPECTRUM = ["spectrum", "--data", "{data}", "--train-epochs", "1", "--hidden", "6"]
+
+# One row per size at or above a class's rows, on the 60-row file's 20-row
+# classes (15 after train's holdout split): the argv, and the argv of a run
+# that must write the same artifacts. A stochastic sample that covers a class
+# is the naive scan, a k_per_class of a class's rows picks it all as fraction 1
+# does, and a per-class cap at or above its rows keeps them all as the default
+# cap of 300 does.
+CLASS_SIZE_EDGES = {
+    "select --k-per-class 20": ([*_SELECT, "--k-per-class", "20"], [*_SELECT, "--fraction", "1"]),
+    "select --stochastic-sample 20": ([*_SELECT, "--engine", "stochastic",
+                                       "--stochastic-sample", "20"], [*_SELECT, "--engine", "naive"]),
+    "select --stochastic-sample 10**30": ([*_SELECT, "--engine", "stochastic",
+                                           "--stochastic-sample", str(10**30)],
+                                          [*_SELECT, "--engine", "naive"]),
+    "train --k-per-class 15": ([*_TRAIN, "--k-per-class", "15"], [*_TRAIN, "--fraction", "1"]),
+    "train --stochastic-sample 15": ([*_TRAIN, "--engine", "stochastic",
+                                      "--stochastic-sample", "15"], [*_TRAIN, "--engine", "naive"]),
+    "train --stochastic-sample 10**30": ([*_TRAIN, "--engine", "stochastic",
+                                          "--stochastic-sample", str(10**30)],
+                                         [*_TRAIN, "--engine", "naive"]),
+    "spectrum --per-class-cap 20": ([*_SPECTRUM, "--per-class-cap", "20"], _SPECTRUM),
+    "spectrum --per-class-cap 21": ([*_SPECTRUM, "--per-class-cap", "21"], _SPECTRUM),
+}
+
+
+def _artifacts(out: Path) -> dict:
+    """Each file a run wrote but its manifest, without what names the engine
+    (``coreset.json``'s ``engine``) or reads the clock (``selection_ms``)."""
+    col = CSV_HEADER.split(",").index("selection_ms")
+    artifacts = {}
+    for path in sorted(out.iterdir()):
+        if path.name == "coreset.json":
+            artifacts[path.name] = json.loads(path.read_text())["classes"]
+        elif path.suffix == ".csv":
+            artifacts[path.name] = [row[:col] + row[col + 1:] for row in
+                                    (line.split(",") for line in path.read_text().splitlines())]
+        elif path.name != "manifest.json":
+            artifacts[path.name] = path.read_bytes()
+    return artifacts
+
+
+@pytest.mark.parametrize("case", CLASS_SIZE_EDGES)
+def test_size_at_or_above_a_class_takes_the_whole_class(case, dataset_csv, tmp_path, capsys):
+    argv, same_as = ([a.format(data=dataset_csv) for a in v] for v in CLASS_SIZE_EDGES[case])
+    assert main(argv + ["--out", str(tmp_path / "edge")]) == 0
+    assert main(same_as + ["--out", str(tmp_path / "same")]) == 0
+    assert capsys.readouterr().err == ""
+    edge = _artifacts(tmp_path / "edge")
+    assert edge and edge == _artifacts(tmp_path / "same")
 
 
 # One row per input that sizes an array, at an entry cap of 2**16: the argv,
@@ -1508,17 +1592,42 @@ def test_readme_commands_parse(tmp_path, monkeypatch, capsys):
         strict_json(path)
 
 
+def _bench_module(name: str):
+    """``perfbench/<name>.py``, loaded from this checkout."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_bench_trace_targets_exist():
     """The benchmark's tracer patches functions by name; each one it names
     must exist, or a rename breaks only the traced benchmark passes."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("bench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = _bench_module("tracing")
     for module, attr, _, _ in tracing.TARGETS:
         assert callable(getattr(importlib.import_module(f"coreaug.{module}"), attr, None)), \
             f"coreaug.{module}.{attr}"
     assert set(coreaug.coreset._ENGINE_FNS) == {"naive", "lazy", "stochastic"}
+
+
+@pytest.mark.parametrize("workload", ["subset_train", "select_large", "full_train",
+                                      "spectrum_audit"])
+def test_bench_workload_passes_at_tiny_scale(workload, tmp_path):
+    """Each benchmark workload's set-up, run and check, as one untraced pass
+    runs them at the tiny scale: every op passes, so a program change that
+    breaks a call the benchmark makes (a renamed keyword, say) fails here and
+    not only in a benchmark run."""
+    tracing, workloads = _bench_module("tracing"), _bench_module("workloads")
+    assert workload in workloads.WORKLOADS
+    setup, run, check = workloads.WORKLOADS[workload]
+    p = workloads.Pass(workload, 0, "tiny", tmp_path)
+    with tracing.instrument(None, p.observers()):
+        setup(p)
+        run(p)
+    check(p)
+    assert p.ops
+    assert [op for op in p.ops if not op["ok"]] == []
 
 
 # Definitions in src/coreaug that no program path reaches but the benchmark
