@@ -340,24 +340,14 @@ def engine_equivalence() -> dict:
 def spectrum_protocol() -> list:
     """Criterion 4: per seed, a 16-20-3 tanh net warmed up on 300 blobs and
     paired with one augmented round at 8/255 and at 16/255. One entry per
-    seed and budget, in that order: the perturbation norms, the Weyl
-    verdict, the bottom- and top-decile relative shifts, the shape verdict
-    and the report's bins."""
+    seed and budget, in that order: the seed, the budget and the report's
+    JSON, as ``spectrum`` writes it."""
     entries = []
     for seed in PROTOCOL_SEEDS:
         net, data = _protocol_net_and_data(seed, n_per_class=100, hidden=20)
-        for eps, report in budget_spectra(net, data.features, (8.0 / 255.0, 16.0 / 255.0),
-                                          seed=seed):
-            bottom, top = report.decile_relative_shifts()
-            entries.append({
-                "seed": seed, "epsilon0": eps, "e_norm2": report.e_norm2,
-                "e_norm_frobenius": report.e_norm_frobenius,
-                "weyl_passed": report.weyl.passed,
-                "bottom_decile_relative_shift": bottom,
-                "top_decile_relative_shift": top,
-                "shape_reproduced": report.shape_reproduced,
-                "bins": [dataclasses.asdict(b) for b in report.bins],
-            })
+        entries += [{"seed": seed, "epsilon0": eps, **report.to_json_dict()}
+                    for eps, report in budget_spectra(net, data.features,
+                                                      (8.0 / 255.0, 16.0 / 255.0), seed=seed)]
     return entries
 
 

@@ -210,7 +210,7 @@ def cmd_select(args, run: _Run) -> int:
         proxies = gradient_proxy(net, data, args.proxy_mode)
         coreset = select_all_classes(proxies, _selection_config(args))
     out = run.path("coreset.json")
-    _write_json(out, coreset.to_json_dict(args.r))
+    _write_json(out, coreset.to_json_dict())
     print(f"selected {coreset.indices.size} points -> {out}")
     return 0
 
@@ -236,8 +236,15 @@ def _train_config(args, seed: int) -> TrainConfig:
 
 @_recorded
 def cmd_train(args, run: _Run) -> int:
+    try:
+        configs = [_train_config(args, seed) for seed in args.seeds]
+    except ValueError as exc:  # each flag passed its type: the rule broken joins these two
+        raise ConfigError(f"--xi {args.xi} --baseline {args.baseline}: {exc}") from None
     data_path = Path(args.data)
     data = _load_data(data_path)
+    if args.label_noise > 0.0 and data.num_classes < 2:
+        raise DataFormatError(f"{data_path}: --label-noise {args.label_noise}: "
+                              "cannot flip labels with a single class")
     if args.test_data:
         test_path = Path(args.test_data)
         test = load_dataset_csv(test_path, data.num_classes)
@@ -250,23 +257,14 @@ def cmd_train(args, run: _Run) -> int:
         except DataFormatError as exc:
             raise DataFormatError(f"{data_path}: --holdout {args.holdout}: {exc}") from None
 
-    final = {}
-    for seed in args.seeds:
-        with run.timed(f"train_seed{seed}_ms"):
-            record = train(_train_config(args, seed), data, test)
-        record.to_csv(run.path(f"run_seed{seed}.csv"))
-        last = record.rows[-1]
-        final[seed] = {"test_acc": last.test_acc, "test_loss": last.test_loss,
-                       "train_loss": last.train_loss}
-    accs = [v["test_acc"] for v in final.values()]
-    aggregate = {
-        "per_seed": {str(k): v for k, v in final.items()},
-        "mean_test_acc": float(np.mean(accs)),
-        "std_test_acc": float(np.std(accs)),
-    }
-    _write_json(run.path("aggregate.json"), aggregate)
-    print(f"mean test accuracy {aggregate['mean_test_acc']:.4f} "
-          f"(std {aggregate['std_test_acc']:.4f}) over seeds {args.seeds}")
+    for config in configs:
+        with run.timed(f"train_seed{config.seed}_ms"):
+            record = train(config, data, test)
+        record.to_csv(run.path(f"run_seed{config.seed}.csv"))
+    summary = _run_summary(run.out_dir, run.outputs)  # the CSVs this run wrote, and no other
+    _write_json(run.path("aggregate.json"), summary)
+    print(f"mean test accuracy {summary['mean_test_acc']:.4f} "
+          f"(std {summary['std_test_acc']:.4f}) over seeds {args.seeds}")
     return 0
 
 
@@ -332,11 +330,15 @@ def cmd_experiment(args, run: _Run) -> int:
     return 0
 
 
-def cmd_report(args) -> int:
-    runs_dir = Path(args.runs)
+def _run_summary(runs_dir: Path, names) -> dict:
+    """Per run CSV of ``runs_dir`` named in ``names``, its epoch count and
+    final values, then the mean and the standard deviation of the final test
+    accuracies, taken in name order. A file whose first line is not the run
+    header is skipped."""
     columns = CSV_HEADER.split(",")
-    summary = {}
-    for csv_path in sorted(runs_dir.glob("*.csv")):
+    runs = {}
+    for name in sorted(names):
+        csv_path = runs_dir / name
         # an undecodable byte reads as its \xNN escape: the header check
         # skips its file, and a row holding it fails to parse
         with open(csv_path, "r", encoding="utf-8", errors="backslashreplace") as fh:
@@ -362,21 +364,23 @@ def cmd_report(args) -> int:
         if not rows:
             raise DataFormatError(f"{csv_path}: no rows below the run header")
         last = dict(zip(columns, rows[-1]))
-        summary[csv_path.name] = {"epochs": len(rows), **{
+        runs[name] = {"epochs": len(rows), **{
             f"final_{c}": last[c] for c in ("train_loss", "test_loss", "test_acc",
                                             "grad_norm")}}
-    if not summary:
+    if not runs:
         raise DataFormatError(f"{runs_dir}: no run CSVs found")
-    accs = [v["final_test_acc"] for v in summary.values()]
-    payload = {
-        "runs": summary,
-        "mean_final_test_acc": float(np.mean(accs)),
-        "std_final_test_acc": float(np.std(accs)),
-    }
+    accs = [v["final_test_acc"] for v in runs.values()]
+    return {"runs": runs, "mean_test_acc": float(np.mean(accs)),
+            "std_test_acc": float(np.std(accs))}
+
+
+def cmd_report(args) -> int:
+    runs_dir = Path(args.runs)
+    summary = _run_summary(runs_dir, [p.name for p in runs_dir.glob("*.csv")])
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    _write_json(out, payload)
-    print(f"aggregated {len(summary)} runs -> {out}")
+    _write_json(out, summary)
+    print(f"aggregated {len(summary['runs'])} runs -> {out}")
     return 0
 
 
@@ -412,7 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--xi", type=_positive_float, default=None)
         p.add_argument("--stochastic-sample", type=_positive_int, default=None)
         p.add_argument("--proxy-mode", default="last_layer", choices=PROXY_MODES)
-        p.add_argument("--r", type=_positive_int, default=1)
         p.add_argument("--seed", type=_nonnegative_int, default=0)
 
     p = sub.add_parser("select", parents=[common], help="extract a weighted per-class coreset")
@@ -439,6 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr-decay-factor", type=_positive_float, default=0.1)
     p.add_argument("--batch-size", type=_positive_int, default=32)
     p.add_argument("--epsilon0", type=_budget, default=16.0 / 255.0)
+    p.add_argument("--r", type=_positive_int, default=1)
     p.add_argument("--transform-kind", default="uniform_ball", choices=TRANSFORM_KINDS)
     p.add_argument("--label-noise", type=_checked(float, RIGHT_OPEN_UNIT), default=0.0)
     p.add_argument("--random-fraction", type=_fraction, default=0.5)
@@ -528,8 +532,11 @@ def _apply_config_file(argv: list[str], parser: argparse.ArgumentParser) -> None
         raise ConfigError(f"config file is not UTF-8: {cfg_path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file is not valid JSON: {cfg_path}: {exc}") from exc
-    if not isinstance(payload, dict) or payload.get("schema_version") != SCHEMA_VERSION:
-        raise ConfigError(f"config schema_version must be {SCHEMA_VERSION}")
+    if not isinstance(payload, dict):
+        raise ConfigError(f"{cfg_path}: a config is a JSON object, got {type(payload).__name__}")
+    if payload.get("schema_version") != SCHEMA_VERSION:
+        raise ConfigError(f"{cfg_path}: config schema_version must be {SCHEMA_VERSION}, "
+                          f"got {payload.get('schema_version')!r}")
     command = next((a for a in rest if not a.startswith("-")), None)
     subparser = parser.subcommands.get(command)
     if subparser is None:
@@ -537,7 +544,8 @@ def _apply_config_file(argv: list[str], parser: argparse.ArgumentParser) -> None
     if payload.get("command", command) != command:
         raise ConfigError(f"{cfg_path}: command {payload['command']!r} does not match "
                           f"the subcommand {command!r}")
-    by_dest = {a.dest: a for a in subparser._actions}
+    # --help and --config set no run's option
+    by_dest = {a.dest: a for a in subparser._actions if a.dest not in ("help", "config")}
     defaults = {}
     for key, value in payload.items():
         if key in ("schema_version", "command"):

@@ -394,8 +394,6 @@ class WeightedCoreset:
     """Per-class selections with integer weights gamma."""
 
     classes: list[ClassCoreset]
-    engine: str
-    seed: int
 
     @property
     def indices(self) -> np.ndarray:
@@ -418,23 +416,12 @@ class WeightedCoreset:
             if np.any(np.diff(c.trace) >= 0.0):
                 raise ValueError("objective trace is not strictly decreasing")
 
-    def to_json_dict(self, r: int = 1) -> dict:
-        """The selections; each of a pick's ``r`` augmented copies weighs gamma / r."""
-        return {
-            "classes": [
-                {
-                    "class": int(c.label),
-                    "indices": [int(i) for i in c.indices],
-                    "gamma": [int(g) for g in c.gamma],
-                    "rho": [float(x) for x in c.gamma / r],
-                    "g_frobenius": float(c.g_frobenius),
-                    "trace": [float(t) for t in c.trace],
-                }
-                for c in self.classes
-            ],
-            "engine": self.engine,
-            "seed": int(self.seed),
-        }
+    def to_json_dict(self) -> dict:
+        """The selections; a class's coverage norm is its trace's last value."""
+        return {"classes": [{"class": int(c.label), "indices": [int(i) for i in c.indices],
+                             "gamma": [int(g) for g in c.gamma],
+                             "trace": [float(t) for t in c.trace]}
+                            for c in self.classes]}
 
 
 def select_all_classes(proxies: GradientProxySet, config: SelectionConfig) -> WeightedCoreset:
@@ -467,7 +454,7 @@ def select_all_classes(proxies: GradientProxySet, config: SelectionConfig) -> We
         ))
         # free this class's matrix before the next class builds its own
         del D
-    return WeightedCoreset(classes=classes, engine=config.engine, seed=config.seed)
+    return WeightedCoreset(classes=classes)
 
 
 @dataclass

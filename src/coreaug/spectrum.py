@@ -42,7 +42,6 @@ def eigengap(sigma: np.ndarray) -> float:
 class WeylVerdict:
     passed: bool
     max_violation: float
-    e_norm2: float
 
 
 def weyl_check(sigma_clean, sigma_aug, e_norm2: float) -> WeylVerdict:
@@ -53,8 +52,7 @@ def weyl_check(sigma_clean, sigma_aug, e_norm2: float) -> WeylVerdict:
     if s0.shape != s1.shape:
         raise ValueError("spectra must be rank-paired with equal lengths")
     violation = float(np.max(np.abs(s1 - s0)) - e_norm2)
-    return WeylVerdict(passed=violation <= WEYL_TOL, max_violation=violation,
-                       e_norm2=float(e_norm2))
+    return WeylVerdict(passed=violation <= WEYL_TOL, max_violation=violation)
 
 
 def augmented_jacobian(net: MLP, X, spec: TransformSpec, round_index: int) -> np.ndarray:
@@ -113,8 +111,11 @@ class SpectrumReport:
         return bottom > top and self.bins[-1].mean_angle_rad < self.bins[0].mean_angle_rad
 
     def to_json_dict(self) -> dict:
+        """The fields, the decile relative shifts and the shape verdict."""
+        bottom, top = self.decile_relative_shifts()
         return {**asdict(self), "sigma_clean": self.sigma_clean.tolist(),
-                "sigma_aug": self.sigma_aug.tolist()}
+                "sigma_aug": self.sigma_aug.tolist(), "bottom_decile_relative_shift": bottom,
+                "top_decile_relative_shift": top, "shape_reproduced": self.shape_reproduced}
 
 
 def spectrum_report(J_clean, J_aug, clean: SvdResult | None = None) -> SpectrumReport:

@@ -103,6 +103,10 @@ class TrainConfig:
             AT_LEAST_1.check(name, getattr(self, name))
         RIGHT_OPEN_UNIT.check("label_noise_frac", self.label_noise_frac)
         LEFT_OPEN_UNIT.check("random_fraction", self.random_fraction)
+        # the baselines draw a fixed-size subset, so they have no threshold
+        if self.selection.stop == "xi_threshold" and self.baseline != "ours":
+            raise ValueError(f"an xi_threshold selection needs baseline 'ours', "
+                             f"got {self.baseline!r}")
 
 
 @dataclass

@@ -658,15 +658,6 @@ class TestSelectAllClasses:
         coreset = select_all_classes(proxy_set(pts, labels), SelectionConfig(fraction=0.3))
         coreset.validate({0: 20, 1: 20})
 
-    def test_rho_is_gamma_over_r(self):
-        """Each of a pick's r augmented copies weighs gamma / r in the
-        coreset's JSON."""
-        labels = np.repeat([0, 1, 2], 10)
-        coreset = select_all_classes(proxy_set(random_points(24, 30), labels),
-                                     SelectionConfig(fraction=0.3))
-        for c, entry in zip(coreset.classes, coreset.to_json_dict(3)["classes"]):
-            assert entry["rho"] == (c.gamma / 3).tolist()
-
     def test_zero_copies_rejected(self):
         with pytest.raises(ValueError, match="r must be >= 1, got 0"):
             TransformSpec(r=0)
@@ -697,12 +688,11 @@ class TestSelectAllClasses:
         pts = random_points(23, 10)
         labels = np.repeat([0, 1], 5)
         coreset = select_all_classes(proxy_set(pts, labels), SelectionConfig(fraction=0.4))
-        payload = coreset.to_json_dict(2)
-        assert set(payload) == {"classes", "engine", "seed"}
+        payload = coreset.to_json_dict()
+        assert set(payload) == {"classes"}
         for entry in payload["classes"]:
-            assert set(entry) == {"class", "indices", "gamma", "rho",
-                                  "g_frobenius", "trace"}
-            assert len(entry["indices"]) == len(entry["gamma"]) == len(entry["rho"])
+            assert set(entry) == {"class", "indices", "gamma", "trace"}
+            assert len(entry["indices"]) == len(entry["gamma"]) == len(entry["trace"])
 
 
 class TestBaselines:

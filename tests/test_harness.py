@@ -279,6 +279,13 @@ CONFIG_ERRORS = {
                              ("key 'epochs' is not an option of 'gen-data'",)),
     "gen-data command": (["gen-data", "--config", "{cfg}"], {"command": "train"},
                          ("command 'train' does not match the subcommand 'gen-data'",)),
+    # --help and --config are no run's options: a config cannot set them
+    "select help false": (["--config", "{cfg}", "select", "--data", "{data}"], {"help": False},
+                          ("key 'help' is not an option of 'select'",)),
+    "select help true": (["--config", "{cfg}", "select", "--data", "{data}"], {"help": True},
+                         ("key 'help' is not an option of 'select'",)),
+    "train config": (["train", "--config", "{cfg}"], {"config": "other.json"},
+                     ("key 'config' is not an option of 'train'",)),
 }
 
 
@@ -295,6 +302,8 @@ class TestCli:
         assert main(["select", "--data", str(dataset_csv), "--fraction", "1.0",
                      "--out", str(out)]) == 0
         payload = json.loads((out / "coreset.json").read_text())
+        assert set(payload) == {"classes"}
+        assert all(set(c) == {"class", "indices", "gamma", "trace"} for c in payload["classes"])
         indices = sorted(i for c in payload["classes"] for i in c["indices"])
         assert indices == list(range(60))
         assert all(g == 1 for c in payload["classes"] for g in c["gamma"])
@@ -345,7 +354,7 @@ class TestCli:
         sgd_warmup(net, data, 3, 0.005, seed=0)
         coreset = select_all_classes(gradient_proxy(net, data, "last_layer"),
                                      SelectionConfig(fraction=0.2))
-        assert written[3] == coreset.to_json_dict(1)
+        assert written[3] == coreset.to_json_dict()
         assert written[3] != written[0]
 
     def test_train_multi_seed_aggregate(self, dataset_csv, tmp_path):
@@ -364,6 +373,21 @@ class TestCli:
             accs.append(float(last[3]))
         assert aggregate["mean_test_acc"] == pytest.approx(np.mean(accs))
         assert aggregate["std_test_acc"] == pytest.approx(np.std(accs))
+
+    def test_train_aggregate_is_the_report_of_its_runs(self, dataset_csv, tmp_path):
+        """``aggregate.json`` is, byte for byte, what ``report --runs`` writes
+        for the run CSVs the run wrote; a stale run CSV in a reused --out is
+        not among them."""
+        out, summary = tmp_path / "train", tmp_path / "summary.json"
+        out.mkdir()
+        (out / "run_seed9.csv").write_text(CSV_HEADER + "\n0,0.5,0.5,1.0,0.1,1,0.0,5\n")
+        assert main(["train", "--data", str(dataset_csv), "--epochs", "2", "--hidden", "6",
+                     "--seeds", "3,1,2", "--out", str(out)]) == 0
+        aggregate = json.loads((out / "aggregate.json").read_text())
+        assert sorted(aggregate["runs"]) == ["run_seed1.csv", "run_seed2.csv", "run_seed3.csv"]
+        (out / "run_seed9.csv").unlink()
+        assert main(["report", "--runs", str(out), "--out", str(summary)]) == 0
+        assert summary.read_bytes() == (out / "aggregate.json").read_bytes()
 
     def test_test_data_with_fewer_classes_scores_on_training_classes(
             self, dataset_csv, tmp_path):
@@ -422,6 +446,24 @@ class TestCli:
         assert len(json_outputs) == 2
         assert any("untrained" in o for o in json_outputs)
         assert any("trained" in o and "untrained" not in o for o in json_outputs)
+        for name in json_outputs:
+            assert set(json.loads((out / name).read_text())["weyl"]) == {"passed",
+                                                                         "max_violation"}
+
+    def test_experiment_spectrum_entries_are_spectrum_files(self, dataset_csv, tmp_path,
+                                                            monkeypatch):
+        """Each ``experiment spectrum`` entry is a seed, a budget and the
+        JSON a ``spectrum`` file holds, the shape verdict included."""
+        monkeypatch.setattr(coreaug.audits, "PROTOCOL_SEEDS", (0,))
+        assert main(["experiment", "spectrum", "--out", str(tmp_path / "e")]) == 0
+        assert main(["spectrum", "--data", str(dataset_csv), "--epsilon0", "0.03",
+                     "--train-epochs", "1", "--hidden", "6", "--out", str(tmp_path / "s")]) == 0
+        file_keys = set(strict_json(tmp_path / "s" / "spectrum_trained_eps0.030000.json"))
+        assert {"shape_reproduced", "bottom_decile_relative_shift",
+                "top_decile_relative_shift"} <= file_keys
+        entries = strict_json(tmp_path / "e" / "spectrum.json")
+        assert [(e["seed"], e["epsilon0"]) for e in entries] == [(0, 8 / 255), (0, 16 / 255)]
+        assert all(set(e) == file_keys | {"seed", "epsilon0"} for e in entries)
 
     def test_train_divergence_is_numerical_failure(self, dataset_csv, tmp_path, capsys):
         code = main(["train", "--data", str(dataset_csv), "--lr", "5", "--epochs", "60",
@@ -808,6 +850,19 @@ class TestCli:
         for name in manifest["outputs"]:
             assert (replay / name).read_bytes() == (first / name).read_bytes()
 
+    def test_manifest_of_a_configured_run_replays(self, dataset_csv, tmp_path):
+        """A run started from a config records the config of its parsed
+        arguments, and that config replays the run."""
+        cfg, first, replay = tmp_path / "cfg.json", tmp_path / "first", tmp_path / "replay"
+        cfg.write_text(json.dumps({"schema_version": 1, "data": str(dataset_csv),
+                                   "engine": "naive", "fraction": 0.2}))
+        assert main(["--config", str(cfg), "select", "--out", str(first)]) == 0
+        config = json.loads((first / "manifest.json").read_text())["config"]
+        assert (config["engine"], config["fraction"]) == ("naive", 0.2)
+        cfg.write_text(json.dumps({"schema_version": 1, **config}))
+        assert main(["--config", str(cfg), "select", "--out", str(replay)]) == 0
+        assert (replay / "coreset.json").read_bytes() == (first / "coreset.json").read_bytes()
+
     def test_config_key_outside_the_subcommand_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"schema_version": 1, "n": 30, "epochs": 2}))
@@ -1087,6 +1142,32 @@ CLI_ERRORS = {
     "gen-data --d 1 --margin 5": (["gen-data", "--d", "1", "--classes", "3", "--margin", "5"],
                                   None, 2, "--d 1 --classes 3 --seed 0 --margin 5.0: could not "
                                            "place 3 means with margin 5.0 in 1 dims"),
+    # a config's top level is an object that holds schema_version 1
+    "config schema_version 99": (["--config", "{csv}", "gen-data"], '{"schema_version": 99}',
+                                 2, "config error: {csv}: config schema_version must be 1, "
+                                    "got 99"),
+    "config a JSON list": (["--config", "{csv}", "gen-data"], "[1, 2]",
+                           2, "config error: {csv}: a config is a JSON object, got list"),
+    # a one-class file has no other label to flip to
+    "train --label-noise one-class file": (["train", "--data", "{csv}", "--label-noise", "0.1"],
+                                           "f0,label\n0.1,0\n0.2,0\n0.3,0\n0.4,0\n",
+                                           3, "data error: {csv}: --label-noise 0.1: cannot "
+                                              "flip labels with a single class"),
+    # a baseline draws a fixed-size subset; no --data file exists, so the
+    # refusal reads none
+    "train --xi --baseline random": (["train", "--data", "{csv}", "--xi", "0.5",
+                                      "--baseline", "random"], None,
+                                     2, "config error: --xi 0.5 --baseline random: an "
+                                        "xi_threshold selection needs baseline 'ours', "
+                                        "got 'random'"),
+    "train --xi --baseline max_loss": (["train", "--data", "{csv}", "--xi", "0.5",
+                                        "--baseline", "max_loss"], None,
+                                       2, "config error: --xi 0.5 --baseline max_loss: an "
+                                          "xi_threshold selection needs baseline 'ours', "
+                                          "got 'max_loss'"),
+    # --r sets augmented copies, which train alone makes
+    "select --r": (["select", "--data", "{data}", "--r", "2"], None,
+                   2, "error: unrecognized arguments: --r 2"),
 }
 
 
@@ -1398,6 +1479,35 @@ def test_option_keeps_its_rule(option, tmp_path, capsys):
             assert str(raised.value) == f"{field} {breach}"
 
 
+@pytest.mark.parametrize("option", typed_options())
+def test_config_key_keeps_its_rule(option, tmp_path, capsys):
+    """Each probe outside the option's domain, written as its config key's
+    JSON value (a list option's after the same valid lead), exits 2 before
+    the missing data file is read, naming the key with its rule's text."""
+    command, flag = option.split()
+    parser, action, kind = _option(option)
+    lo, hi = DOMAIN_CUTS[FLAG_RULES[flag][0]]
+    inside = PROBES[PROBES.index(lo):PROBES.index(hi) + 1]
+    cfg = tmp_path / "cfg.json"
+    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+    if "--data" in parser.subcommands[command]._option_string_actions:
+        argv += ["--data", str(tmp_path / "missing.csv")]
+    lead = _NARGS_LEADS[flag] if action.nargs in ("*", "+") else _COMMA_LEADS.get(flag)
+    for probe in PROBES + (("inf", "nan") if kind is float else ()):
+        try:
+            value = kind(probe)
+        except ValueError:
+            continue
+        if probe in inside:
+            continue
+        written = value if lead is None else [kind(lead.rstrip(",")), value]
+        cfg.write_text(json.dumps({"schema_version": 1, action.dest: written}))
+        breach = (f"must {FLAG_RULES[flag][0]}, got {value}" if math.isfinite(value)
+                  else f"must be finite, got {value}")
+        assert _exit_code(argv) == 2
+        assert f"key '{action.dest}': {breach}" in capsys.readouterr().err
+
+
 # A run of each subcommand on a 30-row file ({data}) that reaches every
 # option probed below: the selection, the warm-up, two lr decays and the
 # random base pool included.
@@ -1415,7 +1525,7 @@ _TINY_RUNS = {
 # ever, and array sizes, which CAP_BREACHES covers, are left out).
 _HUGE_INT_OPTIONS = {
     "gen-data": ("--seed",),
-    "select": ("--seed", "--net-seed", "--stochastic-sample", "--r"),
+    "select": ("--seed", "--net-seed", "--stochastic-sample"),
     "train": ("--seed", "--split-seed", "--seeds", "--refresh-r", "--batch-size",
               "--lr-decay-epochs", "--stochastic-sample"),
     "spectrum": ("--seed", "--classes-used", "--per-class-cap"),

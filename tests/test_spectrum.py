@@ -135,6 +135,10 @@ class TestSpectrumReport:
         report = spectrum_report(random_matrix(7, 35, 20),
                                  random_matrix(7, 35, 20) * 1.1)
         payload = report.to_json_dict()
+        assert set(payload["weyl"]) == {"passed", "max_violation"}
+        assert (payload["bottom_decile_relative_shift"],
+                payload["top_decile_relative_shift"]) == report.decile_relative_shifts()
+        assert payload["shape_reproduced"] == report.shape_reproduced
         assert len(payload["bins"]) == 20
         assert all(b["count"] >= 1 for b in payload["bins"])
         json.dumps(payload, allow_nan=False)

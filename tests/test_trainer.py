@@ -205,6 +205,15 @@ class TestTrain:
             assert np.array_equal(base_params, other_params)
             assert [r.train_loss for r in base] == [r.train_loss for r in other]
 
+    @pytest.mark.parametrize("baseline", ["random", "max_loss"])
+    def test_xi_threshold_is_refused_with_a_baseline(self, baseline):
+        """A baseline draws a fixed-size subset, so a threshold selection
+        with it is refused at construction, not at the first refresh."""
+        with pytest.raises(ValueError, match=f"an xi_threshold selection needs baseline "
+                                             f"'ours', got '{baseline}'"):
+            quick_config(baseline=baseline,
+                         selection=SelectionConfig(stop="xi_threshold", xi=0.5))
+
     def test_degenerate_matches_plain_sgd_on_duplicated_data(self):
         data, test = blob_pair(12, n=24)
         cfg = quick_config(
