@@ -117,9 +117,13 @@ def audit_weyl_augmentation(rounds: int, seed: int) -> dict:
     sigma_aug = np.empty((rounds, sigma.size))
     e_norms = np.empty(rounds)
     for rnd in range(rounds):
-        j_aug = augmented_jacobian(net, data.features, spec, rnd)
-        sigma_aug[rnd] = singular_values(j_aug)
-        e_norms[rnd] = spectral_norm(j_aug - jac)
+        e = augmented_jacobian(net, data.features, spec, rnd)
+        sigma_aug[rnd] = singular_values(e)
+        # E = J_aug - J in J_aug's buffer once its singular values are
+        # taken: a round holds one augmented-sized matrix, and none outlives it
+        e -= jac
+        e_norms[rnd] = spectral_norm(e)
+        del e
     verdicts = [weyl_check(sigma, s1, e) for s1, e in zip(sigma_aug, e_norms)]
     violations = sum(not v.passed for v in verdicts)
     ratio = (np.abs(sigma_aug - sigma) / e_norms[:, None]).mean(axis=0)

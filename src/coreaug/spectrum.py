@@ -123,16 +123,24 @@ def spectrum_report(J_clean, J_aug, clean: SvdResult | None = None) -> SpectrumR
 
     ``clean`` is ``svd(J_clean)`` when the caller already holds it, so that a
     clean matrix paired with several augmented ones is decomposed once.
+
+    Neither input is written. Besides the inputs, the matrices alive are in
+    turn: E = J_aug - J_clean while its two norms are taken; the clean U;
+    the clean and the augmented U. E and this function's references to
+    J_clean are dropped before ``svd(J_aug)`` runs, so a clean matrix that
+    the caller holds no other reference to is freed by then.
     """
     jc = as_matrix(J_clean, "J_clean")
     ja = as_matrix(J_aug, "J_aug")
     if jc.shape != ja.shape:
         raise ValueError(f"shape mismatch: {jc.shape} vs {ja.shape}")
-    dec_c = svd(jc) if clean is None else clean
-    dec_a = svd(ja)
     e = ja - jc
     e_norm2 = spectral_norm(e)
     e_normf = float(np.linalg.norm(e))
+    del e
+    dec_c = svd(jc) if clean is None else clean
+    del J_clean, jc
+    dec_a = svd(ja)
     k = dec_c.sigma.shape[0]
     # ascending order so bin 0 holds the smallest singular values
     asc = np.arange(k - 1, -1, -1)
@@ -167,12 +175,20 @@ def budget_spectra(net: MLP, features, epsilons, kind: str = "uniform_ball",
                    seed: int = 0):
     """Yield ``(epsilon0, SpectrumReport)`` per budget: round 0 of a one-copy
     transform at that budget, paired with the clean derivative spectrum,
-    which is decomposed once for all budgets."""
-    jac = jacobian(net, features)
-    clean = svd(jac)
+    which is decomposed once for all budgets.
+
+    Only ``svd(J_clean)`` is kept across budgets. Each budget rebuilds the
+    clean J for its E with ``jacobian``, which is deterministic, so every
+    value is bit for bit that of one shared clean J. Between draws the
+    clean U is the one matrix alive. While a budget's E is formed, the clean
+    U, the clean J, J_aug and E are; ``spectrum_report`` then drops the clean
+    J and E, so the augmented SVD runs beside the clean U and J_aug alone.
+    """
+    clean = svd(jacobian(net, features))
     for eps in epsilons:
         spec = TransformSpec(kind=kind, epsilon0=eps, r=1, seed=seed)
-        yield eps, spectrum_report(jac, augmented_jacobian(net, features, spec, 0),
+        yield eps, spectrum_report(jacobian(net, features),
+                                   augmented_jacobian(net, features, spec, 0),
                                    clean=clean)
 
 

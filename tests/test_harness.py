@@ -340,6 +340,28 @@ class TestCli:
         versions = json.loads((out / "manifest.json").read_text())["versions"]
         assert versions["blas"] == {"name": None, "version": None, "build": None}
 
+    def test_select_is_identical_under_one_and_two_blas_threads(self, dataset_csv,
+                                                                 tmp_path):
+        """A tiny ``select``, ``train`` and ``spectrum`` run in a fresh
+        interpreter under ``OPENBLAS_NUM_THREADS`` 1 and then 2. Only
+        ``select``'s coreset is asserted identical: BLAS may split a
+        reduction by thread, and ``spectrum``'s Frobenius norm of E can
+        differ in its last bits even at these sizes."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        coresets = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path}
+            result = subprocess.run(
+                [sys.executable, "-c", _THREAD_PROBE, str(dataset_csv), str(out)],
+                capture_output=True, text=True, env=env)
+            assert result.returncode == 0, result.stderr
+            manifest = json.loads((out / "select" / "manifest.json").read_text())
+            assert manifest["versions"]["blas_threads"]["OPENBLAS_NUM_THREADS"] == threads
+            coresets.append((out / "select" / "coreset.json").read_bytes())
+        assert coresets[0] == coresets[1]
+
     def test_select_warmup_selects_as_the_library_does(self, dataset_csv, tmp_path):
         """``select --warmup-epochs 3`` writes the coreset of ``sgd_warmup``
         followed by ``select_all_classes``, which differs from no warm-up."""
@@ -978,6 +1000,18 @@ def _exit_code(argv) -> int:
         return main(argv)
     except SystemExit as exc:
         return exc.code
+
+
+# Runs a tiny select, train and spectrum on argv[1], writing under argv[2].
+_THREAD_PROBE = """
+import sys
+from coreaug.cli import main
+data, out = sys.argv[1:]
+for argv in (["select", "--fraction", "0.2"],
+             ["train", "--epochs", "2", "--seeds", "1"],
+             ["spectrum", "--epsilon0", "0.05", "--train-epochs", "2"]):
+    assert main([*argv, "--data", data, "--out", f"{out}/{argv[0]}"]) == 0, argv
+"""
 
 
 # Eight rows, four of label 0 and four of label 2: label 1 has no rows.

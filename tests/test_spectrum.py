@@ -213,14 +213,48 @@ class TestAugmentedJacobian:
 
     def test_budget_spectra_builds_each_matrix_when_asked(self, monkeypatch):
         """``budget_spectra`` is lazy: each report's derivative matrices are
-        built when it is drawn, so timing each draw times its own work."""
+        built when it is drawn, so timing each draw times its own work. A
+        draw builds its own clean matrix and its augmented one; only the
+        first also builds the clean matrix whose SVD all draws share."""
         calls = self.counted(monkeypatch)
         reports = budget_spectra(self.net, self.X, (0.02, 0.05), seed=2)
         assert calls == {"jacobian": 0, "perturb": 0}
         next(reports)
-        assert calls == {"jacobian": 2, "perturb": 1}
+        assert calls == {"jacobian": 3, "perturb": 1}
         next(reports)
-        assert calls == {"jacobian": 3, "perturb": 2}
+        assert calls == {"jacobian": 5, "perturb": 2}
+
+
+class TestPeakMemory:
+    """Traced peaks of the spectrum path in units of one stacked derivative
+    matrix J (600 rows, a [16, 24, 3] tanh net: 1800 x 483). NumPy's LAPACK
+    workspace is not traced; the outputs of each SVD are. No clean J may be
+    alive beside an augmented one's SVD, and E is formed and dropped before
+    either SVD runs."""
+
+    def setup_method(self):
+        self.X = np.random.default_rng(39).uniform(0, 1, (600, 16))
+        self.net = MLP.init([16, 24, 3], activation="tanh", seed=39)
+        self.J = jacobian(self.net, self.X)
+        assert self.J.shape == (1800, 483)
+        self.unit = self.J.nbytes
+
+    def test_budget_spectra_holds_no_clean_matrix_beside_an_augmented_svd(
+            self, traced_peak_bytes):
+        """The peak, ~4.0, is the clean U, a clean J, J_aug and E while E's
+        norms are taken. A clean J kept beside the augmented SVD would add
+        the augmented U and V^T to the first three: ~4.27."""
+        peak = traced_peak_bytes(
+            lambda: list(budget_spectra(self.net, self.X, (0.02, 0.05))))
+        assert peak <= 4.15 * self.unit
+
+    def test_spectrum_report_drops_e_before_either_svd(self, traced_peak_bytes):
+        spec = TransformSpec(epsilon0=0.05, r=1, seed=39)
+        J_aug = augmented_jacobian(self.net, self.X, spec, 0)
+        before = self.J.tobytes(), J_aug.tobytes()
+        peak = traced_peak_bytes(lambda: spectrum_report(self.J, J_aug))
+        assert peak <= 2.5 * self.unit
+        assert (self.J.tobytes(), J_aug.tobytes()) == before
 
 
 class TestExpectedShift:
