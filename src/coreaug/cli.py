@@ -35,7 +35,6 @@ from .data import (
     DataFormatError,
     gen_dataset,
     load_dataset_csv,
-    load_training_csv,
     save_dataset_csv,
     split_dataset,
 )
@@ -165,9 +164,9 @@ def _seed_list(text: str) -> list[int]:
 
 
 def _load_data(path: Path) -> Dataset:
-    """``load_training_csv``, naming on stderr each label below the largest
+    """``load_dataset_csv``, naming on stderr each label below the largest
     that has no rows: every command skips that class."""
-    data = load_training_csv(path)
+    data = load_dataset_csv(path)
     for label in np.flatnonzero(np.bincount(data.labels) == 0):
         print(f"warning: {path}: label {label} has no rows; its class is skipped",
               file=sys.stderr)
@@ -246,11 +245,7 @@ def cmd_train(args, run: _Run) -> int:
         raise DataFormatError(f"{data_path}: --label-noise {args.label_noise}: "
                               "cannot flip labels with a single class")
     if args.test_data:
-        test_path = Path(args.test_data)
-        test = load_dataset_csv(test_path, data.num_classes)
-        if test.dim != data.dim:
-            raise DataFormatError(
-                f"{test_path}: {test.dim} features, the training data has {data.dim}")
+        test = load_dataset_csv(Path(args.test_data), data)
     else:
         try:
             data, test = split_dataset(data, args.holdout, seed=args.split_seed)

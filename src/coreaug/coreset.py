@@ -383,11 +383,6 @@ class ClassCoreset:
     gamma: np.ndarray
     trace: list[float]
 
-    @property
-    def g_frobenius(self) -> float:
-        """The coverage norm the selection reached."""
-        return self.trace[-1]
-
 
 @dataclass
 class WeightedCoreset:
@@ -520,7 +515,7 @@ def alignment_error(proxies: GradientProxySet, coreset: WeightedCoreset) -> Alig
         total = proxies.proxies[idx].sum(axis=0)
         approx = (proxies.proxies[c.indices] * c.gamma[:, None]).sum(axis=0)
         errors.append(float(np.linalg.norm(total - approx)))
-        bounds.append(math.sqrt(idx.size) * c.g_frobenius)
+        bounds.append(math.sqrt(idx.size) * c.trace[-1])
     return AlignmentReport(error_total=sum(errors), bound_total=sum(bounds))
 
 

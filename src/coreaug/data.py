@@ -98,32 +98,30 @@ def _parse_failure(parts: list[str]) -> str:
     return f"label {parts[-1]!r} is not an integer"
 
 
-def load_dataset_csv(path, num_classes: int | None = None) -> Dataset:
-    """The dataset of a CSV file; see ``_parse_dataset_csv``. A test file takes its
-    training data's ``num_classes``, and its first label outside them names its line."""
+def load_dataset_csv(path, training: Dataset | None = None) -> Dataset:
+    """The dataset of a CSV file; see ``_parse_dataset_csv``.
+
+    A training file's labels set the class count (the largest label plus
+    one), which sizes a network's output layer and every per-class count:
+    its first line with a label at or above the row count is reported. A
+    test file of ``training`` takes that data's class count: its first label
+    outside those classes names its line, and then its feature count must be
+    ``training``'s."""
     data, line_of = _parse_dataset_csv(path)
-    if num_classes is not None:
-        _check_labels_below(num_classes, path, data, line_of,
-                            f"outside the training classes 0..{num_classes - 1}")
-        data = Dataset(data.features, data.labels, num_classes)
-    return data
-
-
-def load_training_csv(path) -> Dataset:
-    """``load_dataset_csv`` for a file whose labels set the class count (the
-    largest label plus one), which sizes a network's output layer and every
-    per-class count: its first line with a label at or above the row count
-    is reported."""
-    data, line_of = _parse_dataset_csv(path)
-    _check_labels_below(data.n, path, data, line_of,
-                        f"names more classes than the file's {data.n} data rows")
-    return data
-
-
-def _check_labels_below(bound: int, path, data: Dataset, line_of, why: str) -> None:
+    if training is None:
+        bound, why = data.n, f"names more classes than the file's {data.n} data rows"
+    else:
+        bound = training.num_classes
+        why = f"outside the training classes 0..{bound - 1}"
     if data.num_classes > bound:
         i = int(np.argmax(data.labels >= bound))
         raise DataFormatError(f"{path}: line {line_of(i)}: label {data.labels[i]} {why}")
+    if training is None:
+        return data
+    if data.dim != training.dim:
+        raise DataFormatError(f"{path}: {data.dim} features, the training data has "
+                              f"{training.dim}")
+    return Dataset(data.features, data.labels, training.num_classes)
 
 
 def _parse_dataset_csv(path):

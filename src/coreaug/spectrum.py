@@ -136,7 +136,10 @@ def spectrum_report(J_clean, J_aug, clean: SvdResult | None = None) -> SpectrumR
         raise ValueError(f"shape mismatch: {jc.shape} vs {ja.shape}")
     e = ja - jc
     e_norm2 = spectral_norm(e)
-    e_normf = float(np.linalg.norm(e))
+    # linalg.frobenius_norm's value, squared in E's own buffer: numpy's
+    # pairwise sum does not depend on the BLAS thread count, as a dot would
+    np.square(e, out=e)
+    e_normf = math.sqrt(float(e.sum()))
     del e
     dec_c = svd(jc) if clean is None else clean
     del J_clean, jc

@@ -161,8 +161,10 @@ def inject_label_noise(data: Dataset, frac: float, seed: int = 0) -> Dataset:
 
 def weighted_gradient_step(net: MLP, X_batch, y_batch, rho, eta: float) -> MLP:
     """W <- W - eta * sum_i rho_i * grad_i over the flat parameter vector.
-    Updates the network in place. The training loops and the descent runs of
-    ``spectrum`` take the same step on rows checked once."""
+    Updates the network in place. This is the public one-batch step that
+    perfbench traces by name and ``test_sgd_warmup_replays_weighted_gradient_steps``
+    replays; no program path takes it (``_sgd_epoch`` steps on rows checked
+    once)."""
     net.params -= eta * weighted_gradient(net, X_batch, y_batch, rho)
     return net
 

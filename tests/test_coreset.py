@@ -671,8 +671,9 @@ class TestSelectAllClasses:
         lambda: random_points(42, 1),
     ], ids=["random", "integer_grid", "identical", "single"])
     def test_coverage_norm_is_the_last_trace_value(self, engine, stop, points):
-        """Each class's reported coverage norm equals the norm of its
-        selection recomputed from the distance matrix, bit for bit."""
+        """Each class's reported coverage norm, the last value of its trace,
+        equals the norm of its selection recomputed from the distance
+        matrix, bit for bit."""
         pts = points()
         labels = np.arange(pts.shape[0]) % 2
         cfg = SelectionConfig(stop=stop, xi=0.5 if stop == "xi_threshold" else None,
@@ -682,7 +683,7 @@ class TestSelectAllClasses:
             idx = np.flatnonzero(labels == c.label)
             D = pairwise_distances(pts[idx])
             local = list(np.searchsorted(idx, c.indices))
-            assert c.g_frobenius == g_frobenius(D, local)
+            assert c.trace[-1] == g_frobenius(D, local)
 
     def test_json_schema(self):
         pts = random_points(23, 10)
