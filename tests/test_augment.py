@@ -15,10 +15,15 @@ def source_rows(seed=0, k=10, d=8):
 
 class TestPerturb:
     @pytest.mark.parametrize("kind", ALL_KINDS)
-    def test_zero_budget_is_identity(self, kind):
+    @pytest.mark.parametrize("r", [1, 3])
+    def test_zero_budget_is_identity(self, kind, r):
+        """At a zero budget every copy is its source row, byte for byte, in
+        every round: the box's corners included."""
         X = source_rows(1)
-        out = perturb(TransformSpec(kind=kind, epsilon0=0.0, r=3, seed=5), X, 0)
-        assert np.array_equal(out.features, np.repeat(X, 3, axis=0))
+        X[0, :2] = [0.0, 1.0]
+        for rnd in range(4):
+            out = perturb(TransformSpec(kind=kind, epsilon0=0.0, r=r, seed=5 + rnd), X, rnd)
+            assert out.features.tobytes() == np.repeat(X, r, axis=0).tobytes()
 
     def test_copy_major_origin(self):
         """Row i*r + c copies source i: each output row lies nearest its

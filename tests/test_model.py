@@ -305,6 +305,20 @@ class TestResidualAndGradients:
         assert np.array_equal(again, forward(net, X) - Y)
         assert np.all(np.isfinite(grad))
 
+    def test_gradient_is_owned_by_the_caller(self):
+        """Each call returns a gradient of its own: a later call, or a write
+        to an earlier gradient, moves no other."""
+        data = make_dataset(26, n=9)
+        net = MLP.init([data.dim, 5, data.num_classes], seed=5)
+        X, Y, w = data.features, data.one_hot_labels(), np.ones(data.n)
+        first, second = (residual_and_gradients(net, X, Y, w)[1] for _ in range(2))
+        third, fourth = (weighted_gradient(net, X, Y, w) for _ in range(2))
+        for a, b in [(first, second), (third, fourth), (first, third)]:
+            assert not np.shares_memory(a, b)
+        expected = second.copy()
+        first[:] = np.nan
+        assert second.tobytes() == expected.tobytes()
+
     def test_checked_rows_reject_a_negative_weight(self):
         """The one row rule: a weighted gradient takes nonnegative weights."""
         data = make_dataset(24, n=6)
