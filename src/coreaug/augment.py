@@ -73,7 +73,7 @@ def perturb(spec: TransformSpec, X, round_index: int = 0) -> AugmentedSet:
     Each copy block c is drawn from the stream keyed by (seed, round, c), so a
     fixed (spec, X, round_index) reproduces bit-identical output. With
     ``round_index`` varying, each round plays the role of one transform applied
-    to all rows.
+    to all rows. A zero budget draws nothing: every copy is its source row.
     """
     X = as_matrix(X, "X")
     if X.min() < 0.0 or X.max() > 1.0:
@@ -81,6 +81,8 @@ def perturb(spec: TransformSpec, X, round_index: int = 0) -> AugmentedSet:
     k, d = X.shape
     check_entries("augmented copies", (k * spec.r, d), "--r")
     eps = spec.epsilon0
+    if eps == 0.0:
+        return AugmentedSet(features=np.repeat(X, spec.r, axis=0))
     out = np.empty((k * spec.r, d))
     for copy in range(spec.r):
         rng = np.random.default_rng([spec.seed, round_index, copy])

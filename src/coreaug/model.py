@@ -7,6 +7,13 @@ weight matrix flattened row-major, then the bias vector. Weights, biases and
 every gradient routine's output are per-layer views of that layout, so a step
 is one update of the flat vector and rows can be checked coordinate by
 coordinate.
+
+A ``_Gradient`` holds what a net's forward trace and backward pass need
+besides the rows: the activation pair, the layer views, the transposed
+weights and one flat gradient buffer. Its ``trace`` and ``backward`` are the
+module's only forward and backward loops, so the SGD step (one object per
+epoch), the public gradients (one per call), the Jacobian and the proxies
+all run the same operations in the same order.
 """
 
 from __future__ import annotations
@@ -194,20 +201,62 @@ def check_activations(net: MLP, rows: int, what: str) -> None:
     check_entries(f"{what} activations", (rows, max(net.layer_sizes[1:])), "--hidden")
 
 
-def _forward_trace(net: MLP, X: np.ndarray) -> list:
-    """Activations per layer; ``acts[0]`` is the input, ``acts[-1]`` the output.
+class _Gradient:
+    """Everything about a net's gradient that does not depend on the rows:
+    the activation pair, the (W, b) views, the transposed weights, and one
+    flat gradient buffer ``grad`` with its per-layer views. Called on
+    ``(X, Y, w)``, it returns the residual ``f(X) - Y``, a fresh array, and
+    writes the flat gradient of ``sum_i w_i * 0.5 * ||f(x_i) - y_i||^2``
+    into ``grad``; the next call writes over it.
 
-    Each layer's activation is computed in place in a fresh array that only
-    the trace holds, so a caller may overwrite ``acts[-1]`` once nothing
-    else reads it."""
-    act, _ = _activation_pair(net.activation)
-    acts = [X]
-    last = len(net.weights) - 1
-    for l, (w, b) in enumerate(zip(net.weights, net.biases)):
-        p = acts[-1] @ w
-        p += b
-        acts.append(p if l == last else act(p))
-    return acts
+    Every view reads ``net.params`` in place, so an object built once sees
+    each ``net.params -= step``. ``trace`` and ``backward`` are the module's
+    one forward loop and one backward loop."""
+
+    def __init__(self, net: MLP):
+        self.act, self.deriv = _activation_pair(net.activation)
+        self.layers = tuple(zip(net.weights, net.biases))
+        self.weights_T = tuple(w.T for w in net.weights)
+        self.sizes = net.layer_sizes
+        self.grad = np.empty(net.num_params)
+        gws, gbs = _layer_views(self.sizes, self.grad)
+        # output layer first, the order in which ``backward`` yields
+        self.grad_views = tuple(zip(gws, gbs))[::-1]
+
+    def trace(self, X: np.ndarray) -> list:
+        """Activations per layer; ``acts[0]`` is the input, ``acts[-1]`` the
+        output. Each layer's activation is computed in place in a fresh
+        array that only the trace holds, so a caller may overwrite
+        ``acts[-1]`` once nothing else reads it."""
+        act, acts = self.act, [X]
+        last = len(self.layers) - 1
+        for l, (w, b) in enumerate(self.layers):
+            p = acts[-1] @ w
+            p += b
+            acts.append(p if l == last else act(p))
+        return acts
+
+    def backward(self, acts, delta: np.ndarray):
+        """Backpropagate ``delta``, a derivative with respect to the
+        output-layer pre-activation, one row per example. Yields each layer's
+        (input activation, pre-activation derivative) pair, from the output
+        layer down. Each hidden derivative is taken from the layer's stored
+        activation; the trace and ``delta`` are read, never written."""
+        deriv, weights_T = self.deriv, self.weights_T
+        for l in range(len(weights_T) - 1, -1, -1):
+            yield acts[l], delta
+            if l > 0:
+                delta = delta @ weights_T[l]
+                delta *= deriv(acts[l])
+
+    def __call__(self, X: np.ndarray, Y: np.ndarray, w: np.ndarray) -> np.ndarray:
+        acts = self.trace(X)
+        r = acts[-1]
+        r -= Y
+        for (a, d), (gw, gb) in zip(self.backward(acts, r * w[:, None]), self.grad_views):
+            np.matmul(a.T, d, out=gw)
+            np.add.reduce(d, axis=0, out=gb)
+        return r
 
 
 def forward(net: MLP, X) -> np.ndarray:
@@ -215,7 +264,7 @@ def forward(net: MLP, X) -> np.ndarray:
     X = as_matrix(X, "X")
     if X.shape[1] != net.layer_sizes[0]:
         raise ValueError(f"X has {X.shape[1]} columns, network expects {net.layer_sizes[0]}")
-    return _forward_trace(net, X)[-1]
+    return _Gradient(net).trace(X)[-1]
 
 
 def residuals(net: MLP, data: Dataset) -> np.ndarray:
@@ -226,22 +275,6 @@ def example_losses(net: MLP, data: Dataset) -> np.ndarray:
     """Squared loss ``0.5 * ||f(x_i) - y_i||^2`` of each example."""
     r = residuals(net, data)
     return 0.5 * np.sum(r * r, axis=1)
-
-
-def _backward(net: MLP, acts, delta: np.ndarray) -> list:
-    """Backpropagate ``delta``, a derivative with respect to the output-layer
-    pre-activation, one row per example. Returns each layer's (input
-    activation, pre-activation derivative) pair, from the output layer down.
-    Each hidden derivative is taken from the layer's stored activation; the
-    trace and ``delta`` are read, never written."""
-    _, deriv = _activation_pair(net.activation)
-    pairs = []
-    for l in range(len(net.weights) - 1, -1, -1):
-        pairs.append((acts[l], delta))
-        if l > 0:
-            delta = delta @ net.weights[l].T
-            delta *= deriv(acts[l])
-    return pairs
 
 
 def checked_rows(net: MLP, X, Y, weights):
@@ -263,17 +296,10 @@ def checked_rows(net: MLP, X, Y, weights):
 def residual_and_gradients(net: MLP, X: np.ndarray, Y: np.ndarray, weights: np.ndarray):
     """From one forward trace: the residual ``f(X) - Y`` and the flat
     gradient of ``sum_i w_i * 0.5 * ||f(x_i) - y_i||^2``, each a fresh array
-    the caller owns. The rows are not checked (see ``checked_rows``)."""
-    acts = _forward_trace(net, X)
-    r = acts[-1]
-    r -= Y
-    delta = r * weights[:, None]
-    grad = np.empty(net.num_params)
-    gws, gbs = _layer_views(net.layer_sizes, grad)
-    for (a, d), gw, gb in zip(_backward(net, acts, delta), gws[::-1], gbs[::-1]):
-        np.matmul(a.T, d, out=gw)
-        np.add.reduce(d, axis=0, out=gb)
-    return r, grad
+    the caller owns: a one-shot ``_Gradient``, whose buffer goes to the
+    caller. The rows are not checked (see ``checked_rows``)."""
+    gradient = _Gradient(net)
+    return gradient(X, Y, weights), gradient.grad
 
 
 def weighted_gradient(net: MLP, X: np.ndarray, Y: np.ndarray,
@@ -282,11 +308,13 @@ def weighted_gradient(net: MLP, X: np.ndarray, Y: np.ndarray,
     return residual_and_gradients(net, *checked_rows(net, X, Y, weights))[1]
 
 
-def _row_gradients(net: MLP, acts, delta: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _row_gradients(gradient: _Gradient, acts, delta: np.ndarray,
+                   out: np.ndarray) -> np.ndarray:
     """Write into row i of ``out``, an (n, m) block, the flat parameter
-    gradient that ``delta[i]`` backpropagates from example i alone."""
-    ws, bs = _layer_views(net.layer_sizes, out)
-    for (a, d), w, b in zip(_backward(net, acts, delta), ws[::-1], bs[::-1]):
+    gradient that ``delta[i]`` backpropagates from example i alone through
+    ``gradient``'s net."""
+    ws, bs = _layer_views(gradient.sizes, out)
+    for (a, d), w, b in zip(gradient.backward(acts, delta), ws[::-1], bs[::-1]):
         np.einsum("ni,nj->nij", a, d, out=w)
         b[...] = d
     return out
@@ -304,12 +332,13 @@ def jacobian(net: MLP, X) -> np.ndarray:
     C = net.num_outputs
     m = net.num_params
     check_entries("jacobian", (n * C, m), "--hidden")
-    acts = _forward_trace(net, X)
+    gradient = _Gradient(net)
+    acts = gradient.trace(X)
     out = np.empty((n * C, m))
     for c in range(C):
         delta = np.zeros((n, C))
         delta[:, c] = 1.0
-        _row_gradients(net, acts, delta, out[c::C])
+        _row_gradients(gradient, acts, delta, out[c::C])
     if not (np.isfinite(out.max()) and np.isfinite(out.min())):
         raise NumericalError(f"stacked derivative matrix ({n * C} x {m}) has "
                              "non-finite entries")
@@ -318,8 +347,9 @@ def jacobian(net: MLP, X) -> np.ndarray:
 
 def per_example_gradients(net: MLP, data: Dataset) -> np.ndarray:
     """Exact loss gradients, one row per example, shape (n, m)."""
-    acts = _forward_trace(net, data.features)
-    return _row_gradients(net, acts, acts[-1] - data.one_hot_labels(),
+    gradient = _Gradient(net)
+    acts = gradient.trace(data.features)
+    return _row_gradients(gradient, acts, acts[-1] - data.one_hot_labels(),
                           np.empty((data.n, net.num_params)))
 
 
@@ -338,7 +368,7 @@ def gradient_proxy(net: MLP, data: Dataset, mode: str = "last_layer") -> Gradien
         check_entries("gradient proxies", (data.n, net.layer_sizes[-2] + 1, net.num_outputs),
                       "--hidden")
     check_activations(net, data.n, "proxy")
-    acts = _forward_trace(net, data.features)
+    acts = _Gradient(net).trace(data.features)
     if mode == "residual":
         proxies = acts[-1] - data.one_hot_labels()
     else:

@@ -24,7 +24,7 @@ from .augment import TransformSpec, perturb
 from .coreset import compute_weights, pairwise_distances
 from .linalg import (AT_LEAST_100, SvdResult, as_matrix, principal_angles, singular_values,
                      spectral_norm, svd)
-from .model import MLP, Dataset, checked_rows, jacobian, residual_and_gradients
+from .model import MLP, Dataset, _Gradient, checked_rows, jacobian
 
 NUM_BINS = 30
 WEYL_TOL = 1e-8
@@ -299,15 +299,16 @@ def _descent_residuals(net: MLP, X: np.ndarray, Y: np.ndarray, eta: float,
                        steps: int):
     """Yield the flat residual f(X) - Y before each of ``steps`` full-batch
     gradient-descent steps on a copy of ``net``, and after the last one.
-    The rows are checked once; each step takes its residual and gradient
-    from one forward trace."""
+    The rows are checked once, and one ``_Gradient`` serves every step:
+    each takes its residual and gradient from one forward trace."""
     work = net.copy()
     X, Y, ones = checked_rows(work, X, Y, np.ones(X.shape[0]))
+    gradient = _Gradient(work)
     for t in range(steps + 1):
-        r, grad = residual_and_gradients(work, X, Y, ones)
+        r = gradient(X, Y, ones)
         yield r.ravel()
         if t < steps:
-            work.params -= eta * grad
+            work.params -= eta * gradient.grad
 
 
 def residual_dynamics_check(net: MLP, data: Dataset, steps: int) -> DynamicsReport:

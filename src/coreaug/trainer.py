@@ -36,6 +36,7 @@ from .linalg import (ABOVE_0, AT_LEAST_0, AT_LEAST_1, LEFT_OPEN_UNIT, RIGHT_OPEN
 from .model import (
     MLP,
     Dataset,
+    _Gradient,
     check_activations,
     checked_rows,
     example_losses,
@@ -161,10 +162,11 @@ def inject_label_noise(data: Dataset, frac: float, seed: int = 0) -> Dataset:
 
 def weighted_gradient_step(net: MLP, X_batch, y_batch, rho, eta: float) -> MLP:
     """W <- W - eta * sum_i rho_i * grad_i over the flat parameter vector.
-    Updates the network in place. This is the public one-batch step that
-    perfbench traces by name and ``test_sgd_warmup_replays_weighted_gradient_steps``
-    replays; no program path takes it (``_sgd_epoch`` steps on rows checked
-    once)."""
+    Updates the network in place. This is the public one-batch step, on rows
+    it checks itself, that perfbench traces by name and
+    ``test_sgd_warmup_replays_weighted_gradient_steps`` replays. No program
+    path takes it: ``_sgd_epoch`` takes the same step, bit for bit, on rows
+    checked once, through one ``_Gradient`` per epoch."""
     net.params -= eta * weighted_gradient(net, X_batch, y_batch, rho)
     return net
 
@@ -173,14 +175,18 @@ def _sgd_epoch(net: MLP, X: np.ndarray, Y: np.ndarray, w: np.ndarray,
                order: np.ndarray, batch_size: int, eta: float) -> None:
     """One epoch of weighted mini-batch SGD over rows that ``checked_rows``
     accepts, in ``order``: each batch is the next ``batch_size`` of them.
-    The rows are gathered once, so every batch is a contiguous slice; each
-    step computes the whole flat gradient before it updates the flat
-    parameters."""
+    The rows are gathered once, so every batch is a contiguous slice. One
+    ``_Gradient`` and one step buffer serve every batch: each step writes
+    the whole flat gradient into the object's buffer, then ``eta`` times it
+    into the step buffer, before it updates the flat parameters."""
     X, Y, w = X[order], Y[order], w[order]
+    gradient = _Gradient(net)
+    step = np.empty(net.num_params)
     for start in range(0, order.size, batch_size):
         stop = start + batch_size
-        net.params -= eta * residual_and_gradients(net, X[start:stop], Y[start:stop],
-                                                   w[start:stop])[1]
+        gradient(X[start:stop], Y[start:stop], w[start:stop])
+        np.multiply(eta, gradient.grad, out=step)
+        net.params -= step
 
 
 def _check_epoch(what: str, epoch: int, loss: float, initial_loss: float,

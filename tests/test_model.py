@@ -10,9 +10,8 @@ from coreaug.linalg import MemoryCapError, NumericalError, spectral_norm
 from coreaug.model import (
     Dataset,
     MLP,
+    _Gradient,
     _activation_pair,
-    _backward,
-    _forward_trace,
     class_rows,
     example_losses,
     forward,
@@ -319,6 +318,24 @@ class TestResidualAndGradients:
         first[:] = np.nan
         assert second.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("act", ["tanh", "relu"])
+    def test_gradient_built_before_a_step_sees_it(self, act):
+        """A ``_Gradient`` reads the net's parameters in place: after
+        ``net.params -= step``, its next gradient and residual are a fresh
+        ``residual_and_gradients`` at the stepped parameters, bit for bit."""
+        data = make_dataset(27, n=11)
+        net = MLP.init([data.dim, 6, 4, data.num_classes], activation=act, seed=7)
+        X, Y = data.features, data.one_hot_labels()
+        w = np.random.default_rng(27).uniform(0.0, 2.0, data.n)
+        gradient = _Gradient(net)
+        gradient(X, Y, w)
+        net.params -= 0.3 * gradient.grad
+        r = gradient(X, Y, w)
+        fresh_r, fresh_grad = residual_and_gradients(net, X, Y, w)
+        assert gradient.grad.tobytes() == fresh_grad.tobytes()
+        assert r.tobytes() == fresh_r.tobytes()
+        assert not np.shares_memory(gradient.grad, fresh_grad)
+
     def test_checked_rows_reject_a_negative_weight(self):
         """The one row rule: a weighted gradient takes nonnegative weights."""
         data = make_dataset(24, n=6)
@@ -382,14 +399,15 @@ class TestJacobian:
         of ``einsum`` outer products and deltas, concatenated."""
         data = make_dataset(25, n=6)
         net = MLP.init([data.dim, 5, 4, data.num_classes], activation=act, seed=25)
-        acts = _forward_trace(net, data.features)
+        gradient = _Gradient(net)
+        acts = gradient.trace(data.features)
         n, C = data.n, data.num_classes
         expected = np.empty((n * C, net.num_params))
         for c in range(C):
             delta = np.zeros((n, C))
             delta[:, c] = 1.0
             blocks = []
-            for a, d in reversed(_backward(net, acts, delta)):
+            for a, d in reversed(list(gradient.backward(acts, delta))):
                 blocks += [np.einsum("ni,nj->nij", a, d).reshape(n, -1), d]
             expected[c::C] = np.concatenate(blocks, axis=1)
         assert np.array_equal(bits(jacobian(net, data.features)), bits(expected))
