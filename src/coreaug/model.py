@@ -8,12 +8,13 @@ every gradient routine's output are per-layer views of that layout, so a step
 is one update of the flat vector and rows can be checked coordinate by
 coordinate.
 
-A ``_Gradient`` holds what a net's forward trace and backward pass need
-besides the rows: the activation pair, the layer views, the transposed
-weights and one flat gradient buffer. Its ``trace`` and ``backward`` are the
-module's only forward and backward loops, so the SGD step (one object per
-epoch), the public gradients (one per call), the Jacobian and the proxies
-all run the same operations in the same order.
+A ``_Backprop`` holds what a net's forward trace and backward pass need
+besides the rows: the activation pair, the layer views and the transposed
+weights. Its ``trace`` and ``backward`` are the module's only forward and
+backward loops, so the outputs, the Jacobian, the proxies and the weighted
+gradient all run the same operations in the same order. A ``_Gradient``
+adds one flat gradient buffer; the SGD step builds one per epoch, and the
+public gradients one per call.
 """
 
 from __future__ import annotations
@@ -201,14 +202,9 @@ def check_activations(net: MLP, rows: int, what: str) -> None:
     check_entries(f"{what} activations", (rows, max(net.layer_sizes[1:])), "--hidden")
 
 
-class _Gradient:
-    """Everything about a net's gradient that does not depend on the rows:
-    the activation pair, the (W, b) views, the transposed weights, and one
-    flat gradient buffer ``grad`` with its per-layer views. Called on
-    ``(X, Y, w)``, it returns the residual ``f(X) - Y``, a fresh array, and
-    writes the flat gradient of ``sum_i w_i * 0.5 * ||f(x_i) - y_i||^2``
-    into ``grad``; the next call writes over it.
-
+class _Backprop:
+    """What a net's forward trace and backward pass need besides the rows:
+    the activation pair, the (W, b) views and the transposed weights.
     Every view reads ``net.params`` in place, so an object built once sees
     each ``net.params -= step``. ``trace`` and ``backward`` are the module's
     one forward loop and one backward loop."""
@@ -218,10 +214,6 @@ class _Gradient:
         self.layers = tuple(zip(net.weights, net.biases))
         self.weights_T = tuple(w.T for w in net.weights)
         self.sizes = net.layer_sizes
-        self.grad = np.empty(net.num_params)
-        gws, gbs = _layer_views(self.sizes, self.grad)
-        # output layer first, the order in which ``backward`` yields
-        self.grad_views = tuple(zip(gws, gbs))[::-1]
 
     def trace(self, X: np.ndarray) -> list:
         """Activations per layer; ``acts[0]`` is the input, ``acts[-1]`` the
@@ -249,6 +241,22 @@ class _Gradient:
                 delta = delta @ weights_T[l]
                 delta *= deriv(acts[l])
 
+
+class _Gradient(_Backprop):
+    """A ``_Backprop`` with one flat gradient buffer ``grad`` and its
+    per-layer views: everything about a net's gradient that does not depend
+    on the rows. Called on ``(X, Y, w)``, it returns the residual
+    ``f(X) - Y``, a fresh array, and writes the flat gradient of
+    ``sum_i w_i * 0.5 * ||f(x_i) - y_i||^2`` into ``grad``; the next call
+    writes over it."""
+
+    def __init__(self, net: MLP):
+        super().__init__(net)
+        self.grad = np.empty(net.num_params)
+        gws, gbs = _layer_views(self.sizes, self.grad)
+        # output layer first, the order in which ``backward`` yields
+        self.grad_views = tuple(zip(gws, gbs))[::-1]
+
     def __call__(self, X: np.ndarray, Y: np.ndarray, w: np.ndarray) -> np.ndarray:
         acts = self.trace(X)
         r = acts[-1]
@@ -264,7 +272,7 @@ def forward(net: MLP, X) -> np.ndarray:
     X = as_matrix(X, "X")
     if X.shape[1] != net.layer_sizes[0]:
         raise ValueError(f"X has {X.shape[1]} columns, network expects {net.layer_sizes[0]}")
-    return _Gradient(net).trace(X)[-1]
+    return _Backprop(net).trace(X)[-1]
 
 
 def residuals(net: MLP, data: Dataset) -> np.ndarray:
@@ -308,13 +316,13 @@ def weighted_gradient(net: MLP, X: np.ndarray, Y: np.ndarray,
     return residual_and_gradients(net, *checked_rows(net, X, Y, weights))[1]
 
 
-def _row_gradients(gradient: _Gradient, acts, delta: np.ndarray,
+def _row_gradients(backprop: _Backprop, acts, delta: np.ndarray,
                    out: np.ndarray) -> np.ndarray:
     """Write into row i of ``out``, an (n, m) block, the flat parameter
     gradient that ``delta[i]`` backpropagates from example i alone through
-    ``gradient``'s net."""
-    ws, bs = _layer_views(gradient.sizes, out)
-    for (a, d), w, b in zip(gradient.backward(acts, delta), ws[::-1], bs[::-1]):
+    ``backprop``'s net."""
+    ws, bs = _layer_views(backprop.sizes, out)
+    for (a, d), w, b in zip(backprop.backward(acts, delta), ws[::-1], bs[::-1]):
         np.einsum("ni,nj->nij", a, d, out=w)
         b[...] = d
     return out
@@ -332,13 +340,13 @@ def jacobian(net: MLP, X) -> np.ndarray:
     C = net.num_outputs
     m = net.num_params
     check_entries("jacobian", (n * C, m), "--hidden")
-    gradient = _Gradient(net)
-    acts = gradient.trace(X)
+    backprop = _Backprop(net)
+    acts = backprop.trace(X)
     out = np.empty((n * C, m))
     for c in range(C):
         delta = np.zeros((n, C))
         delta[:, c] = 1.0
-        _row_gradients(gradient, acts, delta, out[c::C])
+        _row_gradients(backprop, acts, delta, out[c::C])
     if not (np.isfinite(out.max()) and np.isfinite(out.min())):
         raise NumericalError(f"stacked derivative matrix ({n * C} x {m}) has "
                              "non-finite entries")
@@ -347,9 +355,9 @@ def jacobian(net: MLP, X) -> np.ndarray:
 
 def per_example_gradients(net: MLP, data: Dataset) -> np.ndarray:
     """Exact loss gradients, one row per example, shape (n, m)."""
-    gradient = _Gradient(net)
-    acts = gradient.trace(data.features)
-    return _row_gradients(gradient, acts, acts[-1] - data.one_hot_labels(),
+    backprop = _Backprop(net)
+    acts = backprop.trace(data.features)
+    return _row_gradients(backprop, acts, acts[-1] - data.one_hot_labels(),
                           np.empty((data.n, net.num_params)))
 
 
@@ -368,7 +376,7 @@ def gradient_proxy(net: MLP, data: Dataset, mode: str = "last_layer") -> Gradien
         check_entries("gradient proxies", (data.n, net.layer_sizes[-2] + 1, net.num_outputs),
                       "--hidden")
     check_activations(net, data.n, "proxy")
-    acts = _Gradient(net).trace(data.features)
+    acts = _Backprop(net).trace(data.features)
     if mode == "residual":
         proxies = acts[-1] - data.one_hot_labels()
     else:

@@ -1754,8 +1754,9 @@ def test_bench_workload_passes_at_tiny_scale(workload, tmp_path):
 # does; each goes when perfbench/ stops naming it.
 PERFBENCH_ONLY = {
     "trainer.weighted_gradient_step":
-        "perfbench/tracing.py traces it by name; the warm-up replay test takes "
-        "it as the public one-batch step",
+        "perfbench/tracing.py traces it by name; _sgd_epoch takes the same step "
+        "through one _Gradient per epoch, and the warm-up replay test checks "
+        "the two bit for bit",
     "coreset.WeightedCoreset.validate":
         "perfbench/workloads.py checks every selection it observes with it",
     "trainer.TrainRecord.selection_events":

@@ -10,6 +10,7 @@ from coreaug.linalg import MemoryCapError, NumericalError, spectral_norm
 from coreaug.model import (
     Dataset,
     MLP,
+    _Backprop,
     _Gradient,
     _activation_pair,
     class_rows,
@@ -399,15 +400,15 @@ class TestJacobian:
         of ``einsum`` outer products and deltas, concatenated."""
         data = make_dataset(25, n=6)
         net = MLP.init([data.dim, 5, 4, data.num_classes], activation=act, seed=25)
-        gradient = _Gradient(net)
-        acts = gradient.trace(data.features)
+        backprop = _Backprop(net)
+        acts = backprop.trace(data.features)
         n, C = data.n, data.num_classes
         expected = np.empty((n * C, net.num_params))
         for c in range(C):
             delta = np.zeros((n, C))
             delta[:, c] = 1.0
             blocks = []
-            for a, d in reversed(list(gradient.backward(acts, delta))):
+            for a, d in reversed(list(backprop.backward(acts, delta))):
                 blocks += [np.einsum("ni,nj->nij", a, d).reshape(n, -1), d]
             expected[c::C] = np.concatenate(blocks, axis=1)
         assert np.array_equal(bits(jacobian(net, data.features)), bits(expected))
