@@ -33,6 +33,7 @@ from .coreset import (
     random_subset,
     select_all_classes,
     stochastic_greedy_select,
+    weighted_sum_error,
 )
 from .data import gen_dataset, split_dataset
 from .linalg import AT_LEAST_1, AT_LEAST_100, Domain, check_entries, singular_values, spectral_norm
@@ -320,11 +321,11 @@ def engine_equivalence() -> dict:
     facility-location value of 20 stochastic runs over the naive value on
     500 points."""
     mismatches = 0
+    cfg = SelectionConfig(stop="fixed_size", fraction=0.15)
     for seed in range(7000, 7100):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(5, 201))
         D = pairwise_distances(rng.standard_normal((n, 4)))
-        cfg = SelectionConfig(stop="fixed_size", k_per_class=max(1, int(round(0.15 * n))))
         naive = greedy_select(D, cfg)
         lazy = lazy_greedy_select(D, cfg)
         if not (naive.indices == lazy.indices and naive.trace == lazy.trace
@@ -407,8 +408,7 @@ def pl_envelope() -> dict:
     alpha, lam, beta = measure_pl_constants(net0, pool.X, pool.w)
     eta = alpha / (lam * beta)
     grads = per_example_gradients(net0, data)
-    xi = float(np.linalg.norm(
-        grads.sum(axis=0) - (grads[indices] * gamma[:, None]).sum(axis=0)))
+    xi = weighted_sum_error(grads.sum(axis=0), grads[indices], gamma)
     # linear net: exact constants sqrt(C) for J and ||W||_2 for f
     l_bar = max(math.sqrt(C), spectral_norm(net0.weights[0]))
     sigma_max = spectral_norm(jacobian(net0, data.features[indices]))
@@ -488,17 +488,16 @@ def noise_robustness() -> dict:
     selection."""
     data = gen_dataset("gaussian_blobs", 600, 8, 3, seed=50, noise=0.10)
     fractions = {"coreset": [], "max_loss": [], "random": []}
+    size = SelectionConfig(stop="fixed_size", fraction=0.1)
     for seed in PROTOCOL_SEEDS:
         noisy = inject_label_noise(data, 0.30, seed=seed)
         net = _warmed_tanh_net(noisy, 16, seed)
         picks = {
-            "coreset": select_all_classes(
-                gradient_proxy(net, noisy, "last_layer"),
-                SelectionConfig(stop="fixed_size", fraction=0.1)).indices,
-            "max_loss": max_loss_subset(example_losses(net, noisy), None,
-                                        noisy.labels, fraction=0.1).indices,
-            "random": random_subset(None, noisy.labels, seed=seed,
-                                    fraction=0.1).indices,
+            "coreset": select_all_classes(gradient_proxy(net, noisy, "last_layer"),
+                                          size).indices,
+            "max_loss": max_loss_subset(example_losses(net, noisy), size,
+                                        noisy.labels).indices,
+            "random": random_subset(size, noisy.labels, seed=seed).indices,
         }
         # a flip always changes the label, so the flipped rows are those
         # whose labels differ

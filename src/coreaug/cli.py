@@ -39,8 +39,8 @@ from .data import (
     split_dataset,
 )
 from .linalg import (ABOVE_0, AT_LEAST_0, AT_LEAST_1, BUDGET, LEFT_OPEN_UNIT, OPEN_UNIT,
-                     RIGHT_OPEN_UNIT, Domain, MemoryCapError, NumericalError, check_entries)
-from .model import MLP, PROXY_MODES, Dataset, class_rows, gradient_proxy
+                     RIGHT_OPEN_UNIT, Domain, MemoryCapError, NumericalError)
+from .model import MLP, PROXY_MODES, Dataset, check_jacobian, class_rows, gradient_proxy
 from .spectrum import budget_spectra
 from .trainer import (
     BASELINES,
@@ -53,10 +53,6 @@ from .trainer import (
 )
 
 SCHEMA_VERSION = 1
-
-
-class ConfigError(ValueError):
-    pass
 
 
 def _write_json(path: Path, payload: dict | list) -> None:
@@ -190,8 +186,8 @@ def cmd_gen_data(args) -> int:
         data = gen_dataset(args.kind, args.n, args.d, args.classes, seed=args.seed,
                            noise=args.noise, margin=args.margin)
     except ValueError as exc:
-        raise ConfigError(f"--kind {args.kind} --n {args.n} --d {args.d} --classes {args.classes} "
-                          f"--seed {args.seed} --margin {args.margin}: {exc}") from None
+        raise ValueError(f"--kind {args.kind} --n {args.n} --d {args.d} --classes {args.classes} "
+                         f"--seed {args.seed} --margin {args.margin}: {exc}") from None
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_dataset_csv(data, out)
@@ -238,7 +234,7 @@ def cmd_train(args, run: _Run) -> int:
     try:
         configs = [_train_config(args, seed) for seed in args.seeds]
     except ValueError as exc:  # each flag passed its type: the rule broken joins these two
-        raise ConfigError(f"--xi {args.xi} --baseline {args.baseline}: {exc}") from None
+        raise ValueError(f"--xi {args.xi} --baseline {args.baseline}: {exc}") from None
     data_path = Path(args.data)
     data = _load_data(data_path)
     if args.label_noise > 0.0 and data.num_classes < 2:
@@ -269,8 +265,8 @@ def cmd_spectrum(args, run: _Run) -> int:
     names = [f"eps{eps:.6f}" for eps in args.epsilon0]
     for i, name in enumerate(names):
         if name in names[:i]:
-            raise ConfigError(f"--epsilon0 {args.epsilon0[names.index(name)]!r} and "
-                              f"{args.epsilon0[i]!r} both name their files {name}")
+            raise ValueError(f"--epsilon0 {args.epsilon0[names.index(name)]!r} and "
+                             f"{args.epsilon0[i]!r} both name their files {name}")
     data_path = Path(args.data)
     data = _load_data(data_path)
     classes_used = min(args.classes_used, data.num_classes)
@@ -282,8 +278,7 @@ def cmd_spectrum(args, run: _Run) -> int:
     keep = np.concatenate(keep)
     data = Dataset(data.features[keep], data.labels[keep], classes_used)
     net = MLP.init([data.dim, *args.hidden, data.num_classes], activation="tanh", seed=args.seed)
-    # model.jacobian's own check, made before the warm-up rather than after it
-    check_entries("jacobian", (data.n * data.num_classes, net.num_params), "--hidden")
+    check_jacobian(net, data.n)
     variants = [("untrained", net.copy())] if args.untrained else []
     with run.timed("train_ms"):
         sgd_warmup(net, data, args.train_epochs, args.lr, seed=args.seed)
@@ -484,7 +479,7 @@ def _config_value(action: argparse.Action, value, where: str):
     through the action's ``type`` and ``choices``; a switch takes a bool."""
     if action.nargs == 0:
         if not isinstance(value, bool):
-            raise ConfigError(f"{where}: must be true or false, got {value!r}")
+            raise ValueError(f"{where}: must be true or false, got {value!r}")
         return action.const if value else action.default
     many = action.nargs in ("*", "+")
     if isinstance(value, list) and not many:
@@ -493,13 +488,13 @@ def _config_value(action: argparse.Action, value, where: str):
     try:
         values = [(action.type or str)(t) for t in texts]
     except (argparse.ArgumentTypeError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: {exc}") from None
+        raise ValueError(f"{where}: {exc}") from None
     if not values and action.nargs == "+":
-        raise ConfigError(f"{where}: needs at least one value")
+        raise ValueError(f"{where}: needs at least one value")
     for v in values:
         if action.choices is not None and v not in action.choices:
-            raise ConfigError(f"{where}: invalid choice {v!r} (choose from "
-                              f"{', '.join(map(repr, action.choices))})")
+            raise ValueError(f"{where}: invalid choice {v!r} (choose from "
+                             f"{', '.join(map(repr, action.choices))})")
     return values if many else values[0]
 
 
@@ -522,23 +517,23 @@ def _apply_config_file(argv: list[str], parser: argparse.ArgumentParser) -> None
     try:
         payload = json.loads(Path(cfg_path).read_text(encoding="utf-8"))
     except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {cfg_path}") from exc
+        raise ValueError(f"config file not found: {cfg_path}") from exc
     except UnicodeDecodeError as exc:
-        raise ConfigError(f"config file is not UTF-8: {cfg_path}: {exc}") from exc
+        raise ValueError(f"config file is not UTF-8: {cfg_path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file is not valid JSON: {cfg_path}: {exc}") from exc
+        raise ValueError(f"config file is not valid JSON: {cfg_path}: {exc}") from exc
     if not isinstance(payload, dict):
-        raise ConfigError(f"{cfg_path}: a config is a JSON object, got {type(payload).__name__}")
+        raise ValueError(f"{cfg_path}: a config is a JSON object, got {type(payload).__name__}")
     if payload.get("schema_version") != SCHEMA_VERSION:
-        raise ConfigError(f"{cfg_path}: config schema_version must be {SCHEMA_VERSION}, "
-                          f"got {payload.get('schema_version')!r}")
+        raise ValueError(f"{cfg_path}: config schema_version must be {SCHEMA_VERSION}, "
+                         f"got {payload.get('schema_version')!r}")
     command = next((a for a in rest if not a.startswith("-")), None)
     subparser = parser.subcommands.get(command)
     if subparser is None:
         return  # argparse names the missing or unknown subcommand
     if payload.get("command", command) != command:
-        raise ConfigError(f"{cfg_path}: command {payload['command']!r} does not match "
-                          f"the subcommand {command!r}")
+        raise ValueError(f"{cfg_path}: command {payload['command']!r} does not match "
+                         f"the subcommand {command!r}")
     # --help and --config set no run's option
     by_dest = {a.dest: a for a in subparser._actions if a.dest not in ("help", "config")}
     defaults = {}
@@ -547,7 +542,7 @@ def _apply_config_file(argv: list[str], parser: argparse.ArgumentParser) -> None
             continue
         action = by_dest.get(key)
         if action is None:
-            raise ConfigError(f"{cfg_path}: key {key!r} is not an option of {command!r}")
+            raise ValueError(f"{cfg_path}: key {key!r} is not an option of {command!r}")
         if value is None:
             continue
         defaults[key] = _config_value(action, value, f"{cfg_path}: key {key!r}")

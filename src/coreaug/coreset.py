@@ -460,11 +460,9 @@ class BaselineSubset:
     weights: np.ndarray
 
 
-def _per_class_subset(labels, k: int | None, fraction: float | None,
-                      choose) -> BaselineSubset:
-    """Classes in label order, each sized like ``SelectionConfig`` (k, else
-    the fraction); ``choose(class rows, k_c)`` picks the rows."""
-    size = SelectionConfig(k_per_class=k, fraction=fraction)
+def _per_class_subset(size: SelectionConfig, labels, choose) -> BaselineSubset:
+    """Classes in label order, each sized by ``size``; ``choose(class rows,
+    k_c)`` picks the rows."""
     indices, weights = [], []
     for label, idx in class_rows(labels):
         kc = _resolve_k(size, idx.size, label)
@@ -473,22 +471,24 @@ def _per_class_subset(labels, k: int | None, fraction: float | None,
     return BaselineSubset(np.concatenate(indices), np.concatenate(weights))
 
 
-def max_loss_subset(losses, k: int | None, labels,
-                    fraction: float | None = None) -> BaselineSubset:
+def max_loss_subset(losses, size: SelectionConfig, labels) -> BaselineSubset:
     """Top-k per-example losses within each class; ties to the smallest index."""
     losses = np.asarray(losses, dtype=np.float64)
     return _per_class_subset(
-        labels, k, fraction,
-        lambda idx, kc: idx[np.argsort(-losses[idx], kind="stable")[:kc]])
+        size, labels, lambda idx, kc: idx[np.argsort(-losses[idx], kind="stable")[:kc]])
 
 
-def random_subset(k: int | None, labels, seed: int = 0,
-                  fraction: float | None = None) -> BaselineSubset:
+def random_subset(size: SelectionConfig, labels, seed: int = 0) -> BaselineSubset:
     """Uniform without-replacement per-class sample with weights n_c / k."""
     rng = np.random.default_rng(seed)
     return _per_class_subset(
-        labels, k, fraction,
-        lambda idx, kc: np.sort(rng.choice(idx, size=kc, replace=False)))
+        size, labels, lambda idx, kc: np.sort(rng.choice(idx, size=kc, replace=False)))
+
+
+def weighted_sum_error(total: np.ndarray, picked: np.ndarray, gamma: np.ndarray) -> float:
+    """The alignment error xi: the distance from ``total``, a sum of
+    gradients, to the gamma-weighted sum of the ``picked`` rows."""
+    return float(np.linalg.norm(total - (picked * gamma[:, None]).sum(axis=0)))
 
 
 @dataclass
@@ -512,9 +512,8 @@ def alignment_error(proxies: GradientProxySet, coreset: WeightedCoreset) -> Alig
     errors, bounds = [], []
     for c in coreset.classes:
         idx = rows[c.label]
-        total = proxies.proxies[idx].sum(axis=0)
-        approx = (proxies.proxies[c.indices] * c.gamma[:, None]).sum(axis=0)
-        errors.append(float(np.linalg.norm(total - approx)))
+        errors.append(weighted_sum_error(proxies.proxies[idx].sum(axis=0),
+                                         proxies.proxies[c.indices], c.gamma))
         bounds.append(math.sqrt(idx.size) * c.trace[-1])
     return AlignmentReport(error_total=sum(errors), bound_total=sum(bounds))
 
@@ -544,8 +543,7 @@ def coreset_ntk_bound_check(net: MLP, data: Dataset,
     full = grads.sum(axis=0)
     idx = coreset.indices
     gamma = coreset.gamma.astype(np.float64)
-    approx = (grads[idx] * gamma[:, None]).sum(axis=0)
-    xi = float(np.linalg.norm(full - approx))
+    xi = weighted_sum_error(full, grads[idx], gamma)
     full_norm = float(np.linalg.norm(full))
     lhs = frobenius_norm(jacobian(net, data.features[idx]))
     r_s = residuals(net, data.subset(idx))

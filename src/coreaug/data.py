@@ -12,8 +12,9 @@ from array import array
 
 import numpy as np
 
+from .coreset import SelectionConfig, random_subset
 from .linalg import AT_LEAST_0, AT_LEAST_1, OPEN_UNIT, check_entries, one_of
-from .model import Dataset, class_rows
+from .model import Dataset
 
 GENERATOR_KINDS = ("gaussian_blobs", "two_moons_embedded", "grid_digits")
 _INT64_MAX = int(np.iinfo(np.int64).max)
@@ -200,15 +201,12 @@ def _parse_dataset_csv(path):
 
 def split_dataset(data: Dataset, test_fraction: float, seed: int = 0):
     """Stratified deterministic split into (train, test): each class with
-    rows gives at least one of them to the test side. Raises
-    ``DataFormatError`` when that leaves no training rows."""
+    rows gives its ``random_subset`` share, at least one row, to the test
+    side. Raises ``DataFormatError`` when that leaves no training rows."""
     OPEN_UNIT.check("test_fraction", test_fraction)
-    rng = np.random.default_rng(seed)
-    test_idx = []
-    for _, idx in class_rows(data.labels):
-        take = max(1, int(round(test_fraction * idx.size)))
-        test_idx.append(rng.choice(idx, size=take, replace=False))
-    test_idx = np.sort(np.concatenate(test_idx))
+    # random_subset returns its rows class by class; the test side keeps row order
+    test_idx = np.sort(random_subset(SelectionConfig(fraction=test_fraction), data.labels,
+                                     seed).indices)
     if test_idx.size == data.n:
         raise DataFormatError("the split left no training rows")
     mask = np.zeros(data.n, dtype=bool)

@@ -13,8 +13,8 @@ besides the rows: the activation pair, the layer views and the transposed
 weights. Its ``trace`` and ``backward`` are the module's only forward and
 backward loops, so the outputs, the Jacobian, the proxies and the weighted
 gradient all run the same operations in the same order. A ``_Gradient``
-adds one flat gradient buffer; the SGD step builds one per epoch, and the
-public gradients one per call.
+adds one flat gradient buffer; the SGD step builds one per epoch, and
+every other caller one per call.
 """
 
 from __future__ import annotations
@@ -202,6 +202,13 @@ def check_activations(net: MLP, rows: int, what: str) -> None:
     check_entries(f"{what} activations", (rows, max(net.layer_sizes[1:])), "--hidden")
 
 
+def check_jacobian(net: MLP, rows: int) -> None:
+    """Raise MemoryCapError, naming ``--hidden``, before the Jacobian of
+    ``rows`` rows, (rows * C) x m, would hold more than ``linalg.ENTRY_CAP``
+    entries."""
+    check_entries("jacobian", (rows * net.num_outputs, net.num_params), "--hidden")
+
+
 class _Backprop:
     """What a net's forward trace and backward pass need besides the rows:
     the activation pair, the (W, b) views and the transposed weights.
@@ -301,19 +308,13 @@ def checked_rows(net: MLP, X, Y, weights):
     return X, Y, weights
 
 
-def residual_and_gradients(net: MLP, X: np.ndarray, Y: np.ndarray, weights: np.ndarray):
-    """From one forward trace: the residual ``f(X) - Y`` and the flat
-    gradient of ``sum_i w_i * 0.5 * ||f(x_i) - y_i||^2``, each a fresh array
-    the caller owns: a one-shot ``_Gradient``, whose buffer goes to the
-    caller. The rows are not checked (see ``checked_rows``)."""
-    gradient = _Gradient(net)
-    return gradient(X, Y, weights), gradient.grad
-
-
 def weighted_gradient(net: MLP, X: np.ndarray, Y: np.ndarray,
                       weights: np.ndarray) -> np.ndarray:
-    """Flat gradient of ``sum_i w_i * 0.5 * ||f(x_i) - y_i||^2``."""
-    return residual_and_gradients(net, *checked_rows(net, X, Y, weights))[1]
+    """Flat gradient of ``sum_i w_i * 0.5 * ||f(x_i) - y_i||^2``, from a
+    one-shot ``_Gradient`` whose buffer goes to the caller."""
+    gradient = _Gradient(net)
+    gradient(*checked_rows(net, X, Y, weights))
+    return gradient.grad
 
 
 def _row_gradients(backprop: _Backprop, acts, delta: np.ndarray,
@@ -339,7 +340,7 @@ def jacobian(net: MLP, X) -> np.ndarray:
     n = X.shape[0]
     C = net.num_outputs
     m = net.num_params
-    check_entries("jacobian", (n * C, m), "--hidden")
+    check_jacobian(net, n)
     backprop = _Backprop(net)
     acts = backprop.trace(X)
     out = np.empty((n * C, m))

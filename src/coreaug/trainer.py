@@ -43,7 +43,6 @@ from .model import (
     forward,
     gradient_proxy,
     one_hot,
-    residual_and_gradients,
     weighted_gradient,
 )
 
@@ -232,12 +231,9 @@ def _select_subset(config: TrainConfig, net: MLP, data: Dataset,
         coreset = select_all_classes(proxies, sel)
         return coreset.indices, coreset.gamma.astype(np.float64)
     if config.baseline == "random":
-        bs = random_subset(sel.k_per_class, data.labels,
-                           seed=[config.seed, 23, refresh_idx],
-                           fraction=sel.fraction)
+        bs = random_subset(sel, data.labels, seed=[config.seed, 23, refresh_idx])
     else:
-        bs = max_loss_subset(example_losses(net, data), sel.k_per_class, data.labels,
-                             fraction=sel.fraction)
+        bs = max_loss_subset(example_losses(net, data), sel, data.labels)
     return bs.indices, bs.weights
 
 
@@ -265,11 +261,12 @@ def _build_pool(config: TrainConfig, data: Dataset, Y_all: np.ndarray, indices,
 
 def _pool_metrics(net: MLP, pool: _Pool) -> tuple[float, float]:
     """(weighted pool loss, norm of its flat gradient), from one forward
-    trace."""
-    r, grad = residual_and_gradients(net, pool.X, pool.Y, pool.w)
+    trace of a one-shot ``_Gradient``."""
+    gradient = _Gradient(net)
+    r = gradient(pool.X, pool.Y, pool.w)
     r *= r
     train_loss = 0.5 * float(np.sum(pool.w * np.sum(r, axis=1)))
-    return train_loss, float(np.linalg.norm(grad))
+    return train_loss, float(np.linalg.norm(gradient.grad))
 
 
 @dataclass
@@ -305,8 +302,8 @@ def training(config: TrainConfig, data: Dataset, test_data: Dataset):
     if config.regime == "full_plus_coreset_aug":
         base = np.arange(data.n)
     elif config.regime == "random_plus_coreset_aug":
-        base = random_subset(None, data.labels, seed=[config.seed, 13],
-                             fraction=config.random_fraction).indices
+        base = random_subset(SelectionConfig(fraction=config.random_fraction), data.labels,
+                             seed=[config.seed, 13]).indices
     Y_all = one_hot(data.labels, data.num_classes)
     batch_rng = np.random.default_rng([config.seed, 7])
     # training rows that some pool has held, its own or augmented

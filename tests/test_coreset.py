@@ -132,8 +132,8 @@ class TestPeakMemory:
     matrix, which ``pairwise_distances`` builds in its Gram buffer. Every
     other temporary, of the distances, the scoring and the weights, is one
     block of rows: a block w entries wide has max(64, 64,000 / w) rows. The
-    rest is the engines' coverage vectors. The two-matrix bounds below
-    predate that and still hold. The alignment audit builds no matrix."""
+    rest is the engines' coverage vectors. The alignment audit builds no
+    matrix."""
 
     N_C = 1000
     MATRIX_BYTES = N_C * N_C * 8
@@ -151,20 +151,6 @@ class TestPeakMemory:
                               engine=engine)
         peak = traced_peak_bytes(lambda: select_all_classes(proxies, cfg))
         assert peak <= 1.3 * self.MATRIX_BYTES
-
-    def test_pairwise_distances_holds_two_matrices(self, traced_peak_bytes):
-        points = random_points(30, self.N_C, p=16)
-        peak = traced_peak_bytes(lambda: pairwise_distances(points))
-        assert peak <= 2.1 * self.MATRIX_BYTES
-
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_select_all_classes_holds_two_matrices(self, engine, traced_peak_bytes):
-        proxies = proxy_set(random_points(31, 2 * self.N_C, p=16),
-                            np.repeat([0, 1], self.N_C))
-        cfg = SelectionConfig(stop="fixed_size", k_per_class=self.N_C // 10,
-                              engine=engine)
-        peak = traced_peak_bytes(lambda: select_all_classes(proxies, cfg))
-        assert peak <= 2.25 * self.MATRIX_BYTES
 
     def test_score_holds_one_block_of_rows(self, traced_peak_bytes):
         """Scoring every candidate of a large class at once holds one block
@@ -190,14 +176,6 @@ class TestPeakMemory:
         S = list(range(0, self.N_C, 4))
         peak = traced_peak_bytes(lambda: compute_weights(D, S))
         assert peak <= 1.25 * _SCORE_ENTRIES * 8
-
-    def test_alignment_error_holds_two_matrices(self, traced_peak_bytes):
-        proxies = proxy_set(random_points(32, 2 * self.N_C, p=16),
-                            np.repeat([0, 1], self.N_C))
-        coreset = select_all_classes(
-            proxies, SelectionConfig(stop="fixed_size", k_per_class=self.N_C // 10))
-        peak = traced_peak_bytes(lambda: alignment_error(proxies, coreset))
-        assert peak <= 2.25 * self.MATRIX_BYTES
 
     def test_alignment_error_builds_no_distance_matrix(self, traced_peak_bytes,
                                                        monkeypatch):
@@ -700,20 +678,20 @@ class TestBaselines:
     def test_max_loss_tie_rule(self):
         losses = np.ones(8)
         labels = np.repeat([0, 1], 4)
-        subset = max_loss_subset(losses, 2, labels)
+        subset = max_loss_subset(losses, SelectionConfig(k_per_class=2), labels)
         assert np.array_equal(subset.indices, [0, 1, 4, 5])
 
     def test_max_loss_outlier_always_included(self):
         losses = np.array([0.1, 0.2, 9.0, 0.3, 0.1, 0.2])
         labels = np.zeros(6, dtype=int)
         for k in range(1, 6):
-            assert 2 in max_loss_subset(losses, k, labels).indices
+            assert 2 in max_loss_subset(losses, SelectionConfig(k_per_class=k), labels).indices
 
     def test_max_loss_sort_oracle(self):
         rng = np.random.default_rng(24)
         losses = rng.uniform(size=20)
         labels = rng.integers(0, 2, 20)
-        subset = max_loss_subset(losses, 3, labels)
+        subset = max_loss_subset(losses, SelectionConfig(k_per_class=3), labels)
         for label in (0, 1):
             idx = np.flatnonzero(labels == label)
             expected = sorted(idx, key=lambda i: (-losses[i], i))[:3]
@@ -722,29 +700,30 @@ class TestBaselines:
 
     def test_random_subset_full_class(self):
         labels = np.repeat([0, 1], 6)
-        subset = random_subset(6, labels, seed=0)
+        subset = random_subset(SelectionConfig(k_per_class=6), labels, seed=0)
         assert sorted(subset.indices.tolist()) == list(range(12))
         assert np.allclose(subset.weights, 1.0)
 
     def test_random_subset_repeatable(self):
         labels = np.repeat([0, 1, 2], 10)
-        a = random_subset(3, labels, seed=42)
-        b = random_subset(3, labels, seed=42)
+        a = random_subset(SelectionConfig(k_per_class=3), labels, seed=42)
+        b = random_subset(SelectionConfig(k_per_class=3), labels, seed=42)
         assert np.array_equal(a.indices, b.indices)
 
     def test_random_subset_uniform_frequencies(self):
         labels = np.zeros(10, dtype=int)
         counts = np.zeros(10)
         draws = 10_000
+        size = SelectionConfig(k_per_class=3)
         for seed in range(draws):
-            counts[random_subset(3, labels, seed=seed).indices] += 1
+            counts[random_subset(size, labels, seed=seed).indices] += 1
         p = 3 / 10
         sigma = math.sqrt(draws * p * (1 - p))
         assert np.all(np.abs(counts - draws * p) <= 3 * sigma)
 
     def test_k_too_large_errors(self):
         with pytest.raises(ValueError):
-            random_subset(5, np.zeros(4, dtype=int), seed=0)
+            random_subset(SelectionConfig(k_per_class=5), np.zeros(4, dtype=int), seed=0)
 
 
 class TestAlignmentError:

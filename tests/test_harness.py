@@ -276,6 +276,57 @@ def test_split_dataset_stratified():
     assert np.bincount(test.labels, minlength=3) == pytest.approx([8, 8, 8], abs=1)
 
 
+def split_reference(data: Dataset, test_fraction: float, seed: int):
+    """The holdout split written out as a per-class loop: each class with
+    rows, in label order, draws max(1, round(f n_c)) of them from one
+    generator, and the test rows are their union in ascending row order.
+    Returns (training rows, test rows), or None when no training row is left."""
+    rng = np.random.default_rng(seed)
+    test_idx = np.sort(np.concatenate([
+        rng.choice(idx, size=max(1, int(round(test_fraction * idx.size))), replace=False)
+        for _, idx in class_rows(data.labels)]))
+    if test_idx.size == data.n:
+        return None
+    return np.setdiff1d(np.arange(data.n), test_idx), test_idx
+
+
+def _split_case(labels, num_classes, seed):
+    rng = np.random.default_rng(seed)
+    labels = np.asarray(labels)
+    return Dataset(rng.uniform(size=(labels.size, 3)), labels, num_classes)
+
+
+SPLIT_CASES = {
+    # labels cycle through the classes, so a class-by-class order is not the row order
+    "interleaved": lambda: _split_case(np.arange(90) % 3, 3, 1),
+    "blocks": lambda: _split_case(np.repeat([0, 1, 2, 3], [5, 17, 30, 8]), 4, 2),
+    "random_labels": lambda: _split_case(np.random.default_rng(3).integers(0, 5, 77), 5, 3),
+    # class 1 has no rows
+    "empty_class": lambda: _split_case(np.arange(41) % 2 * 2, 3, 4),
+    "one_row_per_class": lambda: _split_case(np.arange(7), 7, 5),
+}
+
+
+@pytest.mark.parametrize("case", SPLIT_CASES)
+@pytest.mark.parametrize("fraction", [0.1, 0.25, 1.0 / 3.0, 0.5, 0.9])
+def test_split_dataset_matches_per_class_reference(case, fraction):
+    """Both sides of the split hold the reference's rows in the reference's
+    order, bit for bit, over several seeds; a split that leaves no training
+    row raises where the reference has none."""
+    data = SPLIT_CASES[case]()
+    for seed in range(4):
+        expected = split_reference(data, fraction, seed)
+        if expected is None:
+            with pytest.raises(DataFormatError, match="no training rows"):
+                split_dataset(data, fraction, seed=seed)
+            continue
+        train, test = split_dataset(data, fraction, seed=seed)
+        for side, rows in zip((train, test), expected):
+            assert side.features.tobytes() == data.features[rows].tobytes()
+            assert side.labels.tobytes() == data.labels[rows].tobytes()
+            assert side.num_classes == data.num_classes
+
+
 def strict_json(path: Path):
     """``path`` parsed as strict JSON: a bare NaN or Infinity fails."""
     def reject(token):
@@ -1984,6 +2035,17 @@ def test_lapack_svd_has_one_door():
             handlers.append(ast.unparse(node.type))
     assert users == ["linalg._lapack_svd"] * 2
     assert [h for h in handlers if "NumericalError" in h] == ["NumericalError"]
+
+
+def test_per_class_size_has_one_home():
+    """Only ``coreset._resolve_k`` calls ``round``: the rounded fraction of
+    a class, at least one row, is computed there alone, and the holdout
+    split, the baselines and every protocol size their per-class subsets
+    through it."""
+    src = Path(__file__).resolve().parents[1] / "src" / "coreaug"
+    users = [scope for scope, node in scoped_nodes(src)
+             if isinstance(node, ast.Call) and ast.unparse(node.func) == "round"]
+    assert users == ["coreset._resolve_k"]
 
 
 def test_entry_cap_has_one_door():

@@ -20,7 +20,6 @@ from coreaug.model import (
     jacobian,
     one_hot,
     per_example_gradients,
-    residual_and_gradients,
     residuals,
     weighted_gradient,
 )
@@ -273,6 +272,13 @@ class TestActivationDerivatives:
             expected = delta * reference
             delta *= deriv(a)
         assert np.array_equal(bits(delta), bits(expected))
+
+
+def residual_and_gradients(net, X, Y, w):
+    """The residual and the flat gradient of one forward trace, from a
+    one-shot ``_Gradient`` whose buffer goes to the caller."""
+    gradient = _Gradient(net)
+    return gradient(X, Y, w), gradient.grad
 
 
 class TestResidualAndGradients:

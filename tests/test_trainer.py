@@ -264,7 +264,7 @@ class TestTrain:
         base = {"coreset_only": [],
                 "full_plus_coreset_aug": range(data.n),
                 "random_plus_coreset_aug": random_subset(
-                    None, data.labels, seed=[cfg.seed, 13], fraction=0.3).indices}
+                    SelectionConfig(fraction=0.3), data.labels, seed=[cfg.seed, 13]).indices}
         seen = {int(i) for i in base[regime]}
         events = dict(record.selection_events)
         for row in record.rows:
@@ -363,7 +363,8 @@ class TestNoisySelection:
         differ, at the noise rate, as the noise protocol's random arm does."""
         data = Dataset(np.full((200, 2), 0.5), np.zeros(200, dtype=int), 2)
         mask = inject_label_noise(data, 0.3, seed=17).labels != data.labels
-        fractions = [float(np.mean(mask[random_subset(40, data.labels, seed=s).indices]))
+        size = SelectionConfig(k_per_class=40)
+        fractions = [float(np.mean(mask[random_subset(size, data.labels, seed=s).indices]))
                      for s in range(20)]
         p = mask.mean()
         sigma = math.sqrt(p * (1 - p) / 40)
