@@ -28,17 +28,16 @@ from .coreset import (
     g_frobenius,
     greedy_select,
     lazy_greedy_select,
-    max_loss_subset,
     pairwise_distances,
-    random_subset,
+    pick_subset,
     select_all_classes,
     stochastic_greedy_select,
     weighted_sum_error,
 )
 from .data import gen_dataset, split_dataset
 from .linalg import AT_LEAST_1, AT_LEAST_100, Domain, check_entries, singular_values, spectral_norm
-from .model import (MLP, Dataset, GradientProxySet, example_losses, gradient_proxy, jacobian,
-                    one_hot, per_example_gradients, weighted_gradient)
+from .model import (MLP, Dataset, GradientProxySet, gradient_proxy, jacobian, one_hot,
+                    per_example_gradients, weighted_gradient)
 from .spectrum import (
     augmented_jacobian,
     budget_spectra,
@@ -443,8 +442,7 @@ def kernel_dynamics() -> dict:
     data = gen_dataset("gaussian_blobs", 60, 8, 3, seed=0, noise=0.08)
     wide = residual_dynamics_check(MLP.init([8, 512, 3], activation="tanh", seed=0),
                                    data, steps=20)
-    return {"linear_max_rel_dev": lin.max_relative_deviation,
-            "width512_max_rel_dev": wide.max_relative_deviation}
+    return {"linear_max_rel_dev": lin, "width512_max_rel_dev": wide}
 
 
 def subset_split():
@@ -487,21 +485,17 @@ def noise_robustness() -> dict:
     random. Returns, per selector, the flipped fraction of each seed's
     selection."""
     data = gen_dataset("gaussian_blobs", 600, 8, 3, seed=50, noise=0.10)
-    fractions = {"coreset": [], "max_loss": [], "random": []}
+    # each selector's key in the result, and the baseline that picks for it
+    selectors = {"coreset": "ours", "max_loss": "max_loss", "random": "random"}
+    fractions = {name: [] for name in selectors}
     size = SelectionConfig(stop="fixed_size", fraction=0.1)
     for seed in PROTOCOL_SEEDS:
         noisy = inject_label_noise(data, 0.30, seed=seed)
         net = _warmed_tanh_net(noisy, 16, seed)
-        picks = {
-            "coreset": select_all_classes(gradient_proxy(net, noisy, "last_layer"),
-                                          size).indices,
-            "max_loss": max_loss_subset(example_losses(net, noisy), size,
-                                        noisy.labels).indices,
-            "random": random_subset(size, noisy.labels, seed=seed).indices,
-        }
-        # a flip always changes the label, so the flipped rows are those
-        # whose labels differ
-        for name, indices in picks.items():
+        for name, baseline in selectors.items():
+            indices, _ = pick_subset(baseline, size, net, noisy, "last_layer", seed)
+            # a flip always changes the label, so the flipped rows are those
+            # whose labels differ
             fractions[name].append(float(np.mean(noisy.labels[indices]
                                                  != data.labels[indices])))
     return fractions

@@ -22,6 +22,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,7 @@ import numpy as np
 from . import __version__
 from .audits import BATTERIES, EXPERIMENTS, run_bounds_suite
 from .augment import TRANSFORM_KINDS, TransformSpec
-from .coreset import ENGINES, SelectionConfig, select_all_classes
+from .coreset import BASELINES, ENGINES, SelectionConfig, select_all_classes
 from .data import (
     GENERATOR_KINDS,
     DataFormatError,
@@ -42,15 +43,7 @@ from .linalg import (ABOVE_0, AT_LEAST_0, AT_LEAST_1, BUDGET, LEFT_OPEN_UNIT, OP
                      RIGHT_OPEN_UNIT, Domain, MemoryCapError, NumericalError)
 from .model import MLP, PROXY_MODES, Dataset, check_jacobian, class_rows, gradient_proxy
 from .spectrum import budget_spectra
-from .trainer import (
-    BASELINES,
-    CSV_HEADER,
-    REGIMES,
-    LrSchedule,
-    TrainConfig,
-    sgd_warmup,
-    train,
-)
+from .trainer import REGIMES, EpochRow, LrSchedule, TrainConfig, sgd_warmup, train
 
 SCHEMA_VERSION = 1
 
@@ -251,7 +244,7 @@ def cmd_train(args, run: _Run) -> int:
     for config in configs:
         with run.timed(f"train_seed{config.seed}_ms"):
             record = train(config, data, test)
-        record.to_csv(run.path(f"run_seed{config.seed}.csv"))
+        _write_run_csv(run.path(f"run_seed{config.seed}.csv"), record.rows)
     summary = _run_summary(run.out_dir, run.outputs)  # the CSVs this run wrote, and no other
     _write_json(run.path("aggregate.json"), summary)
     print(f"mean test accuracy {summary['mean_test_acc']:.4f} "
@@ -320,6 +313,21 @@ def cmd_experiment(args, run: _Run) -> int:
     return 0
 
 
+# A run CSV has one column per EpochRow field, in field order.
+CSV_HEADER = ",".join(f.name for f in fields(EpochRow))
+
+
+def _write_run_csv(path: Path, rows) -> None:
+    """One line per ``EpochRow`` of ``rows`` below ``CSV_HEADER``."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(CSV_HEADER + "\n")
+        columns = CSV_HEADER.split(",")
+        for r in rows:
+            # floats as repr, which round-trips; int and bool fields as integers
+            fh.write(",".join(repr(v) if isinstance(v, float) else str(int(v))
+                              for v in (getattr(r, c) for c in columns)) + "\n")
+
+
 def _run_summary(runs_dir: Path, names) -> dict:
     """Per run CSV of ``runs_dir`` named in ``names``, its epoch count and
     final values, then the mean and the standard deviation of the final test
@@ -338,12 +346,12 @@ def _run_summary(runs_dir: Path, names) -> dict:
             for line_no, line in enumerate(fh, start=2):
                 if not line.strip():
                     continue
-                fields = line.strip().split(",")
-                if len(fields) != len(columns):
-                    raise DataFormatError(f"{csv_path}: line {line_no}: {len(fields)} "
+                cells = line.strip().split(",")
+                if len(cells) != len(columns):
+                    raise DataFormatError(f"{csv_path}: line {line_no}: {len(cells)} "
                                           f"columns, the run header has {len(columns)}")
                 try:
-                    row = [float(v) for v in fields]
+                    row = [float(v) for v in cells]
                 except ValueError as exc:
                     raise DataFormatError(f"{csv_path}: line {line_no}: {exc}") from None
                 for c, v in zip(columns, row):

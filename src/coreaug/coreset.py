@@ -36,12 +36,15 @@ from .model import (
     Dataset,
     GradientProxySet,
     class_rows,
+    example_losses,
+    gradient_proxy,
     jacobian,
     per_example_gradients,
     residuals,
 )
 
 ENGINES = ("naive", "lazy", "stochastic")
+BASELINES = ("ours", "random", "max_loss")
 STOP_MODES = ("xi_threshold", "fixed_size")
 
 # Rows per block of every selection temporary: at least _SCORE_BLOCK rows,
@@ -483,6 +486,22 @@ def random_subset(size: SelectionConfig, labels, seed: int = 0) -> BaselineSubse
     rng = np.random.default_rng(seed)
     return _per_class_subset(
         size, labels, lambda idx, kc: np.sort(rng.choice(idx, size=kc, replace=False)))
+
+
+def pick_subset(baseline: str, size: SelectionConfig, net: MLP, data: Dataset,
+                proxy_mode: str, seed) -> tuple[np.ndarray, np.ndarray]:
+    """(global indices, per-row weights) of the named baseline's picks:
+    ``ours`` selects coresets over the ``proxy_mode`` gradient proxies
+    (weights gamma, as floats), ``random`` draws from ``seed``, and
+    ``max_loss`` takes the largest losses at ``net``."""
+    if baseline == "ours":
+        coreset = select_all_classes(gradient_proxy(net, data, proxy_mode), size)
+        return coreset.indices, coreset.gamma.astype(np.float64)
+    if baseline == "random":
+        subset = random_subset(size, data.labels, seed=seed)
+    else:
+        subset = max_loss_subset(example_losses(net, data), size, data.labels)
+    return subset.indices, subset.weights
 
 
 def weighted_sum_error(total: np.ndarray, picked: np.ndarray, gamma: np.ndarray) -> float:

@@ -20,17 +20,12 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .augment import TransformSpec, perturb
-from .coreset import (
-    SelectionConfig,
-    max_loss_subset,
-    random_subset,
-    select_all_classes,
-)
+from .coreset import BASELINES, SelectionConfig, pick_subset, random_subset
 from .linalg import (ABOVE_0, AT_LEAST_0, AT_LEAST_1, LEFT_OPEN_UNIT, RIGHT_OPEN_UNIT,
                      NumericalError, one_of)
 from .model import (
@@ -39,15 +34,12 @@ from .model import (
     _Gradient,
     check_activations,
     checked_rows,
-    example_losses,
     forward,
-    gradient_proxy,
     one_hot,
     weighted_gradient,
 )
 
 REGIMES = ("coreset_only", "full_plus_coreset_aug", "random_plus_coreset_aug")
-BASELINES = ("ours", "random", "max_loss")
 
 # Loss, as a multiple of the loss before the first step, past which a
 # training run or warm-up counts as diverged although the loss is still
@@ -121,23 +113,10 @@ class EpochRow:
     points_touched: int
 
 
-# A run CSV has one column per EpochRow field, in field order.
-CSV_HEADER = ",".join(f.name for f in fields(EpochRow))
-
-
 @dataclass
 class TrainRecord:
     rows: list[EpochRow]
     selection_events: list[tuple[int, np.ndarray]]
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(CSV_HEADER + "\n")
-            columns = CSV_HEADER.split(",")
-            for r in self.rows:
-                # floats as repr, which round-trips; int and bool fields as integers
-                fh.write(",".join(repr(v) if isinstance(v, float) else str(int(v))
-                                  for v in (getattr(r, c) for c in columns)) + "\n")
 
 
 def inject_label_noise(data: Dataset, frac: float, seed: int = 0) -> Dataset:
@@ -222,21 +201,6 @@ class _Pool:
     origins: np.ndarray
 
 
-def _select_subset(config: TrainConfig, net: MLP, data: Dataset,
-                   refresh_idx: int):
-    """(global indices, per-original-row weights)."""
-    sel = config.selection
-    if config.baseline == "ours":
-        proxies = gradient_proxy(net, data, config.proxy_mode)
-        coreset = select_all_classes(proxies, sel)
-        return coreset.indices, coreset.gamma.astype(np.float64)
-    if config.baseline == "random":
-        bs = random_subset(sel, data.labels, seed=[config.seed, 23, refresh_idx])
-    else:
-        bs = max_loss_subset(example_losses(net, data), sel, data.labels)
-    return bs.indices, bs.weights
-
-
 def _build_pool(config: TrainConfig, data: Dataset, Y_all: np.ndarray, indices,
                 orig_w, refresh_idx: int, base) -> _Pool:
     """The base rows at weight 1 (the selection at its own weights when
@@ -315,12 +279,13 @@ def training(config: TrainConfig, data: Dataset, test_data: Dataset):
         if refreshed:
             refresh_idx += 1
             t0 = time.perf_counter()
-            indices, orig_w = _select_subset(config, net, data, refresh_idx)
+            indices, orig_w = pick_subset(config.baseline, config.selection, net, data,
+                                          config.proxy_mode, [config.seed, 23, refresh_idx])
             pool = _build_pool(config, data, Y_all, indices, orig_w, refresh_idx, base)
             check_activations(net, pool.X.shape[0], "pool")
             selection_ms = (time.perf_counter() - t0) * 1000.0
             touched[pool.origins] = True
-            yield Refresh(epoch, net, np.asarray(indices), orig_w, pool)
+            yield Refresh(epoch, net, indices, orig_w, pool)
         if initial_loss is None:
             initial_loss = _pool_metrics(net, pool)[0]
         # a divergent epoch overflows to inf or nan, which _check_epoch judges

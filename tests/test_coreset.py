@@ -12,6 +12,7 @@ from coreaug.coreset import (
     _ENGINE_FNS,
     _SCORE_BLOCK,
     _SCORE_ENTRIES,
+    BASELINES,
     ENGINES,
     STOP_MODES,
     SelectionConfig,
@@ -25,13 +26,15 @@ from coreaug.coreset import (
     lazy_greedy_select,
     max_loss_subset,
     pairwise_distances,
+    pick_subset,
     random_subset,
     select_all_classes,
     stochastic_greedy_select,
 )
+from coreaug.data import load_dataset_csv, save_dataset_csv
 from coreaug.linalg import NumericalError
-from coreaug.model import (Dataset, GradientProxySet, MLP, gradient_proxy,
-                           per_example_gradients, residuals)
+from coreaug.model import (PROXY_MODES, Dataset, GradientProxySet, MLP, example_losses,
+                           gradient_proxy, per_example_gradients, residuals)
 from helpers import zero_mlp
 
 
@@ -724,6 +727,41 @@ class TestBaselines:
     def test_k_too_large_errors(self):
         with pytest.raises(ValueError):
             random_subset(SelectionConfig(k_per_class=5), np.zeros(4, dtype=int), seed=0)
+
+
+def direct_pick(baseline, size, net, data, proxy_mode, seed):
+    """The reference: each baseline's selector called directly, as training
+    and the noise protocol each called them before ``pick_subset``."""
+    if baseline == "ours":
+        coreset = select_all_classes(gradient_proxy(net, data, proxy_mode), size)
+        return coreset.indices, coreset.gamma.astype(np.float64)
+    if baseline == "random":
+        subset = random_subset(size, data.labels, seed=seed)
+    else:
+        subset = max_loss_subset(example_losses(net, data), size, data.labels)
+    return subset.indices, subset.weights
+
+
+@pytest.mark.parametrize("baseline", BASELINES)
+@pytest.mark.parametrize("size", [SelectionConfig(fraction=0.3),
+                                  SelectionConfig(k_per_class=2)],
+                         ids=["fraction", "k_per_class"])
+def test_pick_subset_matches_direct_calls(baseline, size, tmp_path):
+    """``pick_subset`` returns what the selector it names returns, byte for
+    byte and in the same dtypes, for each proxy mode and several net and draw
+    seeds, on a data file whose class 1 has no rows."""
+    rng = np.random.default_rng(31)
+    path = tmp_path / "gap.csv"
+    save_dataset_csv(Dataset(rng.uniform(0, 1, (19, 4)), np.repeat([0, 2], [11, 8]), 3), path)
+    data = load_dataset_csv(path)
+    assert data.num_classes == 3 and not np.any(data.labels == 1)
+    for seed, proxy_mode in itertools.product(range(3), PROXY_MODES):
+        net = MLP.init([4, 6, 3], seed=seed)
+        for draw in ([seed, 23, 1], seed):
+            got = pick_subset(baseline, size, net, data, proxy_mode, draw)
+            want = direct_pick(baseline, size, net, data, proxy_mode, draw)
+            for a, b in zip(got, want, strict=True):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 class TestAlignmentError:

@@ -22,7 +22,7 @@ import coreaug.coreset
 import coreaug.linalg
 import coreaug.spectrum
 from coreaug.audits import BATTERIES, EXPERIMENTS, noise_robustness, run_bounds_suite
-from coreaug.cli import build_parser, main
+from coreaug.cli import CSV_HEADER, build_parser, main
 from coreaug.data import (
     DataFormatError,
     gen_dataset,
@@ -33,7 +33,7 @@ from coreaug.data import (
 from coreaug.augment import TransformSpec
 from coreaug.coreset import SelectionConfig, select_all_classes
 from coreaug.model import MLP, Dataset, class_rows, gradient_proxy
-from coreaug.trainer import CSV_HEADER, LrSchedule, TrainConfig, sgd_warmup
+from coreaug.trainer import LrSchedule, TrainConfig, sgd_warmup
 
 
 class TestGenerators:
@@ -1318,12 +1318,12 @@ CAP_BREACHES = {
                                                   "9000,2"], 2,
                                                  "config error: --hidden: training-set "
                                                  "activations would hold 405000 entries, "
-                                                 "cap is 65536", ("trainer._select_subset",)),
+                                                 "cap is 65536", ("trainer.pick_subset",)),
     "train --test-data, test-set activations": (["train", "--data", "{data}", "--test-data",
                                                  "{tall}", "--hidden", "200"], 2,
                                                 "config error: --hidden: test-set activations "
                                                 "would hold 600000 entries, cap is 65536",
-                                                ("trainer._select_subset",)),
+                                                ("trainer.pick_subset",)),
     # a pool of 45 rows and 45 x 12 copies; residual proxies have no last-layer check
     "train --r, pool activations": (["train", "--data", "{data}", "--hidden", "1000", "--r",
                                      "12", "--fraction", "1", "--proxy-mode", "residual"], 2,
@@ -2048,6 +2048,19 @@ def test_per_class_size_has_one_home():
     assert users == ["coreset._resolve_k"]
 
 
+def test_baseline_picks_have_one_dispatch():
+    """Only ``coreset.pick_subset`` calls ``max_loss_subset`` or
+    ``example_losses``: training and the noise protocol turn a baseline name
+    into weighted picks through that one dispatch."""
+    src = Path(__file__).resolve().parents[1] / "src" / "coreaug"
+    callers = {name: sorted(scope for scope, node in scoped_nodes(src)
+                            if isinstance(node, ast.Call)
+                            and name in spelled_names(node.func))
+               for name in ("max_loss_subset", "example_losses")}
+    assert callers == {"max_loss_subset": ["coreset.pick_subset"],
+                       "example_losses": ["coreset.pick_subset"]}
+
+
 def test_entry_cap_has_one_door():
     """Only ``linalg.check_entries`` raises ``MemoryCapError`` or reads the
     entry cap, both defined in ``linalg`` alone, and only ``cli.main``
@@ -2132,15 +2145,16 @@ def test_perturb_has_one_caller_per_use():
 
 
 def test_training_pools_have_one_builder():
-    """``trainer._select_subset`` and ``trainer._build_pool`` are called only
-    from ``trainer.training``, so every pool a consumer reads, criterion 8's
-    included, is one a run trains on."""
+    """``trainer._build_pool`` is called only from ``trainer.training``, so
+    every pool a consumer reads, criterion 8's included, is one a run trains
+    on; its picks come from ``coreset.pick_subset``, whose only other caller
+    is the noise protocol."""
     src = Path(__file__).resolve().parents[1] / "src" / "coreaug"
     callers = {name: sorted(scope for scope, node in scoped_nodes(src)
                             if isinstance(node, ast.Call)
                             and name in spelled_names(node.func))
-               for name in ("_select_subset", "_build_pool")}
-    assert callers == {"_select_subset": ["trainer.training"],
+               for name in ("pick_subset", "_build_pool")}
+    assert callers == {"pick_subset": ["audits.noise_robustness", "trainer.training"],
                        "_build_pool": ["trainer.training"]}
 
 

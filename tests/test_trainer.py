@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from coreaug.augment import TransformSpec
+from coreaug.cli import _write_run_csv
 from coreaug.coreset import SelectionConfig, random_subset
 from coreaug.linalg import NumericalError
 from coreaug.model import MLP, Dataset, jacobian, one_hot, residuals
@@ -329,7 +330,7 @@ class TestTrain:
         data, test = blob_pair(16)
         record = train(quick_config(epochs=2), data, test)
         path = tmp_path / "run.csv"
-        record.to_csv(path)
+        _write_run_csv(path, record.rows)
         lines = path.read_text().splitlines()
         assert lines[0] == ("epoch,train_loss,test_loss,test_acc,grad_norm,"
                             "refreshed,selection_ms,points_touched")
